@@ -22,7 +22,7 @@
 use crate::fleet::FleetState;
 use crate::policy::{DecisionContext, Policy};
 use crate::sim::{SimConfig, SimResult};
-use pricing::{CostBreakdown, CostModel, FileDay, Money, TIER_COUNT};
+use pricing::{CostBreakdown, CostModel, FileDay, Money, Tier, TIER_COUNT};
 use std::time::Instant;
 use tracegen::{FileId, Trace};
 
@@ -95,11 +95,14 @@ pub fn run_shard(
     // and must stay allocation-free (the F5 `hot-alloc` gate).
     let mut current = vec![cfg.initial_tier; m];
     let mut decision = vec![cfg.initial_tier; m];
-    let mut daily = Vec::with_capacity(days);
-    let mut per_file = vec![Money::ZERO; m];
-    let mut decision_millis = Vec::with_capacity(days);
-    let mut tier_changes = 0u64;
-    let mut occupancy = Vec::with_capacity(days);
+    let mut run = ShardRun {
+        indices: indices.to_vec(),
+        daily: Vec::with_capacity(days),
+        per_file: vec![Money::ZERO; m],
+        decision_millis: Vec::with_capacity(days),
+        tier_changes: 0,
+        occupancy: Vec::with_capacity(days),
+    };
 
     for day in 0..days {
         // Decision phase, refilling the hoisted buffer in place.
@@ -107,51 +110,68 @@ pub fn run_shard(
             let ctx = DecisionContext { day, fleet, model, batch: indices, current: &current };
             let start = Instant::now();
             policy.decide_batch_into(&ctx, &mut decision);
-            decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
+            run.decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
             assert_eq!(decision.len(), m, "policy must decide every file in the batch");
             true
         } else {
             false
         };
 
-        // Billing phase, in ascending global index order.
-        let mut breakdown = CostBreakdown::default();
-        for (slot, &ix) in indices.iter().enumerate() {
-            let target = if decided { decision[slot] } else { current[slot] };
-            let changed_from = if target != current[slot] {
-                tier_changes += 1;
-                Some(current[slot])
-            } else {
-                None
-            };
-            let (reads, writes) = fleet.day_counts(ix, day);
-            let day_bill = model.day_breakdown(&FileDay {
-                size_gb: fleet.size_gb(ix),
-                reads,
-                writes,
-                tier: target,
-                changed_from,
-            });
-            per_file[slot] += day_bill.total();
-            breakdown += day_bill;
-            current[slot] = target;
-        }
-        daily.push(breakdown);
-        let mut counts = [0usize; TIER_COUNT];
-        for &tier in &current {
-            counts[tier.index()] += 1;
-        }
-        occupancy.push(counts);
+        let decision = decided.then_some(decision.as_slice());
+        let bill = bill_day(model, fleet, day, indices, decision, &mut current, &mut run.per_file);
+        run.daily.push(bill.breakdown);
+        run.tier_changes += bill.tier_changes;
+        run.occupancy.push(bill.occupancy);
     }
+    run
+}
 
-    ShardRun {
-        indices: indices.to_vec(),
-        daily,
-        per_file,
-        decision_millis,
-        tier_changes,
-        occupancy,
+/// What one day's billing sweep over a batch produced.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DayBill {
+    /// The batch's aggregate cost components for the day.
+    pub breakdown: CostBreakdown,
+    /// Files whose tier changed at the start of the day.
+    pub tier_changes: u64,
+    /// Batch files resident in each tier at the end of the day.
+    pub occupancy: [usize; TIER_COUNT],
+}
+
+/// The billing kernel of simulate and serve: moves each file of the batch
+/// `indices` to `decision[slot]` (staying put when `decision` is `None`)
+/// and bills `day` on `fleet`'s counts in slot order, updating `current`
+/// and `per_file` (both parallel to `indices`) in place.
+pub fn bill_day(
+    model: &CostModel,
+    fleet: &FleetState,
+    day: usize,
+    indices: &[usize],
+    decision: Option<&[Tier]>,
+    current: &mut [Tier],
+    per_file: &mut [Money],
+) -> DayBill {
+    let mut bill = DayBill::default();
+    let slots = indices.iter().zip(current.iter_mut().zip(per_file.iter_mut())).enumerate();
+    for (slot, (&ix, (tier, paid))) in slots {
+        let target = decision.and_then(|d| d.get(slot)).copied().unwrap_or(*tier);
+        let changed_from = (target != *tier).then_some(*tier);
+        bill.tier_changes += u64::from(changed_from.is_some());
+        let (reads, writes) = fleet.day_counts(ix, day);
+        let day_bill = model.day_breakdown(&FileDay {
+            size_gb: fleet.size_gb(ix),
+            reads,
+            writes,
+            tier: target,
+            changed_from,
+        });
+        *paid += day_bill.total();
+        bill.breakdown += day_bill;
+        *tier = target;
+        if let Some(count) = bill.occupancy.get_mut(target.index()) {
+            *count += 1;
+        }
     }
+    bill
 }
 
 /// Merges shard accumulators into one [`SimResult`], iterating `shards` in

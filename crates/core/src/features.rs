@@ -11,7 +11,7 @@
 //!   [`nn::ConvBranch`]): log-scaled mean read rate, file size, write/read
 //!   ratio, and a one-hot of the current tier.
 
-use crate::fleet::{FeatureBlock, FleetView};
+use crate::fleet::{FeatureBlock, FleetView, History};
 use pricing::{Tier, TIER_COUNT};
 use serde::{Deserialize, Serialize};
 use tracegen::FileSeries;
@@ -55,38 +55,28 @@ impl FeatureConfig {
     /// Builds the feature vector for `file` on the morning of `day`
     /// (observing only days `< day`), residing in `tier`.
     ///
-    /// Days before the trace start are zero-padded, so the encoder is
+    /// Days before the trace start are backfilled, so the encoder is
     /// total: any `day <= file.days()` is valid.
     #[must_use]
     pub fn encode(&self, file: &FileSeries, day: usize, tier: Tier) -> Vec<f64> {
-        self.encode_state(&file.reads, &file.writes, file.size_gb, day, tier)
+        assert!(day <= file.reads.len(), "day beyond series");
+        let history = History::observed(&file.reads[..day], &file.writes[..day], self.window);
+        self.encode_state(history, day, file.size_gb, tier)
     }
 
-    /// [`FeatureConfig::encode`] over raw columns — an allocating
-    /// convenience over [`FeatureConfig::encode_slices`] for call sites
-    /// without a `FileSeries` at hand (e.g. columnar fleet rows).
+    /// An owned row from a [`History`] — the allocating convenience over
+    /// [`FeatureConfig::encode_slices`] behind [`FeatureConfig::encode`].
     #[must_use]
     pub fn encode_state(
         &self,
-        reads: &[u64],
-        writes: &[u64],
-        size_gb: f64,
+        history: History<'_>,
         day: usize,
+        size_gb: f64,
         tier: Tier,
     ) -> Vec<f64> {
         let mut out = vec![0.0; self.state_dim()];
-        self.encode_slices(&mut out, reads, writes, size_gb, day, tier);
+        self.encode_slices(&mut out, history, day, size_gb, tier);
         out
-    }
-
-    /// Appends the feature vector for `file` on `day` in `tier` to `out`,
-    /// reusing `out`'s existing allocation — the flat-buffer assembly path
-    /// for callers that still hold row-major [`FileSeries`]. The decision
-    /// hot loop uses [`FeatureConfig::encode_block`] instead.
-    pub fn encode_into(&self, out: &mut Vec<f64>, file: &FileSeries, day: usize, tier: Tier) {
-        let start = out.len();
-        out.resize(start + self.state_dim(), 0.0);
-        self.encode_slices(&mut out[start..], &file.reads, &file.writes, file.size_gb, day, tier);
     }
 
     /// Encodes one batch row per [`FleetView`] slot into `block` — the
@@ -101,38 +91,35 @@ impl FeatureConfig {
         for (slot, &tier) in current.iter().enumerate() {
             self.encode_slices(
                 block.row_mut(slot),
-                view.reads(slot),
-                view.writes(slot),
-                view.size_gb(slot),
+                view.history(slot, self.window),
                 view.day(),
+                view.size_gb(slot),
                 tier,
             );
         }
     }
 
-    /// The featurization kernel: writes the state for one file (given its
-    /// raw daily `reads`/`writes` columns and `size_gb`) on the morning of
-    /// `day` in `tier` into `out`, which must be exactly
-    /// [`FeatureConfig::state_dim`] long. Every other encoder is a wrapper
-    /// over this, so all paths share one floating-point evaluation order.
+    /// The featurization kernel: writes the state for one file with
+    /// `history` on the morning of `day` in `tier` into `out`, which must
+    /// be exactly [`FeatureConfig::state_dim`] long. The means are the
+    /// history's `u64` sums cast once, so any exact way of producing them
+    /// encodes to bit-identical `f64` features, and every other encoder is
+    /// a wrapper over this one floating-point evaluation order.
     pub fn encode_slices(
         &self,
         out: &mut [f64],
-        reads: &[u64],
-        writes: &[u64],
-        size_gb: f64,
+        history: History<'_>,
         day: usize,
+        size_gb: f64,
         tier: Tier,
     ) {
-        assert!(day <= reads.len(), "day beyond series");
         assert_eq!(out.len(), self.state_dim(), "output row width mismatch");
 
-        // Mean over the observed prefix (not the future!) for normalization.
-        let observed = &reads[..day];
-        let mean = if observed.is_empty() {
-            0.0
+        // Means over the observed prefix (not the future!).
+        let (mean, mean_writes) = if day == 0 {
+            (0.0, 0.0)
         } else {
-            observed.iter().sum::<u64>() as f64 / observed.len() as f64
+            (history.sum_reads as f64 / day as f64, history.sum_writes as f64 / day as f64)
         };
         let denom = mean + 1.0;
 
@@ -141,30 +128,26 @@ impl FeatureConfig {
         // NOT with zeros: zero-padding is indistinguishable from genuine
         // idleness and teaches the policy to archive busy files during the
         // first week of deployment.
-        //
-        // Channel 0: absolute level, log-compressed. Chronological order:
-        // oldest first, yesterday last.
+        let recent = history.recent;
+        let past = |k: usize| {
+            // `window - k` days before `day`; oldest first, yesterday last.
+            let back = recent.len().checked_sub(self.window - k);
+            back.and_then(|at| recent.get(at)).map_or(mean, |&reads| reads as f64)
+        };
+
+        // Channel 0: absolute level, log-compressed.
         let mut w = 0;
         for k in 0..self.window {
-            let offset = self.window - k;
-            let value = if day >= offset { reads[day - offset] as f64 } else { mean };
-            out[w] = (1.0 + value).ln() / 10.0;
+            out[w] = (1.0 + past(k)).ln() / 10.0;
             w += 1;
         }
         // Channel 1: shape, normalized by the file's own observed mean.
         for k in 0..self.window {
-            let offset = self.window - k;
-            let value = if day >= offset { reads[day - offset] as f64 } else { mean };
-            out[w] = (value / denom).min(HISTORY_CAP);
+            out[w] = (past(k) / denom).min(HISTORY_CAP);
             w += 1;
         }
 
         // Scalar extras.
-        let mean_writes = if observed.is_empty() {
-            0.0
-        } else {
-            writes[..day].iter().sum::<u64>() as f64 / day as f64
-        };
         out[w] = (mean + 1.0).ln() / 10.0; // log-scale popularity
         out[w + 1] = size_gb; // ~0.1 GB typical, already unit-scale
         out[w + 2] = mean_writes / denom; // write/read ratio
@@ -297,20 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_appends_and_matches_encode() {
-        let a = file(vec![3, 1, 4, 1, 5, 9, 2]);
-        let b = file(vec![2, 7, 1, 8, 2, 8, 1]);
-        let cfg = FeatureConfig { window: 4 };
-        let mut buf = Vec::new();
-        cfg.encode_into(&mut buf, &a, 6, Tier::Hot);
-        cfg.encode_into(&mut buf, &b, 6, Tier::Archive);
-        let mut expect = cfg.encode(&a, 6, Tier::Hot);
-        expect.extend(cfg.encode(&b, 6, Tier::Archive));
-        assert_eq!(buf, expect, "appended encodings must match per-file vectors bit-for-bit");
-        assert_eq!(buf.len(), 2 * cfg.state_dim());
-    }
-
-    #[test]
     #[should_panic(expected = "beyond series")]
     fn day_out_of_range_panics() {
         let f = file(vec![1, 2]);
@@ -350,8 +319,9 @@ mod tests {
     fn encode_state_matches_encode() {
         let f = file(vec![3, 1, 4, 1, 5]);
         let cfg = FeatureConfig::default();
+        let history = History::observed(&f.reads[..4], &f.writes[..4], cfg.window);
         assert_eq!(
-            cfg.encode_state(&f.reads, &f.writes, f.size_gb, 4, Tier::Cool),
+            cfg.encode_state(history, 4, f.size_gb, Tier::Cool),
             cfg.encode(&f, 4, Tier::Cool)
         );
     }
@@ -362,6 +332,7 @@ mod tests {
         let f = file(vec![1, 2, 3]);
         let cfg = FeatureConfig { window: 2 };
         let mut out = vec![0.0; cfg.state_dim() + 1];
-        cfg.encode_slices(&mut out, &f.reads, &f.writes, f.size_gb, 1, Tier::Hot);
+        let history = History::observed(&f.reads[..1], &f.writes[..1], cfg.window);
+        cfg.encode_slices(&mut out, history, 1, f.size_gb, Tier::Hot);
     }
 }

@@ -1,11 +1,12 @@
-//! Columnar (struct-of-arrays) fleet state for the decision hot loop.
+//! Columnar (struct-of-arrays) fleet state: simulate's and serve's one decision input.
 //!
 //! The simulate/serve day loop used to walk `Vec<FileSeries>` — one heap
 //! object per file, with the per-day counts behind two pointer hops. At
 //! fleet scale the decision sweep is memory-bound, so the engine now runs
-//! on a [`FleetState`]: one dense, `FileId`-indexed block per column
-//! (sizes, read series, write series), file-major with a fixed `days`
-//! stride so one file's history is still a plain contiguous slice.
+//! on a [`FleetState`]: one dense, file-indexed block per column
+//! (sizes, read series, write series), file-major with a fixed stride so
+//! one file's days are still a plain contiguous slice — the whole horizon
+//! for simulate, a trailing window plus carried prior sums for serve.
 //!
 //! Policies observe the fleet through a borrowed [`FleetView`] — an
 //! immutable window over one decision batch — and batch featurization
@@ -16,33 +17,43 @@
 //! pointers across days (DESIGN.md §14).
 
 use nn::Matrix;
-use tracegen::{FileId, Trace};
+use tracegen::Trace;
 
-/// Dense struct-of-arrays fleet state.
+/// Dense struct-of-arrays fleet state over a span of day columns.
 ///
-/// Row `ix` (a file's global index) owns `sizes[ix]` and the half-open
-/// slices `reads[ix*days .. (ix+1)*days]` / `writes[..]` — file-major
-/// layout, so per-file history reads are contiguous and the per-day
+/// Row `ix` (a file's index in the trace) owns `sizes[ix]`, the prior sums of
+/// every day before `first_day`, and the slices `reads[ix*stride ..]` /
+/// `writes[..]`, whose column `c` holds absolute day `first_day + c` —
+/// file-major, so per-file history reads are contiguous and the per-day
 /// billing sweep walks each column with unit stride per file.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetState {
-    /// Horizon length every series spans (the column stride).
+    /// Columns per file (the row stride).
+    stride: usize,
+    /// Absolute day of column 0.
+    first_day: usize,
+    /// One past the last day with a column (the horizon end).
     days: usize,
-    /// File identities, indexed by global file index.
-    ids: Vec<FileId>,
     /// File sizes, indexed by global file index.
     /// xtask-unit: GB
     sizes: Vec<f64>,
-    /// Daily read counts, file-major (`ix * days + day`).
+    /// Per-file read totals before `first_day` (empty, so zero, from a trace).
+    /// xtask-unit: ops
+    prior_reads: Vec<u64>,
+    /// Per-file write totals before `first_day`.
+    /// xtask-unit: ops
+    prior_writes: Vec<u64>,
+    /// Daily read counts, file-major (`ix * stride + day - first_day`).
     /// xtask-unit: ops
     reads: Vec<u64>,
-    /// Daily write counts, file-major (`ix * days + day`).
+    /// Daily write counts, file-major (`ix * stride + day - first_day`).
     /// xtask-unit: ops
     writes: Vec<u64>,
 }
 
 impl FleetState {
-    /// Builds the columnar state from a row-major [`Trace`].
+    /// Builds the columnar state from a row-major [`Trace`]: every day of
+    /// the horizon from day 0, so there are no prior sums to carry.
     ///
     /// Panics if any series length disagrees with the trace horizon —
     /// the same shapes the day loop would reject later, caught at
@@ -51,61 +62,100 @@ impl FleetState {
     pub fn from_trace(trace: &Trace) -> FleetState {
         let days = trace.days;
         let n = trace.files.len();
-        let mut ids = Vec::with_capacity(n);
         let mut sizes = Vec::with_capacity(n);
         let mut reads = Vec::with_capacity(n * days);
         let mut writes = Vec::with_capacity(n * days);
         for file in &trace.files {
             assert_eq!(file.days(), days, "series length must equal the trace horizon");
-            ids.push(file.id);
             sizes.push(file.size_gb);
             reads.extend_from_slice(&file.reads);
             writes.extend_from_slice(&file.writes);
         }
-        FleetState { days, ids, sizes, reads, writes }
+        FleetState { stride: days, days, sizes, reads, writes, ..FleetState::default() }
     }
 
-    /// Builds directly from columns (the serve loop synthesizes these from
-    /// its bounded online statistics without a `Trace` detour).
-    ///
-    /// Panics unless `sizes` parallels `ids` and both count columns hold
-    /// exactly `ids.len() * days` entries.
-    #[must_use]
-    pub fn from_columns(
-        days: usize,
-        ids: Vec<FileId>,
-        sizes: Vec<f64>,
-        reads: Vec<u64>,
-        writes: Vec<u64>,
-    ) -> FleetState {
-        assert_eq!(sizes.len(), ids.len(), "one size per file");
-        assert_eq!(reads.len(), ids.len() * days, "reads column length mismatch");
-        assert_eq!(writes.len(), ids.len() * days, "writes column length mismatch");
-        FleetState { days, ids, sizes, reads, writes }
+    /// Reshapes into an all-zero trailing window over `catalog`'s files —
+    /// `window` closed-day columns plus today's per file — reusing the
+    /// allocations; serve does this once per session, then refills in place.
+    pub(crate) fn reset_window(&mut self, catalog: &Trace, window: usize) {
+        let (n, stride) = (catalog.files.len(), window.saturating_add(1));
+        (self.stride, self.first_day, self.days) = (stride, 0, 0);
+        self.sizes.clear();
+        self.sizes.extend(catalog.files.iter().map(|f| f.size_gb));
+        let columns =
+            [&mut self.prior_reads, &mut self.prior_writes, &mut self.reads, &mut self.writes];
+        for (col, len) in columns.into_iter().zip([n, n, n * stride, n * stride]) {
+            col.clear();
+            col.resize(len, 0);
+        }
+    }
+
+    /// Slides a trailing window onto `day`: column `min(window, day)`
+    /// becomes today, zeroed for ingest, after the closed days it keeps.
+    pub(crate) fn open_day(&mut self, day: usize) {
+        let today = day.min(self.stride.saturating_sub(1));
+        (self.first_day, self.days) = (day - today, day.saturating_add(1));
+        for col in [&mut self.reads, &mut self.writes] {
+            col.iter_mut().skip(today).step_by(self.stride.max(1)).for_each(|c| *c = 0);
+        }
+    }
+
+    /// Adds request counts to file `ix`'s column for today (the last day).
+    /// Total: an out-of-range file is ignored.
+    pub(crate) fn record(&mut self, ix: usize, reads: u64, writes: u64) {
+        let today = (self.days - self.first_day).saturating_sub(1);
+        let at = ix.saturating_mul(self.stride).saturating_add(today);
+        for (col, count) in [(&mut self.reads, reads), (&mut self.writes, writes)] {
+            if let Some(slot) = col.get_mut(at) {
+                *slot = slot.saturating_add(count);
+            }
+        }
+    }
+
+    /// Refills file `ix`'s closed-day columns through `fill`, which writes
+    /// the (read, write) rings and returns the lifetime totals; the prior
+    /// sums carry the rest (nothing while the window starts at day 0).
+    pub(crate) fn refill(
+        &mut self,
+        ix: usize,
+        fill: impl FnOnce(&mut [u64], &mut [u64]) -> (u64, u64),
+    ) {
+        let start = ix.saturating_mul(self.stride);
+        let end = start.saturating_add((self.days - self.first_day).saturating_sub(1));
+        let (Some(reads), Some(writes)) =
+            (self.reads.get_mut(start..end), self.writes.get_mut(start..end))
+        else {
+            return;
+        };
+        let (lifetime_reads, lifetime_writes) = fill(reads, writes);
+        let carry = self.first_day > 0;
+        for (total, closed, prior) in [
+            (lifetime_reads, reads, &mut self.prior_reads),
+            (lifetime_writes, writes, &mut self.prior_writes),
+        ] {
+            if let Some(slot) = prior.get_mut(ix) {
+                *slot = if carry { total.saturating_sub(closed.iter().sum()) } else { 0 };
+            }
+        }
     }
 
     /// Number of files.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.sizes.len()
     }
 
     /// `true` when the fleet has no files.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.sizes.is_empty()
     }
 
-    /// Horizon length every series spans.
+    /// One past the last day with a column: the horizon length of a
+    /// [`FleetState::from_trace`] fleet, `today + 1` of a serve window.
     #[must_use]
     pub fn days(&self) -> usize {
         self.days
-    }
-
-    /// Identity of file `ix`.
-    #[must_use]
-    pub fn id(&self, ix: usize) -> FileId {
-        self.ids[ix]
     }
 
     /// Size of file `ix`. Total: an out-of-range index reads as `0.0`
@@ -115,40 +165,81 @@ impl FleetState {
         self.sizes.get(ix).copied().unwrap_or_default()
     }
 
-    /// Full daily read series of file `ix` (contiguous, length
-    /// [`FleetState::days`]). Total: out of range reads as empty.
+    /// The stored columns of file `ix` in `col`, days `first_day..days`.
+    fn row<'a>(&self, col: &'a [u64], ix: usize) -> &'a [u64] {
+        let start = ix.saturating_mul(self.stride);
+        col.get(start..start.saturating_add(self.days - self.first_day)).unwrap_or(&[])
+    }
+
+    /// Stored daily read series of file `ix` (only the trailing window for
+    /// serve's fleet). Total: out of range reads as empty.
     #[must_use]
     pub fn reads(&self, ix: usize) -> &[u64] {
-        let start = ix.saturating_mul(self.days);
-        self.reads.get(start..start.saturating_add(self.days)).unwrap_or(&[])
+        self.row(&self.reads, ix)
     }
 
-    /// Full daily write series of file `ix`. Total: out of range reads as
-    /// empty.
+    /// Stored daily write series of file `ix` (see [`FleetState::reads`]).
     #[must_use]
     pub fn writes(&self, ix: usize) -> &[u64] {
-        let start = ix.saturating_mul(self.days);
-        self.writes.get(start..start.saturating_add(self.days)).unwrap_or(&[])
+        self.row(&self.writes, ix)
     }
 
-    /// Read/write pair of file `ix` on `day`. Total: out of range reads
-    /// as `(0, 0)`.
+    /// Read/write pair of file `ix` on absolute `day`. Total: out of range
+    /// reads as `(0, 0)`.
     #[must_use]
     pub fn day_counts(&self, ix: usize, day: usize) -> (u64, u64) {
-        if day >= self.days {
-            return (0, 0);
+        let count = |col| self.row(col, ix).get(day.wrapping_sub(self.first_day)).copied();
+        (count(&self.reads).unwrap_or_default(), count(&self.writes).unwrap_or_default())
+    }
+
+    /// What a policy may observe of file `ix` on the morning of `day`: the
+    /// last `min(window, day)` closed days of reads (fewer only if the fleet
+    /// stores fewer) and the read/write sums before `day`, priors included.
+    #[must_use]
+    pub fn history(&self, ix: usize, day: usize, window: usize) -> History<'_> {
+        let end = day.min(self.days).saturating_sub(self.first_day);
+        let reads = self.row(&self.reads, ix).get(..end).unwrap_or(&[]);
+        let writes = self.row(&self.writes, ix).get(..end).unwrap_or(&[]);
+        let prior = |col: &[u64]| col.get(ix).copied().unwrap_or_default();
+        let observed = History::observed(reads, writes, window);
+        History {
+            sum_reads: observed.sum_reads.saturating_add(prior(&self.prior_reads)),
+            sum_writes: observed.sum_writes.saturating_add(prior(&self.prior_writes)),
+            ..observed
         }
-        let at = ix.saturating_mul(self.days).saturating_add(day);
-        (
-            self.reads.get(at).copied().unwrap_or_default(),
-            self.writes.get(at).copied().unwrap_or_default(),
-        )
     }
 
     /// A borrowed decision-batch window (see [`FleetView`]).
     #[must_use]
     pub fn view<'a>(&'a self, batch: &'a [usize], day: usize) -> FleetView<'a> {
         FleetView { fleet: self, batch, day }
+    }
+}
+
+/// One file's observable past on the morning of a decision day — the
+/// encoder's whole input besides size and tier.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct History<'a> {
+    /// The last `min(window, day)` closed days of reads, oldest first.
+    pub recent: &'a [u64],
+    /// Total reads before the decision day.
+    /// xtask-unit: ops
+    pub sum_reads: u64,
+    /// Total writes before the decision day.
+    /// xtask-unit: ops
+    pub sum_writes: u64,
+}
+
+impl<'a> History<'a> {
+    /// The history of a file observed on exactly `reads`/`writes` (oldest
+    /// first), keeping the last `window` reads as the recent window.
+    #[must_use]
+    pub fn observed(reads: &'a [u64], writes: &'a [u64], window: usize) -> History<'a> {
+        History {
+            recent: reads.get(reads.len().saturating_sub(window)..).unwrap_or(&[]),
+            sum_reads: reads.iter().sum(),
+            sum_writes: writes.iter().sum(),
+        }
     }
 }
 
@@ -200,22 +291,11 @@ impl<'a> FleetView<'a> {
         self.fleet.size_gb(self.global(slot))
     }
 
-    /// Full daily read series of batch entry `slot`.
+    /// Observable past of batch entry `slot` on the view's day (see
+    /// [`FleetState::history`]), the same from a simulate or serve fleet.
     #[must_use]
-    pub fn reads(&self, slot: usize) -> &'a [u64] {
-        self.fleet.reads(self.global(slot))
-    }
-
-    /// Full daily write series of batch entry `slot`.
-    #[must_use]
-    pub fn writes(&self, slot: usize) -> &'a [u64] {
-        self.fleet.writes(self.global(slot))
-    }
-
-    /// Read/write pair of batch entry `slot` on the view's day.
-    #[must_use]
-    pub fn day_counts(&self, slot: usize) -> (u64, u64) {
-        self.fleet.day_counts(self.global(slot), self.day)
+    pub fn history(&self, slot: usize, window: usize) -> History<'a> {
+        self.fleet.history(self.global(slot), self.day, window)
     }
 }
 
@@ -275,12 +355,17 @@ mod tests {
         assert_eq!(fleet.days(), trace.days);
         assert!(!fleet.is_empty());
         for (ix, file) in trace.files.iter().enumerate() {
-            assert_eq!(fleet.id(ix), file.id);
             assert_eq!(fleet.size_gb(ix), file.size_gb);
             assert_eq!(fleet.reads(ix), &file.reads[..]);
             assert_eq!(fleet.writes(ix), &file.writes[..]);
             for day in 0..trace.days {
                 assert_eq!(fleet.day_counts(ix, day), file.day(day));
+            }
+            for day in 0..=trace.days {
+                let h = fleet.history(ix, day, 3);
+                assert_eq!(h.recent, &file.reads[day.saturating_sub(3)..day], "day {day}");
+                assert_eq!(h.sum_reads, file.reads[..day].iter().sum::<u64>());
+                assert_eq!(h.sum_writes, file.writes[..day].iter().sum::<u64>());
             }
         }
     }
@@ -297,36 +382,39 @@ mod tests {
         for (slot, &ix) in batch.iter().enumerate() {
             assert_eq!(view.global(slot), ix);
             assert_eq!(view.size_gb(slot), fleet.size_gb(ix));
-            assert_eq!(view.reads(slot), fleet.reads(ix));
-            assert_eq!(view.writes(slot), fleet.writes(ix));
-            assert_eq!(view.day_counts(slot), fleet.day_counts(ix, 3));
+            assert_eq!(view.history(slot, 2), fleet.history(ix, 3, 2));
         }
     }
 
     #[test]
-    fn from_columns_matches_from_trace() {
-        let trace = Trace::generate(&TraceConfig::small(5, 4, 9));
-        let by_trace = FleetState::from_trace(&trace);
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        for f in &trace.files {
-            reads.extend_from_slice(&f.reads);
-            writes.extend_from_slice(&f.writes);
+    fn trailing_window_carries_prior_sums() {
+        // Feed a window fleet the true counts day by day: its history must
+        // match the whole-horizon fleet's on every day.
+        let trace = Trace::generate(&TraceConfig::small(4, 9, 8));
+        let full = FleetState::from_trace(&trace);
+        let mut window = FleetState::default();
+        window.reset_window(&trace, 3);
+        for day in 0..trace.days {
+            window.open_day(day);
+            assert_eq!(window.days(), day + 1);
+            for (ix, file) in trace.files.iter().enumerate() {
+                let (r, w) = file.day(day);
+                window.record(ix, r, w);
+                window.refill(ix, |reads, writes| {
+                    reads.copy_from_slice(&file.reads[day - reads.len()..day]);
+                    writes.copy_from_slice(&file.writes[day - writes.len()..day]);
+                    let lifetime = |s: &[u64]| s[..day].iter().sum::<u64>();
+                    (lifetime(&file.reads), lifetime(&file.writes))
+                });
+            }
+            for ix in 0..trace.len() {
+                assert_eq!(window.day_counts(ix, day), full.day_counts(ix, day), "day {day}");
+                assert_eq!(window.history(ix, day, 3), full.history(ix, day, 3), "day {day}");
+            }
         }
-        let by_columns = FleetState::from_columns(
-            trace.days,
-            trace.files.iter().map(|f| f.id).collect(),
-            trace.files.iter().map(|f| f.size_gb).collect(),
-            reads,
-            writes,
-        );
-        assert_eq!(by_columns, by_trace);
-    }
-
-    #[test]
-    #[should_panic(expected = "column length mismatch")]
-    fn from_columns_rejects_short_series() {
-        let _ = FleetState::from_columns(3, vec![FileId(0)], vec![1.0], vec![1, 2], vec![0, 0, 0]);
+        // Days outside the window read as zero.
+        assert_eq!(window.day_counts(0, 0), (0, 0));
+        assert_eq!(window.day_counts(0, trace.days), (0, 0));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * [`engine`] — the sharded parallel engine behind [`sim::simulate`]:
 //!   deterministic fleet partitioning, per-shard accumulators, and the
 //!   fixed-order merge that keeps parallel runs bit-identical.
-//! * [`fleet`] — the columnar (struct-of-arrays) fleet state the hot loop
-//!   runs on, plus the borrowed [`fleet::FleetView`] / [`fleet::FeatureBlock`]
-//!   surface policies consume.
+//! * [`fleet`] — the columnar fleet state, simulate's and serve's one
+//!   decision input, plus the borrowed [`fleet::FleetView`] /
+//!   [`fleet::FeatureBlock`] surface policies consume.
 //! * [`policy`] — the paper's five comparison strategies: `Hot`, `Cold`,
 //!   `Greedy`, `Optimal` (exact per-file DP; provably the brute-force
 //!   optimum), and the trained `RlPolicy`.

@@ -11,7 +11,7 @@
 //! own current tier — never on which other files share the batch.
 
 use crate::features::FeatureConfig;
-use crate::fleet::{FeatureBlock, FleetState, FleetView};
+use crate::fleet::{FeatureBlock, FleetState, FleetView, History};
 use crate::optimal::optimal_plan;
 use pricing::{CostModel, Money, Tier};
 use rl::actor_critic::argmax;
@@ -29,8 +29,8 @@ use tracegen::Trace;
 pub struct DecisionContext<'a> {
     /// The day being decided (tiers apply for this whole day).
     pub day: usize,
-    /// The whole fleet in columnar form (each policy uses only its allowed
-    /// slice of history).
+    /// The decision input in columnar form (each policy uses only its
+    /// allowed slice of history; serve's holds only a trailing window).
     pub fleet: &'a FleetState,
     /// The pricing/cost model.
     pub model: &'a CostModel,
@@ -69,13 +69,14 @@ impl<'a> DecisionContext<'a> {
         self.fleet.size_gb(self.global(slot))
     }
 
-    /// Full daily read series of batch entry `slot`.
+    /// Stored daily read series of batch entry `slot`: only the trailing
+    /// window under serve, so full-series readers are simulate-only.
     #[must_use]
     pub fn reads(&self, slot: usize) -> &'a [u64] {
         self.fleet.reads(self.global(slot))
     }
 
-    /// Full daily write series of batch entry `slot`.
+    /// Stored daily write series of batch entry `slot` (see `reads`).
     #[must_use]
     pub fn writes(&self, slot: usize) -> &'a [u64] {
         self.fleet.writes(self.global(slot))
@@ -85,6 +86,13 @@ impl<'a> DecisionContext<'a> {
     #[must_use]
     pub fn day_counts(&self, slot: usize) -> (u64, u64) {
         self.fleet.day_counts(self.global(slot), self.day)
+    }
+
+    /// Observable past of batch entry `slot` on the decided day (see
+    /// [`FleetState::history`]), the same under simulate and serve.
+    #[must_use]
+    pub fn history(&self, slot: usize, window: usize) -> History<'a> {
+        self.fleet.history(self.global(slot), self.day, window)
     }
 
     /// The batch as a borrowed [`FleetView`] (the batched-featurization
@@ -398,15 +406,16 @@ impl Policy for RlPolicy {
             // the current tier until the first observation arrives.
             return current;
         }
-        let state = self.features.encode_state(
-            ctx.reads(slot),
-            ctx.writes(slot),
-            ctx.size_gb(slot),
+        // The batch path's kernel and hoisted block, for one row.
+        self.block.reset(1, self.features.state_dim());
+        self.features.encode_slices(
+            self.block.row_mut(0),
+            ctx.history(slot, self.features.window),
             ctx.day,
+            ctx.size_gb(slot),
             current,
         );
-        let input = nn::Matrix::from_vec(1, state.len(), state);
-        let logits = self.actor.infer_into(&input, &mut self.scratch);
+        let logits = self.actor.infer_into(self.block.matrix(), &mut self.scratch);
         // The actor emits one logit per tier, so argmax is always a valid
         // index; hold the current tier if the network is ever mis-sized.
         Tier::from_index(argmax(logits.row(0))).unwrap_or(current)

@@ -21,25 +21,30 @@
 //! * the event stream conserves each file's daily totals exactly
 //!   (largest-remainder apportionment), so day-binned counts — and thus
 //!   billing — are exact;
-//! * the feature encoder reads only the last `window` days positionally
-//!   plus prefix *sums* (for its normalizing means); the online stats keep
-//!   exactly those, so the synthetic per-file series rebuilt at decision
-//!   time encodes to bit-identical `f64` features;
-//! * the greedy baseline reads the decided day's true counts, which the
-//!   loop holds as the exact open-day pending counters;
+//! * policies decide on a trailing-window [`FleetState`] kept in place:
+//!   ingest fills today's column (greedy's input, and billing's through
+//!   the shared [`crate::engine::bill_day`]); decision days refill the
+//!   closed-day columns from the stats rings, which hold exactly the last
+//!   `min(window, closed_days)` days, and carry `lifetime - ring sum` as
+//!   prior sums — so features are bit-identical `f64`s;
 //! * checkpoints cut only at day boundaries, and event expansion is seeded
 //!   statelessly per `(file, day)`, so the resumed stream is the exact
 //!   suffix of the uninterrupted one.
 //!
 //! In bounded mode (`max_tracked = Some(k)`) only *decision features*
 //! degrade to sketch estimates for untracked files — billing stays exact
-//! because the loop owns the dense open-day counters either way.
+//! because the loop owns today's dense column either way.
+//!
+//! Full-series readers ([`crate::predictive::PredictivePolicy`]) are
+//! simulate-only. `tests/serve_equivalence.rs` proves the contract for
+//! hot/cold/greedy/RL at cadence 1 and greedy/RL at cadences 3 and 7.
 
+use crate::engine::bill_day;
 use crate::fleet::FleetState;
 use crate::policy::Policy;
 use crate::sim::SimResult;
 use crate::supervise::{IncidentKind, IncidentLog, SuperviseConfig, Supervisor};
-use pricing::{CostBreakdown, CostLedger, CostModel, FileDay, Money, Tier, TIER_COUNT};
+use pricing::{CostLedger, CostModel, Money, Tier, TIER_COUNT};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -270,20 +275,9 @@ impl ServeState {
             tier_changes: 0,
             billed_change_bytes: 0,
             decision_millis: Vec::new(),
-            exact: None,
-            bounded: None,
+            exact,
+            bounded,
         }
-        .with_stats(exact, bounded)
-    }
-
-    fn with_stats(
-        mut self,
-        exact: Option<ExactStats>,
-        bounded: Option<BoundedStats>,
-    ) -> ServeState {
-        self.exact = exact;
-        self.bounded = bounded;
-        self
     }
 
     fn from_snapshot(snap: Snapshot) -> ServeState {
@@ -323,6 +317,51 @@ impl ServeState {
             bounded: self.bounded.clone(),
         }
     }
+
+    /// Opens `day` on the decision fleet and drains its events into the
+    /// online statistics and the fleet's column for today.
+    fn ingest(&mut self, fleet: &mut FleetState, day: usize, events: &[Event]) {
+        fleet.open_day(day);
+        for event in events {
+            if let Some(exact) = &mut self.exact {
+                exact.ingest(event);
+            }
+            if let Some(bounded) = &mut self.bounded {
+                bounded.ingest(event);
+            }
+            fleet.record(event.file.index(), event.reads, event.writes);
+        }
+    }
+
+    /// Refills the decision fleet's closed-day columns and prior sums from
+    /// the online statistics, ahead of a decision.
+    fn refill_history(&self, fleet: &mut FleetState, catalog: &Trace) {
+        for (ix, file) in catalog.files.iter().enumerate() {
+            fleet.refill(ix, |reads, writes| {
+                if let Some(s) = self.exact.as_ref().and_then(|exact| exact.file(ix)) {
+                    s.window_into(reads, writes);
+                    (s.sum_reads(), s.sum_writes())
+                } else if let Some(bounded) = &self.bounded {
+                    bounded.window_into(file.id.0, reads, writes);
+                    bounded.lifetime(file.id.0)
+                } else {
+                    reads.fill(0);
+                    writes.fill(0);
+                    (0, 0)
+                }
+            });
+        }
+    }
+
+    /// Closes the served day in whichever statistics mode is active.
+    fn close_day(&mut self) {
+        if let Some(exact) = &mut self.exact {
+            exact.close_day();
+        }
+        if let Some(bounded) = &mut self.bounded {
+            bounded.close_day();
+        }
+    }
 }
 
 /// Validates a restored snapshot against this run's configuration.
@@ -356,115 +395,6 @@ fn check_snapshot(
         Some(_) if snap.bounded.is_none() => mismatch("snapshot lacks bounded statistics"),
         _ => Ok(()),
     }
-}
-
-/// Spreads `total` over `m` filler slots so they sum exactly to `total`.
-/// Individual values are never read by any shipped policy (the encoder
-/// touches only the last `window` slots positionally and the prefix sum);
-/// only the exact total matters.
-fn push_filler(out: &mut Vec<u64>, total: u64, m: usize) {
-    if m == 0 {
-        return;
-    }
-    let m64 = m as u64;
-    let base = total / m64;
-    // xtask-allow(panic-reachability): m == 0 returned early above, so m64 >= 1
-    let rem = (total % m64) as usize;
-    for i in 0..m {
-        out.push(base + u64::from(i < rem));
-    }
-}
-
-/// One file's online statistics as the series synthesizer consumes them.
-struct SeriesStats<'a> {
-    /// Recent closed-day reads, oldest first.
-    ring_reads: &'a [u64],
-    /// Recent closed-day writes, oldest first.
-    ring_writes: &'a [u64],
-    /// Lifetime closed-day read total.
-    sum_reads: u64,
-    /// Lifetime closed-day write total.
-    sum_writes: u64,
-    /// Open-day (read, write) counts.
-    pending: (u64, u64),
-}
-
-/// Appends one file's `day + 1`-entry daily series to the flat columnar
-/// buffers: filler conserving the exact prefix sums, then the recent window
-/// verbatim, then the open day's pending counts at index `day`. The
-/// synthesis kernel behind [`synthesize_fleet`].
-fn push_series(reads: &mut Vec<u64>, writes: &mut Vec<u64>, day: usize, s: &SeriesStats<'_>) {
-    let keep = s.ring_reads.len().min(day);
-    let ring_reads = &s.ring_reads[s.ring_reads.len() - keep..];
-    let ring_writes = &s.ring_writes[s.ring_writes.len() - keep..];
-    let filler = day - keep;
-    let ring_sum_r: u64 = ring_reads.iter().sum();
-    let ring_sum_w: u64 = ring_writes.iter().sum();
-    push_filler(reads, s.sum_reads.saturating_sub(ring_sum_r), filler);
-    push_filler(writes, s.sum_writes.saturating_sub(ring_sum_w), filler);
-    reads.extend_from_slice(ring_reads);
-    writes.extend_from_slice(ring_writes);
-    reads.push(s.pending.0);
-    writes.push(s.pending.1);
-}
-
-/// Rebuilds the fleet-wide synthetic columnar state the policy decides on
-/// for `day`: every file's `day + 1`-entry series appended straight into
-/// the flat [`FleetState`] columns — no intermediate per-file `Vec`s, no
-/// `Trace` detour.
-fn synthesize_fleet(
-    catalog: &Trace,
-    state: &ServeState,
-    pending_reads: &[u64],
-    pending_writes: &[u64],
-    day: usize,
-) -> FleetState {
-    let n = catalog.files.len();
-    let mut ids = Vec::with_capacity(n);
-    let mut sizes = Vec::with_capacity(n);
-    let mut reads = Vec::with_capacity(n * (day + 1));
-    let mut writes = Vec::with_capacity(n * (day + 1));
-    for (ix, file) in catalog.files.iter().enumerate() {
-        ids.push(file.id);
-        sizes.push(file.size_gb);
-        let pending = (pending_reads[ix], pending_writes[ix]);
-        if let Some(exact) = &state.exact {
-            let empty = stream::FileStats::new();
-            let s = exact.file(ix).unwrap_or(&empty);
-            let stats = SeriesStats {
-                ring_reads: s.recent_reads(),
-                ring_writes: s.recent_writes(),
-                sum_reads: s.sum_reads(),
-                sum_writes: s.sum_writes(),
-                pending,
-            };
-            push_series(&mut reads, &mut writes, day, &stats);
-        } else if let Some(bounded) = &state.bounded {
-            let (sum_reads, sum_writes) = bounded.lifetime(file.id.0);
-            let ring_reads = bounded.window_reads(file.id.0);
-            let ring_writes = bounded.window_writes(file.id.0);
-            let stats = SeriesStats {
-                ring_reads: &ring_reads,
-                ring_writes: &ring_writes,
-                sum_reads,
-                sum_writes,
-                pending,
-            };
-            push_series(&mut reads, &mut writes, day, &stats);
-        } else {
-            // Unreachable by construction (one mode is always present);
-            // degrade to an all-zero history rather than panic.
-            let stats = SeriesStats {
-                ring_reads: &[],
-                ring_writes: &[],
-                sum_reads: 0,
-                sum_writes: 0,
-                pending,
-            };
-            push_series(&mut reads, &mut writes, day, &stats);
-        }
-    }
-    FleetState::from_columns(day + 1, ids, sizes, reads, writes)
 }
 
 /// Restores serving state from the newest usable rotation candidate.
@@ -852,40 +782,28 @@ pub(crate) fn run_supervised(
         None => Box::new(clean),
     };
     let mut lookahead: Option<DayBatch> = None;
-    let mut pending_reads = vec![0u64; fleet];
-    let mut pending_writes = vec![0u64; fleet];
     let mut checkpoints_written = 0u64;
+    // The decision input, sized once per session and refilled in place:
+    // the last `window` closed days and today per file (DESIGN.md §10).
+    let mut decision_fleet = FleetState::default();
+    decision_fleet.reset_window(trace, cfg.window);
+    let all: Vec<usize> = (0..fleet).collect();
 
     for day in state.next_day..end {
         sup.tick();
         // Ingest phase: acquire this day's canonical events (recovering
         // any delivery anomaly) and drain them into the online statistics
-        // and the exact open-day counters billing runs on.
+        // and today's column, which decisions and billing read.
         let events = acquire_day(sup, source.as_mut(), &mut lookahead, day)?;
-        pending_reads.iter_mut().for_each(|c| *c = 0);
-        pending_writes.iter_mut().for_each(|c| *c = 0);
-        for event in &events {
-            if let Some(exact) = &mut state.exact {
-                exact.ingest(event);
-            }
-            if let Some(bounded) = &mut state.bounded {
-                bounded.ingest(event);
-            }
-            if let Some(slot) = pending_reads.get_mut(event.file.index()) {
-                *slot = slot.saturating_add(event.reads);
-            }
-            if let Some(slot) = pending_writes.get_mut(event.file.index()) {
-                *slot = slot.saturating_add(event.writes);
-            }
-        }
+        state.ingest(&mut decision_fleet, day, &events);
 
-        // Decision phase, at the batch engine's cadence, on features
-        // assembled purely from online statistics. The supervisor retries
+        // Decision phase, at the batch engine's cadence, on a window
+        // refilled purely from online statistics. The supervisor retries
         // injected policy-step failures and degrades past the budget.
         let mut decided = if day % cfg.decide_every == 0 {
-            let synthetic = synthesize_fleet(trace, &state, &pending_reads, &pending_writes, day);
+            state.refill_history(&mut decision_fleet, trace);
             let start = Instant::now();
-            let decision = sup.decide(policy, day, &synthetic, model, &state.tiers)?;
+            let decision = sup.decide(policy, day, &decision_fleet, model, &state.tiers)?;
             state.decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
             Some(decision)
         } else {
@@ -900,45 +818,28 @@ pub(crate) fn run_supervised(
             run_migrations(sup, rt, trace, day, decision, &state.tiers)?;
         }
 
-        // Billing phase: identical ordering and arithmetic to
-        // `engine::run_shard`, fed by the exact open-day counters.
-        let mut breakdown = CostBreakdown::default();
-        for ix in 0..fleet {
-            let target = decided.as_ref().map_or(state.tiers[ix], |d| d[ix]);
-            let changed_from = if target != state.tiers[ix] {
-                state.tier_changes += 1;
-                state.billed_change_bytes = state
-                    .billed_change_bytes
-                    .saturating_add(logical_bytes(trace.files[ix].size_gb));
-                Some(state.tiers[ix])
-            } else {
-                None
-            };
-            let day_bill = model.day_breakdown(&FileDay {
-                size_gb: trace.files[ix].size_gb,
-                reads: pending_reads[ix],
-                writes: pending_writes[ix],
-                tier: target,
-                changed_from,
-            });
-            state.per_file[ix] += day_bill.total();
-            breakdown += day_bill;
-            state.tiers[ix] = target;
+        // Billing phase: the simulate kernel on today's column, after
+        // tallying the logical bytes of the (post-pinning) tier changes.
+        let moved = decided.iter().flat_map(|d| trace.files.iter().zip(&state.tiers).zip(d));
+        for ((file, _), _) in moved.filter(|((_, from), to)| from != to) {
+            state.billed_change_bytes =
+                state.billed_change_bytes.saturating_add(logical_bytes(file.size_gb));
         }
-        state.ledger.accrue(breakdown);
-        let mut counts = [0usize; TIER_COUNT];
-        for &tier in &state.tiers {
-            counts[tier.index()] += 1;
-        }
-        state.occupancy.push(counts);
+        let bill = bill_day(
+            model,
+            &decision_fleet,
+            day,
+            &all,
+            decided.as_deref(),
+            &mut state.tiers,
+            &mut state.per_file,
+        );
+        state.tier_changes += bill.tier_changes;
+        state.ledger.accrue(bill.breakdown);
+        state.occupancy.push(bill.occupancy);
 
         // Close the day everywhere; the next event belongs to `day + 1`.
-        if let Some(exact) = &mut state.exact {
-            exact.close_day();
-        }
-        if let Some(bounded) = &mut state.bounded {
-            bounded.close_day();
-        }
+        state.close_day();
         state.next_day = day + 1;
 
         if decided.is_some() {
@@ -1098,41 +999,42 @@ mod tests {
     }
 
     #[test]
-    fn push_series_conserves_prefix_sums_and_length() {
-        // The columnar kernel must emit exactly `day + 1` entries whose
-        // filler conserves the lifetime sums, for short, window-sized, and
-        // filler-heavy days.
-        let stats = SeriesStats {
-            ring_reads: &[3, 4, 5],
-            ring_writes: &[1, 0, 2],
-            sum_reads: 40,
-            sum_writes: 9,
-            pending: (7, 1),
-        };
-        for day in [0usize, 2, 3, 9] {
-            let mut reads = Vec::new();
-            let mut writes = Vec::new();
-            push_series(&mut reads, &mut writes, day, &stats);
-            assert_eq!(reads.len(), day + 1, "day {day}");
-            assert_eq!(writes.len(), day + 1, "day {day}");
-            // Once filler slots exist, filler + ring conserve the exact
-            // lifetime prefix sums.
-            if day > stats.ring_reads.len() {
-                assert_eq!(reads[..day].iter().sum::<u64>(), stats.sum_reads, "day {day}");
-                assert_eq!(writes[..day].iter().sum::<u64>(), stats.sum_writes, "day {day}");
+    fn decision_fleet_encodes_like_from_trace() {
+        // Exact mode: the window the serve loop keeps must give the same
+        // encoder rows (bit for bit) and today's counts as the whole-trace
+        // fleet simulate decides on — before the window fills, as it
+        // fills, once prior sums are carried, and on the last day.
+        let (trace, _) = setup();
+        let cfg = ServeConfig::default();
+        let window = cfg.window;
+        let features = crate::features::FeatureConfig { window };
+        let n = trace.len();
+        let full = FleetState::from_trace(&trace);
+        let mut state = ServeState::fresh(&cfg, n);
+        let mut fleet = FleetState::default();
+        fleet.reset_window(&trace, window);
+        let mut source = TraceSource::new(&trace, DiurnalProfile::web_default(), cfg.seed, 0);
+        let batch: Vec<usize> = (0..n).collect();
+        let current: Vec<Tier> = (0..n).filter_map(|i| Tier::from_index(i % 3)).collect();
+        let checked = [0, 1, window - 1, window, window + 1, trace.days - 1];
+        let (mut want, mut got) =
+            (crate::fleet::FeatureBlock::new(), crate::fleet::FeatureBlock::new());
+        for day in 0..trace.days {
+            let events = source.next_batch().expect("in-horizon day").events;
+            state.ingest(&mut fleet, day, &events);
+            if checked.contains(&day) {
+                state.refill_history(&mut fleet, &trace);
+                features.encode_block(&full.view(&batch, day), &current, &mut want);
+                features.encode_block(&fleet.view(&batch, day), &current, &mut got);
+                let bits = |b: &crate::fleet::FeatureBlock| -> Vec<u64> {
+                    b.matrix().as_slice().iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "encoded rows differ on day {day}");
+                for ix in 0..n {
+                    assert_eq!(fleet.day_counts(ix, day), full.day_counts(ix, day), "day {day}");
+                }
             }
-            assert_eq!(reads[day], stats.pending.0, "day {day}");
-            assert_eq!(writes[day], stats.pending.1, "day {day}");
-        }
-    }
-
-    #[test]
-    fn filler_spread_conserves_totals() {
-        for (total, m) in [(0u64, 0usize), (0, 3), (10, 3), (7, 7), (5, 9), (1_000_003, 11)] {
-            let mut out = Vec::new();
-            push_filler(&mut out, total, m);
-            assert_eq!(out.len(), m);
-            assert_eq!(out.iter().sum::<u64>(), total, "total={total} m={m}");
+            state.close_day();
         }
     }
 }

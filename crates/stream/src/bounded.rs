@@ -197,23 +197,22 @@ impl BoundedStats {
         )
     }
 
-    /// The last `<= window` closed days of reads for `id`, oldest first —
+    /// Writes the last `<= window` closed days of `id` into the tails of
+    /// `reads`/`writes`, oldest first (see [`FileStats::window_into`]) —
     /// exact if tracked, otherwise ring-sketch estimates.
-    #[must_use]
-    pub fn window_reads(&self, id: u32) -> Vec<u64> {
+    pub fn window_into(&self, id: u32, reads: &mut [u64], writes: &mut [u64]) {
         if let Some(t) = self.tracked_entry(id) {
-            return t.stats.recent_reads().to_vec();
+            t.stats.window_into(reads, writes);
+            return;
         }
-        self.ring.iter().map(|d| d.reads.estimate(u64::from(id))).collect()
-    }
-
-    /// The last `<= window` closed days of writes for `id`, oldest first.
-    #[must_use]
-    pub fn window_writes(&self, id: u32) -> Vec<u64> {
-        if let Some(t) = self.tracked_entry(id) {
-            return t.stats.recent_writes().to_vec();
+        reads.fill(0);
+        writes.fill(0);
+        let key = u64::from(id);
+        let slots = reads.iter_mut().rev().zip(writes.iter_mut().rev());
+        for ((r, w), day) in slots.zip(self.ring.iter().rev()) {
+            *r = day.reads.estimate(key);
+            *w = day.writes.estimate(key);
         }
-        self.ring.iter().map(|d| d.writes.estimate(u64::from(id))).collect()
     }
 
     /// Lifetime (read, write) totals for `id` — exact if tracked, otherwise
@@ -251,6 +250,13 @@ mod tests {
         Event { hour: 0, file: FileId(ix), reads, writes, bytes: 1 }
     }
 
+    /// `id`'s (reads, writes) window, one slot per ring day.
+    fn window(b: &BoundedStats, id: u32) -> (Vec<u64>, Vec<u64>) {
+        let (mut reads, mut writes) = (vec![0; b.ring.len()], vec![0; b.ring.len()]);
+        b.window_into(id, &mut reads, &mut writes);
+        (reads, writes)
+    }
+
     fn tiny() -> BoundedStats {
         BoundedStats::new(BoundedConfig {
             max_tracked: 2,
@@ -275,7 +281,7 @@ mod tests {
         assert_eq!(b.tracked_ids(), vec![0, 1], "the two heavy ids win the tracked slots");
         assert!(b.is_tracked(0) && !b.is_tracked(5));
         // Tracked answers are exact.
-        assert_eq!(b.window_reads(0), vec![101, 102, 103]);
+        assert_eq!(window(&b, 0), (vec![101, 102, 103], vec![10; 3]));
         assert_eq!(b.lifetime(1), (200, 20));
         assert_eq!(b.pending(0), (0, 0));
     }
@@ -290,7 +296,7 @@ mod tests {
             b.close_day();
         }
         assert!(!b.is_tracked(7));
-        let win = b.window_reads(7);
+        let (win, _) = window(&b, 7);
         assert_eq!(win.len(), 3);
         for (got, want) in win.iter().zip([3u64, 4, 5]) {
             assert!(*got >= want, "sketch window {got} < true {want}");
@@ -332,7 +338,7 @@ mod tests {
         assert!(b.is_tracked(9), "surging file must be promoted");
         // Backfilled window exists and respects the no-underestimate bound
         // for the days still in the ring.
-        let win = b.window_reads(9);
+        let (win, _) = window(&b, 9);
         assert!(!win.is_empty() && win.len() <= 3);
         assert!(win.last().copied().unwrap_or(0) >= 10_000);
     }
@@ -347,6 +353,56 @@ mod tests {
         assert!(b.is_tracked(4));
         b.ingest(&ev(4, 2, 2));
         assert_eq!(b.pending(4), (2, 2), "tracked pending is exact");
+    }
+
+    #[test]
+    fn rings_hold_min_window_closed_days_in_both_modes() {
+        // Serve's decision fleet copies these rings positionally into its
+        // closed-day columns, so both modes must hold exactly the last
+        // `min(window, closed_days)` days — tracked or sketched, and across
+        // a snapshot round trip.
+        use crate::stats::ExactStats;
+        let window = 3usize;
+        let mut exact = ExactStats::new(window, 8);
+        let mut bounded = tiny();
+        let check = |exact: &ExactStats, bounded: &BoundedStats| {
+            let want = window.min(exact.closed_days() as usize);
+            assert_eq!(bounded.closed_days(), exact.closed_days());
+            assert_eq!(bounded.ring.len(), want, "sketch ring");
+            for id in 0..8u32 {
+                let exact = exact.file(id as usize).unwrap();
+                let tracked = bounded.tracked_entry(id).map(|t| &t.stats);
+                for stats in std::iter::once(exact).chain(tracked) {
+                    assert_eq!(stats.recent_reads().len(), want, "id {id}");
+                    assert_eq!(stats.recent_writes().len(), want, "id {id}");
+                }
+            }
+        };
+        check(&exact, &bounded);
+        for day in 0..9u64 {
+            // Ids 0..2 are heavy (tracked), the rest a sketched tail, and
+            // id 5 surges mid-run to force a promotion with backfill.
+            for id in 0..8u32 {
+                let reads = match id {
+                    0 | 1 => 500,
+                    5 if day >= 4 => 5_000,
+                    _ => u64::from(id) + day,
+                };
+                let e = ev(id, reads, day % 2);
+                exact.ingest(&e);
+                bounded.ingest(&e);
+            }
+            exact.close_day();
+            bounded.close_day();
+            check(&exact, &bounded);
+            let exact_back: ExactStats =
+                serde_json::from_str(&serde_json::to_string(&exact).unwrap()).unwrap();
+            let bounded_back: BoundedStats =
+                serde_json::from_str(&serde_json::to_string(&bounded).unwrap()).unwrap();
+            check(&exact_back, &bounded_back);
+        }
+        assert!(bounded.is_tracked(5), "the surge must have been promoted");
+        assert!(!bounded.is_tracked(7), "the tail must stay sketched");
     }
 
     #[test]

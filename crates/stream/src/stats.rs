@@ -105,6 +105,18 @@ impl FileStats {
         &self.recent_writes
     }
 
+    /// Copies the rings into the tails of `reads`/`writes`, oldest first,
+    /// zeroing the leading slots no closed day reaches; a ring longer than
+    /// its slice keeps only its newest days.
+    pub fn window_into(&self, reads: &mut [u64], writes: &mut [u64]) {
+        for (out, ring) in [(reads, &self.recent_reads), (writes, &self.recent_writes)] {
+            out.fill(0);
+            for (slot, &count) in out.iter_mut().rev().zip(ring.iter().rev()) {
+                *slot = count;
+            }
+        }
+    }
+
     /// Number of closed days observed.
     #[must_use]
     pub fn closed_days(&self) -> u64 {
@@ -217,6 +229,14 @@ mod tests {
         assert_eq!(s.sum_reads(), 45);
         assert_eq!(s.sum_writes(), 90);
         assert_eq!(s.pending(), (0, 0));
+        // Copied into a longer slice the ring is right-aligned; into a
+        // shorter one it keeps the newest days.
+        let (mut reads, mut writes) = ([9u64; 5], [9u64; 5]);
+        s.window_into(&mut reads, &mut writes);
+        assert_eq!((reads, writes), ([0, 0, 7, 8, 9], [0, 0, 14, 16, 18]));
+        let (mut reads, mut writes) = ([0u64; 2], [0u64; 2]);
+        s.window_into(&mut reads, &mut writes);
+        assert_eq!((reads, writes), ([8, 9], [16, 18]));
     }
 
     #[test]

@@ -67,11 +67,22 @@ fn streaming_matches_batch_for_every_policy() {
 #[test]
 fn streaming_matches_batch_at_coarser_cadence() {
     let (trace, model) = setup();
-    for decide_every in [3usize, 7] {
-        let batch = simulate(&trace, &model, &mut GreedyPolicy, &batch_cfg(decide_every));
-        let cfg = ServeConfig { decide_every, ..ServeConfig::default() };
-        let report = serve(&trace, &model, &mut GreedyPolicy, &cfg).expect("serve runs clean");
-        assert_bit_identical(&report.result, &batch, &format!("cadence {decide_every}"));
+    // An untrained shipped-width actor whose decisions at both cadences
+    // depend on serve's carried prior sums (zeroing them fails this test;
+    // the briefly trained agent's decisions do not move). At cadence 7 the
+    // day-14 decision is the first to read a full window plus those sums.
+    let spec = MiniCostConfig::default().net_spec();
+    let params = spec.build_actor(5).param_vector();
+    let rl = RlPolicy::from_params(spec, &params, FeatureConfig::default());
+    let mut policies: Vec<Box<dyn Policy>> = vec![Box::new(GreedyPolicy), Box::new(rl)];
+    for policy in &mut policies {
+        for decide_every in [3usize, 7] {
+            let batch = simulate(&trace, &model, policy.as_mut(), &batch_cfg(decide_every));
+            let cfg = ServeConfig { decide_every, ..ServeConfig::default() };
+            let report = serve(&trace, &model, policy.as_mut(), &cfg).expect("serve runs clean");
+            let what = format!("{} cadence {decide_every}", policy.as_mut().name());
+            assert_bit_identical(&report.result, &batch, &what);
+        }
     }
 }
 
