@@ -54,10 +54,10 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 const HEADER_MAGIC: &str = "minicost-snapshot";
 
 /// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a over a byte slice — the snapshot payload digest.
 #[must_use]

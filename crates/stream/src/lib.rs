@@ -8,8 +8,9 @@
 //! files"). This crate provides the stream-side building blocks:
 //!
 //! * [`event`] — seeded, time-ordered `(hour, file, reads, writes, bytes)`
-//!   request events derived lazily from a trace, one day resident at a
-//!   time, never the whole matrix.
+//!   request events delivered in digest-sealed day batches, each day
+//!   expanded straight from the trace into its batch: one day resident at
+//!   a time, never the whole matrix.
 //! * [`stats`] — exact per-file sliding-window counters with strictly
 //!   bounded memory: `O(window)` per tracked file, independent of the
 //!   horizon.
@@ -53,7 +54,7 @@ pub use checkpoint::{
     fnv1a64, rotate, rotated_path, rotation_candidates, FsBackend, Snapshot, SnapshotError,
     StorageBackend, SNAPSHOT_VERSION,
 };
-pub use event::{digest_events, DayBatch, Event, EventSource, EventStream, TraceSource};
+pub use event::{digest_events, DayBatch, Event, EventSource, TraceSource};
 pub use fault::{
     FaultInjector, FaultPlan, FaultSite, FaultyBackend, FaultySource, SharedInjector, FAULT_SITES,
 };

@@ -2,16 +2,14 @@
 //!
 //! The paper's source trace is *hourly* page views, re-binned to daily
 //! counts because "the payment made to CSP is calculated by days" (§6.1).
-//! This module provides that last mile: expanding a daily series into
-//! hourly counts under a diurnal profile (for workloads that need
-//! sub-day structure, e.g. latency-aware extensions), and re-binning
-//! hourly data back to days (for ingesting real hourly dumps through
-//! [`crate::io`]).
+//! This module provides the reverse step for the online tier: a
+//! [`DiurnalProfile`] apportions one day's request total across 24 hours,
+//! conserving it exactly for every `u64`, so `minicost-stream` can expand
+//! a daily trace into the hourly request events a live ingestion tier
+//! would observe, one (file, day) at a time.
 
-use crate::file::FileSeries;
 use crate::sampling;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Hours per day.
 pub const HOURS: usize = 24;
@@ -64,21 +62,23 @@ impl DiurnalProfile {
     }
 
     /// Splits `total` daily requests into 24 hourly counts that sum exactly
-    /// to `total` (largest-remainder apportionment of the expected values,
-    /// with optional Poisson jitter from `rng`).
+    /// to `total`, for every `u64`: largest-remainder apportionment of the
+    /// expected values, ties toward the earlier hour, with optional Poisson
+    /// jitter from `rng`.
     ///
-    /// Allocation-free: both scratch tables are fixed-size arrays, so the
-    /// per-day hot loop of [`HourSplits`] / [`HourlySeries::expand`] never
-    /// touches the heap. Ties in the largest-remainder pass break toward
-    /// the earlier hour, matching the former stable-sort behaviour exactly.
+    /// Allocation-free: every scratch table is a fixed-size array, so the
+    /// per-day expansion loop of `minicost-stream` never touches the heap.
     #[must_use]
     pub fn split_day(&self, total: u64, jitter: Option<&mut StdRng>) -> [u64; HOURS] {
-        let mut out = [0u64; HOURS];
         if total == 0 {
-            return out;
+            return [0; HOURS];
         }
-        // Expected per-hour counts (optionally jittered), then scale back
-        // to the exact total via largest remainders.
+        apportion(total, &self.expected(total, jitter))
+    }
+
+    /// Expected per-hour counts for a day of `total` requests, optionally
+    /// Poisson-jittered and rescaled back to `total`.
+    fn expected(&self, total: u64, jitter: Option<&mut StdRng>) -> [f64; HOURS] {
         let mut expected = [0.0f64; HOURS];
         for (e, &w) in expected.iter_mut().zip(&self.weights) {
             *e = w * total as f64;
@@ -99,104 +99,87 @@ impl DiurnalProfile {
                 }
             }
         }
-        let mut assigned = 0u64;
-        let mut remainders = [(0usize, 0.0f64); HOURS];
-        for (h, &e) in expected.iter().enumerate() {
-            let floor = e.floor() as u64;
-            out[h] = floor;
-            assigned += floor;
-            remainders[h] = (h, e - e.floor());
-        }
-        remainders.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut leftover = total - assigned;
-        for (h, _) in remainders {
-            if leftover == 0 {
-                break;
-            }
-            out[h] += 1;
-            leftover -= 1;
-        }
-        out
+        expected
     }
 }
 
-/// A lazy per-day hour-split iterator over one file's daily read series.
+/// `HOURS` as the width [`apportion`] counts in.
+const HOURS_WIDE: u128 = HOURS as u128;
+
+/// Largest-remainder apportionment of `total` over `expected`: floor every
+/// hour, then hand the leftover units to the hours with the largest
+/// fractional remainders, ties toward the earlier hour.
 ///
-/// Yields the same `[u64; HOURS]` rows [`HourlySeries::expand`] would
-/// materialize — identical seeded RNG stream, identical apportionment —
-/// but one day at a time, so a streaming consumer never holds the full
-/// `days x 24` matrix resident.
-#[derive(Debug)]
-pub struct HourSplits<'a> {
-    daily: std::slice::Iter<'a, u64>,
-    profile: &'a DiurnalProfile,
-    rng: StdRng,
-}
-
-impl<'a> HourSplits<'a> {
-    /// Starts a lazy expansion of `file`'s daily reads under `profile`,
-    /// seeded per file exactly as [`HourlySeries::expand`] is.
-    #[must_use]
-    pub fn new(file: &'a FileSeries, profile: &'a DiurnalProfile, seed: u64) -> HourSplits<'a> {
-        HourSplits {
-            daily: file.reads.iter(),
-            profile,
-            rng: StdRng::seed_from_u64(seed ^ u64::from(file.id.0) << 16),
+/// The order `(remainder desc, hour asc)` is total, so picking the
+/// leftover hours by repeated maximum chooses exactly the set a stable
+/// sort of all 24 would.
+///
+/// The floors normally fall short of `total` by at most one unit per hour.
+/// As totals approach 2^53 and beyond, f64 rounding can make them overshoot
+/// `total`, or fall short by more. Whole rounds of a shortfall go to every
+/// hour, and an overshoot is taken back from the largest hours, so the
+/// result sums to `total` for every `u64`. Wherever the floors fall short
+/// by at most 24, the output is the plain largest-remainder split.
+fn apportion(total: u64, expected: &[f64; HOURS]) -> [u64; HOURS] {
+    let mut out = [0u64; HOURS];
+    let mut remainders = [0.0f64; HOURS];
+    for ((o, r), &e) in out.iter_mut().zip(&mut remainders).zip(expected) {
+        let floor = e.floor();
+        *o = floor as u64;
+        *r = e - floor;
+    }
+    let assigned: u128 = out.iter().map(|&c| u128::from(c)).sum();
+    let total = u128::from(total);
+    if assigned > total {
+        give_back(&mut out, assigned - total);
+        return out;
+    }
+    let leftover = total - assigned;
+    // `leftover <= total`, so a round fits in u64 and no hour overflows.
+    let rounds = (leftover / HOURS_WIDE) as u64;
+    for o in &mut out {
+        *o += rounds;
+    }
+    for _ in 0..leftover - u128::from(rounds) * HOURS_WIDE {
+        let pick = remainders.iter_mut().zip(&mut out).reduce(|best, next| {
+            if next.0.total_cmp(best.0).is_gt() {
+                next
+            } else {
+                best
+            }
+        });
+        if let Some((remainder, count)) = pick {
+            *count += 1;
+            // Below every real remainder (all lie in [0, 1)), so no hour
+            // is picked twice.
+            *remainder = f64::NEG_INFINITY;
         }
     }
+    out
 }
 
-impl Iterator for HourSplits<'_> {
-    type Item = [u64; HOURS];
-
-    fn next(&mut self) -> Option<[u64; HOURS]> {
-        let &daily = self.daily.next()?;
-        Some(self.profile.split_day(daily, Some(&mut self.rng)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.daily.size_hint()
-    }
-}
-
-/// A file's hourly read counts (`days x 24`, row-major by day).
-#[derive(Clone, Debug, PartialEq)]
-pub struct HourlySeries {
-    /// Hourly read counts, `day * 24 + hour` indexed.
-    pub reads: Vec<u64>,
-}
-
-impl HourlySeries {
-    /// Expands a daily series under `profile`, seeded per file so the
-    /// expansion is deterministic. Materializes the rows of [`HourSplits`];
-    /// streaming consumers should iterate [`HourSplits`] directly instead.
-    #[must_use]
-    pub fn expand(file: &FileSeries, profile: &DiurnalProfile, seed: u64) -> HourlySeries {
-        let mut reads = Vec::with_capacity(file.days() * HOURS);
-        for day in HourSplits::new(file, profile, seed) {
-            reads.extend(day);
-        }
-        HourlySeries { reads }
-    }
-
-    /// Number of whole days covered.
-    #[must_use]
-    pub fn days(&self) -> usize {
-        self.reads.len() / HOURS
-    }
-
-    /// Re-bins to daily counts — the paper's §6.1 preprocessing step.
-    #[must_use]
-    pub fn rebin_daily(&self) -> Vec<u64> {
-        self.reads.chunks(HOURS).map(|day| day.iter().sum()).collect()
+/// Takes `excess` units back from `out`, always from the largest hour
+/// (the earliest on ties). Terminates: `Σ out - excess` stays equal to the
+/// target total, so while `excess > 0` the largest hour is non-zero and
+/// each step either clears the excess or empties an hour.
+fn give_back(out: &mut [u64; HOURS], mut excess: u128) {
+    while excess > 0 {
+        let Some(top) = out.iter_mut().reduce(|top, next| if *next > *top { next } else { top })
+        else {
+            return;
+        };
+        let take = excess.min(u128::from(*top));
+        // `take <= *top`, so it fits in u64.
+        *top -= take as u64;
+        excess -= take;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TraceConfig;
-    use crate::workload::Trace;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
 
     #[test]
     fn profiles_are_normalized() {
@@ -226,51 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn expand_then_rebin_is_identity() {
-        let trace = Trace::generate(&TraceConfig::small(10, 7, 31));
-        let profile = DiurnalProfile::web_default();
-        for file in &trace.files {
-            let hourly = HourlySeries::expand(file, &profile, 9);
-            assert_eq!(hourly.days(), file.days());
-            assert_eq!(hourly.rebin_daily(), file.reads, "file {}", file.id);
-        }
-    }
-
-    #[test]
-    fn expansion_is_deterministic_per_seed() {
-        let trace = Trace::generate(&TraceConfig::small(3, 5, 32));
-        let p = DiurnalProfile::web_default();
-        let a = HourlySeries::expand(&trace.files[0], &p, 7);
-        let b = HourlySeries::expand(&trace.files[0], &p, 7);
-        assert_eq!(a, b);
-        let c = HourlySeries::expand(&trace.files[0], &p, 8);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn lazy_hour_splits_match_expand_exactly() {
-        let trace = Trace::generate(&TraceConfig::small(6, 9, 13));
-        let profile = DiurnalProfile::web_default();
-        for file in &trace.files {
-            let eager = HourlySeries::expand(file, &profile, 21);
-            let lazy: Vec<u64> =
-                HourSplits::new(file, &profile, 21).flat_map(|day| day.into_iter()).collect();
-            assert_eq!(lazy, eager.reads, "file {}", file.id);
-        }
-    }
-
-    #[test]
-    fn hour_splits_reports_remaining_days() {
-        let trace = Trace::generate(&TraceConfig::small(1, 5, 2));
-        let profile = DiurnalProfile::flat();
-        let mut it = HourSplits::new(&trace.files[0], &profile, 0);
-        assert_eq!(it.size_hint(), (5, Some(5)));
-        let _ = it.next();
-        assert_eq!(it.size_hint(), (4, Some(4)));
-        assert_eq!(it.count(), 4);
-    }
-
-    #[test]
     fn split_day_ties_break_toward_earlier_hours() {
         // A flat profile with a non-multiple total leaves equal remainders
         // everywhere; the leftover units must land on the earliest hours.
@@ -278,6 +216,146 @@ mod tests {
         let hours = p.split_day(25, None);
         assert_eq!(hours[0], 2);
         assert!(hours[1..].iter().all(|&h| h == 1));
+    }
+
+    /// Splitmix64 finalizer: spreads test totals over every magnitude.
+    fn mix(mut x: u64) -> u64 {
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    #[test]
+    fn split_day_output_is_pinned_below_2_pow_53() {
+        // FNV-1a over 16 000 splits (flat and web, with and without jitter)
+        // of totals spread over 0..2^53, recorded with the sort-based
+        // largest-remainder pass: the selection loop and the conservation
+        // fix must not move a single hour wherever the old pass conserved.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (pi, p) in [DiurnalProfile::flat(), DiurnalProfile::web_default()].iter().enumerate() {
+            for k in 0..4000u64 {
+                let total = mix(k ^ (pi as u64) << 40) >> (k % 53 + 11);
+                let mut rng = StdRng::seed_from_u64(k);
+                for hours in [p.split_day(total, None), p.split_day(total, Some(&mut rng))] {
+                    for b in hours.iter().flat_map(|v| v.to_le_bytes()) {
+                        h ^= u64::from(b);
+                        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0xf1e3_59ae_a967_748b);
+    }
+
+    /// Sums as u128, so an over-allocation cannot wrap back to `total`.
+    fn wide_sum(hours: &[u64; HOURS]) -> u128 {
+        hours.iter().map(|&c| u128::from(c)).sum()
+    }
+
+    #[test]
+    fn split_day_conserves_huge_totals() {
+        for p in [DiurnalProfile::flat(), DiurnalProfile::web_default()] {
+            for total in [u64::MAX, u64::MAX - 1, 100_000_000_000_007_919, (1 << 53) + 1] {
+                assert_eq!(wide_sum(&p.split_day(total, None)), u128::from(total), "{total}");
+                let mut rng = StdRng::seed_from_u64(total);
+                let jittered = p.split_day(total, Some(&mut rng));
+                assert_eq!(wide_sum(&jittered), u128::from(total), "{total} jittered");
+            }
+        }
+        // A single-hour profile puts the whole day, saturating floor and
+        // all, into that hour.
+        let mut raw = [0.0; HOURS];
+        raw[5] = 1.0;
+        let spike = DiurnalProfile::new(raw);
+        assert_eq!(spike.split_day(u64::MAX, None)[5], u64::MAX);
+    }
+
+    /// The sort-based largest-remainder pass `apportion` replaced, kept as
+    /// the oracle. `None` where it did not conserve `total` (floors summing
+    /// past it, or short of it by more than one unit per hour).
+    fn sort_oracle(total: u64, expected: &[f64; HOURS]) -> Option<[u64; HOURS]> {
+        let mut out = [0u64; HOURS];
+        let mut assigned = 0u64;
+        let mut remainders = [(0usize, 0.0f64); HOURS];
+        for (h, &e) in expected.iter().enumerate() {
+            let floor = e.floor() as u64;
+            out[h] = floor;
+            assigned = assigned.checked_add(floor)?;
+            remainders[h] = (h, e - e.floor());
+        }
+        remainders.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut leftover = total.checked_sub(assigned)?;
+        if leftover > HOURS as u64 {
+            return None;
+        }
+        for (h, _) in remainders {
+            if leftover == 0 {
+                break;
+            }
+            out[h] += 1;
+            leftover -= 1;
+        }
+        Some(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every `u64` total, shifted so each magnitude is drawn, splits
+        /// into hours summing to exactly that total, with and without
+        /// jitter.
+        #[test]
+        fn split_day_conserves_every_u64_total(
+            raw in any::<u64>(),
+            shift in 0u32..64,
+            web in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let total = raw >> shift;
+            let p = if web { DiurnalProfile::web_default() } else { DiurnalProfile::flat() };
+            prop_assert_eq!(wide_sum(&p.split_day(total, None)), u128::from(total));
+            let mut rng = StdRng::seed_from_u64(seed);
+            prop_assert_eq!(wide_sum(&p.split_day(total, Some(&mut rng))), u128::from(total));
+        }
+
+        /// The selection loop equals the sort oracle on real profiles,
+        /// flat-profile ties included, wherever the oracle conserves.
+        #[test]
+        fn split_day_selection_matches_the_sort_oracle(
+            raw in any::<u64>(),
+            shift in 0u32..64,
+            web in any::<bool>(),
+            seed in proptest::option::of(any::<u64>()),
+        ) {
+            let total = raw >> shift;
+            let p = if web { DiurnalProfile::web_default() } else { DiurnalProfile::flat() };
+            let mut rng = seed.map(StdRng::seed_from_u64);
+            let expected = p.expected(total, rng.as_mut());
+            if let Some(oracle) = sort_oracle(total, &expected) {
+                prop_assert_eq!(apportion(total, &expected), oracle);
+            }
+        }
+
+        /// ... and on synthetic expectations built from quarter-unit
+        /// remainders, where most hours tie with several others.
+        #[test]
+        fn split_day_selection_matches_the_sort_oracle_on_ties(
+            parts in proptest::collection::vec((0u64..1000, 0u64..4), 24),
+            leftover in 0u64..=24,
+        ) {
+            let mut expected = [0.0f64; HOURS];
+            let mut floors = 0u64;
+            for (e, &(whole, quarters)) in expected.iter_mut().zip(&parts) {
+                *e = whole as f64 + quarters as f64 * 0.25;
+                floors += whole;
+            }
+            let total = floors + leftover;
+            let oracle = sort_oracle(total, &expected);
+            prop_assert!(oracle.is_some());
+            prop_assert_eq!(Some(apportion(total, &expected)), oracle);
+        }
     }
 
     #[test]

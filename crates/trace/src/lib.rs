@@ -48,5 +48,5 @@ pub use analysis::{BucketHistogram, CvBucket, CV_BUCKET_COUNT};
 pub use concurrency::{CoRequestGroup, CoRequestModel};
 pub use config::TraceConfig;
 pub use file::{FileId, FileSeries};
-pub use hourly::{DiurnalProfile, HourSplits, HourlySeries, HOURS};
+pub use hourly::{DiurnalProfile, HOURS};
 pub use workload::{Trace, TraceSplit};
