@@ -33,9 +33,10 @@ pub fn optimal_plan(
     let mut best = vec![[Money::MAX; TIER_COUNT]; days];
     let mut parent = vec![[0usize; TIER_COUNT]; days];
 
+    let change = change_costs(model, file.size_gb);
     let (r0, w0) = file.day(0);
     for tier in Tier::all() {
-        best[0][tier.index()] = model.policy().change_cost(initial_tier, tier, file.size_gb)
+        best[0][tier.index()] = change[initial_tier.index()][tier.index()]
             + model.steady_day_cost(file.size_gb, r0, w0, tier);
     }
 
@@ -46,11 +47,8 @@ pub fn optimal_plan(
             let mut best_cost = Money::MAX;
             let mut best_prev = 0;
             for prev in Tier::all() {
-                let cost = best[d - 1][prev.index()].saturating_add(model.policy().change_cost(
-                    prev,
-                    tier,
-                    file.size_gb,
-                ));
+                let cost =
+                    best[d - 1][prev.index()].saturating_add(change[prev.index()][tier.index()]);
                 if cost < best_cost {
                     best_cost = cost;
                     best_prev = prev.index();
@@ -77,6 +75,12 @@ pub fn optimal_plan(
         }
     }
     (plan, total)
+}
+
+/// `[from][to]` tier-change charges (Eq. 9) for a file of `size_gb` GB.
+/// They do not depend on the day, so the day loops price them once.
+fn change_costs(model: &CostModel, size_gb: f64) -> [[Money; TIER_COUNT]; TIER_COUNT] {
+    Tier::ALL.map(|from| Tier::ALL.map(|to| model.policy().change_cost(from, to, size_gb)))
 }
 
 /// Cost of executing a given per-day tier `plan` for `file`, starting from
@@ -145,16 +149,16 @@ pub fn brute_force_plan(
 #[must_use]
 pub fn suffix_values(file: &FileSeries, model: &CostModel) -> Vec<[Money; TIER_COUNT]> {
     let days = file.days();
+    let change = change_costs(model, file.size_gb);
     let mut values = vec![[Money::ZERO; TIER_COUNT]; days + 1];
     for d in (0..days).rev() {
         let (r, w) = file.day(d);
+        let steady = Tier::ALL.map(|a| model.steady_day_cost(file.size_gb, r, w, a));
         for cur in Tier::all() {
             let mut best = Money::MAX;
             for a in Tier::all() {
-                let cost = model
-                    .policy()
-                    .change_cost(cur, a, file.size_gb)
-                    .saturating_add(model.steady_day_cost(file.size_gb, r, w, a))
+                let cost = change[cur.index()][a.index()]
+                    .saturating_add(steady[a.index()])
                     .saturating_add(values[d + 1][a.index()]);
                 best = best.min(cost);
             }

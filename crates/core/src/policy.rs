@@ -293,7 +293,16 @@ impl Policy for GreedyPolicy {
             ctx.model.policy().change_cost(cur, t, size_gb)
                 + ctx.model.steady_day_cost(size_gb, r, w, t)
         };
-        Tier::all().reduce(|best, t| if q(t) < q(best) { t } else { best }).unwrap_or(cur)
+        // Each tier is priced once; the first minimum wins, so ties
+        // (`flat()`, or costs saturated at `Money::MAX`) keep the hotter tier.
+        let mut best = (Tier::Hot, q(Tier::Hot));
+        for t in [Tier::Cool, Tier::Archive] {
+            let cost = q(t);
+            if cost < best.1 {
+                best = (t, cost);
+            }
+        }
+        best.0
     }
 
     fn fork(&self) -> Box<dyn Policy> {
@@ -557,6 +566,107 @@ mod tests {
         };
         let trace2 = Trace { days: 1, files: vec![file2] };
         assert_eq!(GreedyPolicy.decide_fleet(0, &trace2, &model, &current)[0], Tier::Hot);
+    }
+
+    /// The reference greedy: `reduce` re-prices the running best at every
+    /// step and keeps the first minimum.
+    fn greedy_by_reduce(model: &CostModel, cur: Tier, size_gb: f64, r: u64, w: u64) -> Tier {
+        let q = |t: Tier| {
+            model.policy().change_cost(cur, t, size_gb) + model.steady_day_cost(size_gb, r, w, t)
+        };
+        Tier::all().reduce(|best, t| if q(t) < q(best) { t } else { best }).unwrap_or(cur)
+    }
+
+    /// Decides a one-day fleet of `(current, size, reads, writes)` files,
+    /// asserting `decide_one` matches the `reduce` oracle on every file.
+    fn greedy_against_reduce(model: &CostModel, files: &[(Tier, f64, u64, u64)]) -> Vec<Tier> {
+        let trace = Trace {
+            days: 1,
+            files: files
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, size_gb, r, w))| tracegen::FileSeries {
+                    id: tracegen::FileId(i as u32),
+                    size_gb,
+                    reads: vec![r],
+                    writes: vec![w],
+                })
+                .collect(),
+        };
+        let columns = FleetState::from_trace(&trace);
+        let batch = fleet(files.len());
+        let current: Vec<Tier> = files.iter().map(|f| f.0).collect();
+        let c = ctx(&columns, model, 0, &batch, &current);
+        let mut decided = Vec::with_capacity(files.len());
+        for (slot, &(cur, size_gb, r, w)) in files.iter().enumerate() {
+            let tier = GreedyPolicy.decide_one(&c, slot);
+            assert_eq!(
+                tier,
+                greedy_by_reduce(model, cur, size_gb, r, w),
+                "{} from {cur}: {size_gb} GB, {r} reads, {w} writes",
+                model.policy().name
+            );
+            decided.push(tier);
+        }
+        decided
+    }
+
+    fn pricing_presets() -> [CostModel; 4] {
+        [
+            PricingPolicy::paper_2020(),
+            PricingPolicy::azure_blob_2020(),
+            PricingPolicy::aws_s3_like(),
+            PricingPolicy::flat(),
+        ]
+        .map(CostModel::new)
+    }
+
+    #[test]
+    fn greedy_oracle_keeps_the_first_minimum_on_ties() {
+        // Flat prices tie every tier; a petabyte read and written 2^64 - 1
+        // times saturates every tier's cost at `Money::MAX`. Either way the
+        // hottest tier wins, whatever the file occupied.
+        let flat = CostModel::new(PricingPolicy::flat());
+        let (size_gb, ops) = (1e6, u64::MAX);
+        for model in pricing_presets() {
+            for t in Tier::all() {
+                assert_eq!(model.steady_day_cost(size_gb, ops, ops, t), Money::MAX);
+            }
+        }
+        for cur in Tier::all() {
+            let files = [(cur, 0.3, 40, 2), (cur, 0.0, 0, 0), (cur, size_gb, ops, ops)];
+            assert_eq!(greedy_against_reduce(&flat, &files), [Tier::Hot; 3]);
+            for model in pricing_presets() {
+                let saturated = greedy_against_reduce(&model, &[(cur, size_gb, ops, ops)]);
+                assert_eq!(saturated, [Tier::Hot]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn greedy_oracle_matches_reduce_on_random_file_days(
+            files in proptest::collection::vec(
+                (0usize..3, (0.0f64..1.0e6, -6.0f64..6.0), proptest::prelude::any::<u64>(), (0u64..100_000, 0u64..1_000)),
+                1..24,
+            ),
+            shapes in proptest::collection::vec(0u8..4, 24),
+        ) {
+            // Shape picks the size (linear or log-uniform) and whether the
+            // counts are small or span the whole `u64` range.
+            let files: Vec<(Tier, f64, u64, u64)> = files
+                .iter()
+                .zip(&shapes)
+                .map(|(&(cur, (linear, exponent), wide, (r, w)), &shape)| {
+                    let size_gb = if shape & 1 == 0 { linear } else { 10f64.powf(exponent) };
+                    let (r, w) = if shape & 2 == 0 { (r, w) } else { (wide, wide.rotate_left(17)) };
+                    (Tier::ALL[cur], size_gb, r, w)
+                })
+                .collect();
+            for model in pricing_presets() {
+                greedy_against_reduce(&model, &files);
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! components so experiments can attribute savings.
 
 use crate::money::Money;
-use crate::policy::PricingPolicy;
-use crate::tier::Tier;
+use crate::policy::{PricingPolicy, TierPrices, DAYS_PER_MONTH, OPS_PER_PRICE_UNIT};
+use crate::tier::{Tier, TIER_COUNT};
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
@@ -147,17 +147,81 @@ impl CostLedger {
     }
 }
 
+/// One tier's unit prices with the per-day and per-operation quotients of
+/// Eqs. 6–8 divided out once. The only copy of those formulas:
+/// [`TierPrices`]'s cost methods and [`CostModel`] both evaluate them here.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TierRates {
+    /// `storage_gb_month / DAYS_PER_MONTH`.
+    /// xtask-unit: $/GB·day
+    storage_gb_day: f64,
+    /// `read_per_10k / OPS_PER_PRICE_UNIT`.
+    /// xtask-unit: $/ops
+    read_per_op: f64,
+    /// Retrieval price per GB read (`urs`, Eq. 7).
+    /// xtask-unit: $/GB·ops
+    retrieval_per_gb: f64,
+    /// `write_per_10k / OPS_PER_PRICE_UNIT`.
+    /// xtask-unit: $/ops
+    write_per_op: f64,
+    /// Data write price per GB written (`uws`, Eq. 8).
+    /// xtask-unit: $/GB·ops
+    write_data_per_gb: f64,
+}
+
+impl TierRates {
+    /// Divides `prices` into per-day and per-operation rates. Rust evaluates
+    /// `a / b * c` as `(a / b) * c`, so pricing from the stored quotient
+    /// gives the same bits as dividing at every call.
+    pub(crate) fn new(prices: &TierPrices) -> TierRates {
+        TierRates {
+            storage_gb_day: prices.storage_gb_month / DAYS_PER_MONTH,
+            read_per_op: prices.read_per_10k / OPS_PER_PRICE_UNIT,
+            retrieval_per_gb: prices.retrieval_per_gb,
+            write_per_op: prices.write_per_10k / OPS_PER_PRICE_UNIT,
+            write_data_per_gb: prices.write_data_per_gb,
+        }
+    }
+
+    /// Storage cost of `size_gb` gigabytes for one day (Eq. 6).
+    #[inline]
+    pub(crate) fn storage_day(&self, size_gb: f64) -> Money {
+        Money::from_dollars(self.storage_gb_day * size_gb)
+    }
+
+    /// Cost of `ops` reads of a `size_gb` GB file (Eq. 7:
+    /// `F_r * (urf + urs * D)`).
+    #[inline]
+    pub(crate) fn read_cost(&self, ops: u64, size_gb: f64) -> Money {
+        Money::from_dollars(ops as f64 * (self.read_per_op + self.retrieval_per_gb * size_gb))
+    }
+
+    /// Cost of `ops` writes to a `size_gb` GB file (Eq. 8:
+    /// `F_w * (uwf + uws * D)`).
+    #[inline]
+    pub(crate) fn write_cost(&self, ops: u64, size_gb: f64) -> Money {
+        Money::from_dollars(ops as f64 * (self.write_per_op + self.write_data_per_gb * size_gb))
+    }
+}
+
 /// Evaluates the paper's cost model against a pricing policy.
+///
+/// [`CostModel::new`] derives each tier's per-day and per-operation rates
+/// once, so pricing a file-day divides nothing. These rates are the only
+/// copy of Eqs. 6–8 ([`TierPrices`]'s cost methods use them too), and every
+/// result is bit-identical to dividing the unit prices at each call.
 #[derive(Clone, Debug)]
 pub struct CostModel {
     policy: PricingPolicy,
+    rates: [TierRates; TIER_COUNT],
 }
 
 impl CostModel {
     /// Creates a cost model over `policy`.
     #[must_use]
     pub fn new(policy: PricingPolicy) -> Self {
-        CostModel { policy }
+        let rates = policy.tiers.each_ref().map(TierRates::new);
+        CostModel { policy, rates }
     }
 
     /// The underlying pricing policy.
@@ -166,19 +230,29 @@ impl CostModel {
         &self.policy
     }
 
+    /// The derived rates of one tier.
+    fn rates(&self, tier: Tier) -> &TierRates {
+        let [hot, cool, archive] = &self.rates;
+        match tier {
+            Tier::Hot => hot,
+            Tier::Cool => cool,
+            Tier::Archive => archive,
+        }
+    }
+
     /// Full component breakdown for one file-day.
     #[must_use]
     pub fn day_breakdown(&self, day: &FileDay) -> CostBreakdown {
-        let prices = self.policy.tier(day.tier);
+        let rates = self.rates(day.tier);
         let change = match day.changed_from {
             Some(from) => self.policy.change_cost(from, day.tier, day.size_gb),
             None => Money::ZERO,
         };
         CostBreakdown {
-            storage: prices.storage_day(day.size_gb),
+            storage: rates.storage_day(day.size_gb),
             change,
-            read: prices.read_cost(day.reads, day.size_gb),
-            write: prices.write_cost(day.writes, day.size_gb),
+            read: rates.read_cost(day.reads, day.size_gb),
+            write: rates.write_cost(day.writes, day.size_gb),
         }
     }
 
@@ -192,10 +266,10 @@ impl CostModel {
     /// with no tier change. The hot inner loop of every optimizer.
     #[must_use]
     pub fn steady_day_cost(&self, size_gb: f64, reads: u64, writes: u64, tier: Tier) -> Money {
-        let prices = self.policy.tier(tier);
-        prices.storage_day(size_gb)
-            + prices.read_cost(reads, size_gb)
-            + prices.write_cost(writes, size_gb)
+        let rates = self.rates(tier);
+        rates.storage_day(size_gb)
+            + rates.read_cost(reads, size_gb)
+            + rates.write_cost(writes, size_gb)
     }
 
     /// The cheapest single tier for a whole series of (reads, writes) days,
@@ -341,7 +415,137 @@ mod tests {
         assert_eq!(total.total(), m.day_cost(&days[0]) + m.day_cost(&days[1]));
     }
 
+    /// Rounds dollars to micro-dollars through `f64::round`, independently
+    /// of `Money`'s own rounder.
+    fn oracle_money(dollars: f64) -> Money {
+        Money::from_micros((dollars * 1e6).round() as i64)
+    }
+
+    /// The reference Eqs. 6–9, with every quotient divided in place at each
+    /// call; [`CostModel`]'s derived rates must match it bit for bit.
+    fn oracle_breakdown(policy: &PricingPolicy, day: &FileDay) -> CostBreakdown {
+        let p = policy.tier(day.tier);
+        let d = day.size_gb;
+        let change = match day.changed_from {
+            Some(from) if from != day.tier => oracle_money(
+                policy.change_per_gb[from.index()][day.tier.index()] * d + policy.change_op_fee,
+            ),
+            _ => Money::ZERO,
+        };
+        CostBreakdown {
+            storage: oracle_money(p.storage_gb_month / DAYS_PER_MONTH * d),
+            change,
+            read: oracle_money(
+                day.reads as f64 * (p.read_per_10k / OPS_PER_PRICE_UNIT + p.retrieval_per_gb * d),
+            ),
+            write: oracle_money(
+                day.writes as f64
+                    * (p.write_per_10k / OPS_PER_PRICE_UNIT + p.write_data_per_gb * d),
+            ),
+        }
+    }
+
+    fn presets() -> [PricingPolicy; 4] {
+        [
+            PricingPolicy::paper_2020(),
+            PricingPolicy::azure_blob_2020(),
+            PricingPolicy::aws_s3_like(),
+            PricingPolicy::flat(),
+        ]
+    }
+
+    /// A size in GB from `0..=1e6`: exactly zero, linear, or log-uniform
+    /// from 1 KB up, picked by `pick`.
+    fn size_gb(pick: u8, linear: f64, exponent: f64) -> f64 {
+        match pick % 3 {
+            0 => 0.0,
+            1 => linear,
+            _ => 10f64.powf(exponent),
+        }
+    }
+
+    /// Asserts `model` prices every tier and tier change of one file-day
+    /// bit-identically to the oracle, through every public entry point.
+    fn assert_matches_oracle(model: &CostModel, size_gb: f64, reads: u64, writes: u64) {
+        let policy = model.policy();
+        for tier in Tier::all() {
+            for changed_from in std::iter::once(None).chain(Tier::all().map(Some)) {
+                let day = FileDay { size_gb, reads, writes, tier, changed_from };
+                let expected = oracle_breakdown(policy, &day);
+                assert_eq!(model.day_breakdown(&day), expected, "{day:?} under {}", policy.name);
+                assert_eq!(model.day_cost(&day), expected.total(), "{day:?}");
+            }
+            let steady = oracle_breakdown(policy, &FileDay::steady(size_gb, reads, writes, tier));
+            assert_eq!(model.steady_day_cost(size_gb, reads, writes, tier), steady.total());
+            let prices = policy.tier(tier);
+            assert_eq!(prices.storage_day(size_gb), steady.storage);
+            assert_eq!(prices.read_cost(reads, size_gb), steady.read);
+            assert_eq!(prices.write_cost(writes, size_gb), steady.write);
+        }
+    }
+
+    #[test]
+    fn pricing_oracle_matches_at_the_edges() {
+        let sizes = [0.0, 1e-6, 0.1, 1.0, 20.0, 1e6];
+        let ops = [0, 1, 9_999, 10_000, 1 << 53, (1 << 53) + 1, u64::MAX];
+        for policy in presets() {
+            let model = CostModel::new(policy);
+            for &size in &sizes {
+                for &reads in &ops {
+                    for &writes in &ops {
+                        assert_matches_oracle(&model, size, reads, writes);
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn pricing_oracle_matches_every_preset(
+            size_pick in any::<u8>(),
+            linear in 0.0f64..1.0e6,
+            exponent in -6.0f64..6.0,
+            reads in any::<u64>(),
+            writes in any::<u64>(),
+            few_reads in 0u64..100_000,
+            few_writes in 0u64..1_000,
+        ) {
+            let size = size_gb(size_pick, linear, exponent);
+            for policy in presets() {
+                let model = CostModel::new(policy);
+                assert_matches_oracle(&model, size, reads, writes);
+                assert_matches_oracle(&model, size, few_reads, few_writes);
+            }
+        }
+
+        #[test]
+        fn pricing_oracle_matches_random_tier_prices(
+            hot in (0.0f64..1.0, 0.0f64..10.0, 0.0f64..10.0, (0.0f64..0.1, 0.0f64..0.1)),
+            cool in (0.0f64..1.0, 0.0f64..10.0, 0.0f64..10.0, (0.0f64..0.1, 0.0f64..0.1)),
+            archive in (0.0f64..1.0, 0.0f64..10.0, 0.0f64..10.0, (0.0f64..0.1, 0.0f64..0.1)),
+            size in (any::<u8>(), 0.0f64..1.0e6, -6.0f64..6.0),
+            many_ops in (any::<u64>(), any::<u64>()),
+            few_ops in (0u64..100_000, 0u64..1_000),
+        ) {
+            let prices = |(storage, read, write, (retrieval, write_data))| TierPrices {
+                storage_gb_month: storage,
+                read_per_10k: read,
+                write_per_10k: write,
+                retrieval_per_gb: retrieval,
+                write_data_per_gb: write_data,
+            };
+            let policy = PricingPolicy {
+                tiers: [prices(hot), prices(cool), prices(archive)],
+                ..PricingPolicy::azure_blob_2020()
+            };
+            let model = CostModel::new(policy);
+            let size = size_gb(size.0, size.1, size.2);
+            assert_matches_oracle(&model, size, many_ops.0, many_ops.1);
+            assert_matches_oracle(&model, size, many_ops.0, few_ops.1);
+            assert_matches_oracle(&model, size, few_ops.0, few_ops.1);
+        }
+
         #[test]
         fn cost_is_nonnegative(
             size in 0.0f64..100.0,

@@ -15,10 +15,34 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// Micro-dollars per dollar.
 const MICROS: i64 = 1_000_000;
 
+/// `2^52`: every `f64` at least this large in magnitude is an integer.
+const EXACT_INTEGERS: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round() as i64` (ties away from zero, saturating, NaN to 0) without
+/// the libm call that `f64::round` compiles to on x86-64 baselines lacking
+/// SSE4.1, where it dominated the cost of pricing one file-day.
+///
+/// Below `2^52`, `x as i64` truncates exactly and `x - trunc(x)` is exact,
+/// so comparing that fraction with ±0.5 rounds exactly like `f64::round`.
+/// Larger magnitudes, infinities and NaN take `f64::round` itself.
+#[inline]
+fn round_to_i64(x: f64) -> i64 {
+    if x.abs() < EXACT_INTEGERS {
+        let whole = x as i64;
+        let frac = x - whole as f64;
+        whole + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)
+    } else {
+        x.round() as i64
+    }
+}
+
 /// An exact monetary amount in integer micro-dollars.
 ///
-/// Construction from floating-point dollar amounts rounds to the nearest
-/// micro-dollar; all subsequent arithmetic is exact integer arithmetic.
+/// Construction from floating-point dollar amounts ([`Money::from_dollars`],
+/// [`Money::scale`]) rounds to the nearest micro-dollar, ties away from zero,
+/// through one inline rounder that is bit-identical to `x.round() as i64`.
+/// All subsequent arithmetic is exact integer arithmetic that saturates at
+/// [`Money::MIN`]/[`Money::MAX`] instead of wrapping or panicking.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Money(i64);
 
@@ -41,7 +65,7 @@ impl Money {
     #[must_use]
     pub fn from_dollars(dollars: f64) -> Self {
         debug_assert!(dollars.is_finite(), "money must be finite: {dollars}");
-        Money((dollars * MICROS as f64).round() as i64)
+        Money(round_to_i64(dollars * MICROS as f64))
     }
 
     /// Creates a `Money` from an exact number of micro-dollars.
@@ -99,7 +123,7 @@ impl Money {
     #[must_use]
     pub fn scale(self, factor: f64) -> Money {
         debug_assert!(factor.is_finite(), "scale factor must be finite: {factor}");
-        Money((self.0 as f64 * factor).round() as i64)
+        Money(round_to_i64(self.0 as f64 * factor))
     }
 
     /// The smaller of two amounts.
@@ -122,15 +146,16 @@ impl Money {
         }
     }
 
-    /// Absolute value.
+    /// Absolute value, saturating: `Money::MIN.abs()` is `Money::MAX`.
     #[must_use]
     pub const fn abs(self) -> Money {
-        Money(self.0.abs())
+        Money(self.0.saturating_abs())
     }
 }
 
-// Overflow policy: `+`, `-`, and `Sum` saturate at `Money::MIN`/`Money::MAX`
-// rather than wrapping or panicking. i64 micro-dollars overflow at ~$9.2e12;
+// Overflow policy: every operator (`+`, `-`, unary `-`, `abs`, `* i64`,
+// `/ i64`) and `Sum` saturate at `Money::MIN`/`Money::MAX` rather than
+// wrapping or panicking. i64 micro-dollars overflow at ~$9.2e12;
 // a ledger that large is already garbage, and a saturated total stays ordered
 // (greater than every real cost), so cost comparisons degrade gracefully
 // instead of aborting a long experiment. Exact-by-construction call sites
@@ -164,21 +189,28 @@ impl SubAssign for Money {
 impl Neg for Money {
     type Output = Money;
     fn neg(self) -> Money {
-        Money(-self.0)
+        Money(self.0.saturating_neg())
     }
 }
 
 impl Mul<i64> for Money {
     type Output = Money;
     fn mul(self, rhs: i64) -> Money {
-        Money(self.0 * rhs)
+        Money(self.0.saturating_mul(rhs))
     }
 }
 
+/// Truncating division that saturates (`Money::MIN / -1` is `Money::MAX`).
+/// Dividing by zero returns `Money::ZERO`: an average over no days is no
+/// money, not a panic.
 impl Div<i64> for Money {
     type Output = Money;
     fn div(self, rhs: i64) -> Money {
-        Money(self.0 / rhs)
+        match self.0.checked_div(rhs) {
+            Some(q) => Money(q),
+            None if rhs == 0 => Money::ZERO,
+            None => Money::MAX,
+        }
     }
 }
 
@@ -350,6 +382,145 @@ mod tests {
         let mut acc = Money::MAX;
         acc += Money::from_micros(1);
         assert_eq!(acc, Money::MAX);
+    }
+
+    /// The reference rounding `round_to_i64` must match bit for bit:
+    /// `f64::round`, then a saturating cast.
+    fn round_oracle(x: f64) -> i64 {
+        x.round() as i64
+    }
+
+    /// Values at every boundary of `round_to_i64`: signed zeros, the
+    /// largest value below one half, exact halves, the `2^52` switch-over,
+    /// the saturating `i64` edges, subnormals, infinities and NaN.
+    const ROUNDING_EDGES: [f64; 30] = [
+        0.0,
+        -0.0,
+        0.5,
+        -0.5,
+        1.5,
+        -1.5,
+        2.5,
+        -2.5,
+        0.499_999_999_999_999_94,
+        -0.499_999_999_999_999_94,
+        4_503_599_627_370_495.5,
+        -4_503_599_627_370_495.5,
+        4_503_599_627_370_496.0,
+        4_503_599_627_370_497.0,
+        -4_503_599_627_370_497.0,
+        9_007_199_254_740_994.0,
+        i64::MAX as f64,
+        i64::MIN as f64,
+        1e300,
+        -1e300,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::EPSILON,
+    ];
+
+    #[test]
+    fn rounding_matches_f64_round_on_edge_cases() {
+        for x in ROUNDING_EDGES {
+            assert_eq!(round_to_i64(x), round_oracle(x), "round_to_i64({x:e})");
+            if x.is_finite() {
+                let dollars = x / 1e6;
+                let micros = Money::from_dollars(dollars).micros();
+                assert_eq!(micros, round_oracle(dollars * 1e6), "from_dollars({dollars:e})");
+                assert_eq!(Money::from_micros(1).scale(x).micros(), round_oracle(x));
+                assert_eq!(Money::from_micros(-3).scale(x).micros(), round_oracle(-3.0 * x));
+            }
+        }
+    }
+
+    #[test]
+    fn rounding_of_half_micros_goes_away_from_zero() {
+        assert_eq!(Money::from_dollars(0.000_002_5).micros(), 3);
+        assert_eq!(Money::from_dollars(-0.000_002_5).micros(), -3);
+        assert_eq!(Money::from_micros(5).scale(0.5).micros(), 3);
+        assert_eq!(Money::from_micros(-5).scale(0.5).micros(), -3);
+    }
+
+    proptest! {
+        #[test]
+        fn rounding_matches_f64_round_on_any_bit_pattern(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(round_to_i64(x), round_oracle(x));
+        }
+
+        #[test]
+        fn rounding_from_dollars_matches_f64_round(
+            bits in any::<u64>(),
+            dollars in -1.0e7f64..1.0e7,
+            half in -1_000_000_000i64..1_000_000_000,
+        ) {
+            let half_micro = (half as f64 + 0.5) / 1e6;
+            for x in [f64::from_bits(bits), dollars, half_micro] {
+                if x.is_finite() {
+                    prop_assert_eq!(Money::from_dollars(x).micros(), round_oracle(x * 1e6));
+                }
+            }
+        }
+
+        #[test]
+        fn rounding_in_scale_matches_f64_round(
+            wide in any::<i64>(),
+            micros in -1_000_000_000_000i64..1_000_000_000_000,
+            bits in any::<u64>(),
+            factor in 0.0f64..1.0e4,
+        ) {
+            for m in [wide, micros] {
+                for f in [f64::from_bits(bits), factor] {
+                    if f.is_finite() {
+                        let scaled = Money::from_micros(m).scale(f).micros();
+                        prop_assert_eq!(scaled, round_oracle(m as f64 * f));
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn operators_saturate_to_the_exact_result(a in any::<i64>(), b in any::<i64>()) {
+            let clamp = |x: i128| x.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
+            let (wide_a, wide_b) = (i128::from(a), i128::from(b));
+            let m = Money::from_micros(a);
+            prop_assert_eq!((-m).micros(), clamp(-wide_a));
+            prop_assert_eq!(m.abs().micros(), clamp(wide_a.abs()));
+            prop_assert_eq!((m * b).micros(), clamp(wide_a * wide_b));
+            let expected_div = if b == 0 { 0 } else { clamp(wide_a / wide_b) };
+            prop_assert_eq!((m / b).micros(), expected_div);
+            let mb = Money::from_micros(b);
+            prop_assert_eq!((m + mb).micros(), clamp(wide_a + wide_b));
+            prop_assert_eq!((m - mb).micros(), clamp(wide_a - wide_b));
+        }
+    }
+
+    #[test]
+    fn operators_saturate_at_the_extremes() {
+        assert_eq!(-Money::MIN, Money::MAX);
+        assert_eq!(-Money::MAX, Money::from_micros(-i64::MAX));
+        assert_eq!(Money::MIN.abs(), Money::MAX);
+        assert_eq!(Money::MAX * 2, Money::MAX);
+        assert_eq!(Money::MIN * 2, Money::MIN);
+        assert_eq!(Money::MIN * -1, Money::MAX);
+        assert_eq!(Money::MIN / -1, Money::MAX);
+        assert_eq!(Money::MAX / -1, Money::from_micros(-i64::MAX));
+        // Reachable by saturating subtraction, then negated without panic.
+        assert_eq!(-(Money::ZERO - Money::MAX - Money::MAX), Money::MAX);
+    }
+
+    #[test]
+    fn division_by_zero_is_zero() {
+        assert_eq!(Money::from_dollars(3.5) / 0, Money::ZERO);
+        assert_eq!(Money::MIN / 0, Money::ZERO);
+        assert_eq!(Money::MAX / 0, Money::ZERO);
     }
 
     #[test]

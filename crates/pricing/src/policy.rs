@@ -6,6 +6,7 @@
 //! [`PricingPolicy::azure_blob_2020`], encodes the Microsoft Azure Block Blob
 //! prices (US West, LRS, circa January 2020) that the paper's §6.1 uses.
 
+use crate::cost::TierRates;
 use crate::money::Money;
 use crate::tier::{Tier, TIER_COUNT};
 use serde::{Deserialize, Serialize};
@@ -40,26 +41,24 @@ pub struct TierPrices {
 }
 
 impl TierPrices {
-    /// Pro-rated storage price for one day, for `size_gb` gigabytes.
+    /// Pro-rated storage price for one day, for `size_gb` gigabytes (Eq. 6).
     #[must_use]
     pub fn storage_day(&self, size_gb: f64) -> Money {
-        Money::from_dollars(self.storage_gb_month / DAYS_PER_MONTH * size_gb)
+        TierRates::new(self).storage_day(size_gb)
     }
 
     /// Cost of `ops` read operations against a file of `size_gb` GB
     /// (Eq. 7: `F_r * (urf + urs * D)`).
     #[must_use]
     pub fn read_cost(&self, ops: u64, size_gb: f64) -> Money {
-        let per_op = self.read_per_10k / OPS_PER_PRICE_UNIT + self.retrieval_per_gb * size_gb;
-        Money::from_dollars(ops as f64 * per_op)
+        TierRates::new(self).read_cost(ops, size_gb)
     }
 
     /// Cost of `ops` write operations against a file of `size_gb` GB
     /// (Eq. 8: `F_w * (uwf + uws * D)`).
     #[must_use]
     pub fn write_cost(&self, ops: u64, size_gb: f64) -> Money {
-        let per_op = self.write_per_10k / OPS_PER_PRICE_UNIT + self.write_data_per_gb * size_gb;
-        Money::from_dollars(ops as f64 * per_op)
+        TierRates::new(self).write_cost(ops, size_gb)
     }
 }
 
