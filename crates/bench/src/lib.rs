@@ -10,7 +10,7 @@
 //! modules.
 
 // Tests assert bit-exact float reproducibility on purpose.
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "bit-exact float asserts"))]
 
 pub mod ablation_prediction;
 pub mod ablation_reward;

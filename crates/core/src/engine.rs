@@ -31,6 +31,7 @@ use tracegen::{FileId, Trace};
 ///
 /// Deliberately *not* [`std::hash::Hash`]: the std `RandomState` hasher is
 /// seeded per process, which would re-shuffle shards across runs.
+#[expect(clippy::cast_possible_truncation, reason = "the remainder is below `workers`, a usize")]
 #[must_use]
 pub fn shard_of(id: FileId, seed: u64, workers: usize) -> usize {
     let mut x = u64::from(id.0) ^ seed.rotate_left(17) ^ 0x9E37_79B9_7F4A_7C15;

@@ -61,12 +61,22 @@
 //! ```
 
 #![warn(missing_docs)]
-// Library code must surface failures as values (L2 no-panic-in-libs); tests
-// may unwrap freely.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Library code must surface failures as values, and must not truncate op
+// counters, byte sizes or tick indices silently; tests may do both.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::cast_possible_truncation)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::cast_possible_truncation,
+        reason = "tests may panic and cast freely"
+    )
+)]
 // Tests assert bit-exact float reproducibility on purpose.
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "bit-exact float asserts"))]
 
 pub mod aggregate;
 pub mod benchcfg;

@@ -121,6 +121,10 @@ pub fn brute_force_plan(
     let combos = (TIER_COUNT as u64).pow(u32::try_from(days).unwrap_or(u32::MAX));
     for code in 0..combos {
         let mut c = code;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a remainder modulo TIER_COUNT indexes Tier::ALL"
+        )]
         let plan: Vec<Tier> = (0..days)
             .map(|_| {
                 let t = Tier::ALL[(c % TIER_COUNT as u64) as usize];

@@ -85,6 +85,10 @@ impl<F: forecast::Forecaster> PredictivePolicy<F> {
         if days == 0 {
             return vec![current];
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "non-negative rounded prediction; `as` saturates"
+        )]
         let cost_of = |pred: f64, tier: Tier| -> Money {
             let reads = pred.max(0.0).round() as u64;
             let writes = (pred.max(0.0) * write_ratio).round() as u64;

@@ -25,6 +25,10 @@ const EXACT_INTEGERS: f64 = 4_503_599_627_370_496.0;
 /// Below `2^52`, `x as i64` truncates exactly and `x - trunc(x)` is exact,
 /// so comparing that fraction with ±0.5 rounds exactly like `f64::round`.
 /// Larger magnitudes, infinities and NaN take `f64::round` itself.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float-to-int `as` saturates; the fast path is exact below 2^52"
+)]
 #[inline]
 fn round_to_i64(x: f64) -> i64 {
     if x.abs() < EXACT_INTEGERS {

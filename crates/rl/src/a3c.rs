@@ -175,9 +175,10 @@ impl A3cTrainer {
     /// Creates a trainer. Panics on invalid configuration.
     #[must_use]
     pub fn new(spec: NetSpec, config: A3cConfig) -> A3cTrainer {
+        // Documented contract: callers must validate their config first.
+        #[expect(clippy::panic, reason = "documented fail-fast contract")]
         if let Err(e) = config.validate() {
-            // Documented contract: callers must validate their config first.
-            panic!("invalid A3cConfig: {e}"); // xtask-allow(no-panic-in-libs): documented fail-fast contract
+            panic!("invalid A3cConfig: {e}");
         }
         A3cTrainer { spec, config }
     }

@@ -119,9 +119,10 @@ pub struct DqnResult {
 ///
 /// Panics on invalid configuration or env/spec mismatch.
 pub fn train_dqn<E: Env>(spec: NetSpec, cfg: &DqnConfig, mut env: E) -> DqnResult {
+    // Documented contract: callers must validate their config first.
+    #[expect(clippy::panic, reason = "documented fail-fast contract")]
     if let Err(e) = cfg.validate() {
-        // Documented contract: callers must validate their config first.
-        panic!("invalid DqnConfig: {e}"); // xtask-allow(no-panic-in-libs): documented fail-fast contract
+        panic!("invalid DqnConfig: {e}");
     }
     assert_eq!(env.state_dim(), spec.state_dim(), "state width mismatch");
     assert_eq!(env.n_actions(), spec.actions, "action count mismatch");

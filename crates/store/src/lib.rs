@@ -34,10 +34,12 @@
 //! kill→restore mid-migration.
 
 #![warn(missing_docs)]
-// Library code must surface failures as values (L2 no-panic-in-libs); tests
-// may unwrap freely.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Library code must surface failures as values; tests may unwrap freely.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "tests may panic")
+)]
 
 pub mod journal;
 pub mod migrate;

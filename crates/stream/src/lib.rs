@@ -35,12 +35,14 @@
 //! stays acyclic.
 
 #![warn(missing_docs)]
-// Library code must surface failures as values (L2 no-panic-in-libs); tests
-// may unwrap freely.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// Library code must surface failures as values; tests may unwrap freely.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "tests may panic")
+)]
 // Tests assert bit-exact float reproducibility on purpose.
-#![cfg_attr(test, allow(clippy::float_cmp))]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "bit-exact float asserts"))]
 
 pub mod bounded;
 pub mod checkpoint;

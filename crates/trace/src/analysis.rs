@@ -103,6 +103,10 @@ pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
     }
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "q is clamped to [0, 1], so the rank lies in 0..len"
+    )]
     let rank = ((q.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
     Some(sorted[rank])
 }

@@ -101,6 +101,10 @@ impl CoRequestModel {
             let members: Vec<FileId> =
                 pool.drain(pool.len() - size..).map(FileId::from_index).collect();
             let share: f64 = rng.random_range(0.0..self.level.max(f64::MIN_POSITIVE));
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "non-negative floor of a read count; `as` saturates"
+            )]
             let concurrent = (0..trace.days)
                 .map(|day| {
                     let min_reads =

@@ -59,9 +59,10 @@ mod viral {
 /// Generates a trace from `config`. Panics on invalid configuration.
 #[must_use]
 pub fn generate(config: &TraceConfig) -> Trace {
+    // Documented contract: callers must validate their config first.
+    #[expect(clippy::panic, reason = "documented fail-fast contract")]
     if let Err(e) = config.validate() {
-        // Documented contract: callers must validate their config first.
-        panic!("invalid TraceConfig: {e}"); // xtask-allow(no-panic-in-libs): documented fail-fast contract
+        panic!("invalid TraceConfig: {e}");
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
 
@@ -134,12 +135,20 @@ pub fn generate(config: &TraceConfig) -> Trace {
                 let z = w * season + noise_w * sampling::standard_normal(&mut rng);
                 base * sampling::lognormal_factor_from_z(z, cv)
             };
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "non-negative rounded count; `as` saturates"
+            )]
             let r = if config.poisson_counts {
                 sampling::poisson(&mut rng, expected)
             } else {
                 expected.round() as u64
             };
             reads.push(r);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "non-negative rounded count; `as` saturates"
+            )]
             writes.push((r as f64 * config.write_ratio).round() as u64);
         }
 
@@ -161,6 +170,10 @@ fn assign_buckets(files: usize, mix: &[f64; 5], rng: &mut StdRng) -> Vec<usize> 
     let mut counts = [0usize; 5];
     let mut remainders: Vec<(usize, f64)> = Vec::with_capacity(5);
     let mut assigned = 0usize;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "mix shares are at most 1, so each floor is at most `files`"
+    )]
     for (b, &p) in mix.iter().enumerate() {
         let exact = p * files as f64;
         counts[b] = exact.floor() as usize;

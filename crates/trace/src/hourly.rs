@@ -120,6 +120,10 @@ const HOURS_WIDE: u128 = HOURS as u128;
 /// hour, and an overshoot is taken back from the largest hours, so the
 /// result sums to `total` for every `u64`. Wherever the floors fall short
 /// by at most 24, the output is the plain largest-remainder split.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "floors of non-negative hour shares of a u64 total, and a round of at most `total`"
+)]
 fn apportion(total: u64, expected: &[f64; HOURS]) -> [u64; HOURS] {
     let mut out = [0u64; HOURS];
     let mut remainders = [0.0f64; HOURS];
@@ -162,6 +166,7 @@ fn apportion(total: u64, expected: &[f64; HOURS]) -> [u64; HOURS] {
 /// (the earliest on ties). Terminates: `Σ out - excess` stays equal to the
 /// target total, so while `excess > 0` the largest hour is non-zero and
 /// each step either clears the excess or empties an hour.
+#[expect(clippy::cast_possible_truncation, reason = "`take <= *top`, so it fits in u64")]
 fn give_back(out: &mut [u64; HOURS], mut excess: u128) {
     while excess > 0 {
         let Some(top) = out.iter_mut().reduce(|top, next| if *next > *top { next } else { top })

@@ -65,6 +65,10 @@ pub fn lognormal_factor_from_z(z: f64, cv: f64) -> f64 {
 /// Uses Knuth's product-of-uniforms method for small `lambda` and a
 /// normal approximation (continuity-corrected, clamped at zero) for large
 /// `lambda`, where the exact method would need `O(lambda)` uniforms.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "positive floor of a normal sample; `as` saturates"
+)]
 pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     debug_assert!(lambda >= 0.0, "lambda must be non-negative");
     if lambda <= 0.0 {

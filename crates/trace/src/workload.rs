@@ -94,6 +94,10 @@ impl Trace {
         let mut indices: Vec<usize> = (0..self.files.len()).collect();
         let mut rng = StdRng::seed_from_u64(seed ^ SPLIT_SEED_DOMAIN);
         indices.shuffle(&mut rng);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "frac is clamped to [0, 1], so n_train is at most the file count"
+        )]
         let n_train = (self.files.len() as f64 * frac).round() as usize;
         let (train_ix, test_ix) = indices.split_at(n_train.min(indices.len()));
         TraceSplit { train: self.subset(train_ix), test: self.subset(test_ix) }

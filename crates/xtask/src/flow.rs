@@ -15,7 +15,7 @@
 //! This module owns the pieces the analyses share: the [`Workspace`] loader
 //! (sources, tokens, item trees for every first-party crate), the function
 //! call graph [`FnGraph`], and the [`FlowDiag`] diagnostic type that feeds
-//! the same baseline/expiry gate as the syntax lints.
+//! the same gate as the syntax lints.
 
 use crate::graph::{self, ParsedFile};
 use crate::lexer::{lex, Lexed};
@@ -41,7 +41,7 @@ pub enum FlowKind {
 }
 
 impl FlowKind {
-    /// Stable kind name, used in baseline entries and escape comments.
+    /// Stable kind name, used in diagnostics and escape comments.
     pub fn name(self) -> &'static str {
         match self {
             FlowKind::DeterminismTaint => "determinism-taint",

@@ -1,6 +1,6 @@
 //! Minimal JSON reading/writing for xtask — no external dependencies.
 //!
-//! Supports exactly what the diagnostics schema and the baseline file need:
+//! Supports exactly what the diagnostics schema and the allowlist files need:
 //! objects (order-preserving), arrays, strings, integers, booleans, and
 //! null. Numbers are kept as `i64`: every quantity in the schema (lines,
 //! counts, versions) is integral, and avoiding floats keeps serialisation

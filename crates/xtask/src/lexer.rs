@@ -414,37 +414,37 @@ mod tests {
 
     #[test]
     fn allow_comments_are_collected() {
-        let src = "let x = 1; // xtask-allow: money-safety, no-panic-in-libs\nlet y = 2;\n";
+        let src = "let x = 1; // xtask-allow: money-safety, lock-discipline\nlet y = 2;\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1);
         assert_eq!(lexed.allows[0].line, 1);
-        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "no-panic-in-libs"]);
+        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "lock-discipline"]);
         assert!(lexed.allows[0].reason.is_empty(), "bare escape carries no reason");
     }
 
     #[test]
     fn justified_allow_grammar_records_reason() {
-        let src = "x(); // xtask-allow(no-panic-in-libs): config validation is fail-fast\n";
+        let src = "x(); // xtask-allow(determinism-taint): log-only timestamp\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1);
-        assert_eq!(lexed.allows[0].lints, vec!["no-panic-in-libs"]);
-        assert_eq!(lexed.allows[0].reason, "config validation is fail-fast");
+        assert_eq!(lexed.allows[0].lints, vec!["determinism-taint"]);
+        assert_eq!(lexed.allows[0].reason, "log-only timestamp");
     }
 
     #[test]
     fn justified_allow_grammar_takes_multiple_lints() {
-        let src = "y(); // xtask-allow(money-safety, narrowing-cast-audit): report-only path\n";
+        let src = "y(); // xtask-allow(money-safety, float-reduction-order): report-only path\n";
         let lexed = lex(src);
-        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "narrowing-cast-audit"]);
+        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "float-reduction-order"]);
         assert_eq!(lexed.allows[0].reason, "report-only path");
     }
 
     #[test]
     fn legacy_allow_trailing_commentary_counts_as_reason() {
-        let src = "z(); // xtask-allow: exhaustive-tier-match (any colder tier is \"not hot\")\n";
+        let src = "z(); // xtask-allow: hashmap-iter-determinism (an \"order-free\" count)\n";
         let lexed = lex(src);
-        assert_eq!(lexed.allows[0].lints, vec!["exhaustive-tier-match"]);
-        assert!(lexed.allows[0].reason.contains("colder tier"), "{:?}", lexed.allows[0]);
+        assert_eq!(lexed.allows[0].lints, vec!["hashmap-iter-determinism"]);
+        assert!(lexed.allows[0].reason.contains("order-free"), "{:?}", lexed.allows[0]);
     }
 
     #[test]

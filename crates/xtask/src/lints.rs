@@ -1,5 +1,8 @@
-//! The MiniCost-specific lints (L1–L4 token lints, L10 escape hygiene;
-//! L5–L9 live in [`crate::syntax_lints`]).
+//! The MiniCost-specific lints: L1 and L4 are token lints, L10 is escape
+//! hygiene, and L5–L6 live in [`crate::syntax_lints`]. Rules a compiler lint
+//! can express (panics in libraries, narrowing casts, wildcard enum matches,
+//! undocumented public items) are rustc/clippy lints instead, denied in the
+//! workspace manifest and at each library root.
 //!
 //! Each lint walks the token stream from [`crate::lexer::lex`] with brace-depth
 //! and `#[cfg(test)]`-region tracking. Violations carry `file:line` positions
@@ -15,22 +18,12 @@ use std::path::Path;
 pub enum Lint {
     /// L1: raw f64 arithmetic on dollar quantities outside `crates/pricing`.
     MoneySafety,
-    /// L2: `unwrap`/`expect`/`panic!` in library-crate non-test code.
-    NoPanicInLibs,
-    /// L3: entropy-seeded RNG construction outside test code.
-    SeededRngOnly,
     /// L4: mutex guards held across spawns or long loops.
     LockDiscipline,
-    /// L5: iterating a `HashMap`/`HashSet` outside tests/bins.
+    /// L5: iterating a `HashMap`/`HashSet` in library code.
     HashmapIterDeterminism,
     /// L6: float reductions over unordered iterators in `nn`/`rl`.
     FloatReductionOrder,
-    /// L7: `as` casts that can truncate counters/sizes/indices.
-    NarrowingCastAudit,
-    /// L8: `_` wildcard arms in matches over `Tier` patterns.
-    ExhaustiveTierMatch,
-    /// L9: undocumented `pub` items in library crates.
-    PubApiDocCoverage,
     /// L10: escape-hatch comments without a justification reason.
     EscapeJustification,
 }
@@ -40,30 +33,20 @@ impl Lint {
     pub fn name(self) -> &'static str {
         match self {
             Lint::MoneySafety => "money-safety",
-            Lint::NoPanicInLibs => "no-panic-in-libs",
-            Lint::SeededRngOnly => "seeded-rng-only",
             Lint::LockDiscipline => "lock-discipline",
             Lint::HashmapIterDeterminism => "hashmap-iter-determinism",
             Lint::FloatReductionOrder => "float-reduction-order",
-            Lint::NarrowingCastAudit => "narrowing-cast-audit",
-            Lint::ExhaustiveTierMatch => "exhaustive-tier-match",
-            Lint::PubApiDocCoverage => "pub-api-doc-coverage",
             Lint::EscapeJustification => "escape-hatch-justification",
         }
     }
 
     /// All lints, in diagnostic order.
-    pub fn all() -> [Lint; 10] {
+    pub fn all() -> [Lint; 5] {
         [
             Lint::MoneySafety,
-            Lint::NoPanicInLibs,
-            Lint::SeededRngOnly,
             Lint::LockDiscipline,
             Lint::HashmapIterDeterminism,
             Lint::FloatReductionOrder,
-            Lint::NarrowingCastAudit,
-            Lint::ExhaustiveTierMatch,
-            Lint::PubApiDocCoverage,
             Lint::EscapeJustification,
         ]
     }
@@ -99,7 +82,7 @@ impl fmt::Display for Violation {
 pub struct FileContext {
     /// Crate directory name (`pricing`, `rl`, ...; `fixture` for fixtures).
     pub crate_name: String,
-    /// True for `src/bin/` targets (CLI code, exempt from L2).
+    /// True for `src/bin/` targets (CLI code, exempt from L5).
     pub is_bin: bool,
 }
 
@@ -123,31 +106,19 @@ impl FileContext {
     }
 
     fn lint_applies(&self, lint: Lint) -> bool {
-        const LIB_CRATES: [&str; 6] = ["pricing", "trace", "forecast", "nn", "rl", "core"];
-        let in_lib = LIB_CRATES.contains(&self.crate_name.as_str()) && !self.is_bin
-            || self.crate_name == "fixture";
         match lint {
             // Pricing owns dollar<->micro conversion; bench code is exempt.
             Lint::MoneySafety => self.crate_name != "pricing" && self.crate_name != "bench",
-            Lint::NoPanicInLibs => in_lib,
-            Lint::SeededRngOnly => true,
             Lint::LockDiscipline => {
                 matches!(self.crate_name.as_str(), "rl" | "core" | "fixture")
             }
-            // Bit-determinism of the A3C audit: any unordered iteration in a
-            // library crate can leak into reward accounting.
-            Lint::HashmapIterDeterminism => in_lib,
+            // Bit-determinism of the A3C audit: any unordered iteration in
+            // library code can leak into reward accounting.
+            Lint::HashmapIterDeterminism => !self.is_bin,
             // Gradient/reward reduction paths live in nn and rl.
             Lint::FloatReductionOrder => {
                 matches!(self.crate_name.as_str(), "nn" | "rl" | "fixture")
             }
-            // Op counters, byte sizes, and tick indices live in these crates.
-            Lint::NarrowingCastAudit => {
-                matches!(self.crate_name.as_str(), "core" | "pricing" | "trace" | "fixture")
-                    && !self.is_bin
-            }
-            Lint::ExhaustiveTierMatch => true,
-            Lint::PubApiDocCoverage => in_lib,
             // Escapes are loans everywhere — bins, benches, and fixtures too.
             Lint::EscapeJustification => true,
         }
@@ -169,8 +140,6 @@ pub fn scan_source(path: &Path, src: &str, ctx: &FileContext) -> Vec<Violation> 
         }
         let raw = match lint {
             Lint::MoneySafety => lint_money_safety(&lexed.toks, &marks),
-            Lint::NoPanicInLibs => lint_no_panic(&lexed.toks, &marks),
-            Lint::SeededRngOnly => lint_seeded_rng(&lexed.toks, &marks),
             Lint::LockDiscipline => lint_lock_discipline(&lexed.toks, &marks),
             Lint::HashmapIterDeterminism => {
                 crate::syntax_lints::lint_hashmap_iter(&lexed.toks, &marks, &items)
@@ -178,11 +147,6 @@ pub fn scan_source(path: &Path, src: &str, ctx: &FileContext) -> Vec<Violation> 
             Lint::FloatReductionOrder => {
                 crate::syntax_lints::lint_float_reduction(&lexed.toks, &marks, &items)
             }
-            Lint::NarrowingCastAudit => {
-                crate::syntax_lints::lint_narrowing_cast(&lexed.toks, &marks)
-            }
-            Lint::ExhaustiveTierMatch => crate::syntax_lints::lint_tier_match(&lexed.toks, &marks),
-            Lint::PubApiDocCoverage => crate::syntax_lints::lint_pub_doc(&items),
             Lint::EscapeJustification => lint_escape_justification(&lexed),
         };
         for (line, message) in raw {
@@ -395,70 +359,6 @@ fn lint_money_safety(toks: &[Tok], marks: &Marks) -> Vec<(usize, String)> {
     out
 }
 
-/// L2: flags `.unwrap()`, `.expect(...)`, and `panic!` in non-test code.
-fn lint_no_panic(toks: &[Tok], marks: &Marks) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if marks.in_test[i] {
-            continue;
-        }
-        let Some(id) = t.kind.ident() else { continue };
-        match id {
-            "unwrap" | "expect" => {
-                let method_call = i >= 1
-                    && toks[i - 1].kind.is_punct(".")
-                    && toks.get(i + 1).is_some_and(|t| t.kind.is_punct("("));
-                if method_call {
-                    out.push((
-                        t.line,
-                        format!("`.{id}()` in library code; return a Result or restructure"),
-                    ));
-                }
-            }
-            "panic" if toks.get(i + 1).is_some_and(|t| t.kind.is_punct("!")) => {
-                out.push((
-                    t.line,
-                    "`panic!` in library code; return a Result or restructure".to_string(),
-                ));
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// L3: flags entropy-seeded RNG construction outside test code.
-fn lint_seeded_rng(toks: &[Tok], marks: &Marks) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if marks.in_test[i] {
-            continue;
-        }
-        let Some(id) = t.kind.ident() else { continue };
-        let flagged = match id {
-            "thread_rng" | "from_entropy" | "from_os_rng" | "OsRng" => true,
-            // Bare `rand::rng()`.
-            "rng" => {
-                i >= 2
-                    && toks[i - 1].kind.is_punct("::")
-                    && toks[i - 2].kind.ident() == Some("rand")
-                    && toks.get(i + 1).is_some_and(|t| t.kind.is_punct("("))
-            }
-            _ => false,
-        };
-        if flagged {
-            out.push((
-                t.line,
-                format!(
-                    "entropy-seeded RNG `{id}` breaks reproducibility; use \
-                     `StdRng::seed_from_u64` with a config-derived seed"
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// An active mutex guard being tracked by L4.
 struct Guard {
     name: String,
@@ -632,54 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn l2_flags_unwrap_outside_tests() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
-        let v = scan(src, "rl");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, Lint::NoPanicInLibs);
-    }
-
-    #[test]
-    fn l2_ignores_test_modules() {
-        let src = r"
-            fn ok() {}
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() { Some(1).unwrap(); panic!(); }
-            }
-        ";
-        assert!(scan(src, "rl").is_empty());
-    }
-
-    #[test]
-    fn l2_not_fooled_by_unwrap_or() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }";
-        assert!(scan(src, "rl").is_empty());
-    }
-
-    #[test]
-    fn l3_flags_thread_rng() {
-        let src = "fn f() -> f64 { let mut r = thread_rng(); r.random() }";
-        let v = scan(src, "trace");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, Lint::SeededRngOnly);
-    }
-
-    #[test]
-    fn l3_flags_rand_rng_call() {
-        let src = "fn f() -> f64 { rand::rng().random() }";
-        let v = scan(src, "trace");
-        assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    fn l3_allows_seeded_construction() {
-        let src = "fn f() { let _ = StdRng::seed_from_u64(7); }";
-        assert!(scan(src, "trace").is_empty());
-    }
-
-    #[test]
     fn l4_flags_guard_across_spawn() {
         let src = r"
             fn f(m: &Mutex<u8>) {
@@ -738,40 +590,42 @@ mod tests {
 
     #[test]
     fn allow_comment_suppresses_same_line() {
-        let src =
-            "fn f(x: Option<u8>) -> u8 { x.unwrap() } // xtask-allow(no-panic-in-libs): test shim";
-        assert!(scan(src, "rl").is_empty());
+        let src = "fn f(total_dollars: f64) -> f64 { total_dollars * 2.0 } \
+                   // xtask-allow(money-safety): test shim";
+        assert!(scan(src, "core").is_empty());
     }
 
     #[test]
     fn allow_comment_suppresses_next_line() {
-        let src =
-            "// xtask-allow(seeded-rng-only): exploratory tool\nfn f() { let _ = thread_rng(); }";
-        assert!(scan(src, "trace").is_empty());
+        let src = "// xtask-allow(money-safety): exploratory tool\n\
+                   fn f(total_dollars: f64) -> f64 { total_dollars * 2.0 }";
+        assert!(scan(src, "core").is_empty());
     }
 
     #[test]
     fn allow_for_other_lint_does_not_suppress() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() } // xtask-allow(money-safety): n/a";
-        assert_eq!(scan(src, "rl").iter().filter(|v| v.lint == Lint::NoPanicInLibs).count(), 1);
+        let src = "fn f(total_dollars: f64) -> f64 { total_dollars * 2.0 } \
+                   // xtask-allow(lock-discipline): n/a";
+        assert_eq!(scan(src, "core").iter().filter(|v| v.lint == Lint::MoneySafety).count(), 1);
     }
 
     #[test]
     fn l10_flags_bare_escape_hatches() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() } // xtask-allow: no-panic-in-libs";
-        let v = scan(src, "rl");
+        let src = "fn f(total_dollars: f64) -> f64 { total_dollars * 2.0 } \
+                   // xtask-allow: money-safety";
+        let v = scan(src, "core");
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].lint, Lint::EscapeJustification);
-        assert!(v[0].message.contains("no-panic-in-libs"), "{v:?}");
+        assert!(v[0].message.contains("money-safety"), "{v:?}");
     }
 
     #[test]
     fn l10_accepts_justified_escapes_both_grammars() {
-        let new_style =
-            "fn f(x: Option<u8>) -> u8 { x.unwrap() } // xtask-allow(no-panic-in-libs): shim";
-        assert!(scan(new_style, "rl").is_empty());
-        let legacy =
-            "fn f(x: u64) -> u32 { x as u32 } // xtask-allow: narrowing-cast-audit (bounded)";
+        let new_style = "fn f(total_dollars: f64) -> f64 { total_dollars * 2.0 } \
+                         // xtask-allow(money-safety): shim";
+        assert!(scan(new_style, "core").is_empty());
+        let legacy = "fn f(total_dollars: f64) -> f64 { total_dollars * 2.0 } \
+                      // xtask-allow: money-safety (report-only estimate)";
         assert!(scan(legacy, "core").is_empty());
     }
 

@@ -1,27 +1,32 @@
 //! `cargo xtask` — the workspace static-analysis gate.
 //!
+//! The gate checks what rustc and clippy cannot: project-specific rules
+//! over tokens, and properties of the whole call graph. Everything a
+//! compiler lint already expresses (panics in libraries, narrowing casts,
+//! wildcard tier matches, undocumented public items) is denied in the
+//! workspace manifest and at each library root instead, and reaches the
+//! gate through its clippy step.
+//!
 //! `cargo xtask check` runs, in order:
-//! 1. the ten custom MiniCost lints (L1 `money-safety`, L2
-//!    `no-panic-in-libs`, L3 `seeded-rng-only`, L4 `lock-discipline`, L5
-//!    `hashmap-iter-determinism`, L6 `float-reduction-order`, L7
-//!    `narrowing-cast-audit`, L8 `exhaustive-tier-match`, L9
-//!    `pub-api-doc-coverage`, L10 `escape-hatch-justification`) over every
-//!    `crates/*/src` tree, filtered through the committed
-//!    `xtask-baseline.json` (expired entries fail),
+//! 1. the five custom MiniCost lints (L1 `money-safety`, L4
+//!    `lock-discipline`, L5 `hashmap-iter-determinism`, L6
+//!    `float-reduction-order`, L10 `escape-hatch-justification`) over every
+//!    `crates/*/src` tree,
 //! 2. the three interprocedural flow analyses (F1 `determinism-taint`, F2
 //!    `panic-reachability`, F3 `lock-order`; DESIGN.md §12) over the
-//!    workspace call graph, sharing the same baseline,
+//!    workspace call graph, gated on `xtask-panic-allowlist.json`,
 //! 3. the two abstract-interpretation analyses (F4 `unit-dimensions`, F5
 //!    `hot-alloc`; DESIGN.md §13) over the same call graph, gated on
-//!    `xtask-alloc-allowlist.json` and the shared baseline,
-//! 4. `cargo fmt --check` over the workspace crates,
-//! 5. `cargo clippy --all-targets -- -D warnings` over the workspace crates.
+//!    `xtask-alloc-allowlist.json`,
+//! 4. `cargo fmt --all --check`,
+//! 5. `cargo clippy --workspace --all-targets -- -D warnings`.
 //!
 //! `cargo xtask check --json` emits machine-readable diagnostics on stdout
-//! (schema in DESIGN.md §8) with human progress diverted to stderr. With
-//! `--strict`, unused `xtask-panic-allowlist.json` /
-//! `xtask-alloc-allowlist.json` entries are errors instead of warnings
-//! (CI passes `--strict` so the committed allowlists never go stale).
+//! (schema in DESIGN.md §8, including each step's wall time) with human
+//! progress diverted to stderr. With `--strict`, unused
+//! `xtask-panic-allowlist.json` / `xtask-alloc-allowlist.json` entries are
+//! errors instead of warnings (CI passes `--strict` so the committed
+//! allowlists never go stale).
 //!
 //! `cargo xtask lint <path>...` runs only the custom lints over the given
 //! files or directories (used by the fixture self-tests and for spot checks).
@@ -36,8 +41,11 @@
 //!
 //! Any violation or failed gate exits nonzero with `file:line` diagnostics.
 
+// The analyzer matches on its own token and JSON enums, where a wildcard
+// arm is the natural "anything else"; no storage tier is matched here.
+#![allow(clippy::wildcard_enum_match_arm, reason = "no tier matches in the analyzer")]
+
 mod alloc;
-mod baseline;
 mod flow;
 mod graph;
 mod json;
@@ -64,19 +72,7 @@ use json::Json;
 use lints::{scan_source, FileContext, Lint, Violation};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
-
-/// First-party packages the fmt/clippy gates cover (vendored offline stubs
-/// under `vendor/` are excluded: they are frozen API shims, not product code).
-const GATED_PACKAGES: [&str; 8] = [
-    "minicost-pricing",
-    "minicost-trace",
-    "minicost-forecast",
-    "minicost-nn",
-    "minicost-rl",
-    "minicost-core",
-    "minicost-bench",
-    "xtask",
-];
+use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -109,11 +105,11 @@ fn print_usage() {
         "usage: cargo xtask <command>\n\n\
          commands:\n  \
          check [--json] [--strict]\n                     \
-         run the ten custom lints + F1-F3 flow analyses +\n                     \
-         F4/F5 abstract interpretation (baseline-filtered) +\n                     \
-         `cargo fmt --check` + clippy gate; --json emits the\n                     \
-         diagnostics document (DESIGN.md \u{a7}8) on stdout;\n                     \
-         --strict makes unused allowlist entries errors\n  \
+         run the five custom lints + F1-F3 flow analyses +\n                     \
+         F4/F5 abstract interpretation + `cargo fmt --check`\n                     \
+         + clippy gate; --json emits the diagnostics\n                     \
+         document (DESIGN.md \u{a7}8) on stdout; --strict\n                     \
+         makes unused allowlist entries errors\n  \
          flow [--json|--dot] run only the F1-F3 flow analyses (DESIGN.md\n                     \
          \u{a7}12); --dot exports the tainted call subgraph\n  \
          units [--json|--dot]\n                     \
@@ -189,235 +185,16 @@ macro_rules! progress {
     };
 }
 
-#[allow(clippy::too_many_lines)]
-fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
-    let root = walk::repo_root();
-    let mut failed = false;
-
-    // 1. Custom lints, filtered through the committed baseline.
-    progress!(json_mode, "==> custom lints (L1-L10, baseline: xtask-baseline.json)");
-    let files = match walk::workspace_lint_files(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: cannot enumerate workspace sources: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let violations = match collect_violations(&files) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let base = match baseline::Baseline::load(&root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: baseline unreadable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // 2. Flow analyses over the call graph, sharing the same baseline.
-    progress!(
-        json_mode,
-        "==> flow analyses (F1 determinism-taint, F2 panic-reachability, F3 lock-order)"
-    );
-    let ws = match flow::Workspace::load_flow(&root) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let g = flow::FnGraph::build(&ws);
-    let panic_allow = match reach::PanicAllowlist::load(&root) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (flow_diags, flow_warnings) = flow::analyze(&ws, &g, &panic_allow);
-
-    // 3. Abstract interpretation over the same call graph.
-    progress!(json_mode, "==> abstract interpretation (F4 unit-dimensions, F5 hot-alloc)");
-    let (unit_diags, unit_warnings) = units::analyze(&ws, &g);
-    let alloc_allow = match alloc::AllocAllowlist::load(&root) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let alloc_roots = alloc::roots(&g);
-    let (alloc_diags, alloc_warnings) = alloc::analyze(&ws, &g, &alloc_roots, &alloc_allow);
-
-    // Unused allowlist entries are hygiene warnings, promoted to errors
-    // under `--strict` so CI keeps the committed allowlists tight.
-    let mut unused_allow = 0usize;
-    for w in flow_warnings.iter().chain(&unit_warnings).chain(&alloc_warnings) {
-        let stale = w.starts_with("unused panic-allowlist entry")
-            || w.starts_with("unused alloc-allowlist entry");
-        if strict && stale {
-            eprintln!("error: {w}");
-            unused_allow += 1;
-        } else {
-            eprintln!("warning: {w}");
-        }
-    }
-    if unused_allow > 0 {
-        eprintln!("==> allowlist hygiene FAILED (--strict): {unused_allow} unused entr(ies)");
-        failed = true;
-    }
-
-    // One combined baseline application keeps `unused` accurate across all
-    // diagnostic families: lints first, then F1-F3, then F4, then F5.
-    let today = baseline::today_utc();
-    let mut items: Vec<(String, String)> =
-        violations.iter().map(|v| (v.lint.name().to_string(), v.file.clone())).collect();
-    items.extend(flow_diags.iter().map(|d| (d.kind.name().to_string(), d.file.clone())));
-    items.extend(unit_diags.iter().map(|d| (d.kind.name().to_string(), d.file.clone())));
-    items.extend(alloc_diags.iter().map(|d| (d.kind.name().to_string(), d.file.clone())));
-    let applied = base.apply_named(&items, &today);
-    let (lint_matched, rest_matched) = applied.matched.split_at(violations.len());
-    let (flow_matched, rest_matched) = rest_matched.split_at(flow_diags.len());
-    let (unit_matched, alloc_matched) = rest_matched.split_at(unit_diags.len());
-    let fresh: Vec<&Violation> =
-        violations.iter().zip(lint_matched).filter(|(_, m)| m.is_none()).map(|(v, _)| v).collect();
-    let fresh_flow: Vec<&flow::FlowDiag> =
-        flow_diags.iter().zip(flow_matched).filter(|(_, m)| m.is_none()).map(|(d, _)| d).collect();
-    let fresh_units: Vec<&flow::FlowDiag> =
-        unit_diags.iter().zip(unit_matched).filter(|(_, m)| m.is_none()).map(|(d, _)| d).collect();
-    let fresh_alloc: Vec<&flow::FlowDiag> = alloc_diags
-        .iter()
-        .zip(alloc_matched)
-        .filter(|(_, m)| m.is_none())
-        .map(|(d, _)| d)
-        .collect();
-    let baselined = violations.len() - fresh.len() + flow_diags.len() - fresh_flow.len()
-        + unit_diags.len()
-        - fresh_units.len()
-        + alloc_diags.len()
-        - fresh_alloc.len();
-    for v in &fresh {
-        eprintln!("{v}");
-    }
-    for d in fresh_flow.iter().chain(&fresh_units).chain(&fresh_alloc) {
-        eprintln!("{d}");
-    }
-    for e in &applied.expired {
-        eprintln!(
-            "error: baseline entry expired {}: {} in {} ({})",
-            e.expires, e.lint, e.file, e.reason
-        );
-    }
-    for e in &applied.unused {
-        eprintln!(
-            "warning: unused baseline entry: {} in {} (expires {})",
-            e.lint, e.file, e.expires
-        );
-    }
-    let lints_ok = fresh.is_empty() && applied.expired.is_empty();
-    if lints_ok {
-        progress!(
-            json_mode,
-            "==> custom lints passed ({} files, {baselined} baselined)",
-            files.len()
-        );
-    } else {
-        eprintln!(
-            "==> custom lints FAILED: {} fresh violation(s), {} expired baseline entr(ies)",
-            fresh.len(),
-            applied.expired.len()
-        );
-        failed = true;
-    }
-    let flow_ok = fresh_flow.is_empty();
-    if flow_ok {
-        progress!(json_mode, "==> flow analyses passed ({} diagnostic(s) baselined)", {
-            flow_diags.len() - fresh_flow.len()
-        });
-    } else {
-        eprintln!("==> flow analyses FAILED: {} fresh diagnostic(s)", fresh_flow.len());
-        failed = true;
-    }
-    let units_ok = fresh_units.is_empty();
-    if units_ok {
-        progress!(json_mode, "==> unit-dimensions passed ({} diagnostic(s) baselined)", {
-            unit_diags.len() - fresh_units.len()
-        });
-    } else {
-        eprintln!("==> unit-dimensions FAILED: {} fresh diagnostic(s)", fresh_units.len());
-        failed = true;
-    }
-    let alloc_ok = fresh_alloc.is_empty();
-    if alloc_ok {
-        progress!(json_mode, "==> hot-alloc passed ({} diagnostic(s) baselined)", {
-            alloc_diags.len() - fresh_alloc.len()
-        });
-    } else {
-        eprintln!("==> hot-alloc FAILED: {} fresh diagnostic(s)", fresh_alloc.len());
-        failed = true;
-    }
-
-    // 4. rustfmt gate.
-    progress!(json_mode, "==> cargo fmt --check");
-    let fmt_ok = run_cargo(&root, &fmt_args(), json_mode);
-    if !fmt_ok {
-        eprintln!("==> rustfmt gate FAILED (run `cargo fmt` to fix)");
-        failed = true;
-    }
-
-    // 5. clippy gate, deny warnings.
-    progress!(json_mode, "==> cargo clippy --all-targets -- -D warnings");
-    let clippy_ok = run_cargo(&root, &clippy_args(), json_mode);
-    if !clippy_ok {
-        eprintln!("==> clippy gate FAILED");
-        failed = true;
-    }
-
-    if json_mode {
-        let ai = AiReport {
-            unit_diags,
-            alloc_diags,
-            panic_unused: flow_warnings
-                .iter()
-                .filter(|w| w.starts_with("unused panic-allowlist entry"))
-                .cloned()
-                .collect(),
-            alloc_unused: alloc_warnings
-                .iter()
-                .filter(|w| w.starts_with("unused alloc-allowlist entry"))
-                .cloned()
-                .collect(),
-            strict,
-        };
-        let doc = diagnostics_json(
-            &root,
-            files.len(),
-            &violations,
-            &flow_diags,
-            &ai,
-            &applied,
-            fmt_ok,
-            clippy_ok,
-            !failed,
-        );
-        print!("{}", doc.render());
-    }
-    if failed {
-        eprintln!("xtask check: FAILED");
-        ExitCode::FAILURE
-    } else {
-        progress!(json_mode, "xtask check: all gates passed");
-        ExitCode::SUCCESS
-    }
-}
-
-/// Step-3 abstract-interpretation results (F4/F5) plus allowlist hygiene,
-/// threaded into the `--json` diagnostics document.
-struct AiReport {
+/// Everything `cargo xtask check` found, threaded into the verdict and the
+/// `--json` diagnostics document.
+#[derive(Default)]
+struct CheckReport {
+    /// Number of files the custom lints scanned.
+    files: usize,
+    /// Custom-lint violations (L1, L4, L5, L6, L10).
+    violations: Vec<Violation>,
+    /// F1-F3 flow diagnostics.
+    flow_diags: Vec<flow::FlowDiag>,
     /// F4 unit-dimensions diagnostics.
     unit_diags: Vec<flow::FlowDiag>,
     /// F5 hot-alloc diagnostics.
@@ -426,61 +203,201 @@ struct AiReport {
     panic_unused: Vec<String>,
     /// Unused `xtask-alloc-allowlist.json` entry warnings.
     alloc_unused: Vec<String>,
-    /// Whether `--strict` promoted those warnings to errors.
+    /// Whether `--strict` promotes those warnings to errors.
     strict: bool,
+    /// Whether `cargo fmt --all --check` passed.
+    fmt_ok: bool,
+    /// Whether `cargo clippy --workspace --all-targets` passed.
+    clippy_ok: bool,
+    /// Wall time of each step in milliseconds, in run order.
+    step_ms: Vec<(&'static str, i64)>,
+}
+
+impl CheckReport {
+    /// Per-gate verdicts, in the order the JSON document lists them.
+    fn gates(&self) -> [(&'static str, bool); 7] {
+        [
+            ("lints", self.violations.is_empty()),
+            ("flow", self.flow_diags.is_empty()),
+            ("units", self.unit_diags.is_empty()),
+            ("alloc", self.alloc_diags.is_empty()),
+            (
+                "allowlists",
+                !self.strict || self.panic_unused.is_empty() && self.alloc_unused.is_empty(),
+            ),
+            ("fmt", self.fmt_ok),
+            ("clippy", self.clippy_ok),
+        ]
+    }
+
+    fn ok(&self) -> bool {
+        self.gates().iter().all(|&(_, ok)| ok)
+    }
+
+    /// Records the wall time of the step that started at `start`.
+    fn time(&mut self, step: &'static str, start: Instant) {
+        let ms = i64::try_from(start.elapsed().as_millis()).unwrap_or(i64::MAX);
+        self.step_ms.push((step, ms));
+    }
+}
+
+/// Prints one analysis family's diagnostics and its verdict line.
+fn report_family(json_mode: bool, label: &str, diags: &[flow::FlowDiag]) {
+    for d in diags {
+        eprintln!("{d}");
+    }
+    if diags.is_empty() {
+        progress!(json_mode, "==> {label} passed");
+    } else {
+        eprintln!("==> {label} FAILED: {} diagnostic(s)", diags.len());
+    }
+}
+
+fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
+    let root = walk::repo_root();
+    let mut r = CheckReport { strict, ..CheckReport::default() };
+
+    // 1. Custom lints.
+    progress!(json_mode, "==> custom lints (L1, L4, L5, L6, L10)");
+    let start = Instant::now();
+    let scanned = walk::workspace_lint_files(&root)
+        .map_err(|e| format!("cannot enumerate workspace sources: {e}"))
+        .and_then(|files| Ok((files.len(), collect_violations(&files)?)));
+    (r.files, r.violations) = match scanned {
+        Ok(x) => x,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    r.time("lints", start);
+    for v in &r.violations {
+        eprintln!("{v}");
+    }
+    if r.violations.is_empty() {
+        progress!(json_mode, "==> custom lints passed ({} files)", r.files);
+    } else {
+        eprintln!("==> custom lints FAILED: {} violation(s)", r.violations.len());
+    }
+
+    // 2. Flow analyses over the call graph.
+    progress!(
+        json_mode,
+        "==> flow analyses (F1 determinism-taint, F2 panic-reachability, F3 lock-order)"
+    );
+    let start = Instant::now();
+    let loaded = flow::Workspace::load_flow(&root).and_then(|ws| {
+        let panic_allow = reach::PanicAllowlist::load(&root)?;
+        let alloc_allow = alloc::AllocAllowlist::load(&root)?;
+        Ok((ws, panic_allow, alloc_allow))
+    });
+    let (ws, panic_allow, alloc_allow) = match loaded {
+        Ok(x) => x,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let g = flow::FnGraph::build(&ws);
+    let (flow_diags, flow_warnings) = flow::analyze(&ws, &g, &panic_allow);
+    r.flow_diags = flow_diags;
+    r.time("flow", start);
+    report_family(json_mode, "flow analyses", &r.flow_diags);
+
+    // 3. Abstract interpretation over the same call graph.
+    progress!(json_mode, "==> abstract interpretation (F4 unit-dimensions, F5 hot-alloc)");
+    let start = Instant::now();
+    let (unit_diags, unit_warnings) = units::analyze(&ws, &g);
+    r.unit_diags = unit_diags;
+    r.time("units", start);
+    report_family(json_mode, "unit-dimensions", &r.unit_diags);
+    let start = Instant::now();
+    let (alloc_diags, alloc_warnings) = alloc::analyze(&ws, &g, &alloc::roots(&g), &alloc_allow);
+    r.alloc_diags = alloc_diags;
+    r.time("alloc", start);
+    report_family(json_mode, "hot-alloc", &r.alloc_diags);
+
+    // Unused allowlist entries are hygiene warnings, promoted to errors
+    // under `--strict` so CI keeps the committed allowlists tight.
+    for w in flow_warnings.iter().chain(&unit_warnings).chain(&alloc_warnings) {
+        if w.starts_with("unused panic-allowlist entry") {
+            r.panic_unused.push(w.clone());
+        } else if w.starts_with("unused alloc-allowlist entry") {
+            r.alloc_unused.push(w.clone());
+        } else {
+            eprintln!("warning: {w}");
+            continue;
+        }
+        eprintln!("{}: {w}", if strict { "error" } else { "warning" });
+    }
+    let unused_allow = r.panic_unused.len() + r.alloc_unused.len();
+    if strict && unused_allow > 0 {
+        eprintln!("==> allowlist hygiene FAILED (--strict): {unused_allow} unused entr(ies)");
+    }
+
+    // 4. rustfmt gate.
+    progress!(json_mode, "==> cargo fmt --all --check");
+    let start = Instant::now();
+    r.fmt_ok = run_cargo(&root, &["fmt", "--all", "--check"], json_mode);
+    r.time("fmt", start);
+    if !r.fmt_ok {
+        eprintln!("==> rustfmt gate FAILED (run `cargo fmt --all` to fix)");
+    }
+
+    // 5. clippy gate, deny warnings.
+    progress!(json_mode, "==> cargo clippy --workspace --all-targets -- -D warnings");
+    let start = Instant::now();
+    r.clippy_ok = run_cargo(
+        &root,
+        &["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"],
+        json_mode,
+    );
+    r.time("clippy", start);
+    if !r.clippy_ok {
+        eprintln!("==> clippy gate FAILED");
+    }
+
+    if json_mode {
+        print!("{}", diagnostics_json(&root, &r).render());
+    }
+    if r.ok() {
+        progress!(json_mode, "xtask check: all gates passed");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("xtask check: FAILED");
+        ExitCode::FAILURE
+    }
+}
+
+/// Converts a count to a JSON number.
+fn num(n: usize) -> Json {
+    Json::Num(i64::try_from(n).unwrap_or(i64::MAX))
 }
 
 /// Assembles the `cargo xtask check --json` document (schema: DESIGN.md §8).
-#[allow(clippy::too_many_arguments)]
-fn diagnostics_json(
-    root: &Path,
-    file_count: usize,
-    violations: &[Violation],
-    flow_diags: &[flow::FlowDiag],
-    ai: &AiReport,
-    applied: &baseline::Applied,
-    fmt_ok: bool,
-    clippy_ok: bool,
-    ok: bool,
-) -> Json {
+fn diagnostics_json(root: &Path, r: &CheckReport) -> Json {
     let rel = |file: &str| {
         let root_prefix = format!("{}/", root.display());
         Json::Str(file.strip_prefix(&root_prefix).unwrap_or(file).to_string())
     };
-    let entry_json = |e: &baseline::Entry| {
-        Json::obj([
-            ("lint", Json::Str(e.lint.clone())),
-            ("file", Json::Str(e.file.clone())),
-            ("reason", Json::Str(e.reason.clone())),
-            ("expires", Json::Str(e.expires.clone())),
-        ])
-    };
-    let (lint_matched, rest_matched) = applied.matched.split_at(violations.len());
-    let (flow_matched, rest_matched) = rest_matched.split_at(flow_diags.len());
-    let (unit_matched, alloc_matched) = rest_matched.split_at(ai.unit_diags.len());
-    let fresh = lint_matched.iter().filter(|m| m.is_none()).count();
-    let flow_fresh = flow_matched.iter().filter(|m| m.is_none()).count();
-    let unit_fresh = unit_matched.iter().filter(|m| m.is_none()).count();
-    let alloc_fresh = alloc_matched.iter().filter(|m| m.is_none()).count();
+    let strs = |v: &[String]| Json::Arr(v.iter().map(|w| Json::Str(w.clone())).collect());
     // The `flow` object carries every graph-analysis diagnostic (F1-F5).
-    let graph_total = flow_diags.len() + ai.unit_diags.len() + ai.alloc_diags.len();
-    let graph_fresh = flow_fresh + unit_fresh + alloc_fresh;
+    let graph_diags: Vec<&flow::FlowDiag> =
+        r.flow_diags.iter().chain(&r.unit_diags).chain(&r.alloc_diags).collect();
     Json::obj([
         ("version", Json::Num(1)),
         ("lints", Json::Arr(Lint::all().iter().map(|l| Json::Str(l.name().to_string())).collect())),
         (
             "violations",
             Json::Arr(
-                violations
+                r.violations
                     .iter()
-                    .zip(lint_matched)
-                    .map(|(v, m)| {
+                    .map(|v| {
                         Json::obj([
                             ("lint", Json::Str(v.lint.name().to_string())),
                             ("file", rel(&v.file)),
-                            ("line", Json::Num(i64::try_from(v.line).unwrap_or(i64::MAX))),
+                            ("line", num(v.line)),
                             ("message", Json::Str(v.message.clone())),
-                            ("baselined", Json::Bool(m.is_some())),
                         ])
                     })
                     .collect(),
@@ -500,86 +417,42 @@ fn diagnostics_json(
                 ),
                 (
                     "diagnostics",
-                    Json::Arr(
-                        flow_diags
-                            .iter()
-                            .zip(flow_matched)
-                            .chain(ai.unit_diags.iter().zip(unit_matched))
-                            .chain(ai.alloc_diags.iter().zip(alloc_matched))
-                            .map(|(d, m)| flow_diag_json(d, m.is_some()))
-                            .collect(),
-                    ),
+                    Json::Arr(graph_diags.iter().copied().map(flow_diag_json).collect()),
                 ),
             ]),
         ),
         (
             "allowlists",
             Json::obj([
-                ("strict", Json::Bool(ai.strict)),
-                (
-                    "panic_unused",
-                    Json::Arr(ai.panic_unused.iter().map(|w| Json::Str(w.clone())).collect()),
-                ),
-                (
-                    "alloc_unused",
-                    Json::Arr(ai.alloc_unused.iter().map(|w| Json::Str(w.clone())).collect()),
-                ),
+                ("strict", Json::Bool(r.strict)),
+                ("panic_unused", strs(&r.panic_unused)),
+                ("alloc_unused", strs(&r.alloc_unused)),
             ]),
         ),
-        (
-            "baseline",
-            Json::obj([
-                ("path", Json::Str("xtask-baseline.json".to_string())),
-                ("expired", Json::Arr(applied.expired.iter().map(entry_json).collect())),
-                ("unused", Json::Arr(applied.unused.iter().map(entry_json).collect())),
-            ]),
-        ),
-        (
-            "gates",
-            Json::obj([
-                ("lints", Json::Bool(fresh == 0 && applied.expired.is_empty())),
-                ("flow", Json::Bool(flow_fresh == 0)),
-                ("units", Json::Bool(unit_fresh == 0)),
-                ("alloc", Json::Bool(alloc_fresh == 0)),
-                (
-                    "allowlists",
-                    Json::Bool(
-                        !ai.strict || (ai.panic_unused.is_empty() && ai.alloc_unused.is_empty()),
-                    ),
-                ),
-                ("fmt", Json::Bool(fmt_ok)),
-                ("clippy", Json::Bool(clippy_ok)),
-            ]),
-        ),
+        ("gates", Json::obj(r.gates().map(|(k, ok)| (k, Json::Bool(ok))))),
         (
             "summary",
             Json::obj([
-                ("files", Json::Num(i64::try_from(file_count).unwrap_or(i64::MAX))),
-                ("total", Json::Num(i64::try_from(violations.len()).unwrap_or(i64::MAX))),
-                ("fresh", Json::Num(i64::try_from(fresh).unwrap_or(i64::MAX))),
-                (
-                    "baselined",
-                    Json::Num(i64::try_from(violations.len() - fresh).unwrap_or(i64::MAX)),
-                ),
-                ("flow_total", Json::Num(i64::try_from(graph_total).unwrap_or(i64::MAX))),
-                ("flow_fresh", Json::Num(i64::try_from(graph_fresh).unwrap_or(i64::MAX))),
-                ("ok", Json::Bool(ok)),
+                ("files", num(r.files)),
+                ("total", num(r.violations.len())),
+                ("flow_total", num(graph_diags.len())),
+                ("ok", Json::Bool(r.ok())),
+                ("step_ms", Json::obj(r.step_ms.iter().map(|&(k, ms)| (k, Json::Num(ms))))),
             ]),
         ),
     ])
 }
 
 /// One flow diagnostic as JSON (shared by the check and flow documents).
-fn flow_diag_json(d: &flow::FlowDiag, baselined: bool) -> Json {
+fn flow_diag_json(d: &flow::FlowDiag) -> Json {
     Json::obj([
         ("kind", Json::Str(d.kind.name().to_string())),
         ("code", Json::Str(d.kind.code().to_string())),
         ("file", Json::Str(d.file.clone())),
-        ("line", Json::Num(i64::try_from(d.line).unwrap_or(i64::MAX))),
+        ("line", num(d.line)),
         ("symbol", Json::Str(d.symbol.clone())),
         ("message", Json::Str(d.message.clone())),
         ("trace", Json::Arr(d.trace.iter().map(|s| Json::Str(s.clone())).collect())),
-        ("baselined", Json::Bool(baselined)),
     ])
 }
 
@@ -615,7 +488,7 @@ fn cmd_flow(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    kind_report("flow", &flow::FlowKind::flow_kinds(), diags, warnings, json_mode)
+    kind_report("flow", &flow::FlowKind::flow_kinds(), &diags, &warnings, json_mode)
 }
 
 /// `cargo xtask units [--json|--dot]`: the F4 analysis standalone.
@@ -636,7 +509,7 @@ fn cmd_units(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let (diags, warnings) = units::analyze(&ws, &g);
-    kind_report("units", &[flow::FlowKind::UnitDimensions], diags, warnings, json_mode)
+    kind_report("units", &[flow::FlowKind::UnitDimensions], &diags, &warnings, json_mode)
 }
 
 /// `cargo xtask alloc [--json]`: the F5 analysis standalone.
@@ -660,97 +533,45 @@ fn cmd_alloc(args: &[String]) -> ExitCode {
     };
     let roots = alloc::roots(&g);
     let (diags, warnings) = alloc::analyze(&ws, &g, &roots, &allow);
-    kind_report("alloc", &[flow::FlowKind::HotAlloc], diags, warnings, json_mode)
+    kind_report("alloc", &[flow::FlowKind::HotAlloc], &diags, &warnings, json_mode)
 }
 
-/// Shared tail of the standalone analysis subcommands: applies the
-/// baseline (scoped to the given kinds), prints diagnostics, and emits
-/// the `--json` document `{version, kinds, diagnostics, warnings, summary}`.
+/// Shared tail of the standalone analysis subcommands: prints diagnostics
+/// and emits the `--json` document `{version, kinds, diagnostics, warnings,
+/// summary}`.
 fn kind_report(
     label: &str,
     kinds: &[flow::FlowKind],
-    diags: Vec<flow::FlowDiag>,
-    warnings: Vec<String>,
+    diags: &[flow::FlowDiag],
+    warnings: &[String],
     json_mode: bool,
 ) -> ExitCode {
-    let root = walk::repo_root();
-    let base = match baseline::Baseline::load(&root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: baseline unreadable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let today = baseline::today_utc();
-    let items: Vec<(String, String)> =
-        diags.iter().map(|d| (d.kind.name().to_string(), d.file.clone())).collect();
-    let mut applied = base.apply_named(&items, &today);
-    // Standalone runs only see this family's diagnostics, so only its
-    // baseline entries can be judged expired/unused here; the rest are
-    // `check`'s to judge.
-    let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
-    applied.expired.retain(|e| names.contains(&e.lint.as_str()));
-    applied.unused.retain(|e| names.contains(&e.lint.as_str()));
-    let fresh: Vec<&flow::FlowDiag> =
-        diags.iter().zip(&applied.matched).filter(|(_, m)| m.is_none()).map(|(d, _)| d).collect();
-    for w in &warnings {
+    for w in warnings {
         eprintln!("warning: {w}");
     }
-    for d in &fresh {
+    for d in diags {
         if json_mode {
             eprintln!("{d}");
         } else {
             println!("{d}");
         }
     }
-    for e in &applied.expired {
-        eprintln!(
-            "error: baseline entry expired {}: {} in {} ({})",
-            e.expires, e.lint, e.file, e.reason
-        );
-    }
-    for e in &applied.unused {
-        eprintln!(
-            "warning: unused baseline entry: {} in {} (expires {})",
-            e.lint, e.file, e.expires
-        );
-    }
-    let ok = fresh.is_empty() && applied.expired.is_empty();
+    let ok = diags.is_empty();
     if json_mode {
         let doc = Json::obj([
             ("version", Json::Num(1)),
             ("kinds", Json::Arr(kinds.iter().map(|k| Json::Str(k.name().to_string())).collect())),
-            (
-                "diagnostics",
-                Json::Arr(
-                    diags
-                        .iter()
-                        .zip(&applied.matched)
-                        .map(|(d, m)| flow_diag_json(d, m.is_some()))
-                        .collect(),
-                ),
-            ),
+            ("diagnostics", Json::Arr(diags.iter().map(flow_diag_json).collect())),
             ("warnings", Json::Arr(warnings.iter().map(|w| Json::Str(w.clone())).collect())),
-            (
-                "summary",
-                Json::obj([
-                    ("total", Json::Num(i64::try_from(diags.len()).unwrap_or(i64::MAX))),
-                    ("fresh", Json::Num(i64::try_from(fresh.len()).unwrap_or(i64::MAX))),
-                    ("ok", Json::Bool(ok)),
-                ]),
-            ),
+            ("summary", Json::obj([("total", num(diags.len())), ("ok", Json::Bool(ok))])),
         ]);
         print!("{}", doc.render());
     }
     if ok {
-        progress!(json_mode, "xtask {label}: clean ({} baselined)", diags.len() - fresh.len());
+        progress!(json_mode, "xtask {label}: clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "xtask {label}: FAILED ({} fresh diagnostic(s), {} expired entr(ies))",
-            fresh.len(),
-            applied.expired.len()
-        );
+        eprintln!("xtask {label}: FAILED ({} diagnostic(s))", diags.len());
         ExitCode::FAILURE
     }
 }
@@ -844,33 +665,9 @@ fn graph_json(g: &graph::SymbolGraph) -> Json {
     ])
 }
 
-fn fmt_args() -> Vec<String> {
-    let mut args = vec!["fmt".to_string(), "--check".to_string()];
-    for p in GATED_PACKAGES {
-        args.push("-p".to_string());
-        args.push(p.to_string());
-    }
-    args
-}
-
-fn clippy_args() -> Vec<String> {
-    let mut args = vec!["clippy".to_string()];
-    for p in GATED_PACKAGES {
-        args.push("-p".to_string());
-        args.push(p.to_string());
-    }
-    args.extend([
-        "--all-targets".to_string(),
-        "--".to_string(),
-        "-D".to_string(),
-        "warnings".to_string(),
-    ]);
-    args
-}
-
 /// Runs a cargo subcommand. Under `--json` the child's stdout is captured
 /// and replayed on stderr so the diagnostics document owns stdout.
-fn run_cargo(root: &Path, args: &[String], json_mode: bool) -> bool {
+fn run_cargo(root: &Path, args: &[&str], json_mode: bool) -> bool {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let mut cmd = Command::new(cargo);
     cmd.args(args).current_dir(root);

@@ -9,7 +9,7 @@
 //!
 //! This is deliberately not a full Rust grammar: it recognises just enough
 //! item structure for the workspace symbol graph and the syntax-aware lints
-//! (L5–L9), and it degrades gracefully — tokens it does not understand are
+//! (L5–L6), and it degrades gracefully — tokens it does not understand are
 //! skipped, never fatal.
 
 use crate::lexer::{Lexed, Tok, TokKind};
@@ -219,7 +219,6 @@ impl Cursor<'_> {
     }
 
     /// Parses one item whose keyword is at `*i`; advances past it.
-    #[allow(clippy::too_many_lines)]
     fn parse_item(
         &mut self,
         kw: &str,

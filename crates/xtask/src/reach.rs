@@ -136,7 +136,12 @@ fn panic_sites(sf: &SourceFile, start: usize, end: usize) -> Sites {
         let next_is = |p: &str| toks.get(i + 1).is_some_and(|n| n.kind.is_punct(p));
         match &t.kind {
             crate::lexer::TokKind::Ident(id) => match id.as_str() {
-                "unwrap" | "expect" | "unwrap_err" | "expect_err" if next_is("(") => {
+                // A method or path call; `#[expect(..)]` is a lint attribute.
+                "unwrap" | "expect" | "unwrap_err" | "expect_err"
+                    if next_is("(")
+                        && i > 0
+                        && (toks[i - 1].kind.is_punct(".") || toks[i - 1].kind.is_punct("::")) =>
+                {
                     record("unwrap", t.line);
                 }
                 "panic" | "unreachable" | "todo" | "unimplemented" | "assert" | "assert_eq"

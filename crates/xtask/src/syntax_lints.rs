@@ -1,20 +1,17 @@
-//! The five syntax-aware lints (L5–L9) built on the item parser.
+//! The two syntax-aware lints (L5–L6) built on the item parser.
 //!
-//! L5 `hashmap-iter-determinism`, L6 `float-reduction-order`, and L7
-//! `narrowing-cast-audit` protect the bit-determinism contract of the A3C
-//! audit (DESIGN.md §7): unordered iteration, order-sensitive float
-//! reductions, and silently wrapping casts are the three classic ways a
-//! "deterministic" cost ledger diverges between runs. L8
-//! `exhaustive-tier-match` makes adding a fourth storage tier a
-//! compile-gated event, and L9 `pub-api-doc-coverage` keeps the exported
-//! surface documented.
+//! L5 `hashmap-iter-determinism` and L6 `float-reduction-order` protect the
+//! bit-determinism contract of the A3C audit (DESIGN.md §7): unordered
+//! iteration and order-sensitive float reductions are the classic ways a
+//! "deterministic" cost ledger diverges between runs. F1 reuses L5's
+//! findings as taint sources.
 //!
 //! All functions return `(line, message)` pairs; `xtask-allow` filtering and
 //! crate scoping happen in [`crate::lints::scan_source`].
 
 use crate::lexer::{Tok, TokKind};
 use crate::lints::Marks;
-use crate::parser::{walk_items, Item, ItemKind, Vis};
+use crate::parser::{walk_items, Item, ItemKind};
 use std::collections::BTreeSet;
 
 /// Methods that iterate a hash collection in nondeterministic order.
@@ -32,13 +29,6 @@ const HASH_ITER_METHODS: &[&str] = &[
 
 /// Reduction adapters whose result depends on iteration order for floats.
 const FLOAT_REDUCERS: &[&str] = &["sum", "product", "fold", "reduce", "rfold"];
-
-/// Integer targets an `as` cast can silently truncate into.
-const NARROW_INT_TYPES: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// Enums whose matches must stay wildcard-free so a new storage tier (or
-/// tier-change action) becomes a compile-gated event.
-const TIER_ENUMS: &[&str] = &["Tier", "TierAction", "TierChange"];
 
 /// Collects names bound to `HashMap`/`HashSet` values inside one token
 /// range: `let m = HashMap::new()`, `m: HashMap<..>` (params/fields), and
@@ -243,179 +233,6 @@ pub fn lint_float_reduction(toks: &[Tok], marks: &Marks, items: &[Item]) -> Vec<
     out
 }
 
-/// L7: flags `expr as u8/u16/u32/i8/i16/i32` in non-test code — these casts
-/// wrap silently at the boundary (op counters, byte sizes, tick indices).
-/// Literal casts (`3 as u32`) are exempt: the value is visible at the site.
-pub fn lint_narrowing_cast(toks: &[Tok], marks: &Marks) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if marks.in_test[i] {
-            continue;
-        }
-        if t.kind.ident() != Some("as") {
-            continue;
-        }
-        let Some(ty) = toks.get(i + 1).and_then(|t| t.kind.ident()) else { continue };
-        if !NARROW_INT_TYPES.contains(&ty) {
-            continue;
-        }
-        // `use x as y` renames, not casts.
-        if i >= 1 && matches!(toks[i - 1].kind, TokKind::Num) {
-            continue;
-        }
-        out.push((
-            t.line,
-            format!(
-                "`as {ty}` can silently truncate; use `try_from`/`try_into` with an \
-                 explicit saturation policy (or document an allow)"
-            ),
-        ));
-    }
-    out
-}
-
-/// L8: flags `match` bodies that pattern-match `Tier::`-style variants but
-/// keep a `_` wildcard arm — adding a fourth tier must be a compile error,
-/// not a silently absorbed case.
-pub fn lint_tier_match(toks: &[Tok], marks: &Marks) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if marks.in_test[i] || toks[i].kind.ident() != Some("match") {
-            i += 1;
-            continue;
-        }
-        let match_line = toks[i].line;
-        // Body `{` is the first brace at paren depth 0 (struct literals are
-        // not legal in scrutinee position without parens).
-        let mut j = i + 1;
-        let mut paren = 0usize;
-        let open = loop {
-            match toks.get(j).map(|t| &t.kind) {
-                None => break None,
-                Some(TokKind::Punct(p)) if p == "(" || p == "[" => paren += 1,
-                Some(TokKind::Punct(p)) if p == ")" || p == "]" => {
-                    paren = paren.saturating_sub(1);
-                }
-                Some(TokKind::Punct(p)) if p == "{" && paren == 0 => break Some(j),
-                Some(TokKind::Punct(p)) if p == ";" => break None,
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(open) = open else {
-            i += 1;
-            continue;
-        };
-        // Scan the body at depth 1 for (a) tier-enum patterns directly
-        // followed by `=>` (within a short pattern window) and (b) `_` arms.
-        let mut depth = 0usize;
-        let mut k = open;
-        let mut has_tier_pattern = false;
-        let mut wildcard_line = None;
-        while k < toks.len() {
-            match &toks[k].kind {
-                TokKind::Punct(p) if p == "{" => depth += 1,
-                TokKind::Punct(p) if p == "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                TokKind::Ident(id)
-                    if depth == 1
-                        && TIER_ENUMS.contains(&id.as_str())
-                        && toks.get(k + 1).is_some_and(|t| t.kind.is_punct("::"))
-                        && arm_arrow_follows(toks, k + 2) =>
-                {
-                    has_tier_pattern = true;
-                }
-                TokKind::Ident(id)
-                    if depth == 1
-                        && id == "_"
-                        && wildcard_line.is_none()
-                        && arm_arrow_follows(toks, k + 1) =>
-                {
-                    wildcard_line = Some(toks[k].line);
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        if has_tier_pattern {
-            if let Some(line) = wildcard_line {
-                out.push((
-                    line,
-                    format!(
-                        "`_` wildcard arm in a tier match (opened line {match_line}): list \
-                         every variant so adding a tier is a compile-gated event"
-                    ),
-                ));
-            }
-        }
-        i = open + 1;
-    }
-    out
-}
-
-/// True when an arm arrow `=>` follows within a short pattern window
-/// (allowing path segments, or-patterns, bindings, and `if` guards).
-fn arm_arrow_follows(toks: &[Tok], from: usize) -> bool {
-    const WINDOW: usize = 16;
-    let mut paren = 0usize;
-    for t in toks.iter().take((from + WINDOW).min(toks.len())).skip(from) {
-        match &t.kind {
-            TokKind::Punct(p) if p == "=>" && paren == 0 => return true,
-            TokKind::Punct(p) if p == "(" || p == "[" => paren += 1,
-            TokKind::Punct(p) if p == ")" || p == "]" => paren = paren.saturating_sub(1),
-            // A block, statement end, nested match body, or arm separator
-            // means we drifted out of pattern position into an expression.
-            TokKind::Punct(p) if p == "{" || p == "}" || p == ";" => return false,
-            TokKind::Punct(p) if p == "," && paren == 0 => return false,
-            _ => {}
-        }
-    }
-    false
-}
-
-/// L9: every bare-`pub` item in library code carries an outer doc comment.
-/// `use`, `impl` blocks, enum variants, and macros are exempt, as are items
-/// nested inside non-`pub` inline modules.
-pub fn lint_pub_doc(items: &[Item]) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    walk_items(items, &mut |item, stack| {
-        if item.vis != Vis::Pub
-            || item.in_test
-            || item.has_doc
-            || matches!(
-                item.kind,
-                ItemKind::Use | ItemKind::Impl | ItemKind::Variant | ItemKind::Macro
-            )
-        {
-            return;
-        }
-        // `pub mod foo;` file modules document themselves with `//!` inner
-        // docs; only inline `pub mod { .. }` bodies need an outer doc here.
-        if item.kind == ItemKind::Mod && item.body.is_none() {
-            return;
-        }
-        // Inline `mod detail { pub fn f() }` with a private mod is not API.
-        if stack.iter().any(|a| a.kind == ItemKind::Mod && a.vis != Vis::Pub) {
-            return;
-        }
-        out.push((
-            item.line,
-            format!(
-                "public {} `{}` has no doc comment; every exported item documents \
-                 its contract",
-                item.kind.label(),
-                item.name
-            ),
-        ));
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::lints::{scan_source, FileContext, Lint, Violation};
@@ -545,118 +362,9 @@ mod tests {
     }
 
     #[test]
-    fn l7_flags_narrowing_casts() {
-        let src = "fn f(ops: u64) -> u32 { ops as u32 }";
-        let v = scan(src, "pricing");
-        assert!(v.iter().any(|v| v.lint == Lint::NarrowingCastAudit), "{v:?}");
-    }
-
-    #[test]
-    fn l7_exempts_widening_literals_and_other_crates() {
-        let widening = "fn f(x: u32) -> u64 { x as u64 }";
-        assert!(scan(widening, "core").is_empty(), "widening is fine");
-        let literal = "const N: u32 = 3; fn f() -> u32 { 7 as u32 }";
-        assert!(scan(literal, "core").is_empty(), "literal casts are visible");
-        let other = "fn f(x: u64) -> u32 { x as u32 }";
-        assert!(scan(other, "nn").is_empty(), "nn is out of L7 scope");
-    }
-
-    #[test]
-    fn l8_flags_wildcard_in_tier_match() {
-        let src = r"
-            fn f(t: Tier) -> u8 {
-                match t {
-                    Tier::Hot => 0,
-                    _ => 1,
-                }
-            }
-        ";
-        let v = scan(src, "core");
-        assert!(v.iter().any(|v| v.lint == Lint::ExhaustiveTierMatch), "{v:?}");
-    }
-
-    #[test]
-    fn l8_allows_exhaustive_and_non_tier_wildcards() {
-        let exhaustive = r"
-            fn f(t: Tier) -> u8 {
-                match t {
-                    Tier::Hot => 0,
-                    Tier::Cool => 1,
-                    Tier::Archive => 2,
-                }
-            }
-        ";
-        assert!(scan(exhaustive, "core").is_empty(), "{:?}", scan(exhaustive, "core"));
-        let non_tier = r"
-            fn f(x: u8) -> Tier {
-                match x {
-                    0 => Tier::Hot,
-                    _ => Tier::Cool,
-                }
-            }
-        ";
-        assert!(
-            scan(non_tier, "core").is_empty(),
-            "Tier in arm *expressions* must not trigger: {:?}",
-            scan(non_tier, "core")
-        );
-    }
-
-    #[test]
-    fn l8_flags_wildcard_with_guard() {
-        let src = r"
-            fn f(t: Tier, x: u8) -> u8 {
-                match t {
-                    Tier::Hot if x > 0 => 0,
-                    Tier::Hot => 1,
-                    _ if x > 2 => 2,
-                    _ => 3,
-                }
-            }
-        ";
-        let v = scan(src, "rl");
-        assert!(v.iter().any(|v| v.lint == Lint::ExhaustiveTierMatch), "{v:?}");
-    }
-
-    #[test]
-    fn l9_flags_undocumented_pub_items() {
-        let src = "pub fn undocumented() {}\n/// Doc.\npub fn documented() {}\n";
-        let v = scan(src, "forecast");
-        assert_eq!(v.iter().filter(|v| v.lint == Lint::PubApiDocCoverage).count(), 1, "{v:?}");
-        assert!(v[0].message.contains("undocumented"));
-    }
-
-    #[test]
-    fn l9_exempts_scoped_private_and_test_items() {
-        let src = r"
-            pub(crate) fn scoped() {}
-            fn private() {}
-            mod detail { pub fn inner() {} }
-            #[cfg(test)]
-            mod tests { pub fn helper() {} }
-        ";
-        assert!(scan(src, "rl").is_empty(), "{:?}", scan(src, "rl"));
-    }
-
-    #[test]
-    fn l9_covers_impl_methods() {
-        let src = r"
-            /// Doc.
-            pub struct S;
-            impl S {
-                pub fn no_doc(&self) {}
-                /// Doc.
-                pub fn with_doc(&self) {}
-            }
-        ";
-        let v = scan(src, "pricing");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("no_doc"));
-    }
-
-    #[test]
     fn allow_comment_suppresses_new_lints() {
-        let src = "fn f(x: u64) -> u32 { x as u32 } // xtask-allow(narrowing-cast-audit): bounded";
+        let src = "fn f(m: &HashMap<u32, u64>) -> usize { m.keys().count() } \
+                   // xtask-allow(hashmap-iter-determinism): order-free count";
         assert!(scan(src, "core").is_empty());
     }
 }

@@ -821,7 +821,6 @@ impl<'a> Eval<'a> {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
     fn primary_ident(&mut self, id: &str) -> Val {
         match id {
             "if" | "while" => {

@@ -1,7 +1,7 @@
 //! Self-tests for the F4 `unit-dimensions` analysis: the committed
 //! `f4_units.rs` fixture must trip every rejection rule with the
-//! documented precision, the real workspace must be clean modulo the
-//! baseline, and a seeded property test round-trips every `PricingPolicy`
+//! documented precision, the real workspace must be clean, and a seeded
+//! property test round-trips every `PricingPolicy`
 //! preset shape through the dimension table.
 
 use crate::flow::{FlowDiag, FlowKind, FnGraph, Workspace};
@@ -73,9 +73,9 @@ fn f4_dot_export_labels_dimensions() {
 }
 
 #[test]
-fn units_tree_is_clean_modulo_baseline() {
+fn units_tree_is_clean() {
     // The gate `cargo xtask check` step 3 enforces: every F4 diagnostic in
-    // the real workspace is fixed, waived in place, or baselined.
+    // the real workspace is fixed or waived in place.
     let root = crate::walk::repo_root();
     let ws = Workspace::load_flow(&root).expect("workspace loads");
     let g = FnGraph::build(&ws);
@@ -85,20 +85,11 @@ fn units_tree_is_clean_modulo_baseline() {
         "workspace has unit-declaration warnings:\n{}",
         warnings.join("\n")
     );
-    let base = crate::baseline::Baseline::load(&root).expect("baseline parses");
-    let items: Vec<(String, String)> =
-        diags.iter().map(|d| (d.kind.name().to_string(), d.file.clone())).collect();
-    let applied = base.apply_named(&items, &crate::baseline::today_utc());
-    let fresh: Vec<String> = diags
-        .iter()
-        .zip(&applied.matched)
-        .filter(|(_, m)| m.is_none())
-        .map(|(d, _)| d.to_string())
-        .collect();
+    let rendered: Vec<String> = diags.iter().map(ToString::to_string).collect();
     assert!(
-        fresh.is_empty(),
-        "workspace has non-baselined unit-dimension diagnostics:\n{}",
-        fresh.join("\n")
+        rendered.is_empty(),
+        "workspace has unit-dimension diagnostics:\n{}",
+        rendered.join("\n")
     );
 }
 

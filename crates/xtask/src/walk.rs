@@ -33,7 +33,7 @@ fn collect(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// The source files the workspace lint pass covers: every `crates/*/src`
 /// tree except `xtask` itself (its fixtures are violations on purpose).
 ///
-/// `tests/`, `benches/`, and `examples/` trees are excluded: all four lints
+/// `tests/`, `benches/`, and `examples/` trees are excluded: the lints
 /// exempt test and bench code, and example binaries are demo code.
 pub fn workspace_lint_files(repo_root: &Path) -> io::Result<Vec<PathBuf>> {
     let crates_dir = repo_root.join("crates");
