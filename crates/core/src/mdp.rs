@@ -7,6 +7,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rl::{Env, Step};
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 use std::sync::Arc;
 use tracegen::Trace;
 
@@ -147,8 +148,12 @@ pub type OracleTables = Vec<Option<Vec<[Money; TIER_COUNT]>>>;
 /// cost model charges tier change + storage + operations, and the Eq. 4
 /// reward is emitted. States encode only information observable at decision
 /// time (the history window strictly precedes the decided day).
-pub struct TieringEnv {
-    trace: Arc<Trace>,
+///
+/// `T` is how the environment holds its trace: shared ownership
+/// (`Arc<Trace>`, the default) or a borrow (`&Trace`), which lets a caller
+/// that owns the trace train on it without copying it.
+pub struct TieringEnv<T = Arc<Trace>> {
+    trace: T,
     model: Arc<CostModel>,
     cfg: TieringEnvConfig,
     oracle: Arc<OracleTables>,
@@ -160,11 +165,11 @@ pub struct TieringEnv {
     steps_left: usize,
 }
 
-impl TieringEnv {
+impl<T: Deref<Target = Trace>> TieringEnv<T> {
     /// Creates an environment. Panics if the trace is empty or shorter than
     /// one episode.
     #[must_use]
-    pub fn new(trace: Arc<Trace>, model: Arc<CostModel>, cfg: TieringEnvConfig) -> TieringEnv {
+    pub fn new(trace: T, model: Arc<CostModel>, cfg: TieringEnvConfig) -> TieringEnv<T> {
         let oracle: Arc<OracleTables> = if cfg.with_oracle {
             Arc::new(trace.files.iter().map(|f| Some(suffix_values(f, &model))).collect())
         } else {
@@ -182,11 +187,11 @@ impl TieringEnv {
     /// table count does not match the file count.
     #[must_use]
     pub fn with_oracle_tables(
-        trace: Arc<Trace>,
+        trace: T,
         model: Arc<CostModel>,
         cfg: TieringEnvConfig,
         oracle: Arc<OracleTables>,
-    ) -> TieringEnv {
+    ) -> TieringEnv<T> {
         assert!(!trace.is_empty(), "trace must contain files");
         assert!(cfg.episode_len > 0, "episode_len must be positive");
         assert!(
@@ -272,7 +277,7 @@ impl TieringEnv {
     }
 }
 
-impl Env for TieringEnv {
+impl<T: Deref<Target = Trace> + Send> Env for TieringEnv<T> {
     fn state_dim(&self) -> usize {
         self.cfg.features.state_dim()
     }

@@ -105,7 +105,6 @@ impl MiniCost {
     #[must_use]
     pub fn train(trace: &Trace, model: &CostModel, cfg: &MiniCostConfig) -> MiniCost {
         let spec = cfg.net_spec();
-        let trace = Arc::new(trace.clone());
         let model = Arc::new(model.clone());
         let env_cfg_base = TieringEnvConfig {
             features: cfg.features,
@@ -126,8 +125,9 @@ impl MiniCost {
         ));
         let trainer = A3cTrainer::new(spec, cfg.a3c.clone());
         let result = trainer.train(|worker| {
+            // Every worker borrows the caller's trace; none copies it.
             TieringEnv::with_oracle_tables(
-                Arc::clone(&trace),
+                trace,
                 Arc::clone(&model),
                 TieringEnvConfig {
                     seed: env_cfg_base.seed ^ ((worker as u64 + 1) << 32),
@@ -233,6 +233,31 @@ mod tests {
         let a = MiniCost::train(&trace, &model, &cfg);
         let b = MiniCost::train(&trace, &model, &cfg);
         assert_eq!(a.result.actor_params, b.result.actor_params);
+    }
+
+    /// The fnv1a64 of the actor and critic parameters (little-endian bits,
+    /// actor first) after training the fast recipe at the paper's width 128
+    /// on one worker. Any change to the training arithmetic moves it, so a
+    /// speed-up must keep it fixed.
+    #[test]
+    fn train_pinned_width128_params_digest() {
+        let trace = Trace::generate(&TraceConfig::small(40, 21, 5));
+        let model = CostModel::new(PricingPolicy::azure_blob_2020());
+        let mut cfg = MiniCostConfig::fast();
+        cfg.width = 128;
+        cfg.a3c.workers = 1;
+        cfg.a3c.total_updates = 40;
+        cfg.a3c.seed = 2020;
+        let agent = MiniCost::train(&trace, &model, &cfg);
+        let bytes: Vec<u8> = agent
+            .result
+            .actor_params
+            .iter()
+            .chain(&agent.result.critic_params)
+            .flat_map(|p| p.to_bits().to_le_bytes())
+            .collect();
+        let digest = stream::fnv1a64(&bytes);
+        assert_eq!(digest, 0x5e02_4e59_8904_4715, "{digest:#018x}");
     }
 
     #[test]

@@ -67,11 +67,15 @@ impl Layer for Dense {
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         assert_eq!(grad_output.cols(), self.out_dim, "dense grad width mismatch");
         assert_eq!(grad_output.rows(), self.last_input.rows(), "backward batch mismatch");
-        // dW = x^T g ; db = column sums of g ; dx = g W^T
-        self.grad_weights = self.grad_weights.add(&self.last_input.t_matmul(grad_output));
-        for (gb, s) in self.grad_bias.iter_mut().zip(grad_output.column_sums()) {
-            *gb += s;
+        // dW += x^T g and db += g, in place with rows in ascending order:
+        // per element the same sum as one single-row call per row in turn.
+        self.last_input.t_matmul_acc(grad_output, &mut self.grad_weights);
+        for g in grad_output.as_slice().chunks_exact(self.out_dim) {
+            for (gb, &v) in self.grad_bias.iter_mut().zip(g) {
+                *gb += v;
+            }
         }
+        // dx = g W^T
         grad_output.matmul_t(&self.weights)
     }
 
@@ -168,6 +172,18 @@ mod tests {
         assert_eq!(d.grads(), vec![6.0, 2.0]);
         d.zero_grads();
         assert_eq!(d.grads(), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn bias_gradient_adds_rows_in_order() {
+        let mut d = with_params(1, 2, &[0.0, 0.0], &[0.0, 0.0]);
+        let x = Matrix::from_rows(vec![vec![1.0], vec![0.0], vec![2.0]]);
+        let _ = d.forward(&x);
+        let g = Matrix::from_rows(vec![vec![1.0, 1e16], vec![2.0, 1.0], vec![3.0, -1e16]]);
+        let _ = d.backward(&g);
+        // (1e16 + 1.0) rounds back to 1e16, so only ascending row order
+        // gives 0.0 for the second bias; dW skips the zero input row.
+        assert_eq!(d.grads(), vec![7.0, -1e16, 6.0, 0.0]);
     }
 
     #[test]

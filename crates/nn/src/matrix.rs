@@ -1,32 +1,32 @@
 //! A small row-major `f64` matrix.
 //!
-//! Scoped to what the layers need: a register-tiled forward product,
-//! transpose-free cache-blocked variants for the backward passes, and
+//! Scoped to what the layers need: a register-tiled forward product, the
+//! two register-tiled backward products of the dense layer, and
 //! element-wise helpers. Networks in this system are hundreds of units wide
 //! at most, so a hand-rolled kernel comfortably beats the overhead of
 //! pulling in a BLAS.
-//!
-//! Every product kernel comes in an output-buffer `_into` form
-//! ([`Matrix::matmul_into`], [`Matrix::t_matmul_into`],
-//! [`Matrix::matmul_t_into`]) that reuses the destination's backing
-//! allocation; the owned-result methods are thin wrappers over these, so
-//! training and inference share one kernel. Every kernel keeps the
-//! reduction index ascending per output element and preserves the
-//! `a == 0.0` skip, so its results are bit-identical to the straightforward
-//! scalar loops (asserted by property tests below, including ragged tails).
 //!
 //! The forward product (`matmul_rows`, behind [`Matrix::matmul_into`] and
 //! the dense layer) produces each output row in column tiles whose
 //! accumulators stay in registers while the row's nonzero inputs sweep
 //! past. Its tile helpers (`Tiled`, `for_each_tile`, `axpy`) also drive the
-//! convolution kernel.
+//! convolution kernel and both backward products:
+//! [`Matrix::t_matmul_acc`] adds the weight gradient `x^T g` onto an
+//! existing gradient in place, and [`Matrix::matmul_t_into`] computes the
+//! input gradient `g W^T` a tile of output rows at a time.
+//!
+//! Every kernel keeps the reduction index ascending per output element.
+//! The two that sum products of an input (`matmul_rows`, `t_matmul_acc`)
+//! skip exactly the `a == 0.0` terms, and `matmul_t_into` skips none, so
+//! each is bit-identical to the straightforward scalar loop (asserted by
+//! property tests below, including every ragged tile remainder).
 
 use serde::{Deserialize, Serialize};
 
-/// Row-block size of the blocked kernels (output rows per tile).
+/// Row-block size of [`matmul_rows`] (output rows per block).
 const BLOCK_ROWS: usize = 32;
 
-/// Widest register tile of the forward kernels, in `f64` lanes: eight SSE2
+/// Widest register tile of the tiled kernels, in `f64` lanes: eight SSE2
 /// registers of accumulators, leaving registers free for the broadcast
 /// input and the weight load.
 const TILE: usize = 16;
@@ -175,6 +175,34 @@ impl Tiled for RowTile<'_> {
     }
 }
 
+/// One output column `j` of [`Matrix::matmul_t_into`] over a tile of
+/// output rows.
+struct DotTile<'a> {
+    /// The left operand transposed: `k x m`.
+    a_t: &'a [f64],
+    m: usize,
+    /// Row `j` of the right operand.
+    b_row: &'a [f64],
+    /// The `m x n` output.
+    out: &'a mut [f64],
+    n: usize,
+    j: usize,
+}
+
+impl Tiled for DotTile<'_> {
+    #[inline(always)]
+    fn tile<const T: usize>(&mut self, i0: usize) {
+        let mut acc = [0.0; T];
+        for (p, &b) in self.b_row.iter().enumerate() {
+            // `b * a` is `a * b`: IEEE multiplication commutes exactly.
+            axpy(&mut acc, b, &self.a_t[p * self.m + i0..]);
+        }
+        for (t, &v) in acc.iter().enumerate() {
+            self.out[(i0 + t) * self.n + self.j] = v;
+        }
+    }
+}
+
 /// A dense row-major matrix of `f64`.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -320,39 +348,43 @@ impl Matrix {
         matmul_rows(&self.data, self.cols, &other.data, other.cols, None, &mut out.data);
     }
 
-    /// `self^T @ other` without materializing the transpose
-    /// (`m x k`^T times `m x n` -> `k x n`); used for weight gradients.
-    #[must_use]
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.t_matmul_into(other, &mut out);
-        out
-    }
-
-    /// `self^T @ other` into `out`, reusing `out`'s allocation.
+    /// `out += self^T @ other` without materializing the transpose
+    /// (`m x k`^T times `m x n` accumulated onto `k x n`); the weight
+    /// gradient `dW += x^T g` of the dense layer.
     ///
-    /// Blocked over output rows (the left operand's columns); the reduction
-    /// over input rows stays ascending per output element with the
-    /// `a == 0.0` skip, so the result is bit-identical to the scalar loop.
-    pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    /// Per output element the rows of `self` and `other` add in ascending
+    /// order on top of its current value, skipping every `a == 0.0` term:
+    /// bit-identical to `m` single-row accumulations in order, whatever
+    /// `out` held. For each output row a [`GATHER`]-wide chunk of input
+    /// rows gathers its nonzeros once, then every column tile sweeps them
+    /// with its accumulators in registers.
+    pub fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
+        assert_eq!(out.shape(), (self.cols, other.cols), "t_matmul output shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        out.reset(k, n);
-        for pb in (0..k).step_by(BLOCK_ROWS) {
-            let p_end = (pb + BLOCK_ROWS).min(k);
-            for i in 0..m {
-                let a_row = &self.data[i * k + pb..i * k + p_end];
-                let b_row = &other.data[i * n..(i + 1) * n];
-                for (off, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let p = pb + off;
-                    let out_row = &mut out.data[p * n..(p + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
+        if n == 0 {
+            return;
+        }
+        let mut offs = [0usize; GATHER];
+        let mut vals = [0.0f64; GATHER];
+        for (p, out_row) in out.data.chunks_exact_mut(n).enumerate() {
+            for ib in (0..m).step_by(GATHER) {
+                let mut nnz = 0;
+                for i in ib..(ib + GATHER).min(m) {
+                    let x = self.data[i * k + p];
+                    offs[nnz] = i * n;
+                    vals[nnz] = x;
+                    nnz += usize::from(x != 0.0);
                 }
+                let mut tile = RowTile {
+                    offs: &offs[..nnz],
+                    vals: &vals[..nnz],
+                    b: &other.data,
+                    out: out_row,
+                    first: false,
+                    bias: None,
+                };
+                for_each_tile(n, &mut tile);
             }
         }
     }
@@ -368,28 +400,29 @@ impl Matrix {
 
     /// `self @ other^T` into `out`, reusing `out`'s allocation.
     ///
-    /// Blocked over output columns so a panel of `other` rows stays
-    /// cache-resident across the row sweep; each output element is one
-    /// contiguous dot product in ascending reduction order, bit-identical
-    /// to the scalar loop.
+    /// Each output element is a dot product that starts at `0.0` and adds
+    /// every term (no zero skip) in ascending reduction order, bit-identical
+    /// to the scalar loop. The kernel copies `self` transposed into a small
+    /// scratch, then for each output column (a row of `other`) computes a
+    /// tile of up to [`TILE`] output rows at once, one independent register
+    /// accumulator per row, while that row of `other` streams past once.
     pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        out.reset(m, n);
-        for jb in (0..n).step_by(BLOCK_ROWS) {
-            let j_end = (jb + BLOCK_ROWS).min(n);
-            for i in 0..m {
-                let a_row = &self.data[i * k..(i + 1) * k];
-                let out_row = &mut out.data[i * n + jb..i * n + j_end];
-                for (o, j) in out_row.iter_mut().zip(jb..j_end) {
-                    let b_row = &other.data[j * k..(j + 1) * k];
-                    let mut acc = 0.0;
-                    for (&a, &b) in a_row.iter().zip(b_row) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
+        if k == 0 {
+            out.reset(m, n);
+            return;
+        }
+        out.reshape_for_overwrite(m, n);
+        let mut a_t = vec![0.0; k * m];
+        for (i, row) in self.data.chunks_exact(k).enumerate() {
+            for (p, &v) in row.iter().enumerate() {
+                a_t[p * m + i] = v;
             }
+        }
+        for (j, b_row) in other.data.chunks_exact(k).enumerate() {
+            let mut tile = DotTile { a_t: &a_t, m, b_row, out: &mut out.data, n, j };
+            for_each_tile(m, &mut tile);
         }
     }
 
@@ -403,14 +436,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Element-wise sum with `other`. Panics on shape mismatch.
-    #[must_use]
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "add shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a + b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
     }
 
     /// Element-wise map.
@@ -433,18 +458,6 @@ impl Matrix {
         assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
         let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Column sums as a `1 x cols` vector; used for bias gradients.
-    #[must_use]
-    pub fn column_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (s, &v) in sums.iter_mut().zip(&self.data[r * self.cols..(r + 1) * self.cols]) {
-                *s += v;
-            }
-        }
-        sums
     }
 
     /// Horizontal concatenation `[self | other]`. Panics unless row counts
@@ -575,7 +588,12 @@ mod tests {
     fn t_matmul_equals_transpose_then_matmul() {
         let a = m(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = m(3, 4, &(0..12).map(f64::from).collect::<Vec<_>>());
-        assert_eq!(a.t_matmul(&b), a.transpose().matmul(&b));
+        let mut out = Matrix::zeros(2, 4);
+        a.t_matmul_acc(&b, &mut out);
+        assert_eq!(out, a.transpose().matmul(&b));
+        // A second call accumulates on top of the first.
+        a.t_matmul_acc(&b, &mut out);
+        assert_eq!(out, a.transpose().matmul(&b).map(|v| 2.0 * v));
     }
 
     #[test]
@@ -592,17 +610,10 @@ mod tests {
     }
 
     #[test]
-    fn add_and_hadamard() {
+    fn hadamard_is_elementwise_product() {
         let a = m(1, 3, &[1.0, 2.0, 3.0]);
         let b = m(1, 3, &[10.0, 20.0, 30.0]);
-        assert_eq!(a.add(&b), m(1, 3, &[11.0, 22.0, 33.0]));
         assert_eq!(a.hadamard(&b), m(1, 3, &[10.0, 40.0, 90.0]));
-    }
-
-    #[test]
-    fn column_sums_match_manual() {
-        let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.column_sums(), vec![5.0, 7.0, 9.0]);
     }
 
     #[test]
@@ -658,9 +669,11 @@ mod tests {
         out
     }
 
-    fn scalar_t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    /// `start + a^T b` as `m` single-row accumulations in row order, each
+    /// adding its nonzero-input products in place.
+    fn scalar_t_matmul_acc(a: &Matrix, b: &Matrix, start: &Matrix) -> Matrix {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let mut out = Matrix::zeros(k, n);
+        let mut out = start.clone();
         for i in 0..m {
             for p in 0..k {
                 let av = a.get(i, p);
@@ -701,9 +714,32 @@ mod tests {
             let b = filled(k, n, (k * 1000 + n) as u64);
             assert_eq!(a.matmul(&b), scalar_matmul(&a, &b), "matmul {m}x{k}x{n}");
             let bt = filled(m, n, (m + n) as u64);
-            assert_eq!(a.t_matmul(&bt), scalar_t_matmul(&a, &bt), "t_matmul {m}x{k}x{n}");
+            let start = filled(k, n, (k + n) as u64);
+            let mut acc = start.clone();
+            a.t_matmul_acc(&bt, &mut acc);
+            let expect = scalar_t_matmul_acc(&a, &bt, &start);
+            assert!(same_bits(&acc, &expect), "t_matmul {m}x{k}x{n}");
             let bn = filled(n, k, (n * 31 + k) as u64);
-            assert_eq!(a.matmul_t(&bn), scalar_matmul_t(&a, &bn), "matmul_t {m}x{k}x{n}");
+            assert!(same_bits(&a.matmul_t(&bn), &scalar_matmul_t(&a, &bn)), "matmul_t {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn tiled_backward_kernels_cover_every_tile_remainder() {
+        // Both backward kernels tile one dimension by 16, 8, 4, 2 and 1
+        // lanes: `matmul_t_into` the output rows, `t_matmul_acc` the output
+        // columns. Every count up to 40 exercises every tail combination,
+        // and rows past 32 cross the gather chunk of `t_matmul_acc`.
+        for lanes in 1..=40 {
+            let a = filled(lanes, 9, lanes as u64);
+            let b = filled(7, 9, lanes as u64 + 100);
+            assert!(same_bits(&a.matmul_t(&b), &scalar_matmul_t(&a, &b)), "matmul_t m={lanes}");
+            let x = filled(lanes, 5, lanes as u64 + 200);
+            let g = filled(lanes, lanes, lanes as u64 + 300);
+            let start = filled(5, lanes, lanes as u64 + 400);
+            let mut acc = start.clone();
+            x.t_matmul_acc(&g, &mut acc);
+            assert!(same_bits(&acc, &scalar_t_matmul_acc(&x, &g, &start)), "t_matmul n={lanes}");
         }
     }
 
@@ -714,8 +750,6 @@ mod tests {
         let mut out = filled(70, 3, 9); // wrong shape, nonzero garbage
         a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul(&b));
-        a.t_matmul_into(&filled(9, 11, 10), &mut out);
-        assert_eq!(out, a.t_matmul(&filled(9, 11, 10)));
         a.matmul_t_into(&filled(5, 40, 11), &mut out);
         assert_eq!(out, a.matmul_t(&filled(5, 40, 11)));
     }
@@ -758,11 +792,16 @@ mod tests {
 
         #[test]
         fn blocked_t_matmul_bit_identical_to_scalar(
-            m in 1usize..40, k in 1usize..80, n in 1usize..40, seed in 0u64..1000,
+            m in 1usize..70, k in 1usize..80, n in 1usize..40, seed in 0u64..1000,
         ) {
+            // Accumulates onto a nonzero start, which the single-row form
+            // must match too.
             let a = filled(m, k, seed);
             let b = filled(m, n, seed.wrapping_add(2));
-            prop_assert_eq!(a.t_matmul(&b), scalar_t_matmul(&a, &b));
+            let start = filled(k, n, seed.wrapping_add(4));
+            let mut acc = start.clone();
+            a.t_matmul_acc(&b, &mut acc);
+            prop_assert!(same_bits(&acc, &scalar_t_matmul_acc(&a, &b, &start)));
         }
 
         #[test]
@@ -771,7 +810,7 @@ mod tests {
         ) {
             let a = filled(m, k, seed);
             let b = filled(n, k, seed.wrapping_add(3));
-            prop_assert_eq!(a.matmul_t(&b), scalar_matmul_t(&a, &b));
+            prop_assert!(same_bits(&a.matmul_t(&b), &scalar_matmul_t(&a, &b)));
         }
 
         #[test]
@@ -800,8 +839,11 @@ mod tests {
             let a = m(2, 2, &a_vals);
             let b = m(2, 2, &b_vals);
             let c = m(2, 2, &c_vals);
-            let left = a.matmul(&b.add(&c));
-            let right = a.matmul(&b).add(&a.matmul(&c));
+            let add = |x: &Matrix, y: &Matrix| {
+                m(2, 2, &x.as_slice().iter().zip(y.as_slice()).map(|(p, q)| p + q).collect::<Vec<_>>())
+            };
+            let left = a.matmul(&add(&b, &c));
+            let right = add(&a.matmul(&b), &a.matmul(&c));
             for (l, r) in left.as_slice().iter().zip(right.as_slice()) {
                 prop_assert!((l - r).abs() < 1e-9);
             }

@@ -471,6 +471,50 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn batched_backward_equals_single_row_calls_from_nonzero_grads(
+            shape in (1usize..3, 1usize..6, 1usize..37, 1usize..4),
+            extras in 0usize..5,
+            actions in 1usize..5,
+            rows in 1usize..40,
+            warm_rows in 1usize..6,
+        ) {
+            // One forward+backward over `rows` rows must leave the same
+            // gradient bits as `rows` single-row forward+backward calls in
+            // order, starting from the same nonzero gradients; each row's
+            // input gradient must match too.
+            let (channels, extra_len, width, kernel) = shape;
+            let seed = (rows * 97 + width * 5 + extras) as u64;
+            let window = kernel + extra_len - 1;
+            let s = ActorShape { channels, window, width, kernel, stride: 1, extras, actions };
+            let (mut batched, mut single) = (actor_like(&s, seed), actor_like(&s, seed));
+            let in_w = channels * window + extras;
+            let warm_x = crate::matrix::filled(warm_rows, in_w, seed ^ 11);
+            let warm_g = crate::matrix::filled(warm_rows, actions, seed ^ 12);
+            for net in [&mut batched, &mut single] {
+                let _ = net.forward(&warm_x);
+                let _ = net.backward(&warm_g);
+            }
+            let x = crate::matrix::filled(rows, in_w, seed ^ 13);
+            let g = crate::matrix::filled(rows, actions, seed ^ 14);
+            let _ = batched.forward(&x);
+            let dx = batched.backward(&g);
+            for r in 0..rows {
+                let _ = single.forward(&Matrix::row_vector(x.row(r)));
+                let dx_r = single.backward(&Matrix::row_vector(g.row(r)));
+                proptest::prop_assert!(crate::matrix::same_bits(
+                    &dx_r,
+                    &Matrix::row_vector(dx.row(r))
+                ));
+            }
+            let (gb, gs) = (batched.grad_vector(), single.grad_vector());
+            proptest::prop_assert!(gb.iter().zip(&gs).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+
     #[test]
     fn infer_into_bit_identical_through_every_layer_kind() {
         // Tanh and ReLU in place, an activation first (so it reads the

@@ -4,10 +4,13 @@
 //! `workers` threads each own a private environment and thread-local
 //! actor/critic networks. Every iteration a worker (1) pulls the latest
 //! shared parameters, (2) rolls its environment forward under ε-greedy
-//! sampling of `π_η`, storing transitions in its replay memory, (3) samples
-//! a uniform minibatch from the memory (Algorithm 1 line 7), (4) computes
-//! advantage policy gradients and TD(0) critic gradients, and (5) pushes
-//! both into the shared [`ParamStore`], which applies them asynchronously.
+//! sampling of `π_η`, (3) takes the update batch: the fresh rollout when
+//! `on_policy` (the default), otherwise a uniform minibatch sampled from
+//! its replay memory (Algorithm 1 line 7) — each transition is stored once,
+//! in whichever of the two the batch comes from — (4) computes advantage
+//! policy gradients and TD(0) critic gradients for the whole batch in one
+//! forward and one backward pass per network, and (5) pushes both into the
+//! shared [`ParamStore`], which applies them asynchronously.
 //!
 //! The paper trained on 2 GPUs; here workers are CPU threads — the defining
 //! A3C property (asynchronous gradient application from parallel actors) is
@@ -194,15 +197,18 @@ impl A3cTrainer {
         let spec = self.spec;
 
         // Seed networks once so every run with the same seed starts at the
-        // same point regardless of worker count.
-        let init = ActorCritic::new(spec, cfg.gamma, cfg.entropy_coeff, cfg.seed);
-        let store = ParamStore::new(
-            init.actor.param_vector(),
-            init.critic.param_vector(),
-            Box::new(Adam::new(cfg.learning_rate)),
-            Box::new(Adam::new(cfg.learning_rate)),
-            cfg.max_grad_norm,
-        );
+        // same point regardless of worker count. The seeding pair is dropped
+        // before the workers start, so it is not resident while they train.
+        let store = {
+            let init = ActorCritic::new(spec, cfg.gamma, cfg.entropy_coeff, cfg.seed);
+            ParamStore::new(
+                init.actor.param_vector(),
+                init.critic.param_vector(),
+                Box::new(Adam::new(cfg.learning_rate)),
+                Box::new(Adam::new(cfg.learning_rate)),
+                cfg.max_grad_norm,
+            )
+        };
         let progress: Mutex<Vec<ProgressPoint>> = Mutex::new(Vec::new());
 
         std::thread::scope(|scope| {
@@ -245,26 +251,25 @@ fn run_worker<E: Env>(
     ac.normalize_advantages = cfg.normalize_advantages;
     ac.critic_baseline = cfg.critic_baseline;
     ac.imitation_coeff = cfg.imitation_coeff;
-    let mut memory = ReplayMemory::new(cfg.replay_capacity);
+    // Only the off-policy ablation samples a replay memory.
+    let mut memory = (!cfg.on_policy).then(|| ReplayMemory::new(cfg.replay_capacity));
     let mut optimal_rate = RollingRate::new(256);
     let mut saw_oracle = false;
     let mut state = env.reset();
 
-    // Parameter/gradient buffers hoisted out of the update loop: the pull
-    // (snapshot_into) and push (grad_vector_into + apply_grads) paths reuse
-    // these allocations for the whole training run.
-    let (mut ap, mut cp) = (Vec::new(), Vec::new());
+    // Gradient buffers hoisted out of the update loop: the push path
+    // (grad_vector_into + apply_grads) reuses them for the whole training
+    // run; the pull path copies straight into the networks.
     let (mut ga, mut gc) = (Vec::new(), Vec::new());
+    let mut rollout = Vec::with_capacity(cfg.rollout_len);
 
     while store.update_count() < cfg.total_updates {
         // Pull the freshest shared parameters.
-        store.snapshot_into(&mut ap, &mut cp);
-        ac.actor.set_params(&ap);
-        ac.critic.set_params(&cp);
+        store.pull_into(&mut ac.actor, &mut ac.critic);
 
         // Collect a rollout.
         let mut reward_sum = 0.0;
-        let mut rollout = Vec::with_capacity(cfg.rollout_len);
+        rollout.clear();
         for _ in 0..cfg.rollout_len {
             let oracle = env.optimal_action();
             // One actor evaluation per step serves both the metric and the
@@ -289,17 +294,26 @@ fn run_worker<E: Env>(
                 done: step.done,
                 oracle,
             };
-            memory.push(transition.clone());
-            rollout.push(transition);
+            match &mut memory {
+                Some(memory) => memory.push(transition),
+                None => rollout.push(transition),
+            }
             state = if step.done { env.reset() } else { step.next_state };
         }
 
         // Build the update batch: fresh rollout (on-policy) or a uniform
         // replay sample (Algorithm 1 lines 6-8).
-        let batch = if cfg.on_policy { rollout } else { memory.sample(cfg.batch_size, &mut rng) };
+        let sampled;
+        let batch = match &memory {
+            Some(memory) => {
+                sampled = memory.sample(cfg.batch_size, &mut rng);
+                &sampled
+            }
+            None => &rollout,
+        };
         ac.actor.zero_grads();
         ac.critic.zero_grads();
-        let _ = ac.accumulate_gradients(&batch);
+        let _ = ac.accumulate_gradients(batch);
         ac.actor.grad_vector_into(&mut ga);
         ac.critic.grad_vector_into(&mut gc);
         let update = store.apply_grads(&mut ga, &mut gc);

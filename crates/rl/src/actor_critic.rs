@@ -129,8 +129,29 @@ pub struct ActorCritic {
     /// corresponding learning signal directly. 0 disables (pure A3C).
     pub imitation_coeff: f64,
     spec: NetSpec,
-    /// Buffers for the stateless `π(s)` and `V(s)` evaluations.
+    /// Buffers for the stateless `π(s)` and `V(s)` evaluations and for the
+    /// batched training passes.
     scratch: ForwardScratch,
+    /// Per-update buffers of [`ActorCritic::accumulate_gradients`], reused
+    /// across updates.
+    batch: BatchBuffers,
+}
+
+/// The reusable per-update buffers of [`ActorCritic::accumulate_gradients`].
+#[derive(Default)]
+struct BatchBuffers {
+    /// The batch's states, one row each.
+    states: Matrix,
+    /// The next-states of the batch's non-terminal rows, in row order.
+    next_states: Matrix,
+    /// `V(s)` per row.
+    values: Vec<f64>,
+    /// TD(0) target per row.
+    targets: Vec<f64>,
+    /// Advantage per row.
+    advantages: Vec<f64>,
+    /// Loss gradient at the network output, one row per transition.
+    grad: Matrix,
 }
 
 impl ActorCritic {
@@ -149,6 +170,7 @@ impl ActorCritic {
             imitation_coeff: 0.0,
             spec,
             scratch: ForwardScratch::new(),
+            batch: BatchBuffers::default(),
         }
     }
 
@@ -210,21 +232,42 @@ impl ActorCritic {
     /// Accumulates actor and critic gradients for a batch of transitions
     /// (advantage policy gradient + TD(0) value regression; Eqs. 10–12).
     ///
-    /// Gradients accumulate into the networks; callers extract them with
-    /// `grad_vector()` and must `zero_grads()` between updates. Returns the
-    /// mean actor loss and mean critic loss.
+    /// Gradients accumulate exactly on top of whatever the networks already
+    /// hold: the result is bit-identical to walking the batch one
+    /// transition at a time (one single-row forward and backward per
+    /// network per transition), for any starting gradients. Callers extract
+    /// them with `grad_vector()` and `zero_grads()` between updates.
+    /// Returns the mean actor loss and mean critic loss.
+    ///
+    /// The batch runs as one pass per network: a critic training forward
+    /// over the stacked states (its `V(s)` serves both the advantages and
+    /// the regression), a stateless critic pass over the non-terminal
+    /// next-states, one critic backward, then one actor forward and one
+    /// actor backward. Rows never mix in a forward pass, and every layer's
+    /// backward adds rows in ascending order, so each loss and gradient is
+    /// summed in row order 0..B exactly as the per-row walk sums them.
     pub fn accumulate_gradients(&mut self, batch: &[Transition]) -> (f64, f64) {
         if batch.is_empty() {
             return (0.0, 0.0);
         }
         let scale = 1.0 / batch.len() as f64;
+        let BatchBuffers { states, next_states, values, targets, advantages, grad } =
+            &mut self.batch;
+        let dim = self.spec.state_dim();
+        stack_rows(states, dim, batch.iter().map(|tr| tr.state.as_slice()));
+        let live = batch.iter().filter(|tr| !tr.done);
+        stack_rows(next_states, dim, live.map(|tr| tr.next_state.as_slice()));
 
-        // Pass 1: TD(0) targets and raw advantages for the whole batch.
-        let mut targets = Vec::with_capacity(batch.len());
-        let mut advantages = Vec::with_capacity(batch.len());
-        for tr in batch {
-            let v_s = self.value(&tr.state);
-            let v_next = if tr.done { 0.0 } else { self.value(&tr.next_state) };
+        // TD(0) targets and raw advantages for the whole batch.
+        let v_s = self.critic.forward_into(states, &mut self.scratch);
+        values.clear();
+        values.extend_from_slice(v_s.as_slice());
+        let v_next = self.critic.infer_into(next_states, &mut self.scratch).as_slice();
+        let mut next = v_next.iter();
+        targets.clear();
+        advantages.clear();
+        for (tr, &v_s) in batch.iter().zip(values.iter()) {
+            let v_next = if tr.done { 0.0 } else { next.next().copied().unwrap_or(0.0) };
             let target = tr.reward + self.gamma * v_next;
             targets.push(target);
             advantages.push(if self.critic_baseline { target - v_s } else { target });
@@ -238,48 +281,65 @@ impl ActorCritic {
             let mean = advantages.iter().sum::<f64>() * scale;
             let var = advantages.iter().map(|a| (a - mean) * (a - mean)).sum::<f64>() * scale;
             let sd = var.sqrt().max(1e-6);
-            for a in &mut advantages {
+            for a in advantages.iter_mut() {
                 *a = (*a - mean) / sd;
             }
         }
 
-        // Pass 2: gradients.
-        let mut actor_loss = 0.0;
+        // Critic regression toward the raw TD target.
         let mut critic_loss = 0.0;
-        for ((tr, &target), &advantage) in batch.iter().zip(&targets).zip(&advantages) {
-            // Critic regression toward the raw TD target.
-            let v_s = self.critic.forward(&Matrix::row_vector(&tr.state)).get(0, 0);
+        grad.reset(batch.len(), 1);
+        for ((g, &v_s), &target) in
+            grad.as_mut_slice().iter_mut().zip(values.iter()).zip(targets.iter())
+        {
             critic_loss += (v_s - target) * (v_s - target);
-            let critic_grad = 2.0 * (v_s - target) * scale;
-            self.critic.backward(&Matrix::row_vector(&[critic_grad]));
-
-            // Actor: normalized-advantage policy gradient on the logits.
-            let logits_m = self.actor.forward(&Matrix::row_vector(&tr.state));
-            let pg =
-                policy_gradient_loss(logits_m.row(0), tr.action, advantage, self.entropy_coeff);
-            actor_loss += pg.loss;
-            let logits = logits_m.row(0);
-            // Optional oracle imitation: plain cross-entropy toward the
-            // oracle action (grad = pi - onehot).
-            let imitation: Vec<f64> = match (self.imitation_coeff, tr.oracle) {
-                (coeff, Some(oracle)) if coeff > 0.0 => {
-                    let probs = softmax(logits);
-                    (0..logits.len())
-                        .map(|i| coeff * (probs[i] - if i == oracle { 1.0 } else { 0.0 }))
-                        .collect()
-                }
-                _ => vec![0.0; logits.len()],
-            };
-            let scaled: Vec<f64> = pg
-                .grad_logits
-                .iter()
-                .zip(logits)
-                .zip(&imitation)
-                .map(|((g, &logit), im)| (g + im + self.logit_l2 * logit) * scale)
-                .collect();
-            self.actor.backward(&Matrix::row_vector(&scaled));
+            *g = 2.0 * (v_s - target) * scale;
         }
+        let _ = self.critic.backward(grad);
+
+        // Actor: normalized-advantage policy gradient on the logits.
+        let logits_m = self.actor.forward_into(states, &mut self.scratch);
+        let mut actor_loss = 0.0;
+        let actions = self.spec.actions;
+        grad.reset(batch.len(), actions);
+        let rows = grad.as_mut_slice().chunks_exact_mut(actions);
+        for (r, ((tr, &advantage), scaled)) in
+            batch.iter().zip(advantages.iter()).zip(rows).enumerate()
+        {
+            let logits = logits_m.row(r);
+            let pg = policy_gradient_loss(logits, tr.action, advantage, self.entropy_coeff);
+            actor_loss += pg.loss;
+            // Optional oracle imitation: plain cross-entropy toward the
+            // oracle action (grad = pi - onehot). Without it 0.0 is still
+            // added, which turns a -0.0 policy gradient into +0.0.
+            let imitation = match (self.imitation_coeff, tr.oracle) {
+                (coeff, Some(oracle)) if coeff > 0.0 => Some((coeff, oracle, softmax(logits))),
+                _ => None,
+            };
+            for (i, ((s, &g), &logit)) in
+                scaled.iter_mut().zip(&pg.grad_logits).zip(logits).enumerate()
+            {
+                let im = imitation.as_ref().map_or(0.0, |(coeff, oracle, probs)| {
+                    coeff * (probs[i] - if i == *oracle { 1.0 } else { 0.0 })
+                });
+                *s = (g + im + self.logit_l2 * logit) * scale;
+            }
+        }
+        let _ = self.actor.backward(grad);
         (actor_loss * scale, critic_loss * scale)
+    }
+}
+
+/// Stacks `rows`, each `width` wide, into `out`, one per matrix row,
+/// reusing its allocation.
+pub(crate) fn stack_rows<'a>(
+    out: &mut Matrix,
+    width: usize,
+    rows: impl Iterator<Item = &'a [f64]> + Clone,
+) {
+    out.reset(rows.clone().count(), width);
+    for (dst, src) in out.as_mut_slice().chunks_exact_mut(width).zip(rows) {
+        dst.copy_from_slice(src);
     }
 }
 
@@ -423,6 +483,155 @@ mod tests {
         assert!(al.is_finite() && cl > 0.0);
         assert!(ac.actor.grad_vector().iter().any(|&g| g != 0.0));
         assert!(ac.critic.grad_vector().iter().any(|&g| g != 0.0));
+    }
+
+    /// The per-row walk `accumulate_gradients` replaced, kept verbatim as
+    /// its oracle: per transition, single-row critic evaluations of `V(s)`
+    /// and `V(s')`, then a single-row forward and backward of each network.
+    fn per_row_accumulate(ac: &mut ActorCritic, batch: &[Transition]) -> (f64, f64) {
+        if batch.is_empty() {
+            return (0.0, 0.0);
+        }
+        let scale = 1.0 / batch.len() as f64;
+        let mut targets = Vec::with_capacity(batch.len());
+        let mut advantages = Vec::with_capacity(batch.len());
+        for tr in batch {
+            let v_s = ac.value(&tr.state);
+            let v_next = if tr.done { 0.0 } else { ac.value(&tr.next_state) };
+            let target = tr.reward + ac.gamma * v_next;
+            targets.push(target);
+            advantages.push(if ac.critic_baseline { target - v_s } else { target });
+        }
+        if ac.normalize_advantages {
+            let mean = advantages.iter().sum::<f64>() * scale;
+            let var = advantages.iter().map(|a| (a - mean) * (a - mean)).sum::<f64>() * scale;
+            let sd = var.sqrt().max(1e-6);
+            for a in &mut advantages {
+                *a = (*a - mean) / sd;
+            }
+        }
+        let mut actor_loss = 0.0;
+        let mut critic_loss = 0.0;
+        for ((tr, &target), &advantage) in batch.iter().zip(&targets).zip(&advantages) {
+            let v_s = ac.critic.forward(&Matrix::row_vector(&tr.state)).get(0, 0);
+            critic_loss += (v_s - target) * (v_s - target);
+            let critic_grad = 2.0 * (v_s - target) * scale;
+            ac.critic.backward(&Matrix::row_vector(&[critic_grad]));
+
+            let logits_m = ac.actor.forward(&Matrix::row_vector(&tr.state));
+            let pg = policy_gradient_loss(logits_m.row(0), tr.action, advantage, ac.entropy_coeff);
+            actor_loss += pg.loss;
+            let logits = logits_m.row(0);
+            let imitation: Vec<f64> = match (ac.imitation_coeff, tr.oracle) {
+                (coeff, Some(oracle)) if coeff > 0.0 => {
+                    let probs = softmax(logits);
+                    (0..logits.len())
+                        .map(|i| coeff * (probs[i] - if i == oracle { 1.0 } else { 0.0 }))
+                        .collect()
+                }
+                _ => vec![0.0; logits.len()],
+            };
+            let scaled: Vec<f64> = pg
+                .grad_logits
+                .iter()
+                .zip(logits)
+                .zip(&imitation)
+                .map(|((g, &logit), im)| (g + im + ac.logit_l2 * logit) * scale)
+                .collect();
+            ac.actor.backward(&Matrix::row_vector(&scaled));
+        }
+        (actor_loss * scale, critic_loss * scale)
+    }
+
+    /// A random batch of `rows` transitions for `spec`: states with exact
+    /// zeros (ReLU and zero-skip paths), terminal rows whose next-state
+    /// must be ignored, and oracle labels on some rows.
+    fn random_batch(spec: &NetSpec, rows: usize, rng: &mut StdRng) -> Vec<Transition> {
+        let dim = spec.state_dim();
+        let vec_of =
+            |rng: &mut StdRng| -> Vec<f64> {
+                (0..dim)
+                    .map(|_| {
+                        if rng.random::<f64>() < 0.2 {
+                            0.0
+                        } else {
+                            rng.random::<f64>() * 4.0 - 2.0
+                        }
+                    })
+                    .collect()
+            };
+        (0..rows)
+            .map(|_| {
+                let state = vec_of(rng);
+                let done = rng.random::<f64>() < 0.3;
+                // A terminal row's next-state is never evaluated, so any
+                // width is allowed there.
+                let next_state = if done { Vec::new() } else { vec_of(rng) };
+                Transition {
+                    state,
+                    action: rng.random_range(0..spec.actions),
+                    reward: rng.random::<f64>() * 10.0 - 5.0,
+                    next_state,
+                    done,
+                    oracle: (rng.random::<f64>() < 0.6).then(|| rng.random_range(0..spec.actions)),
+                }
+            })
+            .collect()
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn batched_accumulate_gradients_equals_per_row_walk(
+            conv in (1usize..3, 1usize..4, 1usize..4, 1usize..20),
+            dense in (0usize..4, 1usize..40, 1usize..5, 0usize..5),
+            rows in 1usize..40,
+            flags in 0u32..32,
+            seed in 0u64..1_000_000,
+        ) {
+            let (channels, kernel, stride, filters) = conv;
+            let (extras, hidden, actions, extra_len) = dense;
+            let spec = NetSpec {
+                window: kernel + extra_len,
+                channels,
+                extras,
+                filters,
+                kernel,
+                stride,
+                hidden,
+                actions,
+            };
+            let gamma = if flags & 1 == 0 { 0.0 } else { 0.9 };
+            let make = || {
+                let mut ac = ActorCritic::new(spec, gamma, 0.01, seed);
+                ac.normalize_advantages = flags & 2 != 0;
+                ac.critic_baseline = flags & 4 != 0;
+                ac.imitation_coeff = if flags & 8 != 0 { 0.7 } else { 0.0 };
+                ac
+            };
+            let (mut batched, mut oracle) = (make(), make());
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A second batch accumulates on top of the first's gradients.
+            for round in 0..2 {
+                let n = if round == 0 { rows } else { 1 + (rows * 7) % 39 };
+                let mut batch = random_batch(&spec, n, &mut rng);
+                if flags & 16 != 0 {
+                    for tr in &mut batch {
+                        tr.oracle = None;
+                    }
+                }
+                let (al, cl) = batched.accumulate_gradients(&batch);
+                let (ol, oc) = per_row_accumulate(&mut oracle, &batch);
+                proptest::prop_assert!(same_bits(&[al, cl], &[ol, oc]), "losses {al} {cl} vs {ol} {oc}");
+                proptest::prop_assert!(same_bits(&batched.actor.grad_vector(), &oracle.actor.grad_vector()));
+                proptest::prop_assert!(same_bits(&batched.critic.grad_vector(), &oracle.critic.grad_vector()));
+            }
+        }
     }
 
     #[test]

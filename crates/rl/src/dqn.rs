@@ -13,11 +13,11 @@
 //! target network, not from asynchrony; the experiment harness uses it as
 //! the trainer ablation against A3C.
 
-use crate::actor_critic::{argmax, NetSpec};
+use crate::actor_critic::{argmax, stack_rows, NetSpec};
 use crate::env::Env;
 use crate::memory::{ReplayMemory, Transition};
 use crate::metrics::RollingRate;
-use nn::{Adam, Matrix, Network, Optimizer};
+use nn::{Adam, ForwardScratch, Matrix, Network, Optimizer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -139,6 +139,12 @@ pub fn train_dqn<E: Env>(spec: NetSpec, cfg: &DqnConfig, mut env: E) -> DqnResul
     let mut state = env.reset();
     let mut tail_loss = 0.0;
     let mut tail_count = 0u64;
+    // Buffers reused across updates: the minibatch's states and
+    // non-terminal next-states, and the loss gradient at the Q-head.
+    let mut scratch = ForwardScratch::new();
+    let (mut states, mut next_states, mut grad) =
+        (Matrix::default(), Matrix::default(), Matrix::default());
+    let mut bootstraps = Vec::new();
 
     for update in 0..cfg.total_updates {
         let epsilon = cfg.epsilon_at(update);
@@ -146,10 +152,7 @@ pub fn train_dqn<E: Env>(spec: NetSpec, cfg: &DqnConfig, mut env: E) -> DqnResul
         // Collect experience.
         for _ in 0..cfg.steps_per_update {
             let oracle = env.optimal_action();
-            let greedy = {
-                let values = q.forward(&Matrix::row_vector(&state));
-                argmax(values.row(0))
-            };
+            let greedy = argmax(q.infer_into(&Matrix::row_vector(&state), &mut scratch).row(0));
             let action = if rng.random::<f64>() < epsilon {
                 rng.random_range(0..spec.actions)
             } else {
@@ -171,28 +174,35 @@ pub fn train_dqn<E: Env>(spec: NetSpec, cfg: &DqnConfig, mut env: E) -> DqnResul
             state = if step.done { env.reset() } else { step.next_state };
         }
 
-        // TD regression against the target network.
+        // TD regression against the target network: one stateless target
+        // pass over the non-terminal next-states, then one Q forward and
+        // one Q backward over the minibatch, rows summed in order.
         let batch = memory.sample(cfg.batch_size, &mut rng);
         q.zero_grads();
         let scale = 1.0 / batch.len().max(1) as f64;
         let mut loss = 0.0;
-        for tr in &batch {
-            let bootstrap = if tr.done {
-                0.0
-            } else {
-                let next = target.forward(&Matrix::row_vector(&tr.next_state));
-                next.row(0).iter().copied().fold(f64::NEG_INFINITY, f64::max)
-            };
+        let dim = spec.state_dim();
+        let live = batch.iter().filter(|tr| !tr.done);
+        stack_rows(&mut next_states, dim, live.map(|tr| tr.next_state.as_slice()));
+        let next = target.infer_into(&next_states, &mut scratch);
+        bootstraps.clear();
+        bootstraps.extend(
+            (0..next.rows()).map(|r| next.row(r).iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+        );
+        stack_rows(&mut states, dim, batch.iter().map(|tr| tr.state.as_slice()));
+        let values = q.forward_into(&states, &mut scratch);
+        grad.reset(batch.len(), spec.actions);
+        let mut live_bootstraps = bootstraps.iter();
+        for (r, tr) in batch.iter().enumerate() {
+            let bootstrap =
+                if tr.done { 0.0 } else { live_bootstraps.next().copied().unwrap_or(0.0) };
             let td_target = tr.reward + cfg.gamma * bootstrap;
-            let values = q.forward(&Matrix::row_vector(&tr.state));
-            let predicted = values.get(0, tr.action);
-            let error = predicted - td_target;
+            let error = values.get(r, tr.action) - td_target;
             loss += error * error;
             // dL/dQ is nonzero only at the taken action.
-            let mut grad = vec![0.0; spec.actions];
-            grad[tr.action] = 2.0 * error * scale;
-            q.backward(&Matrix::row_vector(&grad));
+            grad.set(r, tr.action, 2.0 * error * scale);
         }
+        let _ = q.backward(&grad);
         let grads = q.grad_vector();
         let mut params = q.param_vector();
         optimizer.step(&mut params, &grads);
@@ -313,6 +323,30 @@ mod tests {
         assert_eq!(a.q_params, b.q_params);
         let c = train_dqn(tiny_spec(), &DqnConfig { seed: 4, ..cfg }, Padded(Bandit { steps: 0 }));
         assert_ne!(a.q_params, c.q_params);
+    }
+
+    /// The fnv1a64 of the trained Q parameters' little-endian bits. Any
+    /// change to the training arithmetic moves it; a speed-up must not.
+    #[test]
+    fn dqn_pinned_params_digest() {
+        let spec = NetSpec { filters: 20, hidden: 37, ..tiny_spec() };
+        let cfg = DqnConfig {
+            total_updates: 300,
+            learning_rate: 0.01,
+            gamma: 0.5,
+            target_sync_every: 50,
+            seed: 7,
+            ..DqnConfig::default()
+        };
+        let result = train_dqn(spec, &cfg, ContextualBandit { context: 0, steps: 0 });
+        let digest = result
+            .q_params
+            .iter()
+            .flat_map(|p| p.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x9bed_5efc_7050_ede2, "{digest:#018x}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! moment estimates coherent). The store also counts applied updates, which
 //! is the "number of steps" axis in the paper's Figs. 9–10.
 
-use nn::{clip_grad_norm, Optimizer};
+use nn::{clip_grad_norm, Network, Optimizer};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,19 +46,15 @@ impl ParamStore {
     /// Copies of the current actor and critic parameters.
     #[must_use]
     pub fn snapshot(&self) -> (Vec<f64>, Vec<f64>) {
-        let (mut actor, mut critic) = (Vec::new(), Vec::new());
-        self.snapshot_into(&mut actor, &mut critic);
-        (actor, critic)
+        (self.actor.lock().params.clone(), self.critic.lock().params.clone())
     }
 
-    /// Copies the current actor and critic parameters into caller-owned
-    /// buffers (cleared first), reusing their allocations; the worker loop's
-    /// per-update pull path.
-    pub fn snapshot_into(&self, actor: &mut Vec<f64>, critic: &mut Vec<f64>) {
-        actor.clear();
-        actor.extend_from_slice(&self.actor.lock().params);
-        critic.clear();
-        critic.extend_from_slice(&self.critic.lock().params);
+    /// Overwrites the networks' parameters with the current shared ones,
+    /// copying straight from the store: the worker loop's per-update pull
+    /// path, with no intermediate buffer.
+    pub fn pull_into(&self, actor: &mut Network, critic: &mut Network) {
+        actor.set_params(&self.actor.lock().params);
+        critic.set_params(&self.critic.lock().params);
     }
 
     /// Applies one asynchronous update: clips both gradients to the
