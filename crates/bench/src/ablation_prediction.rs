@@ -7,7 +7,7 @@
 //! ARIMA and seasonal-naive forecasters against MiniCost and the offline
 //! optimum, attributing cost per variability bucket.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use forecast::{Arima, SeasonalNaive};
 use minicost::prelude::*;
 use tracegen::analysis::CV_BUCKET_LABELS;

@@ -7,7 +7,7 @@
 //! It documents *why* the headline experiments use shaped regret +
 //! imitation (DESIGN.md §4).
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::prelude::*;
 
 /// Experiment parameters.

@@ -5,7 +5,7 @@
 //! The paper motivates A3C as "better than the typical RL methods"; this
 //! ablation makes the comparison concrete on this exact problem.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::features::{FeatureConfig, EXTRA_FEATURES};
 use minicost::policy::RlPolicy;
 use minicost::prelude::*;

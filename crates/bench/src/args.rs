@@ -3,9 +3,9 @@
 //! Every figure binary accepts `--files N --days D --seed S --updates U
 //! --runs R` with figure-appropriate defaults, so the paper-scale runs and
 //! CI-scale smoke runs use the same code path. The shared `--workers`,
-//! `--seed`, and `--out` flags are parsed here once, so every binary —
-//! including `minicost bench` — resolves them identically and the JSON
-//! artifacts carry the same `config` block (DESIGN.md §14).
+//! `--seed`, and `--out` flags are parsed here once, so every binary
+//! resolves them identically and the JSON sidecars carry the same `config`
+//! block (DESIGN.md §14).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -73,10 +73,8 @@ impl Args {
         self.u64("seed", default)
     }
 
-    /// The `--out` flag: where a binary writes its artifacts. Figure
-    /// binaries treat it as the output *directory* (default `results/`);
-    /// `minicost bench` treats its own `--out` as the artifact path — both
-    /// resolve through the same parser so the flags behave alike.
+    /// The `--out` flag: the directory a figure binary writes its
+    /// artifacts to (default `results/`).
     #[must_use]
     pub fn out(&self, default: &str) -> PathBuf {
         PathBuf::from(self.values.get("out").map_or(default, String::as_str))

@@ -5,7 +5,7 @@
 //! a better final rate (`ε=0.1 > 0.01 > 0.001` in final performance, the
 //! reverse in early speed).
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::prelude::*;
 
 /// Experiment parameters.

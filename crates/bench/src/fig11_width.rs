@@ -4,7 +4,7 @@
 //! The paper repeats each width 10 times and observes performance
 //! stabilizing from 32 units and variance becoming negligible at 64+.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::prelude::*;
 
 /// Experiment parameters.

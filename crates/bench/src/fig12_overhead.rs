@@ -7,7 +7,7 @@
 //! hardware-specific; the reproduced claims are the relative shape and the
 //! sub-millisecond per-file decision.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::prelude::*;
 
 /// Experiment parameters.

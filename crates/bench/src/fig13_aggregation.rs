@@ -5,7 +5,7 @@
 //! The enhancement runs Algorithm 2 weekly: Ω from the trailing week's
 //! concurrency selects the top-Ψ groups applied to the next week.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::prelude::*;
 use tracegen::CoRequestModel;
 

@@ -5,7 +5,7 @@
 //! the five buckets. Regenerates the histogram from the synthetic trace and
 //! prints both the counts and the deviation from the paper's percentages.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::prelude::*;
 use tracegen::analysis::{bucket_histogram, CV_BUCKET_LABELS};
 use tracegen::config::PAPER_BUCKET_MIX;

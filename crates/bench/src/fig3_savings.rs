@@ -6,7 +6,7 @@
 //! `>0.8` bucket saves *more total money* than the huge `0-0.1` bucket
 //! saves per its size — per-file savings grow steeply with variability.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::optimal::optimal_plan;
 use minicost::prelude::*;
 use tracegen::analysis::{bucket_members, CV_BUCKET_LABELS};

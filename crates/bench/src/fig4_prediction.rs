@@ -7,7 +7,7 @@
 //! only planner is insufficient and an RL policy is used instead.
 //! Extension: seasonal-naive and EWMA baselines alongside ARIMA.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use forecast::{Arima, ErrorSummary, Ewma, Forecaster, SeasonalNaive};
 use minicost::prelude::*;
 use tracegen::analysis::{bucket_members, CV_BUCKET_LABELS};

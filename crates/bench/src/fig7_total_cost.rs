@@ -5,7 +5,7 @@
 //! `Cold > Hot > Greedy > MiniCost > Optimal` at every weekly checkpoint,
 //! with MiniCost closest to the offline lower bound.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::prelude::*;
 
 /// Experiment parameters.

@@ -6,7 +6,7 @@
 //! (`Cold > Hot > Greedy > MiniCost > Optimal`).
 
 use crate::fig7_total_cost::{evaluate, Fig7Runs, Params};
-use crate::Report;
+use crate::{ConfigBlock, Report};
 use minicost::prelude::*;
 use tracegen::analysis::CV_BUCKET_LABELS;
 

@@ -4,7 +4,7 @@
 //! The paper sweeps learning rates from 1e-4 to 5.5e-3 and finds a U-shaped
 //! curve with its minimum near 0.0028: too small crawls, too large zigzags.
 
-use crate::{Args, Report};
+use crate::{Args, ConfigBlock, Report};
 use minicost::prelude::*;
 use rl::convergence_step;
 

@@ -29,7 +29,7 @@ pub mod fig9_learning_rate;
 pub mod report;
 
 pub use args::Args;
-pub use report::Report;
+pub use report::{ConfigBlock, Report};
 
 use minicost::prelude::*;
 

@@ -2,11 +2,32 @@
 //! when a run configuration is attached, as a JSON sidecar with the shared
 //! `config` block of DESIGN.md §14) under `results/`.
 
-use minicost::prelude::ConfigBlock;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+
+/// The run-configuration block a JSON sidecar leads with (DESIGN.md §14),
+/// so every figure's artifact parses with one schema.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ConfigBlock {
+    /// Number of files in the generated trace.
+    pub files: usize,
+    /// Trace horizon in days.
+    pub days: usize,
+    /// Generator / simulation seed.
+    pub seed: u64,
+    /// Simulation shard count.
+    pub workers: usize,
+}
+
+impl ConfigBlock {
+    /// Builds a config block from the run's resolved parameters.
+    #[must_use]
+    pub fn new(files: usize, days: usize, seed: u64, workers: usize) -> ConfigBlock {
+        ConfigBlock { files, days, seed, workers }
+    }
+}
 
 /// The on-disk shape of a report's JSON sidecar (DESIGN.md §14): the shared
 /// `config` block first-class, then the table verbatim.
@@ -34,8 +55,7 @@ pub struct Report {
     /// Interpretation notes printed after the table (paper comparison).
     pub notes: Vec<String>,
     /// The resolved run configuration; when present, [`Report::emit_into`]
-    /// also writes a `<name>.json` sidecar whose `config` block matches the
-    /// one `minicost bench` embeds in `BENCH_hotpath.json`.
+    /// also writes a `<name>.json` sidecar led by this `config` block.
     pub config: Option<ConfigBlock>,
 }
 
@@ -203,13 +223,22 @@ mod tests {
     }
 
     #[test]
+    fn serializes_with_stable_field_names() {
+        let block = ConfigBlock::new(100, 35, 2020, 4);
+        let json = serde_json::to_string(&block).unwrap();
+        assert_eq!(json, r#"{"files":100,"days":35,"seed":2020,"workers":4}"#);
+        let back: ConfigBlock = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, block);
+    }
+
+    #[test]
     fn json_sidecar_embeds_the_shared_config_block() {
         let dir = std::env::temp_dir().join(format!("minicost-json-{}", std::process::id()));
         let report = sample().with_config(ConfigBlock::new(300, 14, 3, 2));
         let path = report.write_json(&dir).unwrap();
         let doc: JsonDoc = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        // The `config` object is the exact ConfigBlock schema every bench
-        // artifact shares (DESIGN.md §14).
+        // The `config` object is the exact ConfigBlock schema every
+        // sidecar shares (DESIGN.md §14).
         assert_eq!(doc.config, Some(ConfigBlock::new(300, 14, 3, 2)));
         assert_eq!(doc.name, "figX");
         assert_eq!(doc.rows[0][1], "1.25");

@@ -17,11 +17,11 @@ use minicost::prelude::*;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use store::{JobId, Journal, MigrateConfig, MigrationJob, Migrator, PoolBuild, StoragePool};
+use store::{MigrateConfig, PoolBuild};
 
 /// A CLI failure carrying the process exit code. `serve` maps its error
-/// taxonomy onto distinct codes (see [`USAGE`]); every other command exits
-/// 1 on failure.
+/// taxonomy onto distinct codes (see [`USAGE`]); a flag the command does
+/// not read exits 2; every other failure exits 1.
 struct CliError {
     code: u8,
     message: String,
@@ -59,25 +59,13 @@ fn serve_exit_code(e: &ServeError) -> u8 {
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let Some(command) = args.next() else {
+    let Some(name) = args.next() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(args) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "generate" => generate(&flags).map_err(CliError::general),
-        "analyze" => analyze(&flags).map_err(CliError::general),
-        "train" => train(&flags).map_err(CliError::general),
-        "evaluate" => evaluate(&flags).map_err(CliError::general),
-        "serve" => serve_cmd(&flags),
-        "bench" => bench(&flags).map_err(CliError::general),
-        other => Err(CliError::general(format!("unknown command {other:?}"))),
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(command) => parse_flags(args, command).and_then(|flags| (command.run)(&flags)),
+        None => Err(CliError::general(format!("unknown command {name:?}"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -88,6 +76,65 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand: its entry point and every flag it reads.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Flags) -> Result<(), CliError>,
+}
+
+/// The subcommands. Each `flags` list is exactly the names the command's
+/// `flag(..)`/`flags.get(..)` calls read; [`parse_flags`] rejects any other
+/// flag, so a misspelt option fails instead of being silently ignored.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        flags: &["files", "days", "seed", "out"],
+        run: |flags| generate(flags).map_err(CliError::general),
+    },
+    Command {
+        name: "analyze",
+        flags: &["trace"],
+        run: |flags| analyze(flags).map_err(CliError::general),
+    },
+    Command {
+        name: "train",
+        flags: &["trace", "pricing", "out", "width", "updates", "workers", "seed"],
+        run: |flags| train(flags).map_err(CliError::general),
+    },
+    Command {
+        name: "evaluate",
+        flags: &["trace", "pricing", "agent", "seed", "workers"],
+        run: |flags| evaluate(flags).map_err(CliError::general),
+    },
+    Command {
+        name: "serve",
+        flags: &[
+            "trace",
+            "pricing",
+            "seed",
+            "decide-every",
+            "agent",
+            "policy",
+            "max-tracked",
+            "max-days",
+            "store",
+            "store-dir",
+            "migrate-bw",
+            "migrate-inflight",
+            "checkpoint-every",
+            "checkpoint",
+            "checkpoint-keep",
+            "fault-plan",
+            "chaos-seed",
+            "degraded-policy",
+            "verify-batch",
+            "workers",
+        ],
+        run: serve_cmd,
+    },
+];
+
 const USAGE: &str = "usage:
   minicost generate --files N --days D [--seed S] --out trace.csv
   minicost analyze  --trace trace.csv
@@ -95,8 +142,6 @@ const USAGE: &str = "usage:
                     [--pricing paper|azure|aws] --out agent.json
   minicost evaluate --trace trace.csv --agent agent.json [--pricing ...] \\
                     [--workers W]
-  minicost bench    [--files N] [--days D] [--seed S] [--workers W] [--quick] \\
-                    [--out BENCH_hotpath.json]
   minicost serve    --trace trace.csv [--policy hot|cold|greedy | --agent agent.json] \\
                     [--decide-every N] [--seed S] [--max-tracked K] \\
                     [--checkpoint snap.json] [--checkpoint-every E] \\
@@ -128,22 +173,22 @@ serve exit codes:
 
 type Flags = HashMap<String, String>;
 
-/// Flags that may appear without a value (implied `true`), e.g.
-/// `minicost bench --quick`.
-const BOOLEAN_FLAGS: &[&str] = &["quick"];
-
-fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, String> {
+/// Parses `--name value` pairs. A flag `command` does not read is a
+/// configuration error (exit 2) naming it.
+fn parse_flags(
+    mut args: impl Iterator<Item = String>,
+    command: &Command,
+) -> Result<Flags, CliError> {
     let mut flags = HashMap::new();
-    let mut args = args.peekable();
     while let Some(key) = args.next() {
-        let name = key.strip_prefix("--").ok_or_else(|| format!("expected --flag, got {key:?}"))?;
-        let valueless =
-            BOOLEAN_FLAGS.contains(&name) && args.peek().is_none_or(|next| next.starts_with("--"));
-        let value = if valueless {
-            "true".to_owned()
-        } else {
-            args.next().ok_or_else(|| format!("--{name} needs a value"))?
-        };
+        let name = key
+            .strip_prefix("--")
+            .ok_or_else(|| CliError::general(format!("expected --flag, got {key:?}")))?;
+        if !command.flags.contains(&name) {
+            return Err(CliError::config(format!("{} does not take --{name}", command.name)));
+        }
+        let value =
+            args.next().ok_or_else(|| CliError::general(format!("--{name} needs a value")))?;
         flags.insert(name.to_owned(), value);
     }
     Ok(flags)
@@ -426,250 +471,6 @@ fn serve_cmd(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One measured hot-path run: a policy simulated end to end at a fixed
-/// shard count, reported as throughput rates plus the process's peak RSS.
-#[derive(serde::Serialize)]
-struct BenchRun {
-    policy: String,
-    workers: usize,
-    seconds: f64,
-    files_per_sec: f64,
-    file_days_per_sec: f64,
-    decisions_per_sec: f64,
-    /// `VmHWM` from `/proc/self/status` (kB). The high-water mark is
-    /// monotone over the process lifetime, so runs execute in ascending
-    /// worker order and each value bounds every earlier run too. `None`
-    /// off Linux.
-    peak_rss_kb: Option<u64>,
-}
-
-/// One measured migration-pipeline run: a full batch of tier changes
-/// drained through [`Migrator::run_batch`] at one throttle setting.
-#[derive(serde::Serialize)]
-struct MigrateBenchRun {
-    /// `--migrate-bw` equivalent (0 = device speed).
-    bw_cap_mib_s: u64,
-    /// `--migrate-inflight` equivalent.
-    inflight: usize,
-    /// Jobs in the batch.
-    jobs: usize,
-    /// Wall-clock seconds to drain the batch.
-    seconds: f64,
-    /// Wall-clock jobs/second.
-    jobs_per_sec: f64,
-    /// Wall-clock logical bytes/second.
-    bytes_per_sec: f64,
-    /// Virtual ms the throttle model charged the batch.
-    virtual_ms: u64,
-    /// Modeled throughput: logical MiB per virtual second.
-    mib_per_virtual_sec: f64,
-}
-
-/// The `BENCH_hotpath.json` artifact: the shared config block (the same
-/// schema the figure binaries' JSON sidecars embed), then one entry per
-/// (policy, workers) cell of the ladder, then the migration-pipeline
-/// throughput grid.
-#[derive(serde::Serialize)]
-struct BenchDoc {
-    name: String,
-    config: ConfigBlock,
-    quick: bool,
-    results: Vec<BenchRun>,
-    migrate: Vec<MigrateBenchRun>,
-}
-
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find(|l| l.starts_with("VmHWM:"))?.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// `minicost bench`: measure the columnar simulate hot path (DESIGN.md §14)
-/// for Greedy and a randomly-initialized MiniCost network at each worker
-/// count of the ladder (1, 4, and all cores — or just `--workers W`),
-/// emitting `BENCH_hotpath.json`. `--quick` shrinks the trace for CI.
-fn bench(flags: &Flags) -> Result<(), String> {
-    let quick = flag(flags, "quick", false)?;
-    let files = flag(flags, "files", if quick { 2_000usize } else { 20_000 })?;
-    let days = flag(flags, "days", if quick { 14usize } else { 35 })?;
-    let seed = flag(flags, "seed", 2020u64)?;
-    let out = flags.get("out").map_or("BENCH_hotpath.json", String::as_str);
-    let model = pricing(flags)?;
-
-    let cfg = TraceConfig { files, days, seed, ..TraceConfig::default() };
-    cfg.validate()?;
-    let trace = Trace::generate(&cfg);
-
-    // Ascending worker ladder so the monotone VmHWM reading stays
-    // interpretable (each cell's peak covers all smaller ladders).
-    let ladder: Vec<usize> = match flags.get("workers") {
-        Some(v) => vec![v.parse::<usize>().map_err(|e| format!("--workers {v:?}: {e}"))?.max(1)],
-        None => {
-            let cores = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
-            let mut ladder = vec![1usize, 4, cores];
-            ladder.sort_unstable();
-            ladder.dedup();
-            ladder
-        }
-    };
-
-    let features = FeatureConfig::default();
-    let spec = rl::NetSpec {
-        window: features.window,
-        channels: FeatureConfig::CHANNELS,
-        extras: minicost::features::EXTRA_FEATURES,
-        filters: 32,
-        kernel: 4,
-        stride: 1,
-        hidden: 32,
-        actions: 3,
-    };
-    let actor = spec.build_actor(seed);
-    let rl_params = actor.param_vector();
-
-    let file_days = (files * days) as f64;
-    let mut results = Vec::new();
-    println!(
-        "bench: {} files x {} days (seed {seed}), workers ladder {:?}",
-        trace.len(),
-        trace.days,
-        ladder
-    );
-    println!(
-        "{:<10} {:>8} {:>9} {:>13} {:>16} {:>15} {:>12}",
-        "policy",
-        "workers",
-        "seconds",
-        "files/sec",
-        "file-days/sec",
-        "decisions/sec",
-        "peak RSS kB"
-    );
-    for &workers in &ladder {
-        let sim_cfg =
-            SimConfig::builder().seed(seed).workers(workers).build().map_err(|e| e.to_string())?;
-        let mut policies: Vec<Box<dyn Policy>> = vec![
-            Box::new(GreedyPolicy),
-            Box::new(RlPolicy::from_params(spec, &rl_params, features)),
-        ];
-        for policy in &mut policies {
-            let start = std::time::Instant::now();
-            let run = simulate(&trace, &model, policy.as_mut(), &sim_cfg);
-            let seconds = start.elapsed().as_secs_f64();
-            let rss = peak_rss_kb();
-            let entry = BenchRun {
-                policy: run.policy_name.clone(),
-                workers,
-                seconds,
-                files_per_sec: files as f64 / seconds,
-                file_days_per_sec: file_days / seconds,
-                // Daily decisions for every file (decide_every = 1), so the
-                // rate coincides with file-days/sec by construction.
-                decisions_per_sec: file_days / seconds,
-                peak_rss_kb: rss,
-            };
-            println!(
-                "{:<10} {:>8} {:>9.3} {:>13.0} {:>16.0} {:>15.0} {:>12}",
-                entry.policy,
-                entry.workers,
-                entry.seconds,
-                entry.files_per_sec,
-                entry.file_days_per_sec,
-                entry.decisions_per_sec,
-                rss.map_or_else(|| "n/a".into(), |kb| kb.to_string()),
-            );
-            results.push(entry);
-        }
-    }
-
-    let migrate = bench_migrate(if quick { 2_000 } else { 10_000 })?;
-
-    let max_workers = ladder.iter().copied().max().unwrap_or(1);
-    let doc = BenchDoc {
-        name: "bench_hotpath".to_owned(),
-        config: ConfigBlock::new(files, days, seed, max_workers),
-        quick,
-        results,
-        migrate,
-    };
-    let body = serde_json::to_string(&doc).map_err(|e| e.to_string())?;
-    std::fs::write(out, format!("{body}\n")).map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// Measures the migration pipeline: one hot→cool batch of `jobs_n`
-/// ~1 MB-logical objects drained through an in-memory pool at each
-/// throttle setting of a small (bandwidth × lanes) grid. Wall-clock rates
-/// report real pipeline overhead (journal, framing, verify); the virtual
-/// columns report what the throttle model charged.
-fn bench_migrate(jobs_n: usize) -> Result<Vec<MigrateBenchRun>, String> {
-    let settings: &[(u64, usize)] = &[(0, 1), (0, 4), (200, 4), (50, 8)];
-    let mut out = Vec::new();
-    println!(
-        "{:<10} {:>9} {:>8} {:>9} {:>11} {:>14} {:>12} {:>14}",
-        "migrate",
-        "bw MiB/s",
-        "lanes",
-        "seconds",
-        "jobs/sec",
-        "bytes/sec",
-        "virtual ms",
-        "MiB/virt-sec"
-    );
-    for &(bw, inflight) in settings {
-        let mut pool = StoragePool::memory();
-        let mut journal = Journal::in_memory();
-        let mut jobs = Vec::with_capacity(jobs_n);
-        let mut logical_total = 0u64;
-        for f in 0..jobs_n as u64 {
-            let logical = 1_000_000 + f * 101;
-            logical_total += logical;
-            pool.put(f, Tier::Hot, logical).map_err(|e| e.to_string())?;
-            jobs.push(MigrationJob {
-                id: JobId { day: 0, file: f, from: Tier::Hot, to: Tier::Cool },
-                logical_bytes: logical,
-            });
-        }
-        let migrator =
-            Migrator::new(MigrateConfig { bw_cap_mib_s: bw, inflight, ..MigrateConfig::default() });
-        let start = std::time::Instant::now();
-        let batch =
-            migrator.run_batch(&mut pool, &mut journal, &jobs).map_err(|e| e.to_string())?;
-        let seconds = start.elapsed().as_secs_f64();
-        if batch.committed_jobs as usize != jobs_n {
-            return Err(format!(
-                "migrate bench: {} of {jobs_n} jobs committed",
-                batch.committed_jobs
-            ));
-        }
-        let entry = MigrateBenchRun {
-            bw_cap_mib_s: bw,
-            inflight,
-            jobs: jobs_n,
-            seconds,
-            jobs_per_sec: jobs_n as f64 / seconds,
-            bytes_per_sec: logical_total as f64 / seconds,
-            virtual_ms: batch.elapsed_ms,
-            mib_per_virtual_sec: logical_total as f64
-                / 1_048_576.0
-                / (batch.elapsed_ms.max(1) as f64 / 1e3),
-        };
-        println!(
-            "{:<10} {:>9} {:>8} {:>9.3} {:>11.0} {:>14.0} {:>12} {:>14.1}",
-            "",
-            entry.bw_cap_mib_s,
-            entry.inflight,
-            entry.seconds,
-            entry.jobs_per_sec,
-            entry.bytes_per_sec,
-            entry.virtual_ms,
-            entry.mib_per_virtual_sec,
-        );
-        out.push(entry);
-    }
-    Ok(out)
-}
-
 fn evaluate(flags: &Flags) -> Result<(), String> {
     let trace = load_trace(flags)?;
     let model = pricing(flags)?;
@@ -707,4 +508,50 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Flags, CliError> {
+        let mut words = line.split_whitespace().map(str::to_owned);
+        let name = words.next().unwrap();
+        let command = COMMANDS.iter().find(|c| c.name == name).unwrap();
+        parse_flags(words, command)
+    }
+
+    #[test]
+    fn misspelt_flag_is_a_config_error_naming_it() {
+        let err = parse("serve --trace t.csv --chekpoint-every 1 --checkpoint s.json").unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("--chekpoint-every"), "{}", err.message);
+        // A flag another command reads is still foreign here.
+        assert_eq!(parse("analyze --trace t.csv --out x").unwrap_err().code, 2);
+    }
+
+    #[test]
+    fn ci_smoke_command_lines_parse() {
+        for line in [
+            "generate --files 40 --days 9 --seed 7 --out smoke.csv",
+            "analyze --trace smoke.csv",
+            "train --trace smoke.csv --updates 150 --seed 9 --width 32 --workers 1 \
+             --pricing paper --out agent.json",
+            "evaluate --trace smoke.csv --agent agent.json --pricing azure --seed 0 --workers 2",
+            "serve --trace smoke.csv --policy greedy --decide-every 3 \
+             --checkpoint smoke-snapshot.json --checkpoint-every 1 --max-days 5 \
+             --verify-batch true",
+            "serve --trace chaos.csv --policy greedy --decide-every 1 \
+             --checkpoint chaos-snapshot.json --checkpoint-every 1 --checkpoint-keep 2 \
+             --chaos-seed 7 --max-days 5 --verify-batch true",
+            "serve --trace store.csv --policy greedy --decide-every 1 --store-dir store-pool \
+             --migrate-bw 200 --migrate-inflight 2 --checkpoint store-snapshot.json \
+             --checkpoint-every 1 --fault-plan crash-plan.json",
+            "serve --trace t.csv --agent agent.json --max-tracked 64 --store mem \
+             --degraded-policy greedy --seed 3 --pricing aws --workers 2",
+        ] {
+            let flags = parse(line).unwrap_or_else(|e| panic!("{line}: {}", e.message));
+            assert_eq!(flags.len(), line.matches("--").count(), "{line}");
+        }
+    }
 }

@@ -79,7 +79,6 @@
 #![cfg_attr(test, allow(clippy::float_cmp, reason = "bit-exact float asserts"))]
 
 pub mod aggregate;
-pub mod benchcfg;
 pub mod engine;
 pub mod features;
 pub mod fleet;
@@ -97,16 +96,13 @@ pub mod train;
 /// One-stop imports for examples and experiment harnesses.
 pub mod prelude {
     pub use crate::aggregate::{apply_aggregation, AggregationPlanner, Omega};
-    pub use crate::benchcfg::ConfigBlock;
     pub use crate::engine::{
         merge_shards, par_map_indices, partition, run_shard, shard_of, ShardRun,
     };
     pub use crate::features::FeatureConfig;
     pub use crate::fleet::{FeatureBlock, FleetState, FleetView};
     pub use crate::mdp::{OracleTables, RewardConfig, RewardKind, TieringEnv, TieringEnvConfig};
-    pub use crate::metrics::{
-        bucket_costs, decision_latency, normalized_costs, DecisionLatency, OverheadTimer,
-    };
+    pub use crate::metrics::{bucket_costs, decision_latency, normalized_costs, DecisionLatency};
     pub use crate::multi::{optimal_location_plan, Location, MultiCspModel};
     pub use crate::optimal::{brute_force_plan, optimal_plan, suffix_values};
     pub use crate::policy::{

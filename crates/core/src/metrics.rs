@@ -1,10 +1,9 @@
 //! Experiment metrics: per-bucket cost attribution, normalized-cost tables,
-//! and wall-clock overhead timing (Figs. 7, 8, 12).
+//! and the decision-latency digest (Figs. 7, 8, 12).
 
 use crate::sim::SimResult;
 use pricing::Money;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 use tracegen::analysis::{bucket_members, CV_BUCKET_COUNT};
 use tracegen::Trace;
 
@@ -43,55 +42,6 @@ pub fn normalized_costs(results: &[&SimResult], reference: Money) -> Vec<f64> {
             }
         })
         .collect()
-}
-
-/// An accumulating wall-clock timer for the Fig. 12 overhead measurements.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct OverheadTimer {
-    samples_ms: Vec<f64>,
-}
-
-impl OverheadTimer {
-    /// Creates an empty timer.
-    #[must_use]
-    pub fn new() -> OverheadTimer {
-        OverheadTimer::default()
-    }
-
-    /// Times `f`, records the elapsed milliseconds, and returns its value.
-    pub fn measure<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let value = f();
-        self.samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        value
-    }
-
-    /// Records an externally measured sample.
-    pub fn record_ms(&mut self, ms: f64) {
-        self.samples_ms.push(ms);
-    }
-
-    /// All samples in milliseconds.
-    #[must_use]
-    pub fn samples(&self) -> &[f64] {
-        &self.samples_ms
-    }
-
-    /// Mean milliseconds; 0.0 when empty.
-    #[must_use]
-    pub fn mean_ms(&self) -> f64 {
-        if self.samples_ms.is_empty() {
-            0.0
-        } else {
-            self.samples_ms.iter().sum::<f64>() / self.samples_ms.len() as f64
-        }
-    }
-
-    /// Total milliseconds recorded.
-    #[must_use]
-    pub fn total_ms(&self) -> f64 {
-        self.samples_ms.iter().sum()
-    }
 }
 
 /// Decision-latency digest of a (possibly sharded) [`SimResult`] — the
@@ -181,23 +131,6 @@ mod tests {
         // Zero reference.
         let inf = normalized_costs(&[&result], Money::ZERO);
         assert!(inf[0].is_infinite());
-    }
-
-    #[test]
-    fn overhead_timer_accumulates() {
-        // Deterministic: no sleeps in timing paths — measured samples are
-        // only checked for presence and non-negativity, arithmetic is
-        // exercised through recorded samples.
-        let mut timer = OverheadTimer::new();
-        assert_eq!(timer.mean_ms(), 0.0);
-        let value = timer.measure(|| 42);
-        assert_eq!(value, 42);
-        assert!(timer.samples()[0] >= 0.0);
-        timer.record_ms(10.0);
-        timer.record_ms(20.0);
-        assert_eq!(timer.samples().len(), 3);
-        assert!(timer.total_ms() >= 30.0);
-        assert!(timer.mean_ms() >= 10.0);
     }
 
     #[test]

@@ -187,7 +187,7 @@ pub struct ServeReport {
     /// Ledgers in the batch result shape; in exact mode `daily`,
     /// `per_file`, `tier_changes`, and `occupancy` are bit-identical to
     /// [`crate::sim::simulate`] (wall-clock `decision_millis` legitimately
-    /// differ).
+    /// differ, and cover only this invocation's epochs).
     pub result: SimResult,
     /// Decision epochs completed over the life of the run.
     pub epochs: u64,
@@ -245,7 +245,6 @@ struct ServeState {
     occupancy: Vec<[usize; TIER_COUNT]>,
     tier_changes: u64,
     billed_change_bytes: u64,
-    decision_millis: Vec<f64>,
     exact: Option<ExactStats>,
     bounded: Option<BoundedStats>,
 }
@@ -274,7 +273,6 @@ impl ServeState {
             occupancy: Vec::new(),
             tier_changes: 0,
             billed_change_bytes: 0,
-            decision_millis: Vec::new(),
             exact,
             bounded,
         }
@@ -290,7 +288,6 @@ impl ServeState {
             occupancy: snap.occupancy,
             tier_changes: snap.tier_changes,
             billed_change_bytes: snap.billed_change_bytes,
-            decision_millis: snap.decision_millis,
             exact: snap.exact,
             bounded: snap.bounded,
         }
@@ -312,7 +309,6 @@ impl ServeState {
             occupancy: self.occupancy.clone(),
             tier_changes: self.tier_changes,
             billed_change_bytes: self.billed_change_bytes,
-            decision_millis: self.decision_millis.clone(),
             exact: self.exact.clone(),
             bounded: self.bounded.clone(),
         }
@@ -783,6 +779,9 @@ pub(crate) fn run_supervised(
     };
     let mut lookahead: Option<DayBatch> = None;
     let mut checkpoints_written = 0u64;
+    // Wall-clock ms per decision epoch of this invocation: reported, never
+    // persisted, so identical runs write identical checkpoints.
+    let mut decision_millis = Vec::new();
     // The decision input, sized once per session and refilled in place:
     // the last `window` closed days and today per file (DESIGN.md §10).
     let mut decision_fleet = FleetState::default();
@@ -804,7 +803,7 @@ pub(crate) fn run_supervised(
             state.refill_history(&mut decision_fleet, trace);
             let start = Instant::now();
             let decision = sup.decide(policy, day, &decision_fleet, model, &state.tiers)?;
-            state.decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
+            decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
             Some(decision)
         } else {
             None
@@ -901,7 +900,6 @@ pub(crate) fn run_supervised(
         }
     }
 
-    let decision_millis = state.decision_millis.clone();
     Ok(ServeReport {
         result: SimResult {
             policy_name: policy.name().to_owned(),
@@ -986,6 +984,70 @@ mod tests {
         let batch_hot = simulate(&trace, &model, &mut HotPolicy, &batch_cfg());
         assert_eq!(hot.result.daily, batch_hot.daily);
         assert_eq!(hot.result.per_file, batch_hot.per_file);
+    }
+
+    fn scratch_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("minicost-serve-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn identical_checkpointed_runs_write_identical_files() {
+        let (trace, model) = setup();
+        let runs: Vec<Vec<u8>> = ["a", "b"]
+            .iter()
+            .map(|run| {
+                let path = scratch_dir(&format!("identical-{run}")).join("snapshot.json");
+                let cfg = ServeConfig {
+                    checkpoint_every: 1,
+                    checkpoint_path: Some(path.clone()),
+                    ..ServeConfig::default()
+                };
+                serve(&trace, &model, &mut GreedyPolicy, &cfg).unwrap();
+                let bytes = std::fs::read(&path).unwrap();
+                std::fs::remove_dir_all(path.parent().unwrap()).ok();
+                bytes
+            })
+            .collect();
+        assert!(runs[0] == runs[1], "two identical runs wrote different checkpoints");
+    }
+
+    #[test]
+    fn snapshot_with_legacy_decision_millis_key_still_resumes() {
+        // v2 files written before serve stopped persisting its timings
+        // carry a `decision_millis` array; the loader ignores the key.
+        let (trace, model) = setup();
+        let dir = scratch_dir("legacy-millis");
+        let path = dir.join("snapshot.json");
+        let base = ServeConfig {
+            checkpoint_every: 1,
+            checkpoint_path: Some(path.clone()),
+            ..ServeConfig::default()
+        };
+        let cut = ServeConfig { max_days: Some(5), ..base.clone() };
+        serve(&trace, &model, &mut GreedyPolicy, &cut).unwrap();
+
+        let bytes = std::fs::read(&path).unwrap();
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&bytes[..newline]).unwrap();
+        let prefix = &header[..header.find("fnv1a64:").unwrap()];
+        let payload = std::str::from_utf8(&bytes[newline + 1..]).unwrap();
+        let legacy = payload.replacen('{', r#"{"decision_millis":[0.5,0.25,1.75,0.125,2.0],"#, 1);
+        let digest = stream::fnv1a64(legacy.as_bytes());
+        std::fs::write(&path, format!("{prefix}fnv1a64:{digest:016x}\n{legacy}")).unwrap();
+
+        let resumed = serve(&trace, &model, &mut GreedyPolicy, &base).unwrap();
+        assert_eq!(resumed.resumed_from_day, Some(5));
+        let batch = simulate(&trace, &model, &mut GreedyPolicy, &batch_cfg());
+        assert_eq!(resumed.result.daily, batch.daily);
+        assert_eq!(resumed.result.per_file, batch.per_file);
+        assert_eq!(resumed.result.tier_changes, batch.tier_changes);
+        assert_eq!(resumed.result.occupancy, batch.occupancy);
+        // Timings cover only the resumed invocation's epochs.
+        assert_eq!(resumed.result.decision_millis.len(), trace.days - 5);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

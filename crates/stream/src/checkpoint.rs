@@ -106,8 +106,6 @@ pub struct Snapshot {
     /// (defaults to 0).
     #[serde(default)]
     pub billed_change_bytes: u64,
-    /// Wall-clock milliseconds spent in each decision epoch.
-    pub decision_millis: Vec<f64>,
     /// Exact online statistics (present in exact mode).
     #[serde(default)]
     pub exact: Option<ExactStats>,
@@ -409,7 +407,6 @@ mod tests {
             occupancy: vec![[2, 0, 0]; 6],
             tier_changes: 1,
             billed_change_bytes: 0,
-            decision_millis: vec![0.5, 0.25],
             exact: Some(ExactStats::new(7, 2)),
             bounded: None,
         }
@@ -585,12 +582,10 @@ mod tests {
         fn clean_round_trip_is_total(
             next_day in 0usize..10_000,
             epoch in 0u64..1_000_000,
-            millis in proptest::collection::vec(0.0f64..1e6, 0..20),
         ) {
             let mut snap = sample();
             snap.next_day = next_day;
             snap.epoch = epoch;
-            snap.decision_millis = millis;
             let bytes = snap.to_checked_bytes().unwrap();
             prop_assert_eq!(Snapshot::from_checked_bytes(&bytes).unwrap(), snap);
         }
