@@ -22,12 +22,10 @@
 //! reported so the file shrinks as buffers get hoisted. Site-level
 //! waivers use `// xtask-allow(hot-alloc): <reason>`.
 
-use crate::flow::{flow_allowed, FlowDiag, FlowKind, FnGraph, SourceFile, Workspace};
-use crate::json::Json;
-use crate::lexer::TokKind;
-use crate::reach::AllowEntry;
-use std::collections::{BTreeMap, VecDeque};
-use std::path::Path;
+use crate::flow::{
+    gated_reach, AllowEntry, Allowlist, FlowDiag, FlowKind, FnGraph, Gate, Workspace,
+};
+use crate::lexer::{Tok, TokKind};
 
 /// Entry-point keys of the per-day inner loops.
 pub const ROOT_KEYS: &[&str] = &["core::run_shard", "core::serve"];
@@ -36,49 +34,16 @@ pub const ROOT_KEYS: &[&str] = &["core::run_shard", "core::serve"];
 /// (trait-object dispatch makes the concrete impl unknowable statically).
 pub const ROOT_METHODS: &[&str] = &["decide_batch", "decide_batch_into"];
 
-/// The parsed `xtask-alloc-allowlist.json`.
-#[derive(Clone, Debug, Default)]
-pub struct AllocAllowlist {
-    /// All entries, in file order.
-    pub entries: Vec<AllowEntry>,
-}
+/// The committed allowlist F5 findings are gated on.
+pub const ALLOWLIST: &str = "xtask-alloc-allowlist.json";
 
-impl AllocAllowlist {
-    /// Loads `<root>/xtask-alloc-allowlist.json`; a missing file is an
-    /// empty allowlist, a malformed one is an error.
-    pub fn load(root: &Path) -> Result<AllocAllowlist, String> {
-        let path = root.join("xtask-alloc-allowlist.json");
-        match std::fs::read_to_string(&path) {
-            Ok(src) => AllocAllowlist::parse(&src).map_err(|e| format!("{}: {e}", path.display())),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(AllocAllowlist::default()),
-            Err(e) => Err(format!("{}: {e}", path.display())),
-        }
-    }
-
-    /// Parses `{"entries": [{"function": ..., "reason": ...}, ...]}`.
-    pub fn parse(src: &str) -> Result<AllocAllowlist, String> {
-        let doc = Json::parse(src)?;
-        let entries = doc
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("alloc allowlist must have an `entries` array")?;
-        let mut out = Vec::new();
-        for (i, e) in entries.iter().enumerate() {
-            let field = |name: &str| {
-                e.get(name)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or(format!("entry {i}: missing string field `{name}`"))
-            };
-            let entry = AllowEntry { function: field("function")?, reason: field("reason")? };
-            if entry.reason.trim().is_empty() {
-                return Err(format!("entry {i}: reason must not be empty"));
-            }
-            out.push(entry);
-        }
-        Ok(AllocAllowlist { entries: out })
-    }
-}
+const GATE: Gate = Gate {
+    kind: FlowKind::HotAlloc,
+    role: "allocates in",
+    finding: "allocates on the hot path",
+    remedy: "hoist the buffer",
+    allowlist: ALLOWLIST,
+};
 
 /// Container types whose associated constructors allocate.
 const ALLOC_CONTAINERS: &[&str] =
@@ -93,66 +58,28 @@ const ALLOC_METHODS: &[&str] = &["collect", "clone", "cloned", "to_vec", "to_own
 /// Macros that allocate their result.
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
-/// Per-idiom allocation-site counts and first lines for one body.
-#[derive(Debug, Default)]
-struct Sites {
-    /// idiom label (`Vec::new`, `.collect()`, `format!`) -> (count, first line).
-    by_idiom: BTreeMap<String, (usize, usize)>,
-}
-
-impl Sites {
-    fn record(&mut self, idiom: String, line: usize) {
-        let slot = self.by_idiom.entry(idiom).or_insert((0, line));
-        slot.0 += 1;
-    }
-
-    fn is_empty(&self) -> bool {
-        self.by_idiom.is_empty()
-    }
-
-    /// `"1 .clone(), 2 Vec::new"` in stable idiom order.
-    fn summary(&self) -> String {
-        self.by_idiom
-            .iter()
-            .map(|(idiom, (n, _))| format!("{n} {idiom}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-
-    fn first_line(&self) -> usize {
-        self.by_idiom.values().map(|(_, l)| *l).min().unwrap_or(0)
-    }
-}
-
-/// Scans one body token range for allocating call sites, honoring
-/// site waivers.
-fn alloc_sites(sf: &SourceFile, start: usize, end: usize) -> Sites {
-    let toks = &sf.lexed.toks[start..end.min(sf.lexed.toks.len())];
-    let mut sites = Sites::default();
-    let mut record = |idiom: String, line| {
-        if !flow_allowed(&sf.lexed, FlowKind::HotAlloc, line) {
-            sites.record(idiom, line);
-        }
-    };
+/// `(idiom, line)` of every allocating call site in one body's tokens.
+fn alloc_sites(toks: &[Tok]) -> Vec<(String, usize)> {
+    let mut sites = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         let TokKind::Ident(id) = &t.kind else { continue };
         let prev_is = |p: &str| i > 0 && toks[i - 1].kind.is_punct(p);
         let next_is = |p: &str| toks.get(i + 1).is_some_and(|n| n.kind.is_punct(p));
         if ALLOC_MACROS.contains(&id.as_str()) && next_is("!") {
-            record(format!("{id}!"), t.line);
+            sites.push((format!("{id}!"), t.line));
         } else if ALLOC_CONTAINERS.contains(&id.as_str()) && next_is("::") {
             // `Vec::new(`, possibly with a turbofish between `::` and the
             // constructor name: find the next identifier token.
             let ctor =
                 toks[i + 2..].iter().take(8).find_map(|n| n.kind.ident()).unwrap_or_default();
             if ALLOC_CTORS.contains(&ctor) {
-                record(format!("{id}::{ctor}"), t.line);
+                sites.push((format!("{id}::{ctor}"), t.line));
             }
         } else if ALLOC_METHODS.contains(&id.as_str()) && prev_is(".") {
             // `.collect()`, `.collect::<Vec<_>>()`: a call must follow.
             let calls = next_is("(") || next_is("::");
             if calls {
-                record(format!(".{id}()"), t.line);
+                sites.push((format!(".{id}()"), t.line));
             }
         }
     }
@@ -173,83 +100,13 @@ pub fn roots(g: &FnGraph) -> Vec<String> {
 }
 
 /// Walks the graph from the inner-loop roots, flags reachable allocating
-/// functions not covered by the allowlist, and reports unused entries.
+/// functions not covered by the allowlist, and returns the entries that
+/// matched nothing.
 pub fn analyze(
     ws: &Workspace,
     g: &FnGraph,
     roots: &[String],
-    allow: &AllocAllowlist,
-) -> (Vec<FlowDiag>, Vec<String>) {
-    // BFS from the roots, recording the hop parent for traces.
-    let mut prev: Vec<Option<usize>> = vec![None; g.nodes.len()];
-    let mut root_of: Vec<Option<usize>> = vec![None; g.nodes.len()];
-    let mut queue = VecDeque::new();
-    for key in roots {
-        if let Some(ix) = g.by_key(key) {
-            if root_of[ix].is_none() {
-                root_of[ix] = Some(ix);
-                queue.push_back(ix);
-            }
-        }
-    }
-    while let Some(ix) = queue.pop_front() {
-        for &c in &g.nodes[ix].callees {
-            if root_of[c].is_none() {
-                root_of[c] = root_of[ix];
-                prev[c] = Some(ix);
-                queue.push_back(c);
-            }
-        }
-    }
-
-    let mut used = vec![false; allow.entries.len()];
-    let mut diags = Vec::new();
-    for (ix, node) in g.nodes.iter().enumerate() {
-        let Some(root_ix) = root_of[ix] else { continue };
-        let Some((start, end)) = node.body else { continue };
-        let sf = &ws.files[node.file_ix];
-        let sites = alloc_sites(sf, start, end);
-        if sites.is_empty() {
-            continue;
-        }
-        if let Some(pos) = allow.entries.iter().position(|e| e.function == node.key) {
-            used[pos] = true;
-            continue;
-        }
-        // Trace: root -> ... -> this function.
-        let mut path = vec![ix];
-        while let Some(p) = prev[*path.last().unwrap_or(&ix)] {
-            path.push(p);
-        }
-        path.reverse();
-        let trace: Vec<String> = path
-            .iter()
-            .map(|&step| {
-                let role = if step == ix { "allocates in" } else { "calls" };
-                format!("{role} {}", g.label(ws, step))
-            })
-            .collect();
-        diags.push(FlowDiag {
-            kind: FlowKind::HotAlloc,
-            file: sf.file.clone(),
-            line: sites.first_line(),
-            symbol: node.key.clone(),
-            message: format!(
-                "allocates on the hot path ({}) and is reachable from `{}` ({} hop(s)); hoist \
-                 the buffer, waive the site, or add an `xtask-alloc-allowlist.json` entry",
-                sites.summary(),
-                g.nodes[root_ix].key,
-                path.len().saturating_sub(1),
-            ),
-            trace,
-        });
-    }
-    let warnings = allow
-        .entries
-        .iter()
-        .zip(&used)
-        .filter(|(_, u)| !**u)
-        .map(|(e, _)| format!("unused alloc-allowlist entry: {} ({})", e.function, e.reason))
-        .collect();
-    (diags, warnings)
+    allow: &Allowlist,
+) -> (Vec<FlowDiag>, Vec<AllowEntry>) {
+    gated_reach(ws, g, roots.iter().map(String::as_str), allow, &GATE, alloc_sites)
 }

@@ -3,8 +3,8 @@
 //! allowlist and site waivers must suppress, and the real workspace must
 //! be clean under the committed `xtask-alloc-allowlist.json`.
 
-use crate::alloc::{self, AllocAllowlist};
-use crate::flow::{FlowKind, FnGraph, Workspace};
+use crate::alloc;
+use crate::flow::{Allowlist, FlowKind, FnGraph, Workspace};
 use crate::flow_tests::fixture_ws;
 
 #[test]
@@ -15,8 +15,8 @@ fn f5_fixture_flags_reachable_allocations_only() {
     assert!(roots.contains(&"core::run_shard".to_string()), "{roots:?}");
     assert!(roots.contains(&"core::serve".to_string()), "{roots:?}");
     assert!(roots.contains(&"core::EveryDay::decide_batch".to_string()), "{roots:?}");
-    let (diags, warnings) = alloc::analyze(&ws, &g, &roots, &AllocAllowlist::default());
-    assert!(warnings.is_empty(), "{warnings:?}");
+    let (diags, unused) = alloc::analyze(&ws, &g, &roots, &Allowlist::default());
+    assert!(unused.is_empty(), "{unused:?}");
     let syms: Vec<&str> = diags.iter().map(|d| d.symbol.as_str()).collect();
     // `decide` (vec! + .clone(), one hop from run_shard) and the
     // decide_batch impl (.collect()) are flagged; the waived `labeled`
@@ -38,7 +38,7 @@ fn f5_fixture_flags_reachable_allocations_only() {
 fn f5_allowlist_suppresses_and_reports_unused_entries() {
     let (ws, g) = fixture_ws("f5_alloc.rs");
     let roots = alloc::roots(&g);
-    let allow = AllocAllowlist::parse(
+    let allow = Allowlist::parse(
         r#"{"entries": [
             {"function": "core::EveryDay::decide_batch",
              "reason": "the trait API returns an owned buffer"},
@@ -47,21 +47,21 @@ fn f5_allowlist_suppresses_and_reports_unused_entries() {
         ]}"#,
     )
     .expect("allowlist parses");
-    let (diags, warnings) = alloc::analyze(&ws, &g, &roots, &allow);
+    let (diags, unused) = alloc::analyze(&ws, &g, &roots, &allow);
     // The allowlisted impl is suppressed; `decide` still fires.
     assert!(!diags.iter().any(|d| d.symbol == "core::EveryDay::decide_batch"), "{diags:?}");
     assert!(diags.iter().any(|d| d.symbol == "core::decide"), "{diags:?}");
     // The stale entry is reported for burn-down.
-    assert_eq!(warnings.len(), 1, "{warnings:?}");
-    assert!(warnings[0].starts_with("unused alloc-allowlist entry: core::gone_function"));
+    assert_eq!(unused.len(), 1, "{unused:?}");
+    assert_eq!(unused[0].function, "core::gone_function", "{unused:?}");
 }
 
 #[test]
 fn alloc_allowlist_rejects_blank_reasons() {
-    let err = AllocAllowlist::parse(r#"{"entries": [{"function": "core::f", "reason": "  "}]}"#)
+    let err = Allowlist::parse(r#"{"entries": [{"function": "core::f", "reason": "  "}]}"#)
         .expect_err("blank reason must be rejected");
     assert!(err.contains("reason"), "{err}");
-    let err = AllocAllowlist::parse(r#"{"wrong": 1}"#).expect_err("missing entries");
+    let err = Allowlist::parse(r#"{"wrong": 1}"#).expect_err("missing entries");
     assert!(err.contains("entries"), "{err}");
 }
 
@@ -73,9 +73,9 @@ fn alloc_tree_is_clean_under_committed_allowlist() {
     let root = crate::walk::repo_root();
     let ws = Workspace::load_flow(&root).expect("workspace loads");
     let g = FnGraph::build(&ws);
-    let allow = AllocAllowlist::load(&root).expect("allowlist parses");
+    let allow = Allowlist::load(&root, alloc::ALLOWLIST).expect("allowlist parses");
     let roots = alloc::roots(&g);
-    let (diags, warnings) = alloc::analyze(&ws, &g, &roots, &allow);
+    let (diags, unused) = alloc::analyze(&ws, &g, &roots, &allow);
     let fresh: Vec<String> = diags.iter().map(ToString::to_string).collect();
     assert!(
         fresh.is_empty(),
@@ -85,5 +85,5 @@ fn alloc_tree_is_clean_under_committed_allowlist() {
     // Every committed entry must still match a function (hygiene: the
     // allowlist shrinks as buffers get hoisted; --strict enforces this
     // in CI, the self-test keeps it honest locally too).
-    assert!(warnings.is_empty(), "stale alloc-allowlist entries:\n{}", warnings.join("\n"));
+    assert!(unused.is_empty(), "stale alloc-allowlist entries: {unused:?}");
 }

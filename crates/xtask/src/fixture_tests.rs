@@ -6,7 +6,9 @@
 //! dollar-named helper also trips L1). Each test therefore filters to the
 //! lint under test before asserting counts.
 
+use crate::flow::{AllowEntry, FlowDiag, FlowKind};
 use crate::lints::{scan_source, FileContext, Lint, Violation};
+use serde::{Serialize, Value};
 use std::path::PathBuf;
 
 fn scan_fixture(name: &str) -> Vec<Violation> {
@@ -123,9 +125,40 @@ fn workspace_tree_is_lint_clean() {
     assert!(rendered.is_empty(), "workspace has lint violations:\n{}", rendered.join("\n"));
 }
 
+/// Object member `key` of a serialized document node.
+fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
+    match v {
+        Value::Map(pairs) => pairs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("missing `{key}` in {v:?}")),
+        other => panic!("`{key}` looked up in a non-object: {other:?}"),
+    }
+}
+
+/// Member names of a serialized object, in document order.
+fn keys(v: &Value) -> Vec<&str> {
+    match v {
+        Value::Map(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// Elements of a serialized array.
+fn items(v: &Value) -> &[Value] {
+    match v {
+        Value::Seq(items) => items,
+        other => panic!("not an array: {other:?}"),
+    }
+}
+
+fn str_val(s: &str) -> Value {
+    Value::Str(s.to_string())
+}
+
 #[test]
 fn diagnostics_json_matches_documented_schema() {
-    use crate::json::Json;
     let report = crate::CheckReport {
         files: 42,
         violations: vec![Violation {
@@ -134,47 +167,130 @@ fn diagnostics_json_matches_documented_schema() {
             line: 7,
             message: "dollars".to_string(),
         }],
-        alloc_unused: vec!["unused alloc-allowlist entry: core::gone (old)".to_string()],
+        alloc_unused: vec![AllowEntry {
+            function: "core::gone".to_string(),
+            reason: "old".to_string(),
+        }],
         strict: true,
         fmt_ok: true,
         clippy_ok: true,
-        step_ms: vec![("lints", 3), ("flow", 5)],
+        step_ms: crate::StepMs { lints: 3, flow: 5, ..crate::StepMs::default() },
         ..crate::CheckReport::default()
     };
-    let doc = crate::diagnostics_json(&PathBuf::from("/repo"), &report);
-    // Top-level keys and types per DESIGN.md §8.
-    assert_eq!(doc.get("version").and_then(Json::as_num), Some(1));
-    let lints = doc.get("lints").and_then(Json::as_arr).expect("lints array");
-    assert_eq!(lints.len(), 5);
-    let vs = doc.get("violations").and_then(Json::as_arr).expect("violations array");
+    let check = crate::check_doc(&PathBuf::from("/repo"), &report);
+    let doc = check.to_value();
+    // Top-level keys, in order, and types per DESIGN.md §8.
+    assert_eq!(
+        keys(&doc),
+        ["version", "lints", "violations", "flow", "allowlists", "gates", "summary"]
+    );
+    assert_eq!(field(&doc, "version"), &Value::I64(1));
+    assert_eq!(items(field(&doc, "lints")).len(), 5);
+    let vs = items(field(&doc, "violations"));
     assert_eq!(vs.len(), 1);
-    assert_eq!(vs[0].get("lint").and_then(Json::as_str), Some("money-safety"));
-    assert_eq!(vs[0].get("file").and_then(Json::as_str), Some("crates/core/src/x.rs"));
-    assert_eq!(vs[0].get("line").and_then(Json::as_num), Some(7));
-    let gates = doc.get("gates").expect("gates");
-    assert_eq!(gates.get("lints").and_then(Json::as_bool), Some(false));
-    assert_eq!(gates.get("flow").and_then(Json::as_bool), Some(true));
-    assert_eq!(gates.get("units").and_then(Json::as_bool), Some(true));
-    assert_eq!(gates.get("alloc").and_then(Json::as_bool), Some(true));
+    assert_eq!(keys(&vs[0]), ["lint", "file", "line", "message"]);
+    assert_eq!(field(&vs[0], "lint"), &str_val("money-safety"));
+    assert_eq!(field(&vs[0], "file"), &str_val("crates/core/src/x.rs"));
+    assert_eq!(field(&vs[0], "line"), &Value::I64(7));
+    let gates = field(&doc, "gates");
+    assert_eq!(keys(gates), ["lints", "flow", "units", "alloc", "allowlists", "fmt", "clippy"]);
+    assert_eq!(field(gates, "lints"), &Value::Bool(false));
+    assert_eq!(field(gates, "flow"), &Value::Bool(true));
+    assert_eq!(field(gates, "units"), &Value::Bool(true));
+    assert_eq!(field(gates, "alloc"), &Value::Bool(true));
     // Strict + one unused alloc-allowlist entry fails the hygiene gate.
-    assert_eq!(gates.get("allowlists").and_then(Json::as_bool), Some(false));
-    assert_eq!(gates.get("fmt").and_then(Json::as_bool), Some(true));
-    assert_eq!(gates.get("clippy").and_then(Json::as_bool), Some(true));
-    let allowlists = doc.get("allowlists").expect("allowlists section");
-    assert_eq!(allowlists.get("strict").and_then(Json::as_bool), Some(true));
-    assert_eq!(allowlists.get("alloc_unused").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
-    let flow = doc.get("flow").expect("flow section");
-    assert_eq!(flow.get("kinds").and_then(Json::as_arr).map(<[Json]>::len), Some(5));
-    assert_eq!(flow.get("diagnostics").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
-    let summary = doc.get("summary").expect("summary");
-    assert_eq!(summary.get("files").and_then(Json::as_num), Some(42));
-    assert_eq!(summary.get("total").and_then(Json::as_num), Some(1));
-    assert_eq!(summary.get("flow_total").and_then(Json::as_num), Some(0));
-    assert_eq!(summary.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(field(gates, "allowlists"), &Value::Bool(false));
+    assert_eq!(field(gates, "fmt"), &Value::Bool(true));
+    assert_eq!(field(gates, "clippy"), &Value::Bool(true));
+    let allowlists = field(&doc, "allowlists");
+    assert_eq!(keys(allowlists), ["strict", "panic_unused", "alloc_unused"]);
+    assert_eq!(field(allowlists, "strict"), &Value::Bool(true));
+    assert_eq!(
+        items(field(allowlists, "alloc_unused")),
+        [str_val("unused alloc-allowlist entry: core::gone (old)")]
+    );
+    let flow = field(&doc, "flow");
+    assert_eq!(keys(flow), ["kinds", "diagnostics", "unit_annotations"]);
+    assert_eq!(items(field(flow, "kinds")).len(), 5);
+    assert_eq!(items(field(flow, "diagnostics")).len(), 0);
+    let summary = field(&doc, "summary");
+    assert_eq!(keys(summary), ["files", "total", "flow_total", "ok", "step_ms"]);
+    assert_eq!(field(summary, "files"), &Value::I64(42));
+    assert_eq!(field(summary, "total"), &Value::I64(1));
+    assert_eq!(field(summary, "flow_total"), &Value::I64(0));
+    assert_eq!(field(summary, "ok"), &Value::Bool(false));
     // Each step's wall time, keyed by step name, in run order.
-    let step_ms = summary.get("step_ms").expect("step_ms");
-    assert_eq!(step_ms.get("lints").and_then(Json::as_num), Some(3));
-    assert_eq!(step_ms.get("flow").and_then(Json::as_num), Some(5));
-    // The document round-trips through the parser.
-    assert_eq!(Json::parse(&doc.render()).expect("reparse"), doc);
+    let step_ms = field(summary, "step_ms");
+    assert_eq!(keys(step_ms), ["lints", "flow", "units", "alloc", "fmt", "clippy"]);
+    assert_eq!(field(step_ms, "lints"), &Value::I64(3));
+    assert_eq!(field(step_ms, "flow"), &Value::I64(5));
+    // The document renders as one JSON line in the same key order.
+    let rendered = serde_json::to_string(&check).expect("render");
+    assert!(rendered.starts_with(r#"{"version":1,"lints":["money-safety","#), "{rendered}");
+}
+
+#[test]
+fn every_graph_finding_lands_in_flow_diagnostics() {
+    // CI uploads only the check document, so F1, F4 and F5 findings must
+    // all reach `flow.diagnostics`, each under its kind and code.
+    let diag = |kind: FlowKind| FlowDiag {
+        kind,
+        file: "crates/core/src/x.rs".to_string(),
+        line: 3,
+        symbol: format!("core::{}", kind.code()),
+        message: "m".to_string(),
+        trace: vec!["calls core::serve".to_string()],
+    };
+    let report = crate::CheckReport {
+        flow_diags: vec![diag(FlowKind::DeterminismTaint)],
+        unit_diags: vec![diag(FlowKind::UnitDimensions)],
+        alloc_diags: vec![diag(FlowKind::HotAlloc)],
+        fmt_ok: true,
+        clippy_ok: true,
+        ..crate::CheckReport::default()
+    };
+    let doc = crate::check_doc(&PathBuf::from("/repo"), &report).to_value();
+    let diags = items(field(field(&doc, "flow"), "diagnostics"));
+    let got: Vec<(&Value, &Value)> =
+        diags.iter().map(|d| (field(d, "kind"), field(d, "code"))).collect();
+    assert_eq!(
+        got,
+        [
+            (&str_val("determinism-taint"), &str_val("F1")),
+            (&str_val("unit-dimensions"), &str_val("F4")),
+            (&str_val("hot-alloc"), &str_val("F5")),
+        ]
+    );
+    assert_eq!(keys(&diags[0]), ["kind", "code", "file", "line", "symbol", "message", "trace"]);
+    assert_eq!(items(field(&diags[0], "trace")), [str_val("calls core::serve")]);
+    let summary = field(&doc, "summary");
+    assert_eq!(field(summary, "flow_total"), &Value::I64(3));
+    assert_eq!(field(summary, "ok"), &Value::Bool(false));
+    let gates = field(&doc, "gates");
+    for gate in ["flow", "units", "alloc"] {
+        assert_eq!(field(gates, gate), &Value::Bool(false), "{gate}");
+    }
+}
+
+#[test]
+fn check_rejects_arguments_it_does_not_read() {
+    use crate::{parse_args, Cmd};
+    let args = |a: &[&str]| a.iter().map(ToString::to_string).collect::<Vec<_>>();
+    // A misspelt flag names itself instead of running the lenient gate.
+    let err = parse_args(&args(&["check", "--stirct"])).expect_err("unknown flag");
+    assert!(err.contains("`--stirct`"), "{err}");
+    assert!(parse_args(&args(&["check", "--json", "extra"])).is_err());
+    assert_eq!(
+        parse_args(&args(&["check", "--strict", "--json"])),
+        Ok(Cmd::Check { json: true, strict: true })
+    );
+    assert_eq!(parse_args(&[]), Ok(Cmd::Check { json: false, strict: false }));
+    // The analyses have no standalone commands; `check` runs them all.
+    for retired in ["flow", "units", "alloc", "graph"] {
+        let err = parse_args(&args(&[retired, "--json"])).expect_err(retired);
+        assert!(err.contains(&format!("unknown xtask command `{retired}`")), "{err}");
+    }
+    assert!(parse_args(&args(&["help", "--json"])).is_err());
+    assert!(parse_args(&args(&["lint"])).is_err());
+    assert_eq!(parse_args(&args(&["lint", "a.rs"])), Ok(Cmd::Lint(vec![PathBuf::from("a.rs")])));
 }

@@ -1,7 +1,7 @@
 //! Shared infrastructure for the flow-sensitive interprocedural analyses.
 //!
-//! `cargo xtask flow` runs three analyses over the workspace function-call
-//! graph (schema and rationale in DESIGN.md §12):
+//! `cargo xtask check` runs three analyses over the workspace function-call
+//! graph as its second step (schema and rationale in DESIGN.md §12):
 //!
 //! - **F1 `determinism-taint`** ([`crate::taint`]): nondeterministic inputs
 //!   (wall clock, OS entropy, environment, thread identity, unordered-map
@@ -14,16 +14,74 @@
 //!
 //! This module owns the pieces the analyses share: the [`Workspace`] loader
 //! (sources, tokens, item trees for every first-party crate), the function
-//! call graph [`FnGraph`], and the [`FlowDiag`] diagnostic type that feeds
-//! the same gate as the syntax lints.
+//! call graph [`FnGraph`], the [`FlowDiag`] diagnostic type that feeds the
+//! same gate as the syntax lints, and the allowlist-gated reachability walk
+//! ([`gated_reach`]) behind F2 and F5.
 
-use crate::graph::{self, ParsedFile};
-use crate::lexer::{lex, Lexed};
+use crate::lexer::{lex, Lexed, Tok};
 use crate::lints::mark_regions;
 use crate::parser::{parse_items, walk_items, Item, ItemKind};
-use std::collections::BTreeMap;
+use serde::Deserialize;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::Path;
+
+/// The `crates/<dir>` trees the analyses load, in load order. `xtask`
+/// itself is left out: the analyzer is not on any serving or billing path,
+/// and its generic method names (`push`, `parse`, ...) would only add noise
+/// edges to the call graph it analyzes.
+const CRATE_DIRS: [&str; 9] =
+    ["pricing", "trace", "forecast", "nn", "rl", "stream", "store", "core", "bench"];
+
+/// Identifiers that look like calls but are control flow or builtins.
+const NON_CALLEES: &[&str] = &[
+    "if",
+    "while",
+    "for",
+    "match",
+    "loop",
+    "return",
+    "fn",
+    "let",
+    "mut",
+    "ref",
+    "move",
+    "in",
+    "as",
+    "use",
+    "pub",
+    "impl",
+    "where",
+    "else",
+    "break",
+    "continue",
+    "unsafe",
+    "dyn",
+    "Some",
+    "None",
+    "Ok",
+    "Err",
+    "self",
+    "Self",
+    "crate",
+    "super",
+    "vec",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+    "debug_assert",
+    "format",
+    "println",
+    "eprintln",
+    "write",
+    "writeln",
+    "panic",
+    "matches",
+    "include_str",
+    "env",
+    "concat",
+    "stringify",
+];
 
 /// Which flow analysis produced a diagnostic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,13 +130,6 @@ impl FlowKind {
             FlowKind::UnitDimensions,
             FlowKind::HotAlloc,
         ]
-    }
-
-    /// The call-graph flow analyses `cargo xtask flow` runs (F1–F3); the
-    /// abstract-interpretation kinds F4/F5 have their own `units`/`alloc`
-    /// subcommands and run as `cargo xtask check` step 3.
-    pub fn flow_kinds() -> [FlowKind; 3] {
-        [FlowKind::DeterminismTaint, FlowKind::PanicReachability, FlowKind::LockOrder]
     }
 }
 
@@ -140,26 +191,10 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Loads every `crates/*/src` tree named in
-    /// [`graph::CRATE_LIB_NAMES`].
-    pub fn load(root: &Path) -> Result<Workspace, String> {
-        Workspace::load_filtered(root, &[])
-    }
-
-    /// Loads the workspace for the flow analyses: everything except `xtask`
-    /// itself. The analyzer is not on any serving or billing path, and its
-    /// generic method names (`push`, `parse`, ...) would only add noise
-    /// edges to the call graph it analyzes.
+    /// Loads every `crates/*/src` tree in [`CRATE_DIRS`].
     pub fn load_flow(root: &Path) -> Result<Workspace, String> {
-        Workspace::load_filtered(root, &["xtask"])
-    }
-
-    fn load_filtered(root: &Path, skip: &[&str]) -> Result<Workspace, String> {
         let mut ws = Workspace::default();
-        for (dir, _) in graph::CRATE_LIB_NAMES {
-            if skip.contains(&dir) {
-                continue;
-            }
+        for dir in CRATE_DIRS {
             let crate_src = root.join("crates").join(dir).join("src");
             let files = crate::walk::rust_files(&crate_src)
                 .map_err(|e| format!("cannot read {}: {e}", crate_src.display()))?;
@@ -197,19 +232,6 @@ impl Workspace {
             lexed,
             items,
         });
-    }
-
-    /// Borrowed view for [`graph::SymbolGraph::build`].
-    pub fn parsed(&self) -> Vec<ParsedFile<'_>> {
-        self.files
-            .iter()
-            .map(|f| ParsedFile {
-                krate: f.krate.clone(),
-                file: f.file.clone(),
-                lexed: &f.lexed,
-                items: &f.items,
-            })
-            .collect()
     }
 }
 
@@ -374,7 +396,7 @@ fn call_forms(lexed: &Lexed, start: usize, end: usize) -> Vec<(String, CallForm)
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         let Some(id) = t.kind.ident() else { continue };
-        if graph::NON_CALLEES.contains(&id) {
+        if NON_CALLEES.contains(&id) {
             continue;
         }
         let called = toks.get(i + 1).is_some_and(|n| n.kind.is_punct("("));
@@ -414,18 +436,164 @@ pub fn flow_allowed(lexed: &Lexed, kind: FlowKind, line: usize) -> bool {
     })
 }
 
-/// Runs all three analyses; returns diagnostics plus non-fatal warnings
-/// (currently: unused panic-allowlist entries).
+/// Runs all three analyses; returns diagnostics plus the panic-allowlist
+/// entries that matched nothing.
 pub fn analyze(
     ws: &Workspace,
     g: &FnGraph,
-    panic_allow: &crate::reach::PanicAllowlist,
-) -> (Vec<FlowDiag>, Vec<String>) {
+    panic_allow: &Allowlist,
+) -> (Vec<FlowDiag>, Vec<AllowEntry>) {
     let mut diags = Vec::new();
     let taint = crate::taint::compute(ws, g);
     diags.extend(crate::taint::diagnostics(ws, g, &taint));
-    let (reach_diags, warnings) = crate::reach::analyze(ws, g, crate::reach::ROOTS, panic_allow);
+    let (reach_diags, unused) = crate::reach::analyze(ws, g, crate::reach::ROOTS, panic_allow);
     diags.extend(reach_diags);
     diags.extend(crate::lockorder::analyze(ws, g));
-    (diags, warnings)
+    (diags, unused)
+}
+
+/// One tolerated function of a committed allowlist.
+#[derive(Clone, Debug, PartialEq, Eq, Deserialize)]
+pub struct AllowEntry {
+    /// Qualified function key (`core::Engine::run_shard`).
+    pub function: String,
+    /// Why the flagged sites are acceptable.
+    pub reason: String,
+}
+
+/// A committed `{"entries": [{"function": ..., "reason": ...}, ...]}`
+/// allowlist: `xtask-panic-allowlist.json` (F2) or
+/// `xtask-alloc-allowlist.json` (F5).
+#[derive(Clone, Debug, Default, Deserialize)]
+pub struct Allowlist {
+    /// All entries, in file order.
+    pub entries: Vec<AllowEntry>,
+}
+
+impl Allowlist {
+    /// Loads `<root>/<name>`; a missing file is an empty allowlist, a
+    /// malformed one is an error.
+    pub fn load(root: &Path, name: &str) -> Result<Allowlist, String> {
+        let path = root.join(name);
+        match std::fs::read_to_string(&path) {
+            Ok(src) => Allowlist::parse(&src).map_err(|e| format!("{}: {e}", path.display())),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Allowlist::default()),
+            Err(e) => Err(format!("{}: {e}", path.display())),
+        }
+    }
+
+    /// Parses an allowlist document. Entries are audits, so a blank
+    /// `reason` is rejected like a missing one.
+    pub fn parse(src: &str) -> Result<Allowlist, String> {
+        let list: Allowlist = serde_json::from_str(src).map_err(|e| e.to_string())?;
+        match list.entries.iter().position(|e| e.reason.trim().is_empty()) {
+            Some(i) => Err(format!("entry {i}: reason must not be empty")),
+            None => Ok(list),
+        }
+    }
+}
+
+/// How an allowlist-gated reachability analysis reports its findings.
+pub struct Gate {
+    /// Which analysis this is.
+    pub kind: FlowKind,
+    /// Trace role of the flagged function (`panics in`).
+    pub role: &'static str,
+    /// What the flagged function does (`can panic`).
+    pub finding: &'static str,
+    /// The first remedy offered (`fix`).
+    pub remedy: &'static str,
+    /// The allowlist file that can absorb a finding.
+    pub allowlist: &'static str,
+}
+
+/// Walks the graph forward from `roots` and flags every reachable function
+/// whose body `scan` finds `(label, line)` sites in, after dropping sites a
+/// justified `xtask-allow(<kind>)` waives. Functions `allow` lists are not
+/// flagged; the entries that matched nothing are returned beside the
+/// diagnostics. BFS order makes every trace a shortest root-to-site path.
+pub fn gated_reach<'r>(
+    ws: &Workspace,
+    g: &FnGraph,
+    roots: impl IntoIterator<Item = &'r str>,
+    allow: &Allowlist,
+    gate: &Gate,
+    scan: impl Fn(&[Tok]) -> Vec<(String, usize)>,
+) -> (Vec<FlowDiag>, Vec<AllowEntry>) {
+    let mut prev: Vec<Option<usize>> = vec![None; g.nodes.len()];
+    let mut root_of: Vec<Option<usize>> = vec![None; g.nodes.len()];
+    let mut queue = VecDeque::new();
+    for key in roots {
+        if let Some(ix) = g.by_key(key) {
+            if root_of[ix].is_none() {
+                root_of[ix] = Some(ix);
+                queue.push_back(ix);
+            }
+        }
+    }
+    while let Some(ix) = queue.pop_front() {
+        for &c in &g.nodes[ix].callees {
+            if root_of[c].is_none() {
+                root_of[c] = root_of[ix];
+                prev[c] = Some(ix);
+                queue.push_back(c);
+            }
+        }
+    }
+
+    let mut used = vec![false; allow.entries.len()];
+    let mut diags = Vec::new();
+    for (ix, node) in g.nodes.iter().enumerate() {
+        let Some(root_ix) = root_of[ix] else { continue };
+        let Some((start, end)) = node.body else { continue };
+        let sf = &ws.files[node.file_ix];
+        // label -> (count, first line), in label order.
+        let mut sites: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        for (label, line) in scan(&sf.lexed.toks[start..end.min(sf.lexed.toks.len())]) {
+            if !flow_allowed(&sf.lexed, gate.kind, line) {
+                sites.entry(label).or_insert((0, line)).0 += 1;
+            }
+        }
+        if sites.is_empty() {
+            continue;
+        }
+        if let Some(pos) = allow.entries.iter().position(|e| e.function == node.key) {
+            used[pos] = true;
+            continue;
+        }
+        let mut path = vec![ix];
+        while let Some(p) = prev[*path.last().unwrap_or(&ix)] {
+            path.push(p);
+        }
+        path.reverse();
+        let trace = path
+            .iter()
+            .map(|&step| {
+                let role = if step == ix { gate.role } else { "calls" };
+                format!("{role} {}", g.label(ws, step))
+            })
+            .collect();
+        let summary: Vec<String> =
+            sites.iter().map(|(label, (n, _))| format!("{n} {label}")).collect();
+        diags.push(FlowDiag {
+            kind: gate.kind,
+            file: sf.file.clone(),
+            line: sites.values().map(|&(_, line)| line).min().unwrap_or(0),
+            symbol: node.key.clone(),
+            message: format!(
+                "{} ({}) and is reachable from `{}` ({} hop(s)); {}, waive the site, or add an \
+                 `{}` entry",
+                gate.finding,
+                summary.join(", "),
+                g.nodes[root_ix].key,
+                path.len().saturating_sub(1),
+                gate.remedy,
+                gate.allowlist,
+            ),
+            trace,
+        });
+    }
+    let unused =
+        allow.entries.iter().zip(&used).filter(|(_, u)| !**u).map(|(e, _)| e.clone()).collect();
+    (diags, unused)
 }

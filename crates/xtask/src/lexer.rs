@@ -84,10 +84,6 @@ pub struct Lexed {
     pub allows: Vec<Allow>,
     /// All `xtask-unit` dimension declarations found anywhere in the file.
     pub units: Vec<UnitDecl>,
-    /// Lines carrying an outer doc comment (`///` or the closing line of a
-    /// `/** */` block), sorted ascending. Inner docs (`//!`, `/*!`) are not
-    /// recorded: they document the enclosing module, not the next item.
-    pub doc_lines: Vec<usize>,
 }
 
 /// Multi-character operators, longest first so greedy matching is correct.
@@ -179,9 +175,6 @@ pub fn lex(src: &str) -> Lexed {
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
                 let end = src[i..].find('\n').map_or(bytes.len(), |p| i + p);
                 let comment = &src[i..end];
-                if comment.starts_with("///") {
-                    out.doc_lines.push(line);
-                }
                 record_allow(comment, line, &mut out.allows);
                 record_unit(comment, line, &mut out.units);
                 i = end;
@@ -206,12 +199,6 @@ pub fn lex(src: &str) -> Lexed {
                     }
                 }
                 let comment = &src[start..i];
-                if comment.starts_with("/**") && !comment.starts_with("/**/") {
-                    // Record the block's *closing* line so the "doc directly
-                    // above the item" adjacency check works for multi-line
-                    // block docs too.
-                    out.doc_lines.push(line);
-                }
                 record_allow(comment, start_line, &mut out.allows);
                 record_unit(comment, start_line, &mut out.units);
             }
@@ -472,14 +459,6 @@ mod tests {
     fn malformed_unit_decls_are_ignored() {
         let src = "/// xtask-unit:\n/// xtask-unit(): GB\n/// xtask-unit(x)\nlet y = 1;\n";
         assert!(lex(src).units.is_empty());
-    }
-
-    #[test]
-    fn doc_lines_recorded_for_outer_docs_only() {
-        let src = "//! module doc\n/// item doc\nfn f() {}\n/** block\ndoc */\nfn g() {}\n// plain\nfn h() {}\n";
-        let lexed = lex(src);
-        // `///` on line 2; `/** */` closes on line 5. `//!` and `//` ignored.
-        assert_eq!(lexed.doc_lines, vec![2, 5]);
     }
 
     #[test]

@@ -23,32 +23,22 @@
 //!
 //! `cargo xtask check --json` emits machine-readable diagnostics on stdout
 //! (schema in DESIGN.md §8, including each step's wall time) with human
-//! progress diverted to stderr. With `--strict`, unused
-//! `xtask-panic-allowlist.json` / `xtask-alloc-allowlist.json` entries are
-//! errors instead of warnings (CI passes `--strict` so the committed
-//! allowlists never go stale).
+//! progress diverted to stderr. With `--strict`, unused allowlist entries
+//! and `xtask-unit` annotations F4 had to drop are errors instead of
+//! warnings (CI passes `--strict` so neither can rot).
 //!
 //! `cargo xtask lint <path>...` runs only the custom lints over the given
 //! files or directories (used by the fixture self-tests and for spot checks).
 //!
-//! `cargo xtask graph [--json]` prints the workspace symbol/call graph.
-//!
-//! `cargo xtask flow [--json|--dot]` runs only the F1–F3 flow analyses;
-//! `--dot` exports the tainted call subgraph as Graphviz.
-//!
-//! `cargo xtask units [--json|--dot]` runs only F4; `--dot` exports the
-//! derived dimension graph. `cargo xtask alloc [--json]` runs only F5.
-//!
-//! Any violation or failed gate exits nonzero with `file:line` diagnostics.
+//! Any violation or failed gate exits nonzero with `file:line` diagnostics;
+//! so does any command or argument the gate does not read.
 
-// The analyzer matches on its own token and JSON enums, where a wildcard
-// arm is the natural "anything else"; no storage tier is matched here.
+// The analyzer matches on its own token enums, where a wildcard arm is the
+// natural "anything else"; no storage tier is matched here.
 #![allow(clippy::wildcard_enum_match_arm, reason = "no tier matches in the analyzer")]
 
 mod alloc;
 mod flow;
-mod graph;
-mod json;
 mod lexer;
 mod lints;
 mod lockorder;
@@ -68,32 +58,69 @@ mod flow_tests;
 #[cfg(test)]
 mod units_tests;
 
-use json::Json;
+use flow::{AllowEntry, Allowlist, FlowDiag, FlowKind, FnGraph, Workspace};
 use lints::{scan_source, FileContext, Lint, Violation};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
+/// One parsed `cargo xtask` command line.
+#[derive(Debug, PartialEq, Eq)]
+enum Cmd {
+    /// `check [--json] [--strict]` (also what no arguments mean).
+    Check {
+        /// Emit the DESIGN.md §8 document on stdout.
+        json: bool,
+        /// Fail on unused allowlist entries and dropped `xtask-unit` annotations.
+        strict: bool,
+    },
+    /// `lint <path>...`.
+    Lint(Vec<PathBuf>),
+    /// `help`.
+    Help,
+}
+
+/// Parses the arguments after `cargo xtask`. Anything a command does not
+/// read is an error naming it, so a misspelt `--strict` cannot silently
+/// run the lenient gate.
+fn parse_args(args: &[String]) -> Result<Cmd, String> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Ok(Cmd::Check { json: false, strict: false });
+    };
+    match cmd.as_str() {
+        "check" => {
+            let (mut json, mut strict) = (false, false);
+            for arg in rest {
+                match arg.as_str() {
+                    "--json" => json = true,
+                    "--strict" => strict = true,
+                    other => return Err(format!("`check` does not take `{other}`")),
+                }
+            }
+            Ok(Cmd::Check { json, strict })
+        }
+        "lint" if rest.is_empty() => Err("`lint` needs at least one path".to_string()),
+        "lint" => Ok(Cmd::Lint(rest.iter().map(PathBuf::from).collect())),
+        "help" | "--help" | "-h" => match rest.first() {
+            Some(other) => Err(format!("`{cmd}` does not take `{other}`")),
+            None => Ok(Cmd::Help),
+        },
+        other => Err(format!("unknown xtask command `{other}`")),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        Some((c, rest)) => (c.as_str(), rest),
-        None => ("check", &[][..]),
-    };
-    let json_mode = rest.iter().any(|a| a == "--json");
-    match cmd {
-        "check" => cmd_check(json_mode, rest.iter().any(|a| a == "--strict")),
-        "graph" => cmd_graph(json_mode),
-        "flow" => cmd_flow(rest),
-        "units" => cmd_units(rest),
-        "alloc" => cmd_alloc(rest),
-        "lint" => cmd_lint(rest),
-        "help" | "--help" | "-h" => {
+    match parse_args(&args) {
+        Ok(Cmd::Check { json, strict }) => cmd_check(json, strict),
+        Ok(Cmd::Lint(paths)) => cmd_lint(&paths),
+        Ok(Cmd::Help) => {
             print_usage();
             ExitCode::SUCCESS
         }
-        other => {
-            eprintln!("error: unknown xtask command `{other}`\n");
+        Err(e) => {
+            eprintln!("error: {e}\n");
             print_usage();
             ExitCode::FAILURE
         }
@@ -109,14 +136,8 @@ fn print_usage() {
          F4/F5 abstract interpretation + `cargo fmt --check`\n                     \
          + clippy gate; --json emits the diagnostics\n                     \
          document (DESIGN.md \u{a7}8) on stdout; --strict\n                     \
-         makes unused allowlist entries errors\n  \
-         flow [--json|--dot] run only the F1-F3 flow analyses (DESIGN.md\n                     \
-         \u{a7}12); --dot exports the tainted call subgraph\n  \
-         units [--json|--dot]\n                     \
-         run only the F4 unit-dimensions analysis (DESIGN.md\n                     \
-         \u{a7}13); --dot exports the derived dimension graph\n  \
-         alloc [--json]     run only the F5 hot-path allocation analysis\n  \
-         graph [--json]     print the workspace symbol/call graph\n  \
+         makes unused allowlist entries and dropped\n                     \
+         xtask-unit annotations errors\n  \
          lint <path>...     run only the custom lints over the given paths\n  \
          help               show this message"
     );
@@ -154,13 +175,8 @@ fn collect_violations(paths: &[PathBuf]) -> Result<Vec<Violation>, String> {
     Ok(violations)
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
-    if args.is_empty() {
-        eprintln!("error: `cargo xtask lint` needs at least one path");
-        return ExitCode::FAILURE;
-    }
-    let paths: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
-    match lint_paths(&paths) {
+fn cmd_lint(paths: &[PathBuf]) -> ExitCode {
+    match lint_paths(paths) {
         Some(0) => {
             println!("xtask lint: clean");
             ExitCode::SUCCESS
@@ -194,55 +210,115 @@ struct CheckReport {
     /// Custom-lint violations (L1, L4, L5, L6, L10).
     violations: Vec<Violation>,
     /// F1-F3 flow diagnostics.
-    flow_diags: Vec<flow::FlowDiag>,
+    flow_diags: Vec<FlowDiag>,
     /// F4 unit-dimensions diagnostics.
-    unit_diags: Vec<flow::FlowDiag>,
+    unit_diags: Vec<FlowDiag>,
     /// F5 hot-alloc diagnostics.
-    alloc_diags: Vec<flow::FlowDiag>,
-    /// Unused `xtask-panic-allowlist.json` entry warnings.
-    panic_unused: Vec<String>,
-    /// Unused `xtask-alloc-allowlist.json` entry warnings.
-    alloc_unused: Vec<String>,
-    /// Whether `--strict` promotes those warnings to errors.
+    alloc_diags: Vec<FlowDiag>,
+    /// `xtask-panic-allowlist.json` entries that matched no finding.
+    panic_unused: Vec<AllowEntry>,
+    /// `xtask-alloc-allowlist.json` entries that matched no finding.
+    alloc_unused: Vec<AllowEntry>,
+    /// `xtask-unit` annotations F4 had to drop.
+    unit_annotations: Vec<units::AnnotationWarning>,
+    /// Whether `--strict` promotes the three hygiene lists above to errors.
     strict: bool,
     /// Whether `cargo fmt --all --check` passed.
     fmt_ok: bool,
     /// Whether `cargo clippy --workspace --all-targets` passed.
     clippy_ok: bool,
-    /// Wall time of each step in milliseconds, in run order.
-    step_ms: Vec<(&'static str, i64)>,
+    /// Wall time of each step.
+    step_ms: StepMs,
+}
+
+/// Wall time of each gate step in milliseconds, in run order.
+#[derive(Clone, Copy, Debug, Default, Serialize)]
+struct StepMs {
+    lints: u64,
+    flow: u64,
+    units: u64,
+    alloc: u64,
+    fmt: u64,
+    clippy: u64,
+}
+
+/// Milliseconds since `start`.
+fn ms_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
+}
+
+/// Per-gate verdicts, in the order the JSON document lists them.
+#[derive(Clone, Copy, Debug, Serialize)]
+struct Gates {
+    lints: bool,
+    flow: bool,
+    units: bool,
+    alloc: bool,
+    allowlists: bool,
+    fmt: bool,
+    clippy: bool,
 }
 
 impl CheckReport {
-    /// Per-gate verdicts, in the order the JSON document lists them.
-    fn gates(&self) -> [(&'static str, bool); 7] {
-        [
-            ("lints", self.violations.is_empty()),
-            ("flow", self.flow_diags.is_empty()),
-            ("units", self.unit_diags.is_empty()),
-            ("alloc", self.alloc_diags.is_empty()),
-            (
-                "allowlists",
-                !self.strict || self.panic_unused.is_empty() && self.alloc_unused.is_empty(),
-            ),
-            ("fmt", self.fmt_ok),
-            ("clippy", self.clippy_ok),
-        ]
+    fn gates(&self) -> Gates {
+        // Hygiene findings fail their gate only under `--strict`.
+        let hygiene = |clean: bool| clean || !self.strict;
+        Gates {
+            lints: self.violations.is_empty(),
+            flow: self.flow_diags.is_empty(),
+            units: self.unit_diags.is_empty() && hygiene(self.unit_annotations.is_empty()),
+            alloc: self.alloc_diags.is_empty(),
+            allowlists: hygiene(self.panic_unused.is_empty() && self.alloc_unused.is_empty()),
+            fmt: self.fmt_ok,
+            clippy: self.clippy_ok,
+        }
     }
 
     fn ok(&self) -> bool {
-        self.gates().iter().all(|&(_, ok)| ok)
+        let g = self.gates();
+        g.lints && g.flow && g.units && g.alloc && g.allowlists && g.fmt && g.clippy
     }
 
-    /// Records the wall time of the step that started at `start`.
-    fn time(&mut self, step: &'static str, start: Instant) {
-        let ms = i64::try_from(start.elapsed().as_millis()).unwrap_or(i64::MAX);
-        self.step_ms.push((step, ms));
+    /// Runs F1-F5 over one call graph of `ws`, recording each family's
+    /// findings and adding its wall time to `step_ms`.
+    fn run_graph_analyses(
+        &mut self,
+        ws: &Workspace,
+        panic_allow: &Allowlist,
+        alloc_allow: &Allowlist,
+    ) {
+        let start = Instant::now();
+        let g = FnGraph::build(ws);
+        (self.flow_diags, self.panic_unused) = flow::analyze(ws, &g, panic_allow);
+        self.step_ms.flow += ms_since(start);
+        let start = Instant::now();
+        (self.unit_diags, self.unit_annotations) = units::analyze(ws, &g);
+        self.step_ms.units += ms_since(start);
+        let start = Instant::now();
+        (self.alloc_diags, self.alloc_unused) =
+            alloc::analyze(ws, &g, &alloc::roots(&g), alloc_allow);
+        self.step_ms.alloc += ms_since(start);
+    }
+
+    /// The `panic_unused` / `alloc_unused` lines of the document.
+    fn unused(list: &str, entries: &[AllowEntry]) -> Vec<String> {
+        entries
+            .iter()
+            .map(|e| format!("unused {list} entry: {} ({})", e.function, e.reason))
+            .collect()
+    }
+
+    /// Every hygiene finding as one printable line.
+    fn hygiene_lines(&self) -> Vec<String> {
+        let mut out = CheckReport::unused("panic-allowlist", &self.panic_unused);
+        out.extend(CheckReport::unused("alloc-allowlist", &self.alloc_unused));
+        out.extend(self.unit_annotations.iter().map(ToString::to_string));
+        out
     }
 }
 
 /// Prints one analysis family's diagnostics and its verdict line.
-fn report_family(json_mode: bool, label: &str, diags: &[flow::FlowDiag]) {
+fn report_family(json_mode: bool, label: &str, diags: &[FlowDiag]) {
     for d in diags {
         eprintln!("{d}");
     }
@@ -270,7 +346,7 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    r.time("lints", start);
+    r.step_ms.lints = ms_since(start);
     for v in &r.violations {
         eprintln!("{v}");
     }
@@ -280,16 +356,19 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
         eprintln!("==> custom lints FAILED: {} violation(s)", r.violations.len());
     }
 
-    // 2. Flow analyses over the call graph.
+    // 2-3. Flow analyses and abstract interpretation over one call graph.
     progress!(
         json_mode,
-        "==> flow analyses (F1 determinism-taint, F2 panic-reachability, F3 lock-order)"
+        "==> call-graph analyses (F1 determinism-taint, F2 panic-reachability, F3 lock-order, \
+         F4 unit-dimensions, F5 hot-alloc)"
     );
     let start = Instant::now();
-    let loaded = flow::Workspace::load_flow(&root).and_then(|ws| {
-        let panic_allow = reach::PanicAllowlist::load(&root)?;
-        let alloc_allow = alloc::AllocAllowlist::load(&root)?;
-        Ok((ws, panic_allow, alloc_allow))
+    let loaded = Workspace::load_flow(&root).and_then(|ws| {
+        Ok((
+            ws,
+            Allowlist::load(&root, reach::ALLOWLIST)?,
+            Allowlist::load(&root, alloc::ALLOWLIST)?,
+        ))
     });
     let (ws, panic_allow, alloc_allow) = match loaded {
         Ok(x) => x,
@@ -298,48 +377,28 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let g = flow::FnGraph::build(&ws);
-    let (flow_diags, flow_warnings) = flow::analyze(&ws, &g, &panic_allow);
-    r.flow_diags = flow_diags;
-    r.time("flow", start);
+    r.step_ms.flow = ms_since(start);
+    r.run_graph_analyses(&ws, &panic_allow, &alloc_allow);
     report_family(json_mode, "flow analyses", &r.flow_diags);
-
-    // 3. Abstract interpretation over the same call graph.
-    progress!(json_mode, "==> abstract interpretation (F4 unit-dimensions, F5 hot-alloc)");
-    let start = Instant::now();
-    let (unit_diags, unit_warnings) = units::analyze(&ws, &g);
-    r.unit_diags = unit_diags;
-    r.time("units", start);
     report_family(json_mode, "unit-dimensions", &r.unit_diags);
-    let start = Instant::now();
-    let (alloc_diags, alloc_warnings) = alloc::analyze(&ws, &g, &alloc::roots(&g), &alloc_allow);
-    r.alloc_diags = alloc_diags;
-    r.time("alloc", start);
     report_family(json_mode, "hot-alloc", &r.alloc_diags);
 
-    // Unused allowlist entries are hygiene warnings, promoted to errors
-    // under `--strict` so CI keeps the committed allowlists tight.
-    for w in flow_warnings.iter().chain(&unit_warnings).chain(&alloc_warnings) {
-        if w.starts_with("unused panic-allowlist entry") {
-            r.panic_unused.push(w.clone());
-        } else if w.starts_with("unused alloc-allowlist entry") {
-            r.alloc_unused.push(w.clone());
-        } else {
-            eprintln!("warning: {w}");
-            continue;
-        }
+    // Unused allowlist entries and dropped annotations are hygiene
+    // warnings, promoted to errors under `--strict` so CI keeps the
+    // committed allowlists tight and every `xtask-unit` declaration live.
+    let hygiene = r.hygiene_lines();
+    for w in &hygiene {
         eprintln!("{}: {w}", if strict { "error" } else { "warning" });
     }
-    let unused_allow = r.panic_unused.len() + r.alloc_unused.len();
-    if strict && unused_allow > 0 {
-        eprintln!("==> allowlist hygiene FAILED (--strict): {unused_allow} unused entr(ies)");
+    if strict && !hygiene.is_empty() {
+        eprintln!("==> hygiene FAILED (--strict): {} finding(s)", hygiene.len());
     }
 
     // 4. rustfmt gate.
     progress!(json_mode, "==> cargo fmt --all --check");
     let start = Instant::now();
     r.fmt_ok = run_cargo(&root, &["fmt", "--all", "--check"], json_mode);
-    r.time("fmt", start);
+    r.step_ms.fmt = ms_since(start);
     if !r.fmt_ok {
         eprintln!("==> rustfmt gate FAILED (run `cargo fmt --all` to fix)");
     }
@@ -352,13 +411,19 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
         &["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"],
         json_mode,
     );
-    r.time("clippy", start);
+    r.step_ms.clippy = ms_since(start);
     if !r.clippy_ok {
         eprintln!("==> clippy gate FAILED");
     }
 
     if json_mode {
-        print!("{}", diagnostics_json(&root, &r).render());
+        match serde_json::to_string(&check_doc(&root, &r)) {
+            Ok(doc) => println!("{doc}"),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     }
     if r.ok() {
         progress!(json_mode, "xtask check: all gates passed");
@@ -369,300 +434,115 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
     }
 }
 
-/// Converts a count to a JSON number.
-fn num(n: usize) -> Json {
-    Json::Num(i64::try_from(n).unwrap_or(i64::MAX))
+/// The `cargo xtask check --json` document (schema: DESIGN.md §8).
+#[derive(Debug, Serialize)]
+struct CheckDoc {
+    version: u32,
+    lints: Vec<&'static str>,
+    violations: Vec<ViolationDoc>,
+    flow: FlowDoc,
+    allowlists: AllowlistsDoc,
+    gates: Gates,
+    summary: SummaryDoc,
 }
 
-/// Assembles the `cargo xtask check --json` document (schema: DESIGN.md §8).
-fn diagnostics_json(root: &Path, r: &CheckReport) -> Json {
-    let rel = |file: &str| {
-        let root_prefix = format!("{}/", root.display());
-        Json::Str(file.strip_prefix(&root_prefix).unwrap_or(file).to_string())
-    };
-    let strs = |v: &[String]| Json::Arr(v.iter().map(|w| Json::Str(w.clone())).collect());
-    // The `flow` object carries every graph-analysis diagnostic (F1-F5).
-    let graph_diags: Vec<&flow::FlowDiag> =
-        r.flow_diags.iter().chain(&r.unit_diags).chain(&r.alloc_diags).collect();
-    Json::obj([
-        ("version", Json::Num(1)),
-        ("lints", Json::Arr(Lint::all().iter().map(|l| Json::Str(l.name().to_string())).collect())),
-        (
-            "violations",
-            Json::Arr(
-                r.violations
-                    .iter()
-                    .map(|v| {
-                        Json::obj([
-                            ("lint", Json::Str(v.lint.name().to_string())),
-                            ("file", rel(&v.file)),
-                            ("line", num(v.line)),
-                            ("message", Json::Str(v.message.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "flow",
-            Json::obj([
-                (
-                    "kinds",
-                    Json::Arr(
-                        flow::FlowKind::all()
-                            .iter()
-                            .map(|k| Json::Str(k.name().to_string()))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "diagnostics",
-                    Json::Arr(graph_diags.iter().copied().map(flow_diag_json).collect()),
-                ),
-            ]),
-        ),
-        (
-            "allowlists",
-            Json::obj([
-                ("strict", Json::Bool(r.strict)),
-                ("panic_unused", strs(&r.panic_unused)),
-                ("alloc_unused", strs(&r.alloc_unused)),
-            ]),
-        ),
-        ("gates", Json::obj(r.gates().map(|(k, ok)| (k, Json::Bool(ok))))),
-        (
-            "summary",
-            Json::obj([
-                ("files", num(r.files)),
-                ("total", num(r.violations.len())),
-                ("flow_total", num(graph_diags.len())),
-                ("ok", Json::Bool(r.ok())),
-                ("step_ms", Json::obj(r.step_ms.iter().map(|&(k, ms)| (k, Json::Num(ms))))),
-            ]),
-        ),
-    ])
+/// One custom-lint violation.
+#[derive(Debug, Serialize)]
+struct ViolationDoc {
+    lint: &'static str,
+    file: String,
+    line: usize,
+    message: String,
 }
 
-/// One flow diagnostic as JSON (shared by the check and flow documents).
-fn flow_diag_json(d: &flow::FlowDiag) -> Json {
-    Json::obj([
-        ("kind", Json::Str(d.kind.name().to_string())),
-        ("code", Json::Str(d.kind.code().to_string())),
-        ("file", Json::Str(d.file.clone())),
-        ("line", num(d.line)),
-        ("symbol", Json::Str(d.symbol.clone())),
-        ("message", Json::Str(d.message.clone())),
-        ("trace", Json::Arr(d.trace.iter().map(|s| Json::Str(s.clone())).collect())),
-    ])
+/// Every call-graph finding (F1-F5).
+#[derive(Debug, Serialize)]
+struct FlowDoc {
+    kinds: Vec<&'static str>,
+    diagnostics: Vec<DiagDoc>,
+    unit_annotations: Vec<String>,
 }
 
-/// Loads the workspace, builds the call graph, and runs the F1–F3 analyses.
-fn run_flow(root: &Path) -> Result<(Vec<flow::FlowDiag>, Vec<String>), String> {
-    let ws = flow::Workspace::load_flow(root)?;
-    let g = flow::FnGraph::build(&ws);
-    let allow = reach::PanicAllowlist::load(root)?;
-    Ok(flow::analyze(&ws, &g, &allow))
+/// One call-graph diagnostic.
+#[derive(Debug, Serialize)]
+struct DiagDoc {
+    kind: &'static str,
+    code: &'static str,
+    file: String,
+    line: usize,
+    symbol: String,
+    message: String,
+    trace: Vec<String>,
 }
 
-/// `cargo xtask flow [--json|--dot]`: the F1-F3 flow analyses standalone.
-fn cmd_flow(args: &[String]) -> ExitCode {
-    let json_mode = args.iter().any(|a| a == "--json");
-    let root = walk::repo_root();
-    if args.iter().any(|a| a == "--dot") {
-        let ws = match flow::Workspace::load_flow(&root) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let g = flow::FnGraph::build(&ws);
-        let t = taint::compute(&ws, &g);
-        print!("{}", taint::dot(&ws, &g, &t));
-        return ExitCode::SUCCESS;
-    }
-    let (diags, warnings) = match run_flow(&root) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    kind_report("flow", &flow::FlowKind::flow_kinds(), &diags, &warnings, json_mode)
+/// Allowlist hygiene.
+#[derive(Debug, Serialize)]
+struct AllowlistsDoc {
+    strict: bool,
+    panic_unused: Vec<String>,
+    alloc_unused: Vec<String>,
 }
 
-/// `cargo xtask units [--json|--dot]`: the F4 analysis standalone.
-fn cmd_units(args: &[String]) -> ExitCode {
-    let json_mode = args.iter().any(|a| a == "--json");
-    let root = walk::repo_root();
-    let ws = match flow::Workspace::load_flow(&root) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let g = flow::FnGraph::build(&ws);
-    if args.iter().any(|a| a == "--dot") {
-        let (u, _, _) = units::compute(&ws, &g);
-        print!("{}", units::dot(&ws, &g, &u));
-        return ExitCode::SUCCESS;
-    }
-    let (diags, warnings) = units::analyze(&ws, &g);
-    kind_report("units", &[flow::FlowKind::UnitDimensions], &diags, &warnings, json_mode)
+/// Counts, verdict and step timings.
+#[derive(Debug, Serialize)]
+struct SummaryDoc {
+    files: usize,
+    total: usize,
+    flow_total: usize,
+    ok: bool,
+    step_ms: StepMs,
 }
 
-/// `cargo xtask alloc [--json]`: the F5 analysis standalone.
-fn cmd_alloc(args: &[String]) -> ExitCode {
-    let json_mode = args.iter().any(|a| a == "--json");
-    let root = walk::repo_root();
-    let ws = match flow::Workspace::load_flow(&root) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let g = flow::FnGraph::build(&ws);
-    let allow = match alloc::AllocAllowlist::load(&root) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let roots = alloc::roots(&g);
-    let (diags, warnings) = alloc::analyze(&ws, &g, &roots, &allow);
-    kind_report("alloc", &[flow::FlowKind::HotAlloc], &diags, &warnings, json_mode)
-}
-
-/// Shared tail of the standalone analysis subcommands: prints diagnostics
-/// and emits the `--json` document `{version, kinds, diagnostics, warnings,
-/// summary}`.
-fn kind_report(
-    label: &str,
-    kinds: &[flow::FlowKind],
-    diags: &[flow::FlowDiag],
-    warnings: &[String],
-    json_mode: bool,
-) -> ExitCode {
-    for w in warnings {
-        eprintln!("warning: {w}");
-    }
-    for d in diags {
-        if json_mode {
-            eprintln!("{d}");
-        } else {
-            println!("{d}");
-        }
-    }
-    let ok = diags.is_empty();
-    if json_mode {
-        let doc = Json::obj([
-            ("version", Json::Num(1)),
-            ("kinds", Json::Arr(kinds.iter().map(|k| Json::Str(k.name().to_string())).collect())),
-            ("diagnostics", Json::Arr(diags.iter().map(flow_diag_json).collect())),
-            ("warnings", Json::Arr(warnings.iter().map(|w| Json::Str(w.clone())).collect())),
-            ("summary", Json::obj([("total", num(diags.len())), ("ok", Json::Bool(ok))])),
-        ]);
-        print!("{}", doc.render());
-    }
-    if ok {
-        progress!(json_mode, "xtask {label}: clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask {label}: FAILED ({} diagnostic(s))", diags.len());
-        ExitCode::FAILURE
-    }
-}
-
-/// Builds the workspace symbol graph and prints the summary (or, with
-/// `--json`, the full graph document: per-crate stats, the public API
-/// surface, and every resolved/unresolved call edge).
-fn cmd_graph(json_mode: bool) -> ExitCode {
-    let root = walk::repo_root();
-    let ws = match flow::Workspace::load(&root) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parsed = ws.parsed();
-    let g = graph::SymbolGraph::build(&parsed);
-    if json_mode {
-        print!("{}", graph_json(&g).render());
-    } else {
-        print!("{}", g.summary());
-    }
-    ExitCode::SUCCESS
-}
-
-/// The `cargo xtask graph --json` document.
-fn graph_json(g: &graph::SymbolGraph) -> Json {
-    let crates = g
-        .crates
+/// Assembles the `cargo xtask check --json` document.
+fn check_doc(root: &Path, r: &CheckReport) -> CheckDoc {
+    let root_prefix = format!("{}/", root.display());
+    let diagnostics: Vec<DiagDoc> = r
+        .flow_diags
         .iter()
-        .map(|(krate, stats)| {
-            let deps = g
-                .crate_deps
-                .get(krate)
-                .map(|d| d.iter().map(|s| Json::Str(s.clone())).collect())
-                .unwrap_or_default();
-            let mut pub_api: Vec<&graph::Def> = g
-                .defs
-                .values()
-                .flatten()
-                .filter(|d| d.krate == *krate && d.is_pub && !d.in_test)
-                .collect();
-            pub_api.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-            (
-                krate.clone(),
-                Json::obj([
-                    ("items", Json::Num(i64::try_from(stats.items).unwrap_or(0))),
-                    ("fns", Json::Num(i64::try_from(stats.fns).unwrap_or(0))),
-                    ("pub_items", Json::Num(i64::try_from(stats.pub_items).unwrap_or(0))),
-                    ("pub_documented", Json::Num(i64::try_from(stats.pub_documented).unwrap_or(0))),
-                    ("uses", Json::Arr(deps)),
-                    (
-                        "pub_api",
-                        Json::Arr(
-                            pub_api
-                                .iter()
-                                .map(|d| {
-                                    Json::obj([
-                                        ("qualified", Json::Str(d.qualified.clone())),
-                                        ("kind", Json::Str(d.kind.label().to_string())),
-                                        ("file", Json::Str(d.file.clone())),
-                                        ("line", Json::Num(i64::try_from(d.line).unwrap_or(0))),
-                                        ("documented", Json::Bool(d.has_doc)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            )
+        .chain(&r.unit_diags)
+        .chain(&r.alloc_diags)
+        .map(|d| DiagDoc {
+            kind: d.kind.name(),
+            code: d.kind.code(),
+            file: d.file.clone(),
+            line: d.line,
+            symbol: d.symbol.clone(),
+            message: d.message.clone(),
+            trace: d.trace.clone(),
         })
         .collect();
-    let edges = g
-        .edges
-        .iter()
-        .map(|e| {
-            Json::obj([
-                ("from", Json::Str(e.from.clone())),
-                ("from_crate", Json::Str(e.from_crate.clone())),
-                ("to", Json::Str(e.to_name.clone())),
-                ("to_crate", e.to_crate.as_ref().map_or(Json::Null, |c| Json::Str(c.clone()))),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("version", Json::Num(1)),
-        ("crates", Json::Obj(crates)),
-        ("edges", Json::Arr(edges)),
-        ("cross_crate_edges", Json::Num(i64::try_from(g.cross_crate_edges()).unwrap_or(0))),
-    ])
+    CheckDoc {
+        version: 1,
+        lints: Lint::all().iter().map(|l| l.name()).collect(),
+        violations: r
+            .violations
+            .iter()
+            .map(|v| ViolationDoc {
+                lint: v.lint.name(),
+                file: v.file.strip_prefix(&root_prefix).unwrap_or(&v.file).to_string(),
+                line: v.line,
+                message: v.message.clone(),
+            })
+            .collect(),
+        summary: SummaryDoc {
+            files: r.files,
+            total: r.violations.len(),
+            flow_total: diagnostics.len(),
+            ok: r.ok(),
+            step_ms: r.step_ms,
+        },
+        flow: FlowDoc {
+            kinds: FlowKind::all().iter().map(|k| k.name()).collect(),
+            diagnostics,
+            unit_annotations: r.unit_annotations.iter().map(ToString::to_string).collect(),
+        },
+        allowlists: AllowlistsDoc {
+            strict: r.strict,
+            panic_unused: CheckReport::unused("panic-allowlist", &r.panic_unused),
+            alloc_unused: CheckReport::unused("alloc-allowlist", &r.alloc_unused),
+        },
+        gates: r.gates(),
+    }
 }
 
 /// Runs a cargo subcommand. Under `--json` the child's stdout is captured

@@ -2,15 +2,14 @@
 //!
 //! Builds a per-file item tree: functions, structs, enums (with variants),
 //! traits, impls, modules, consts/statics, type aliases, `use` declarations,
-//! and `macro_rules!` definitions. Each item records its visibility, line,
-//! whether an outer doc comment sits directly above it, whether it lives in
-//! test code, and (for functions/impls/mods) the token range of its body so
-//! later passes can analyse call sites without re-lexing.
+//! and `macro_rules!` definitions. Each item records its line, whether it
+//! lives in test code, and (for functions/impls/mods) the token range of its
+//! body so later passes can analyse call sites without re-lexing.
 //!
 //! This is deliberately not a full Rust grammar: it recognises just enough
-//! item structure for the workspace symbol graph and the syntax-aware lints
-//! (L5–L6), and it degrades gracefully — tokens it does not understand are
-//! skipped, never fatal.
+//! item structure for the call graph of the flow analyses and the
+//! syntax-aware lints (L5–L6), and it degrades gracefully — tokens it does
+//! not understand are skipped, never fatal.
 
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::lints::Marks;
@@ -44,37 +43,6 @@ pub enum ItemKind {
     Macro,
 }
 
-impl ItemKind {
-    /// Lowercase keyword-ish label for diagnostics.
-    pub fn label(self) -> &'static str {
-        match self {
-            ItemKind::Fn => "fn",
-            ItemKind::Struct => "struct",
-            ItemKind::Enum => "enum",
-            ItemKind::Variant => "variant",
-            ItemKind::Trait => "trait",
-            ItemKind::Impl => "impl",
-            ItemKind::Mod => "mod",
-            ItemKind::Const => "const",
-            ItemKind::Static => "static",
-            ItemKind::TypeAlias => "type",
-            ItemKind::Use => "use",
-            ItemKind::Macro => "macro",
-        }
-    }
-}
-
-/// Item visibility, collapsed to what the lints need.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Vis {
-    /// No `pub` at all.
-    Private,
-    /// `pub(crate)`, `pub(super)`, `pub(in ...)` — not exported API.
-    Scoped,
-    /// Bare `pub` — part of the crate's exported surface.
-    Pub,
-}
-
 /// One node of the per-file item tree.
 #[derive(Clone, Debug)]
 pub struct Item {
@@ -82,16 +50,11 @@ pub struct Item {
     pub kind: ItemKind,
     /// Item name (self type for impls, joined path for uses).
     pub name: String,
-    /// Visibility.
-    pub vis: Vis,
     /// 1-based line of the defining keyword.
     pub line: usize,
     /// Token index of the defining keyword (start of the signature for
     /// functions), so lints can scope scans to one item.
     pub start_tok: usize,
-    /// True when an outer doc comment ends on the line directly above the
-    /// item (above its attributes, if any).
-    pub has_doc: bool,
     /// True when the item sits inside `#[cfg(test)]` / `#[test]` code.
     pub in_test: bool,
     /// Token index range `[start, end)` of the body block including braces,
@@ -103,7 +66,7 @@ pub struct Item {
 
 /// Parses the item tree of one lexed file.
 pub fn parse_items(lexed: &Lexed, marks: &Marks) -> Vec<Item> {
-    let mut cursor = Cursor { toks: &lexed.toks, marks, doc_lines: &lexed.doc_lines };
+    let mut cursor = Cursor { toks: &lexed.toks, marks };
     let mut i = 0;
     cursor.parse_container(&mut i, lexed.toks.len())
 }
@@ -111,7 +74,6 @@ pub fn parse_items(lexed: &Lexed, marks: &Marks) -> Vec<Item> {
 struct Cursor<'a> {
     toks: &'a [Tok],
     marks: &'a Marks,
-    doc_lines: &'a [usize],
 }
 
 /// Keywords that can never be a callee or item name.
@@ -151,13 +113,8 @@ impl Cursor<'_> {
     /// Parses items until `end` (exclusive) or an unmatched `}`.
     fn parse_container(&mut self, i: &mut usize, end: usize) -> Vec<Item> {
         let mut items = Vec::new();
-        // Line of the first attribute of the pending item, if any.
-        let mut attr_line: Option<usize> = None;
-        let mut vis = Vis::Private;
-        let mut vis_line: Option<usize> = None;
 
         while *i < end {
-            let line = self.toks[*i].line;
             match &self.toks[*i].kind {
                 TokKind::Punct(p) if p == "#" => {
                     // Attribute: `#[...]` or `#![...]`.
@@ -166,7 +123,6 @@ impl Cursor<'_> {
                         j += 1;
                     }
                     if self.is_punct(j, "[") {
-                        attr_line.get_or_insert(line);
                         *i = self.skip_group(j, "[", "]");
                     } else {
                         *i += 1;
@@ -179,14 +135,11 @@ impl Cursor<'_> {
                 TokKind::Punct(p) if p == "{" => {
                     // Stray block (macro body, const block): skip wholesale.
                     *i = self.skip_group(*i, "{", "}");
-                    (attr_line, vis, vis_line) = (None, Vis::Private, None);
                 }
                 TokKind::Ident(id) if id == "pub" => {
-                    vis_line.get_or_insert(line);
-                    vis = Vis::Pub;
+                    // Visibility, restricted (`pub(crate)`) or not.
                     *i += 1;
                     if self.is_punct(*i, "(") {
-                        vis = Vis::Scoped;
                         *i = self.skip_group(*i, "(", ")");
                     }
                 }
@@ -199,39 +152,24 @@ impl Cursor<'_> {
                 }
                 TokKind::Ident(id) => {
                     let kw = id.clone();
-                    let anchor = attr_line.or(vis_line).unwrap_or(line);
-                    let has_doc = anchor > 0 && self.doc_lines.binary_search(&(anchor - 1)).is_ok();
                     let in_test = self.marks.in_test.get(*i).copied().unwrap_or(false);
-                    let parsed = self.parse_item(&kw, i, end, vis, has_doc, in_test);
-                    match parsed {
+                    match self.parse_item(&kw, i, end, in_test) {
                         Some(item) => items.push(item),
                         None => *i += 1,
                     }
-                    (attr_line, vis, vis_line) = (None, Vis::Private, None);
                 }
-                _ => {
-                    *i += 1;
-                    (attr_line, vis, vis_line) = (None, Vis::Private, None);
-                }
+                _ => *i += 1,
             }
         }
         items
     }
 
     /// Parses one item whose keyword is at `*i`; advances past it.
-    fn parse_item(
-        &mut self,
-        kw: &str,
-        i: &mut usize,
-        end: usize,
-        vis: Vis,
-        has_doc: bool,
-        in_test: bool,
-    ) -> Option<Item> {
+    fn parse_item(&mut self, kw: &str, i: &mut usize, end: usize, in_test: bool) -> Option<Item> {
         let line = self.toks[*i].line;
         let start_tok = *i;
         let item = |kind, name, body, children| {
-            Some(Item { kind, name, vis, line, start_tok, has_doc, in_test, body, children })
+            Some(Item { kind, name, line, start_tok, in_test, body, children })
         };
         match kw {
             "fn" => {
@@ -293,7 +231,7 @@ impl Cursor<'_> {
                 }
                 let start = *i;
                 let body_end = self.skip_group(*i, "{", "}");
-                let variants = self.parse_variants(start + 1, body_end.saturating_sub(1), vis);
+                let variants = self.parse_variants(start + 1, body_end.saturating_sub(1));
                 *i = body_end;
                 item(ItemKind::Enum, name, Some((start, body_end)), variants)
             }
@@ -330,7 +268,7 @@ impl Cursor<'_> {
                 // `const fn` is a function; `const NAME: T = ...;` an item.
                 if self.ident(*i + 1) == Some("fn") {
                     *i += 1;
-                    return self.parse_item("fn", i, end, vis, has_doc, in_test);
+                    return self.parse_item("fn", i, end, in_test);
                 }
                 let mut j = *i + 1;
                 if self.ident(j) == Some("mut") {
@@ -425,7 +363,7 @@ impl Cursor<'_> {
     }
 
     /// Collects variant names from an enum body token range.
-    fn parse_variants(&self, start: usize, end: usize, vis: Vis) -> Vec<Item> {
+    fn parse_variants(&self, start: usize, end: usize) -> Vec<Item> {
         let mut out = Vec::new();
         let mut j = start;
         let mut expect_variant = true;
@@ -444,10 +382,8 @@ impl Cursor<'_> {
                     out.push(Item {
                         kind: ItemKind::Variant,
                         name: name.clone(),
-                        vis,
                         line: self.toks[j].line,
                         start_tok: j,
-                        has_doc: true, // variant docs are not lint-enforced
                         in_test: false,
                         body: None,
                         children: Vec::new(),
@@ -498,20 +434,19 @@ mod tests {
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].kind, ItemKind::Fn);
         assert_eq!(items[0].name, "a");
-        assert_eq!(items[0].vis, Vis::Pub);
-        assert!(items[0].has_doc);
         assert!(items[0].body.is_some());
-        assert_eq!(items[1].vis, Vis::Private);
-        assert!(!items[1].has_doc);
+        assert_eq!(items[1].name, "b");
     }
 
     #[test]
-    fn doc_above_attributes_counts() {
+    fn attributes_above_items_are_skipped() {
         let src =
             "/// Doc.\n#[derive(Debug)]\npub struct S { x: u8 }\n#[derive(Debug)]\npub struct T;\n";
         let items = parse(src);
-        assert!(items[0].has_doc, "{items:?}");
-        assert!(!items[1].has_doc, "{items:?}");
+        assert_eq!(items.len(), 2, "{items:?}");
+        for (item, name, line) in [(&items[0], "S", 3), (&items[1], "T", 5)] {
+            assert_eq!((item.kind, item.name.as_str(), item.line), (ItemKind::Struct, name, line));
+        }
     }
 
     #[test]
@@ -532,7 +467,6 @@ mod tests {
         assert_eq!(items[0].name, "Baz");
         assert_eq!(items[0].children.len(), 2);
         assert_eq!(items[0].children[0].name, "m");
-        assert!(items[0].children[0].has_doc);
         assert_eq!(items[1].name, "Plain");
         assert_eq!(items[1].children[0].name, "k");
         assert_eq!(items[1].children[0].kind, ItemKind::Fn);
@@ -601,11 +535,12 @@ mod tests {
     }
 
     #[test]
-    fn pub_crate_is_scoped_not_pub() {
-        let src = "pub(crate) fn f() {}\npub(super) struct S;";
+    fn restricted_visibility_is_skipped() {
+        let src = "pub(crate) fn f() {}\npub(in crate::x) struct S;";
         let items = parse(src);
-        assert_eq!(items[0].vis, Vis::Scoped);
-        assert_eq!(items[1].vis, Vis::Scoped);
+        assert_eq!(items.len(), 2, "{items:?}");
+        assert_eq!((items[0].kind, items[0].name.as_str()), (ItemKind::Fn, "f"));
+        assert_eq!((items[1].kind, items[1].name.as_str()), (ItemKind::Struct, "S"));
     }
 
     #[test]

@@ -222,40 +222,3 @@ pub fn diagnostics(ws: &Workspace, g: &FnGraph, t: &Taint) -> Vec<FlowDiag> {
     }
     out
 }
-
-/// Graphviz DOT export of the tainted subgraph: sources are filled boxes,
-/// sinks double octagons, edges follow the caller -> callee direction.
-pub fn dot(ws: &Workspace, g: &FnGraph, t: &Taint) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("digraph determinism_taint {\n    rankdir=LR;\n");
-    for (ix, node) in g.nodes.iter().enumerate() {
-        if !t.tainted[ix] {
-            continue;
-        }
-        let shape = if is_sink(node) {
-            "doubleoctagon"
-        } else if t.sources[ix].is_empty() {
-            "ellipse"
-        } else {
-            "box"
-        };
-        let style = if t.sources[ix].is_empty() { "" } else { ", style=filled" };
-        let _ = writeln!(
-            out,
-            "    \"{}\" [shape={shape}{style}, label=\"{}\\n{}:{}\"];",
-            node.key, node.key, ws.files[node.file_ix].file, node.line
-        );
-    }
-    for (ix, node) in g.nodes.iter().enumerate() {
-        if !t.tainted[ix] {
-            continue;
-        }
-        for &c in &node.callees {
-            if t.tainted[c] {
-                let _ = writeln!(out, "    \"{}\" -> \"{}\";", node.key, g.nodes[c].key);
-            }
-        }
-    }
-    out.push_str("}\n");
-    out
-}

@@ -197,10 +197,23 @@ struct DeclTable {
     ret_decl: BTreeMap<usize, (Dim, String)>,
 }
 
-/// The fixpoint state the evaluator shares across functions.
-pub struct Units {
-    /// Function node -> derived or declared return dimension.
-    pub rets: BTreeMap<usize, (Dim, String)>,
+/// An `xtask-unit` annotation F4 cannot use: unparseable, conflicting, or
+/// attached to nothing. The declaration is dropped, so the gate reports it
+/// (and fails on it under `--strict`).
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct AnnotationWarning {
+    /// Repo-relative file of the annotation.
+    pub file: String,
+    /// 1-based line of the annotation.
+    pub line: usize,
+    /// What is wrong with it.
+    pub message: String,
+}
+
+impl std::fmt::Display for AnnotationWarning {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}:{}: {}", self.file, self.line, self.message)
+    }
 }
 
 /// True when `id` is a Rust keyword the expression grammar handles (or
@@ -230,7 +243,7 @@ fn is_expr_keyword(id: &str) -> bool {
 }
 
 /// Builds the declaration tables from every file's `xtask-unit` comments.
-fn build_decls(ws: &Workspace, g: &FnGraph) -> (DeclTable, Vec<String>) {
+fn build_decls(ws: &Workspace, g: &FnGraph) -> (DeclTable, Vec<AnnotationWarning>) {
     let mut decls = DeclTable::default();
     let mut warnings = Vec::new();
     for (file_ix, sf) in ws.files.iter().enumerate() {
@@ -244,11 +257,15 @@ fn build_decls(ws: &Workspace, g: &FnGraph) -> (DeclTable, Vec<String>) {
             .collect();
         fns.sort_unstable();
         for decl in &sf.lexed.units {
+            let mut warn = |message: String| {
+                warnings.push(AnnotationWarning {
+                    file: sf.file.clone(),
+                    line: decl.line,
+                    message,
+                });
+            };
             let Some(dim) = parse_unit(&decl.text) else {
-                warnings.push(format!(
-                    "{}:{}: unparseable xtask-unit expression `{}`",
-                    sf.file, decl.line, decl.text
-                ));
+                warn(format!("unparseable xtask-unit expression `{}`", decl.text));
                 continue;
             };
             match &decl.target {
@@ -257,19 +274,15 @@ fn build_decls(ws: &Workspace, g: &FnGraph) -> (DeclTable, Vec<String>) {
                         let prov = format!("`{name}`: {dim} (declared {}:{})", sf.file, decl.line);
                         if let Some((prior, at)) = decls.global.get(&name) {
                             if *prior != dim {
-                                warnings.push(format!(
-                                    "{}:{}: conflicting xtask-unit for `{name}`: {dim} vs {prior} ({at})",
-                                    sf.file, decl.line
+                                warn(format!(
+                                    "conflicting xtask-unit for `{name}`: {dim} vs {prior} ({at})"
                                 ));
                             }
                         } else {
                             decls.global.insert(name, (dim, prov));
                         }
                     }
-                    None => warnings.push(format!(
-                        "{}:{}: xtask-unit declaration attaches to no binding",
-                        sf.file, decl.line
-                    )),
+                    None => warn("xtask-unit declaration attaches to no binding".to_string()),
                 },
                 Some(target) => {
                     // Attach to the next function defined below the comment.
@@ -278,10 +291,7 @@ fn build_decls(ws: &Workspace, g: &FnGraph) -> (DeclTable, Vec<String>) {
                         .find(|(line, _)| *line > decl.line && *line <= decl.line + 10)
                         .map(|&(_, ix)| ix);
                     let Some(ix) = node else {
-                        warnings.push(format!(
-                            "{}:{}: xtask-unit({target}) has no function below it",
-                            sf.file, decl.line
-                        ));
+                        warn(format!("xtask-unit({target}) has no function below it"));
                         continue;
                     };
                     let prov = format!(
@@ -1140,8 +1150,9 @@ fn money_signature_rets(ws: &Workspace, g: &FnGraph, rets: &mut BTreeMap<usize, 
 }
 
 /// Runs the full analysis: declaration tables, the interprocedural return
-/// fixpoint, then a recording pass that collects violations.
-pub fn compute(ws: &Workspace, g: &FnGraph) -> (Units, Vec<FlowDiag>, Vec<String>) {
+/// fixpoint, then a recording pass that collects violations. Returns the
+/// diagnostics and the annotations the analysis had to drop.
+pub fn analyze(ws: &Workspace, g: &FnGraph) -> (Vec<FlowDiag>, Vec<AnnotationWarning>) {
     let (decls, mut warnings) = build_decls(ws, g);
     let mut rets: BTreeMap<usize, (Dim, String)> = decls.ret_decl.clone();
     money_signature_rets(ws, g, &mut rets);
@@ -1188,42 +1199,7 @@ pub fn compute(ws: &Workspace, g: &FnGraph) -> (Units, Vec<FlowDiag>, Vec<String
     diags.sort_by(|a, b| (&a.file, a.line, &a.message).cmp(&(&b.file, b.line, &b.message)));
     diags.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
     warnings.sort();
-    (Units { rets }, diags, warnings)
-}
-
-/// Diagnostics-only entry point for `cargo xtask check` / `units`.
-pub fn analyze(ws: &Workspace, g: &FnGraph) -> (Vec<FlowDiag>, Vec<String>) {
-    let (_, diags, warnings) = compute(ws, g);
     (diags, warnings)
-}
-
-/// Graphviz DOT export: every function with a known return dimension,
-/// labeled with that dimension; edges follow calls between them.
-pub fn dot(ws: &Workspace, g: &FnGraph, units: &Units) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("digraph unit_dimensions {\n    rankdir=LR;\n");
-    for (&ix, (dim, _)) in &units.rets {
-        let n = &g.nodes[ix];
-        let shape = if *dim == Dim::DOLLAR || *dim == Dim::DOLLAR_PER_DAY {
-            "doubleoctagon"
-        } else {
-            "box"
-        };
-        let _ = writeln!(
-            out,
-            "    \"{}\" [shape={shape}, label=\"{}\\n{}\\n{}:{}\"];",
-            n.key, n.key, dim, ws.files[n.file_ix].file, n.line
-        );
-    }
-    for &ix in units.rets.keys() {
-        for &c in &g.nodes[ix].callees {
-            if units.rets.contains_key(&c) {
-                let _ = writeln!(out, "    \"{}\" -> \"{}\";", g.nodes[ix].key, g.nodes[c].key);
-            }
-        }
-    }
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
 //! Self-tests for the F4 `unit-dimensions` analysis: the committed
 //! `f4_units.rs` fixture must trip every rejection rule with the
-//! documented precision, the real workspace must be clean, and a seeded
-//! property test round-trips every `PricingPolicy`
+//! documented precision, every annotation in `f4_annotations.rs` must be
+//! reported as dropped and fail the strict gate, the real workspace must be
+//! clean, and a seeded property test round-trips every `PricingPolicy`
 //! preset shape through the dimension table.
 
-use crate::flow::{FlowDiag, FlowKind, FnGraph, Workspace};
+use crate::flow::{Allowlist, FlowDiag, FlowKind, FnGraph, Workspace};
 use crate::flow_tests::fixture_ws;
-use crate::units;
+use crate::{check_doc, units, CheckReport};
+use std::path::Path;
 
 fn symbols(diags: &[FlowDiag]) -> Vec<&str> {
     diags.iter().map(|d| d.symbol.as_str()).collect()
@@ -60,16 +62,31 @@ fn f4_sink_diagnostics_carry_source_traces() {
 }
 
 #[test]
-fn f4_dot_export_labels_dimensions() {
-    let (ws, g) = fixture_ws("f4_units.rs");
-    let (u, _, _) = units::compute(&ws, &g);
-    let dot = units::dot(&ws, &g, &u);
-    assert!(dot.starts_with("digraph unit_dimensions"), "{dot}");
-    // The declared $/month helper appears with its dimension.
-    assert!(dot.contains("core::monthly_rate"), "{dot}");
-    assert!(dot.contains("$/month"), "{dot}");
-    // Money-returning functions render as sink-shaped nodes.
-    assert!(dot.contains("doubleoctagon"), "{dot}");
+fn f4_dropped_annotations_fail_strict_check() {
+    let (ws, g) = fixture_ws("f4_annotations.rs");
+    let (_, warnings) = units::analyze(&ws, &g);
+    for want in [
+        "unparseable xtask-unit expression `GBB`",
+        "conflicting xtask-unit for `total`: $ vs GB",
+        "xtask-unit declaration attaches to no binding",
+        "xtask-unit(return) has no function below it",
+    ] {
+        assert!(warnings.iter().any(|w| w.message.contains(want)), "missing {want}: {warnings:?}");
+    }
+    assert_eq!(warnings.len(), 4, "{warnings:?}");
+
+    // Through the gate: the lenient check passes and the strict one fails
+    // the units gate, with every dropped annotation in the document.
+    let mut r = CheckReport { fmt_ok: true, clippy_ok: true, ..CheckReport::default() };
+    r.run_graph_analyses(&ws, &Allowlist::default(), &Allowlist::default());
+    assert!(r.unit_diags.is_empty(), "{:?}", r.unit_diags);
+    assert!(r.ok(), "without --strict dropped annotations only warn");
+    r.strict = true;
+    assert!(!r.gates().units && !r.ok(), "--strict must fail on dropped annotations");
+    let doc = check_doc(Path::new("/repo"), &r);
+    assert_eq!(doc.flow.unit_annotations.len(), 4, "{doc:?}");
+    assert!(doc.flow.unit_annotations[0].starts_with("crates/core/src/fixture.rs:6: "), "{doc:?}");
+    assert!(!doc.summary.ok, "{doc:?}");
 }
 
 #[test]
@@ -80,11 +97,7 @@ fn units_tree_is_clean() {
     let ws = Workspace::load_flow(&root).expect("workspace loads");
     let g = FnGraph::build(&ws);
     let (diags, warnings) = units::analyze(&ws, &g);
-    assert!(
-        warnings.is_empty(),
-        "workspace has unit-declaration warnings:\n{}",
-        warnings.join("\n")
-    );
+    assert!(warnings.is_empty(), "workspace has unit-declaration warnings: {warnings:?}");
     let rendered: Vec<String> = diags.iter().map(ToString::to_string).collect();
     assert!(
         rendered.is_empty(),
