@@ -134,7 +134,7 @@ impl FleetState {
             (lifetime_writes, writes, &mut self.prior_writes),
         ] {
             if let Some(slot) = prior.get_mut(ix) {
-                *slot = if carry { total.saturating_sub(closed.iter().sum()) } else { 0 };
+                *slot = if carry { total.saturating_sub(saturating_sum(closed)) } else { 0 };
             }
         }
     }
@@ -216,6 +216,12 @@ impl FleetState {
     }
 }
 
+/// The sum of `counts`, saturating at `u64::MAX`: restored serving state
+/// carries counts from a checkpoint, and no count may overflow a sum.
+fn saturating_sum(counts: &[u64]) -> u64 {
+    counts.iter().fold(0, |sum, &c| sum.saturating_add(c))
+}
+
 /// One file's observable past on the morning of a decision day — the
 /// encoder's whole input besides size and tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -237,8 +243,8 @@ impl<'a> History<'a> {
     pub fn observed(reads: &'a [u64], writes: &'a [u64], window: usize) -> History<'a> {
         History {
             recent: reads.get(reads.len().saturating_sub(window)..).unwrap_or(&[]),
-            sum_reads: reads.iter().sum(),
-            sum_writes: writes.iter().sum(),
+            sum_reads: saturating_sum(reads),
+            sum_writes: saturating_sum(writes),
         }
     }
 }

@@ -397,8 +397,9 @@ fn check_snapshot(
 ///
 /// Candidates are tried newest-first (`path`, `path.1`, ...). A candidate
 /// is usable when it loads (transient read failures are retried), passes
-/// the v2 checksum, and agrees with this run's configuration. Falling back
-/// to an older slot is recorded as [`IncidentKind::RolledBack`].
+/// the checksum and the decoder's checks, and agrees with this run's
+/// configuration. Falling back to an older slot is recorded as
+/// [`IncidentKind::RolledBack`].
 ///
 /// Returns `Ok(None)` when no candidate file exists (fresh start). When
 /// candidates exist but none is usable: the newest candidate's failure is
@@ -779,6 +780,9 @@ pub(crate) fn run_supervised(
     };
     let mut lookahead: Option<DayBatch> = None;
     let mut checkpoints_written = 0u64;
+    // The day cursor of this invocation's last checkpoint, so shutdown
+    // does not write the same state twice.
+    let mut checkpointed_day = None;
     // Wall-clock ms per decision epoch of this invocation: reported, never
     // persisted, so identical runs write identical checkpoints.
     let mut decision_millis = Vec::new();
@@ -848,6 +852,7 @@ pub(crate) fn run_supervised(
                     let snap = state.to_snapshot(cfg, policy.name());
                     write_checkpoint(sup, backend.as_mut(), &snap, cfg.checkpoint_keep, path, day)?;
                     checkpoints_written += 1;
+                    checkpointed_day = Some(state.next_day);
                 }
             }
         }
@@ -884,9 +889,11 @@ pub(crate) fn run_supervised(
     };
 
     // A final snapshot at shutdown so `max_days`-interrupted runs resume
-    // from exactly where they stopped, not the last periodic checkpoint.
+    // from exactly where they stopped, not the last periodic checkpoint —
+    // unless that checkpoint already holds this state, when a second copy
+    // would only push a distinct predecessor out of the rotation.
     if let Some(path) = &cfg.checkpoint_path {
-        if cfg.checkpoint_every > 0 {
+        if cfg.checkpoint_every > 0 && checkpointed_day != Some(state.next_day) {
             let snap = state.to_snapshot(cfg, policy.name());
             write_checkpoint(
                 sup,
@@ -1029,14 +1036,13 @@ mod tests {
         let cut = ServeConfig { max_days: Some(5), ..base.clone() };
         serve(&trace, &model, &mut GreedyPolicy, &cut).unwrap();
 
-        let bytes = std::fs::read(&path).unwrap();
-        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
-        let header = std::str::from_utf8(&bytes[..newline]).unwrap();
-        let prefix = &header[..header.find("fnv1a64:").unwrap()];
-        let payload = std::str::from_utf8(&bytes[newline + 1..]).unwrap();
+        // Rewrite the checkpoint as such a v2 file: its JSON with the key.
+        let snap = Snapshot::load(&path).unwrap();
+        let payload = serde_json::to_string(&Snapshot { version: 2, ..snap }).unwrap();
         let legacy = payload.replacen('{', r#"{"decision_millis":[0.5,0.25,1.75,0.125,2.0],"#, 1);
         let digest = stream::fnv1a64(legacy.as_bytes());
-        std::fs::write(&path, format!("{prefix}fnv1a64:{digest:016x}\n{legacy}")).unwrap();
+        std::fs::write(&path, format!("minicost-snapshot v2 fnv1a64:{digest:016x}\n{legacy}"))
+            .unwrap();
 
         let resumed = serve(&trace, &model, &mut GreedyPolicy, &base).unwrap();
         assert_eq!(resumed.resumed_from_day, Some(5));
@@ -1048,6 +1054,60 @@ mod tests {
         // Timings cover only the resumed invocation's epochs.
         assert_eq!(resumed.result.decision_millis.len(), trace.days - 5);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_call_per_day_writes_one_checkpoint_per_call() {
+        // The daily deployment: one call per day, each resuming from the
+        // last. Each call must write its state once, so the rotation keeps
+        // two distinct predecessors rather than a duplicate of the newest.
+        let (trace, model) = setup();
+        let dir = scratch_dir("daily-rotation");
+        let path = dir.join("snapshot.json");
+        for day in 0..5 {
+            let cfg = ServeConfig {
+                checkpoint_every: 1,
+                checkpoint_keep: 2,
+                checkpoint_path: Some(path.clone()),
+                max_days: Some(day + 1),
+                ..ServeConfig::default()
+            };
+            let report = serve(&trace, &model, &mut GreedyPolicy, &cfg).unwrap();
+            assert_eq!(report.checkpoints_written, 1, "day {day}");
+        }
+        let days: Vec<usize> = rotation_candidates(&path, 2)
+            .iter()
+            .map(|p| Snapshot::load(p).unwrap().next_day)
+            .collect();
+        assert_eq!(days, vec![5, 4, 3]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shutdown_checkpoint_is_kept_when_days_follow_the_last_write() {
+        // Days served after the last periodic checkpoint still get a
+        // shutdown snapshot: at `checkpoint_every 2`, and at a cadence of
+        // 3 cut by `max_days`.
+        let (trace, model) = setup();
+        for (decide_every, checkpoint_every) in [(1, 2), (3, 1)] {
+            let dir = scratch_dir(&format!("shutdown-{decide_every}-{checkpoint_every}"));
+            let path = dir.join("snapshot.json");
+            let cfg = ServeConfig {
+                decide_every,
+                checkpoint_every,
+                checkpoint_path: Some(path.clone()),
+                max_days: Some(5),
+                ..ServeConfig::default()
+            };
+            let report = serve(&trace, &model, &mut GreedyPolicy, &cfg).unwrap();
+            assert_eq!(report.checkpoints_written, 3);
+            assert_eq!(Snapshot::load(&path).unwrap().next_day, 5);
+            let resumed =
+                serve(&trace, &model, &mut GreedyPolicy, &ServeConfig { max_days: None, ..cfg })
+                    .unwrap();
+            assert_eq!(resumed.resumed_from_day, Some(5));
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -108,6 +108,14 @@ impl CostLedger {
         CostLedger::default()
     }
 
+    /// A ledger that has accrued `daily` in order. The running total is
+    /// derived, never supplied, so it cannot disagree with the days.
+    #[must_use]
+    pub fn from_daily(daily: Vec<CostBreakdown>) -> CostLedger {
+        let running = daily.iter().copied().sum();
+        CostLedger { daily, running }
+    }
+
     /// Closes one charging day: appends `day` and folds it into the running
     /// total.
     pub fn accrue(&mut self, day: CostBreakdown) {
@@ -405,6 +413,8 @@ mod tests {
         assert_eq!(ledger.running(), summed);
         assert_eq!(ledger.total(), summed.total());
         assert_eq!(ledger.clone().into_daily().len(), 3);
+        // Rebuilding from the days alone gives back the identical ledger.
+        assert_eq!(CostLedger::from_daily(ledger.daily().to_vec()), ledger);
     }
 
     #[test]

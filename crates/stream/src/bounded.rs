@@ -18,9 +18,11 @@
 //! that billing in the serve loop is always exact — this type approximates
 //! *decision features* only (ISSUE 4, bounded mode contract).
 
+use crate::checkpoint::SnapshotError;
 use crate::event::Event;
 use crate::sketch::{CountMinSketch, SpaceSaving};
 use crate::stats::FileStats;
+use crate::wire::{invalid_state, put_len, put_u64_le, put_varint, Reader};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -239,6 +241,108 @@ impl BoundedStats {
     fn tracked_entry(&self, id: u32) -> Option<&TrackedFile> {
         self.tracked.binary_search_by_key(&id, |t| t.id).ok().and_then(|p| self.tracked.get(p))
     }
+
+    /// Every sketch this instance holds.
+    fn sketches(&self) -> impl Iterator<Item = &CountMinSketch> {
+        self.ring
+            .iter()
+            .chain(std::iter::once(&self.current))
+            .flat_map(|d| [&d.reads, &d.writes])
+            .chain([&self.life_reads, &self.life_writes])
+    }
+
+    /// Appends the v3 encoding: the configuration, the heavy-hitter
+    /// summary, the tracked files, the day ring, the open day, the two
+    /// lifetime sketches and the closed-day count.
+    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+        let c = &self.config;
+        for n in [c.max_tracked, c.cms_width, c.cms_depth, c.window] {
+            put_len(out, n);
+        }
+        put_u64_le(out, c.seed);
+        self.heavy.write_wire(out);
+        put_len(out, self.tracked.len());
+        for t in &self.tracked {
+            put_varint(out, u64::from(t.id));
+            t.stats.write_wire(out);
+        }
+        put_len(out, self.ring.len());
+        for day in &self.ring {
+            day.reads.write_wire(out);
+            day.writes.write_wire(out);
+        }
+        self.current.reads.write_wire(out);
+        self.current.writes.write_wire(out);
+        self.life_reads.write_wire(out);
+        self.life_writes.write_wire(out);
+        put_varint(out, self.closed_days);
+    }
+
+    /// Reads what [`BoundedStats::write_wire`] wrote.
+    pub(crate) fn read_wire(r: &mut Reader<'_>) -> Result<BoundedStats, SnapshotError> {
+        let config = BoundedConfig {
+            max_tracked: r.varint_usize("bounded max tracked")?,
+            cms_width: r.varint_usize("bounded sketch width")?,
+            cms_depth: r.varint_usize("bounded sketch depth")?,
+            window: r.varint_usize("bounded window")?,
+            seed: r.word_le("bounded seed")?,
+        };
+        let heavy = SpaceSaving::read_wire(r)?;
+        let n = r.seq_len("tracked files", 1 + FileStats::MIN_WIRE_BYTES)?;
+        let mut tracked = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = r.varint_u32("tracked id")?;
+            tracked.push(TrackedFile { id, stats: FileStats::read_wire(r)? });
+        }
+        let day = |r: &mut Reader<'_>| -> Result<DaySketch, SnapshotError> {
+            Ok(DaySketch {
+                reads: CountMinSketch::read_wire(r)?,
+                writes: CountMinSketch::read_wire(r)?,
+            })
+        };
+        let n = r.seq_len("day ring", 2 * CountMinSketch::MIN_WIRE_BYTES)?;
+        let mut ring = VecDeque::with_capacity(n);
+        for _ in 0..n {
+            ring.push_back(day(r)?);
+        }
+        Ok(BoundedStats {
+            config,
+            heavy,
+            tracked,
+            ring,
+            current: day(r)?,
+            life_reads: CountMinSketch::read_wire(r)?,
+            life_writes: CountMinSketch::read_wire(r)?,
+            closed_days: r.varint("bounded closed days")?,
+        })
+    }
+
+    /// Checks a restored instance against what [`BoundedStats::new`] and
+    /// the day loop guarantee: a nonzero window and tracked budget, at
+    /// most that many tracked files in strictly ascending id order, rings
+    /// within the window, well-formed sketches and summary, and
+    /// `closed_days` days closed everywhere.
+    pub(crate) fn check_restored(&self, closed_days: u64) -> Result<(), SnapshotError> {
+        let window = self.config.window;
+        if window == 0 || self.config.max_tracked == 0 {
+            return Err(invalid_state("bounded window or tracked budget is zero"));
+        }
+        if self.closed_days != closed_days {
+            return Err(invalid_state("bounded closed-day count differs from the day cursor"));
+        }
+        if self.tracked.len() > self.config.max_tracked {
+            return Err(invalid_state("more tracked files than the tracked budget"));
+        }
+        if !self.tracked.windows(2).all(|w| matches!(w, [a, b] if a.id < b.id)) {
+            return Err(invalid_state("tracked ids not strictly ascending"));
+        }
+        if self.ring.len() > window {
+            return Err(invalid_state("day ring longer than the window"));
+        }
+        self.heavy.check_restored()?;
+        self.tracked.iter().try_for_each(|t| t.stats.check_restored(window, closed_days))?;
+        self.sketches().try_for_each(CountMinSketch::check_restored)
+    }
 }
 
 #[cfg(test)]
@@ -403,6 +507,37 @@ mod tests {
         }
         assert!(bounded.is_tracked(5), "the surge must have been promoted");
         assert!(!bounded.is_tracked(7), "the tail must stay sketched");
+    }
+
+    #[test]
+    fn restored_bounded_stats_are_checked() {
+        let invalid = |r: Result<(), SnapshotError>| matches!(r, Err(SnapshotError::Invalid(_)));
+        let mut b = tiny();
+        for day in 0..5u64 {
+            for id in 0..4 {
+                b.ingest(&ev(id, 10 * u64::from(id) + day, 1));
+            }
+            b.close_day();
+        }
+        assert_eq!(b.tracked.len(), 2);
+        assert!(b.check_restored(5).is_ok());
+        assert!(invalid(b.check_restored(6)), "closed days");
+        let mut unsorted = b.clone();
+        unsorted.tracked.reverse();
+        assert!(invalid(unsorted.check_restored(5)), "tracked ids out of order");
+        let mut over = b.clone();
+        over.config.max_tracked = 1;
+        assert!(invalid(over.check_restored(5)), "over the tracked budget");
+        let mut long = b.clone();
+        long.ring.push_back(long.current.clone());
+        assert!(invalid(long.check_restored(5)), "ring longer than the window");
+        let mut torn = b.clone();
+        torn.life_writes =
+            serde_json::from_str(r#"{"width":2,"depth":2,"seed":0,"rows":[0,0,0]}"#).unwrap();
+        assert!(invalid(torn.check_restored(5)), "mis-sized sketch");
+        let mut zero = b;
+        zero.config.window = 0;
+        assert!(invalid(zero.check_restored(5)), "zero window");
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! seeded statelessly per `(file, day)` (see [`crate::event`]), so
 //! restarting the stream at `next_day` reproduces the exact event suffix.
 //!
-//! # On-disk format (v2)
+//! # On-disk format (v3)
 //!
-//! Since [`SNAPSHOT_VERSION`] 2 a snapshot file is a one-line header
-//! followed by the JSON payload:
+//! A snapshot file is a one-line header followed by the payload:
 //!
 //! ```text
-//! minicost-snapshot v2 fnv1a64:<16 hex digits>\n
-//! {"version":2,...}
+//! minicost-snapshot v3 fnv1a64:<16 hex digits>\n
+//! <binary payload>
 //! ```
 //!
 //! The header checksum is FNV-1a over the **exact payload bytes**, so any
@@ -24,9 +23,63 @@
 //! from poisoned state. FNV-1a's per-byte step `h ↦ (h ⊕ b) · p` is
 //! injective in `h` for fixed `b` (odd multiplier mod 2⁶⁴), so a
 //! single-byte substitution *always* changes the digest — detection is
-//! deterministic, not probabilistic. Legacy v1 files (bare JSON, no
-//! header) still load for backward compatibility; they simply get no
-//! checksum validation.
+//! deterministic, not probabilistic. There is no wall-clock field: two
+//! identical runs write identical files.
+//!
+//! The payload is a fixed sequence of fields with no tags. `varint` is
+//! unsigned LEB128, `zigzag` is a zigzag-mapped varint, `u64le` is eight
+//! little-endian bytes, `tier` is one byte below `TIER_COUNT`, `flag` is
+//! one byte, 0 or 1, and `[T]` is a varint length followed by that many
+//! `T`s:
+//!
+//! | field | encoding |
+//! |---|---|
+//! | `policy_name` | varint byte length, UTF-8 bytes |
+//! | `seed` | u64le |
+//! | `next_day`, `epoch`, `decide_every`, `window` | varint each |
+//! | `initial_tier` | tier |
+//! | `tiers` | `[tier]` |
+//! | `ledger` | `[(storage, change, read, write)]`, each zigzag micro-dollars |
+//! | `per_file` | `[zigzag]` |
+//! | `occupancy` | `[(varint; TIER_COUNT)]` |
+//! | `tier_changes`, `billed_change_bytes` | varint each |
+//! | `exact` | flag, then if 1: window, closed days, `[file]` |
+//! | `bounded` | flag, then if 1: the bounded record below |
+//!
+//! A `file` ([`crate::FileStats`]) is closed days, read sum, write sum,
+//! pending reads and pending writes (varints), then its read and write
+//! rings as `[varint]` columns. A `sketch` ([`crate::CountMinSketch`]) is
+//! width, depth (varints), seed (u64le) and its counters, row-major, as
+//! one `[varint]` column. The bounded record ([`crate::BoundedStats`]) is
+//! its configuration (max tracked, sketch width, sketch depth, window as
+//! varints, seed as u64le), the heavy-hitter summary (capacity, then
+//! `[(id, count, overestimate)]` as varints), the tracked files
+//! `[(varint id, file)]`, the day ring `[(sketch, sketch)]`, the open
+//! day's read and write sketches, the lifetime read and write sketches,
+//! and the closed-day count (varint).
+//!
+//! The ledger stores only its days; its running total is rebuilt on read
+//! by accruing them in order ([`CostLedger::from_daily`]).
+//!
+//! The decoder is total. Every length is checked against the bytes that
+//! remain before anything is allocated; overlong varints, out-of-range
+//! tier or flag bytes, invalid UTF-8 and trailing bytes are
+//! [`SnapshotError::Parse`], so each snapshot has exactly one encoding.
+//! A payload that decodes to a state serving could not resume from —
+//! mismatched lengths, unsorted or over-capacity ids, a zero-sized or
+//! mis-sized sketch, a ring longer than its window, day counts that
+//! disagree with `next_day` — is [`SnapshotError::Invalid`].
+//!
+//! ## Legacy formats (read-only)
+//!
+//! Every write is v3. Two older formats still load, so checkpoints from
+//! earlier builds restore; both pass the same [`SnapshotError::Invalid`]
+//! checks after parsing:
+//!
+//! * **v2**: the same header with `v2`, then the [`Snapshot`] as a JSON
+//!   document whose `version` field is 2.
+//! * **v1**: the JSON document alone, no header and no checksum, with
+//!   `version` 1.
 //!
 //! Writes are crash-safe in the classic way: serialize to a sibling
 //! `*.tmp` file, fsync (failures surface as the distinct
@@ -38,19 +91,23 @@
 
 use crate::bounded::BoundedStats;
 use crate::stats::ExactStats;
-use pricing::{CostLedger, Money, Tier, TIER_COUNT};
+use crate::wire::{invalid_state, put_len, put_money, put_tier, put_u64_le, put_varint, Reader};
+use pricing::{CostBreakdown, CostLedger, Money, Tier, TIER_COUNT};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Current snapshot schema version. Bump on any incompatible change to
-/// [`Snapshot`] or the file framing; loads of other versions are rejected
-/// rather than misinterpreted. Version 1 (bare JSON, no checksum header)
-/// remains loadable.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// The snapshot format every write uses. Bump on any incompatible change
+/// to [`Snapshot`] or the file framing; loads of unknown versions are
+/// rejected rather than misinterpreted. Versions 1 and 2 (JSON) remain
+/// loadable.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// First token of the v2 file header.
+/// The last JSON format, framed with the same header as v3.
+const JSON_VERSION: u32 = 2;
+
+/// First token of the file header.
 const HEADER_MAGIC: &str = "minicost-snapshot";
 
 /// FNV-1a offset basis (64-bit).
@@ -72,8 +129,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The complete serialized serving state at a decision-epoch boundary.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
-    /// Schema version; must equal [`SNAPSHOT_VERSION`] (or the legacy `1`)
-    /// to load.
+    /// The format this snapshot was read from: [`SNAPSHOT_VERSION`], or
+    /// the legacy 1 or 2. Writes ignore it and always produce v3.
     pub version: u32,
     /// Name of the policy that produced the decisions (sanity-checked on
     /// restore so a snapshot is never resumed under a different policy).
@@ -128,6 +185,10 @@ pub enum SnapshotError {
     /// (or the header itself) does not check out — corruption, a torn
     /// write, or tampering.
     Corrupt(String),
+    /// The payload decoded, but to a state serving cannot resume from:
+    /// lengths that disagree, unsorted or over-capacity ids, a malformed
+    /// sketch, or day counts that disagree with the day cursor.
+    Invalid(String),
     /// The file is a snapshot from a different schema version.
     VersionMismatch {
         /// Version found in the file.
@@ -149,6 +210,7 @@ impl SnapshotError {
             SnapshotError::Io(_) | SnapshotError::Sync(_) => true,
             SnapshotError::Parse(_)
             | SnapshotError::Corrupt(_)
+            | SnapshotError::Invalid(_)
             | SnapshotError::VersionMismatch { .. } => false,
         }
     }
@@ -161,6 +223,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::Sync(msg) => write!(f, "snapshot sync error: {msg}"),
             SnapshotError::Parse(msg) => write!(f, "snapshot parse error: {msg}"),
             SnapshotError::Corrupt(msg) => write!(f, "snapshot corrupt: {msg}"),
+            SnapshotError::Invalid(msg) => write!(f, "snapshot invalid: {msg}"),
             SnapshotError::VersionMismatch { found, expected } => {
                 write!(f, "snapshot version {found} incompatible with expected {expected}")
             }
@@ -212,7 +275,7 @@ impl StorageBackend for FsBackend {
             f.write_all(bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
             // Flush to stable storage *before* the rename: a rename of an
             // unsynced file can survive a crash as a torn write, which is
-            // exactly the corruption the v2 checksum exists to catch. The
+            // exactly the corruption the checksum exists to catch. The
             // failure is surfaced distinctly so callers can tell "disk said
             // no" (retryable) from "document is garbage" (not).
             f.sync_all().map_err(|e| SnapshotError::Sync(e.to_string()))?;
@@ -268,84 +331,239 @@ pub fn rotate(
 }
 
 impl Snapshot {
-    /// Serializes this snapshot into the v2 framed byte format: checksum
-    /// header line + JSON payload.
+    /// Serializes this snapshot into the v3 framed byte format: checksum
+    /// header line + binary payload.
     pub fn to_checked_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        let json = serde_json::to_string(self).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-        let digest = fnv1a64(json.as_bytes());
+        let mut payload = Vec::with_capacity(1 << 12);
+        self.encode_v3(&mut payload);
+        let digest = fnv1a64(&payload);
         let mut out =
             format!("{HEADER_MAGIC} v{SNAPSHOT_VERSION} fnv1a64:{digest:016x}\n").into_bytes();
-        out.extend_from_slice(json.as_bytes());
+        out.extend_from_slice(&payload);
         Ok(out)
     }
 
     /// Parses and validates snapshot bytes written by
-    /// [`Snapshot::to_checked_bytes`] — or a legacy v1 bare-JSON document.
+    /// [`Snapshot::to_checked_bytes`] — or a legacy v2 or v1 document.
     ///
     /// Every validation failure is an error, never a best-effort value:
     /// header malformed / digest mismatch ⇒ [`SnapshotError::Corrupt`],
-    /// invalid JSON ⇒ [`SnapshotError::Parse`], wrong schema version ⇒
+    /// undecodable payload ⇒ [`SnapshotError::Parse`], a state serving
+    /// cannot resume from ⇒ [`SnapshotError::Invalid`], unknown format ⇒
     /// [`SnapshotError::VersionMismatch`].
     pub fn from_checked_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        if bytes.starts_with(HEADER_MAGIC.as_bytes()) {
-            let newline = bytes
-                .iter()
-                .position(|&b| b == b'\n')
-                .ok_or_else(|| SnapshotError::Corrupt("header line not terminated".to_owned()))?;
-            let header = std::str::from_utf8(&bytes[..newline])
+        let snap = if bytes.starts_with(HEADER_MAGIC.as_bytes()) {
+            let mut lines = bytes.splitn(2, |&b| b == b'\n');
+            let (header, payload) = match (lines.next(), lines.next()) {
+                (Some(header), Some(payload)) => (header, payload),
+                _ => return Err(SnapshotError::Corrupt("header line not terminated".to_owned())),
+            };
+            let header = std::str::from_utf8(header)
                 .map_err(|e| SnapshotError::Corrupt(format!("header not utf-8: {e}")))?;
-            let payload = &bytes[newline + 1..];
             let mut fields = header.split(' ');
             let (magic, version, digest) = (fields.next(), fields.next(), fields.next());
             if magic != Some(HEADER_MAGIC) || fields.next().is_some() {
                 return Err(SnapshotError::Corrupt(format!("malformed header {header:?}")));
             }
-            match version {
-                Some(v) if v == format!("v{SNAPSHOT_VERSION}") => {}
-                Some(other) => {
-                    let found = other.strip_prefix('v').and_then(|n| n.parse().ok()).unwrap_or(0);
-                    return Err(SnapshotError::VersionMismatch {
-                        found,
-                        expected: SNAPSHOT_VERSION,
-                    });
-                }
+            let version = match version {
+                Some(v) => v.strip_prefix('v').and_then(|n| n.parse().ok()).unwrap_or(0),
                 None => return Err(SnapshotError::Corrupt("header missing version".to_owned())),
+            };
+            if version != SNAPSHOT_VERSION && version != JSON_VERSION {
+                return Err(SnapshotError::VersionMismatch {
+                    found: version,
+                    expected: SNAPSHOT_VERSION,
+                });
             }
             let stated = digest
                 .and_then(|d| d.strip_prefix("fnv1a64:"))
                 .and_then(|hex| u64::from_str_radix(hex, 16).ok())
                 .ok_or_else(|| SnapshotError::Corrupt("header digest unreadable".to_owned()))?;
+            // One spelling per header: `from_str_radix` would also take
+            // upper-case digits or a leading `+`.
+            if header != format!("{HEADER_MAGIC} v{version} fnv1a64:{stated:016x}") {
+                return Err(SnapshotError::Corrupt(format!("non-canonical header {header:?}")));
+            }
             let actual = fnv1a64(payload);
             if stated != actual {
                 return Err(SnapshotError::Corrupt(format!(
                     "payload digest {actual:016x} != header {stated:016x}"
                 )));
             }
-            let json = std::str::from_utf8(payload)
-                .map_err(|e| SnapshotError::Parse(format!("payload not utf-8: {e}")))?;
-            let snap: Snapshot =
-                serde_json::from_str(json).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-            if snap.version != SNAPSHOT_VERSION {
-                return Err(SnapshotError::VersionMismatch {
-                    found: snap.version,
-                    expected: SNAPSHOT_VERSION,
-                });
+            if version == SNAPSHOT_VERSION {
+                Snapshot::decode_v3(payload)?
+            } else {
+                Snapshot::from_legacy_json(payload, JSON_VERSION)?
             }
-            Ok(snap)
         } else {
             // Legacy v1: bare JSON, no checksum to validate.
-            let json = std::str::from_utf8(bytes)
-                .map_err(|e| SnapshotError::Parse(format!("not utf-8: {e}")))?;
-            let snap: Snapshot =
-                serde_json::from_str(json).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-            if snap.version != 1 {
-                return Err(SnapshotError::VersionMismatch {
-                    found: snap.version,
-                    expected: SNAPSHOT_VERSION,
-                });
-            }
-            Ok(snap)
+            Snapshot::from_legacy_json(bytes, 1)?
+        };
+        snap.check_restored()?;
+        Ok(snap)
+    }
+
+    /// Parses a legacy JSON document that must carry `version`, and checks
+    /// that its stored running total is the accrual of its days.
+    fn from_legacy_json(json: &[u8], version: u32) -> Result<Snapshot, SnapshotError> {
+        let json = std::str::from_utf8(json)
+            .map_err(|e| SnapshotError::Parse(format!("payload not utf-8: {e}")))?;
+        let snap: Snapshot =
+            serde_json::from_str(json).map_err(|e| SnapshotError::Parse(e.to_string()))?;
+        if snap.version != version {
+            return Err(SnapshotError::VersionMismatch {
+                found: snap.version,
+                expected: SNAPSHOT_VERSION,
+            });
         }
+        if CostLedger::from_daily(snap.ledger.daily().to_vec()) != snap.ledger {
+            return Err(invalid_state("ledger running total disagrees with its days"));
+        }
+        Ok(snap)
+    }
+
+    /// Appends the v3 payload (field order in the module docs).
+    fn encode_v3(&self, out: &mut Vec<u8>) {
+        put_len(out, self.policy_name.len());
+        out.extend_from_slice(self.policy_name.as_bytes());
+        put_u64_le(out, self.seed);
+        put_len(out, self.next_day);
+        put_varint(out, self.epoch);
+        put_len(out, self.decide_every);
+        put_len(out, self.window);
+        put_tier(out, self.initial_tier);
+        put_len(out, self.tiers.len());
+        for &tier in &self.tiers {
+            put_tier(out, tier);
+        }
+        put_len(out, self.ledger.days());
+        for day in self.ledger.daily() {
+            for money in [day.storage, day.change, day.read, day.write] {
+                put_money(out, money);
+            }
+        }
+        put_len(out, self.per_file.len());
+        for &money in &self.per_file {
+            put_money(out, money);
+        }
+        put_len(out, self.occupancy.len());
+        for day in &self.occupancy {
+            for &count in day {
+                put_len(out, count);
+            }
+        }
+        put_varint(out, self.tier_changes);
+        put_varint(out, self.billed_change_bytes);
+        out.push(u8::from(self.exact.is_some()));
+        if let Some(exact) = &self.exact {
+            exact.write_wire(out);
+        }
+        out.push(u8::from(self.bounded.is_some()));
+        if let Some(bounded) = &self.bounded {
+            bounded.write_wire(out);
+        }
+    }
+
+    /// Reads what [`Snapshot::encode_v3`] wrote, to the last byte.
+    fn decode_v3(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
+        let mut r = Reader::new(payload);
+        let name_len = r.seq_len("policy name", 1)?;
+        let policy_name = std::str::from_utf8(r.take_bytes(name_len, "policy name")?)
+            .map_err(|e| SnapshotError::Parse(format!("v3 payload: policy name: {e}")))?
+            .to_owned();
+        let seed = r.word_le("seed")?;
+        let next_day = r.varint_usize("next day")?;
+        let epoch = r.varint("epoch")?;
+        let decide_every = r.varint_usize("decision cadence")?;
+        let window = r.varint_usize("window")?;
+        let initial_tier = r.tier_byte("initial tier")?;
+        let n = r.seq_len("tiers", 1)?;
+        let mut tiers = Vec::with_capacity(n);
+        for _ in 0..n {
+            tiers.push(r.tier_byte("tiers")?);
+        }
+        let n = r.seq_len("ledger days", 4)?;
+        let mut daily = Vec::with_capacity(n);
+        for _ in 0..n {
+            daily.push(CostBreakdown {
+                storage: r.zigzag_money("ledger storage")?,
+                change: r.zigzag_money("ledger change")?,
+                read: r.zigzag_money("ledger read")?,
+                write: r.zigzag_money("ledger write")?,
+            });
+        }
+        let n = r.seq_len("per-file ledger", 1)?;
+        let mut per_file = Vec::with_capacity(n);
+        for _ in 0..n {
+            per_file.push(r.zigzag_money("per-file ledger")?);
+        }
+        let n = r.seq_len("occupancy", TIER_COUNT)?;
+        let mut occupancy = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut day = [0; TIER_COUNT];
+            for count in &mut day {
+                *count = r.varint_usize("occupancy")?;
+            }
+            occupancy.push(day);
+        }
+        let tier_changes = r.varint("tier changes")?;
+        let billed_change_bytes = r.varint("billed change bytes")?;
+        let exact = if r.presence("exact statistics")? {
+            Some(ExactStats::read_wire(&mut r)?)
+        } else {
+            None
+        };
+        let bounded = if r.presence("bounded statistics")? {
+            Some(BoundedStats::read_wire(&mut r)?)
+        } else {
+            None
+        };
+        r.expect_end()?;
+        Ok(Snapshot {
+            version: SNAPSHOT_VERSION,
+            policy_name,
+            seed,
+            next_day,
+            epoch,
+            decide_every,
+            window,
+            initial_tier,
+            tiers,
+            ledger: CostLedger::from_daily(daily),
+            per_file,
+            occupancy,
+            tier_changes,
+            billed_change_bytes,
+            exact,
+            bounded,
+        })
+    }
+
+    /// Rejects a state that would later panic or mis-bill: per-file
+    /// columns of different lengths, per-day records that disagree with
+    /// `next_day`, more epochs than days or more tier changes than
+    /// file-days, and statistics that fail their own checks.
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        let days = self.next_day as u64;
+        if self.per_file.len() != self.tiers.len() {
+            return Err(invalid_state("tiers and per-file ledgers differ in length"));
+        }
+        if self.occupancy.len() != self.next_day || self.ledger.days() != self.next_day {
+            return Err(invalid_state("occupancy days, ledger days and the day cursor disagree"));
+        }
+        if self.epoch > days {
+            return Err(invalid_state("more decision epochs than days served"));
+        }
+        if self.tier_changes > days.saturating_mul(self.tiers.len() as u64) {
+            return Err(invalid_state("more tier changes than file-days served"));
+        }
+        if let Some(exact) = &self.exact {
+            exact.check_restored(self.tiers.len(), days)?;
+        }
+        if let Some(bounded) = &self.bounded {
+            bounded.check_restored(days)?;
+        }
+        Ok(())
     }
 
     /// Serializes and writes this snapshot through `backend` atomically.
@@ -379,9 +597,11 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounded::BoundedConfig;
+    use crate::event::Event;
     use crate::stats::ExactStats;
-    use pricing::CostBreakdown;
     use proptest::prelude::*;
+    use tracegen::FileId;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("minicost-ckpt-{}", std::process::id()));
@@ -389,27 +609,87 @@ mod tests {
         dir.join(name)
     }
 
-    fn sample() -> Snapshot {
-        let mut ledger = CostLedger::new();
-        ledger.accrue(CostBreakdown::default());
+    fn ev(file: u32, reads: u64, writes: u64) -> Event {
+        Event { hour: 0, file: FileId(file), reads, writes, bytes: 1 }
+    }
+
+    /// A consistent two-file serving state `days` days in, deciding every
+    /// third day, with exact or bounded statistics.
+    fn sample_at(days: usize, bounded: bool) -> Snapshot {
+        let mut exact = ExactStats::new(7, 2);
+        let mut sketched = BoundedStats::new(BoundedConfig {
+            max_tracked: 1,
+            cms_width: 8,
+            cms_depth: 2,
+            window: 3,
+            seed: 5,
+        });
+        let mut daily = Vec::new();
+        for day in 0..days as u64 {
+            for e in [ev(0, day, 1), ev(1, 2 * day + 1, 0)] {
+                exact.ingest(&e);
+                sketched.ingest(&e);
+            }
+            exact.close_day();
+            sketched.close_day();
+            daily.push(CostBreakdown {
+                storage: Money::from_micros(1_000 + day as i64),
+                change: Money::from_micros(-(day as i64)),
+                read: Money::from_micros(300),
+                write: Money::ZERO,
+            });
+        }
+        // An open day in progress: pending counts survive the round trip.
+        exact.ingest(&ev(1, 4, 2));
+        sketched.ingest(&ev(1, 4, 2));
         Snapshot {
             version: SNAPSHOT_VERSION,
             policy_name: "greedy".to_string(),
             seed: 42,
-            next_day: 6,
-            epoch: 2,
+            next_day: days,
+            epoch: days.div_ceil(3) as u64,
             decide_every: 3,
             window: 7,
             initial_tier: Tier::Hot,
             tiers: vec![Tier::Hot, Tier::Archive],
-            ledger,
+            ledger: CostLedger::from_daily(daily),
             per_file: vec![Money::from_micros(10), Money::from_micros(0)],
-            occupancy: vec![[2, 0, 0]; 6],
-            tier_changes: 1,
+            occupancy: vec![[2, 0, 0]; days],
+            tier_changes: u64::from(days > 0),
             billed_change_bytes: 0,
-            exact: Some(ExactStats::new(7, 2)),
-            bounded: None,
+            exact: (!bounded).then_some(exact),
+            bounded: bounded.then_some(sketched),
         }
+    }
+
+    fn sample() -> Snapshot {
+        sample_at(6, false)
+    }
+
+    /// The v2 format this module wrote before v3: the header line and the
+    /// snapshot as JSON with `version` 2.
+    fn to_v2_bytes(snap: &Snapshot) -> Vec<u8> {
+        let json =
+            serde_json::to_string(&Snapshot { version: JSON_VERSION, ..snap.clone() }).unwrap();
+        let mut out =
+            format!("{HEADER_MAGIC} v2 fnv1a64:{:016x}\n", fnv1a64(json.as_bytes())).into_bytes();
+        out.extend_from_slice(json.as_bytes());
+        out
+    }
+
+    /// Frames `payload` as v3 with a freshly computed digest, so it reaches
+    /// the payload decoder.
+    fn reframe(payload: &[u8]) -> Vec<u8> {
+        let mut out = format!("{HEADER_MAGIC} v3 fnv1a64:{:016x}\n", fnv1a64(payload)).into_bytes();
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// The v3 payload of `snap`, without its header line.
+    fn payload(snap: &Snapshot) -> Vec<u8> {
+        let bytes = snap.to_checked_bytes().unwrap();
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        bytes[newline + 1..].to_vec()
     }
 
     #[test]
@@ -421,28 +701,25 @@ mod tests {
         assert_eq!(back, snap);
         // The temp sibling must not linger after a successful save.
         assert!(!path.with_file_name("round-trip.json.tmp").exists());
+        assert!(std::fs::read(&path).unwrap().starts_with(b"minicost-snapshot v3 fnv1a64:"));
     }
 
     #[test]
     fn save_overwrites_previous_snapshot_atomically() {
         let path = scratch("overwrite.json");
-        let mut snap = sample();
-        snap.save_atomic(&path).unwrap();
-        snap.next_day = 9;
-        snap.epoch = 3;
-        snap.save_atomic(&path).unwrap();
+        sample().save_atomic(&path).unwrap();
+        sample_at(9, false).save_atomic(&path).unwrap();
         assert_eq!(Snapshot::load(&path).unwrap().next_day, 9);
     }
 
     #[test]
     fn doctored_bytes_fail_the_checksum() {
         let path = scratch("doctored.json");
-        let snap = sample();
-        snap.save_atomic(&path).unwrap();
+        std::fs::write(&path, to_v2_bytes(&sample())).unwrap();
         // In-place editing of any payload field breaks the header digest.
         let doctored = std::fs::read_to_string(&path)
             .unwrap()
-            .replace(&format!("\"version\":{SNAPSHOT_VERSION}"), "\"version\":999");
+            .replace(&format!("\"version\":{JSON_VERSION}"), "\"version\":999");
         std::fs::write(&path, doctored).unwrap();
         assert!(matches!(Snapshot::load(&path), Err(SnapshotError::Corrupt(_))));
     }
@@ -483,6 +760,126 @@ mod tests {
     }
 
     #[test]
+    fn legacy_v2_snapshots_load_and_resave_as_v3() {
+        for bounded in [false, true] {
+            let snap = sample_at(5, bounded);
+            let back = Snapshot::from_checked_bytes(&to_v2_bytes(&snap)).unwrap();
+            assert_eq!(back, Snapshot { version: JSON_VERSION, ..snap.clone() });
+            // Re-saving writes v3, which reads back as the same state.
+            let again = Snapshot::from_checked_bytes(&back.to_checked_bytes().unwrap()).unwrap();
+            assert_eq!(again, snap);
+        }
+    }
+
+    #[test]
+    fn legacy_running_totals_must_match_their_days() {
+        let mut snap = sample();
+        snap.version = 1;
+        let json = serde_json::to_string(&snap).unwrap();
+        let lied = json.replacen("\"running\":{\"storage\":", "\"running\":{\"storage\":1", 1);
+        assert_ne!(lied, json);
+        assert!(matches!(
+            Snapshot::from_checked_bytes(lied.as_bytes()),
+            Err(SnapshotError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn v3_is_far_smaller_than_v2_for_sketched_state() {
+        let snap = sample_at(9, true);
+        let (v3, v2) = (snap.to_checked_bytes().unwrap(), to_v2_bytes(&snap));
+        assert!(v3.len() * 2 < v2.len(), "v3 {} bytes vs v2 {}", v3.len(), v2.len());
+    }
+
+    #[test]
+    fn inconsistent_states_are_rejected_as_invalid() {
+        let reject = |snap: Snapshot, why: &str| {
+            let bytes = snap.to_checked_bytes().unwrap();
+            match Snapshot::from_checked_bytes(&bytes) {
+                Err(SnapshotError::Invalid(_)) => {}
+                other => panic!("{why}: expected Invalid, got {other:?}"),
+            }
+        };
+        let mut s = sample();
+        s.per_file.push(Money::ZERO);
+        reject(s, "per_file longer than tiers");
+        let mut s = sample();
+        s.occupancy.pop();
+        reject(s, "occupancy shorter than next_day");
+        let mut s = sample();
+        s.next_day += 1;
+        reject(s, "next_day ahead of the ledger");
+        let mut s = sample();
+        s.epoch = 7;
+        reject(s, "more epochs than days");
+        let mut s = sample();
+        s.tier_changes = 13;
+        reject(s, "more tier changes than file-days");
+        let mut s = sample();
+        s.exact = Some(ExactStats::new(7, 3));
+        reject(s, "exact fleet of the wrong size");
+        let mut s = sample_at(6, true);
+        s.exact = Some(ExactStats::new(7, 2));
+        reject(s, "exact statistics with no closed days");
+    }
+
+    #[test]
+    fn headers_have_exactly_one_spelling() {
+        let bytes = sample().to_checked_bytes().unwrap();
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&bytes[..newline]).unwrap();
+        let digest = header.rsplit(':').next().unwrap();
+        // The same digest value, spelled in ways `from_str_radix` accepts.
+        for respelled in [
+            header.replace(digest, &digest.to_uppercase()),
+            header.replace(digest, &format!("+{}", &digest[1..])),
+            header.replace(" v3 ", " v03 "),
+        ] {
+            if respelled == header {
+                continue; // a digest with no letters has no upper case
+            }
+            let mut doctored = respelled.into_bytes();
+            doctored.extend_from_slice(&bytes[newline..]);
+            assert!(Snapshot::from_checked_bytes(&doctored).is_err());
+        }
+    }
+
+    #[test]
+    fn byte_level_defects_are_parse_errors() {
+        let good = payload(&sample());
+        // Policy name length (1 byte), "greedy", the seed word, then
+        // next_day, epoch, decide_every and window (one byte each) put
+        // the initial tier at offset 19.
+        assert_eq!(good[19], 0, "initial tier Hot");
+        for (what, bytes) in [
+            ("tier byte past TIER_COUNT", {
+                let mut b = good.clone();
+                b[19] = TIER_COUNT as u8;
+                b
+            }),
+            ("trailing byte", {
+                let mut b = good.clone();
+                b.push(0);
+                b
+            }),
+            ("policy name not UTF-8", {
+                let mut b = good.clone();
+                b[1] = 0xff;
+                b
+            }),
+            ("empty payload", Vec::new()),
+        ] {
+            assert!(
+                matches!(
+                    Snapshot::from_checked_bytes(&reframe(&bytes)),
+                    Err(SnapshotError::Parse(_))
+                ),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
     fn missing_and_corrupt_files_error_cleanly() {
         assert!(matches!(
             Snapshot::load(&scratch("does-not-exist.json")),
@@ -495,6 +892,7 @@ mod tests {
             SnapshotError::Parse("x".into()),
             SnapshotError::Sync("x".into()),
             SnapshotError::Corrupt("x".into()),
+            SnapshotError::Invalid("x".into()),
         ] {
             assert!(!err.to_string().is_empty());
         }
@@ -506,6 +904,7 @@ mod tests {
         assert!(SnapshotError::Sync("x".into()).is_transient());
         assert!(!SnapshotError::Parse("x".into()).is_transient());
         assert!(!SnapshotError::Corrupt("x".into()).is_transient());
+        assert!(!SnapshotError::Invalid("x".into()).is_transient());
         assert!(!SnapshotError::VersionMismatch { found: 1, expected: 2 }.is_transient());
     }
 
@@ -513,12 +912,9 @@ mod tests {
     fn rotation_shifts_slots_and_candidates_order_newest_first() {
         let base = scratch("rotate.json");
         let mut backend = FsBackend;
-        for (generation, day) in [(0usize, 3usize), (1, 6), (2, 9)] {
-            let _ = generation;
+        for day in [3usize, 6, 9] {
             rotate(&mut backend, &base, 2).unwrap();
-            let mut snap = sample();
-            snap.next_day = day;
-            snap.save_with(&mut backend, &base).unwrap();
+            sample_at(day, false).save_with(&mut backend, &base).unwrap();
         }
         let candidates = rotation_candidates(&base, 2);
         assert_eq!(candidates.len(), 3);
@@ -527,9 +923,7 @@ mod tests {
         assert_eq!(days, vec![9, 6, 3], "newest first, then rotated predecessors");
         // A fourth generation pushes day-3 off the end of the rotation.
         rotate(&mut backend, &base, 2).unwrap();
-        let mut snap = sample();
-        snap.next_day = 12;
-        snap.save_with(&mut backend, &base).unwrap();
+        sample_at(12, false).save_with(&mut backend, &base).unwrap();
         let days: Vec<usize> = rotation_candidates(&base, 2)
             .iter()
             .map(|p| Snapshot::load(p).unwrap().next_day)
@@ -546,7 +940,7 @@ mod tests {
     }
 
     proptest! {
-        /// Any single-byte substitution anywhere in a framed snapshot —
+        /// Any single-byte substitution anywhere in a framed v2 snapshot —
         /// header, digest, or payload — must be detected at load: the codec
         /// returns an error, never a silently different snapshot.
         #[test]
@@ -554,7 +948,7 @@ mod tests {
             position_seed in 0u64..u64::MAX,
             xor in 1u8..=255u8,
         ) {
-            let bytes = sample().to_checked_bytes().unwrap();
+            let bytes = to_v2_bytes(&sample());
             let ix = (position_seed % bytes.len() as u64) as usize;
             let mut flipped = bytes.clone();
             flipped[ix] ^= xor;
@@ -564,10 +958,11 @@ mod tests {
             );
         }
 
-        /// Any strict prefix (a torn/truncated write) must be detected.
+        /// Any strict prefix (a torn/truncated write) of a v2 file must be
+        /// detected.
         #[test]
         fn any_truncation_is_detected(cut_seed in 0u64..u64::MAX) {
-            let bytes = sample().to_checked_bytes().unwrap();
+            let bytes = to_v2_bytes(&sample());
             let cut = (cut_seed % bytes.len() as u64) as usize;
             prop_assert!(
                 Snapshot::from_checked_bytes(&bytes[..cut]).is_err(),
@@ -575,19 +970,46 @@ mod tests {
             );
         }
 
-        /// Clean round-trips always succeed regardless of cursor values —
-        /// the checksum is over exact bytes, so there is no float-printing
-        /// or re-serialization fragility to worry about.
+        /// The same for v3, in both statistics modes.
         #[test]
-        fn clean_round_trip_is_total(
-            next_day in 0usize..10_000,
-            epoch in 0u64..1_000_000,
+        fn any_single_byte_flip_of_v3_snapshot_is_detected(
+            position_seed in 0u64..u64::MAX,
+            xor in 1u8..=255u8,
+            bounded in any::<bool>(),
         ) {
-            let mut snap = sample();
-            snap.next_day = next_day;
-            snap.epoch = epoch;
+            let bytes = sample_at(5, bounded).to_checked_bytes().unwrap();
+            let ix = (position_seed % bytes.len() as u64) as usize;
+            let mut flipped = bytes.clone();
+            flipped[ix] ^= xor;
+            prop_assert!(
+                Snapshot::from_checked_bytes(&flipped).is_err(),
+                "flip at byte {ix} (xor {xor:#04x}) must not load"
+            );
+        }
+
+        /// Any strict prefix of a v3 file must be detected.
+        #[test]
+        fn any_truncation_of_v3_snapshot_is_detected(
+            cut_seed in 0u64..u64::MAX,
+            bounded in any::<bool>(),
+        ) {
+            let bytes = sample_at(5, bounded).to_checked_bytes().unwrap();
+            let cut = (cut_seed % bytes.len() as u64) as usize;
+            prop_assert!(
+                Snapshot::from_checked_bytes(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes must not load"
+            );
+        }
+
+        /// Clean v3 round trips always succeed at any day count — the
+        /// checksum is over exact bytes, and each state has one encoding.
+        #[test]
+        fn clean_round_trip_is_total(days in 0usize..40, bounded in any::<bool>()) {
+            let snap = sample_at(days, bounded);
             let bytes = snap.to_checked_bytes().unwrap();
-            prop_assert_eq!(Snapshot::from_checked_bytes(&bytes).unwrap(), snap);
+            let back = Snapshot::from_checked_bytes(&bytes).unwrap();
+            prop_assert_eq!(back.to_checked_bytes().unwrap(), bytes);
+            prop_assert_eq!(back, snap);
         }
     }
 }

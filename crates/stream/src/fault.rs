@@ -458,7 +458,7 @@ impl<B: StorageBackend> StorageBackend for FaultyBackend<B> {
         }
         if torn && !bytes.is_empty() {
             // The write reports success but only a prefix lands — the
-            // torn-write/lying-fsync failure mode the v2 checksum catches
+            // torn-write/lying-fsync failure mode the snapshot checksum catches
             // at the next restore.
             let nonce = self.injector.borrow().nonce(FaultSite::TornWrite);
             let keep = 1 + (nonce % (bytes.len() as u64)) as usize;

@@ -19,8 +19,9 @@
 //!   exact state.
 //! * [`bounded`] — the combined degradation path: exact windows for the
 //!   heavy hitters, sketch estimates for the long tail.
-//! * [`checkpoint`] — a versioned, FNV-checksummed snapshot of the whole
-//!   serving state (statistics, ledgers, cursors) written atomically
+//! * [`checkpoint`] — a versioned, FNV-checksummed binary snapshot of the
+//!   whole serving state (statistics, ledgers, cursors), read back by a
+//!   total decoder and written atomically
 //!   through a [`checkpoint::StorageBackend`], with rotation helpers, so a
 //!   killed server restarts bit-identically (DESIGN.md §10) and a corrupt
 //!   snapshot is detected rather than resumed (DESIGN.md §11).
@@ -50,6 +51,7 @@ pub mod event;
 pub mod fault;
 pub mod sketch;
 pub mod stats;
+mod wire;
 
 pub use bounded::{BoundedConfig, BoundedStats};
 pub use checkpoint::{

@@ -14,7 +14,9 @@
 //! eviction ties break on ascending id. That keeps bounded-mode decisions
 //! reproducible across runs and across checkpoint restores.
 
+use crate::checkpoint::SnapshotError;
 use crate::mix64;
+use crate::wire::{invalid_state, put_column, put_len, put_u64_le, put_varint, Reader};
 use serde::{Deserialize, Serialize};
 
 /// A count-min sketch over `u64` keys with saturating counters.
@@ -79,6 +81,41 @@ impl CountMinSketch {
         for cell in &mut self.rows {
             *cell = 0;
         }
+    }
+
+    /// Fewest payload bytes one encoded sketch takes: two varints, the
+    /// seed word and the column length.
+    pub(crate) const MIN_WIRE_BYTES: usize = 11;
+
+    /// Appends the v3 encoding: width, depth, seed, then the counters as
+    /// one row-major varint column.
+    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+        put_len(out, self.width);
+        put_len(out, self.depth);
+        put_u64_le(out, self.seed);
+        put_column(out, &self.rows);
+    }
+
+    /// Reads what [`CountMinSketch::write_wire`] wrote.
+    pub(crate) fn read_wire(r: &mut Reader<'_>) -> Result<CountMinSketch, SnapshotError> {
+        Ok(CountMinSketch {
+            width: r.varint_usize("sketch width")?,
+            depth: r.varint_usize("sketch depth")?,
+            seed: r.word_le("sketch seed")?,
+            rows: r.varint_column("sketch counters")?,
+        })
+    }
+
+    /// Checks the geometry [`CountMinSketch::new`] guarantees: nonzero
+    /// width and depth, and exactly `width * depth` counters.
+    pub(crate) fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.width == 0 || self.depth == 0 {
+            return Err(invalid_state("sketch has zero width or depth"));
+        }
+        if self.width.checked_mul(self.depth) != Some(self.rows.len()) {
+            return Err(invalid_state("sketch counter count differs from width x depth"));
+        }
+        Ok(())
     }
 }
 
@@ -184,6 +221,45 @@ impl SpaceSaving {
         sorted.truncate(k);
         sorted
     }
+
+    /// Appends the v3 encoding: capacity, then each entry's id, count and
+    /// overestimate in id order.
+    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+        put_len(out, self.capacity);
+        put_len(out, self.entries.len());
+        for e in &self.entries {
+            put_varint(out, u64::from(e.id));
+            put_varint(out, e.count);
+            put_varint(out, e.overestimate);
+        }
+    }
+
+    /// Reads what [`SpaceSaving::write_wire`] wrote.
+    pub(crate) fn read_wire(r: &mut Reader<'_>) -> Result<SpaceSaving, SnapshotError> {
+        let capacity = r.varint_usize("heavy-hitter capacity")?;
+        let n = r.seq_len("heavy-hitter entries", 3)?;
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            entries.push(SpaceSavingEntry {
+                id: r.varint_u32("heavy-hitter id")?,
+                count: r.varint("heavy-hitter count")?,
+                overestimate: r.varint("heavy-hitter overestimate")?,
+            });
+        }
+        Ok(SpaceSaving { capacity, entries })
+    }
+
+    /// Checks what [`SpaceSaving::add`]'s binary searches rely on: a
+    /// nonzero capacity it is not over, and strictly ascending ids.
+    pub(crate) fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.capacity == 0 || self.entries.len() > self.capacity {
+            return Err(invalid_state("heavy-hitter summary over its capacity"));
+        }
+        if !self.entries.windows(2).all(|w| matches!(w, [a, b] if a.id < b.id)) {
+            return Err(invalid_state("heavy-hitter ids not strictly ascending"));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -274,6 +350,25 @@ mod tests {
         assert_eq!(ids, vec![1, 3, 5, 9]);
         let top: Vec<u32> = ss.top(3).iter().map(|e| e.id).collect();
         assert_eq!(top, vec![1, 5, 9], "count desc, id asc on ties");
+    }
+
+    #[test]
+    fn restored_sketches_and_summaries_are_checked() {
+        let invalid = |r: Result<(), SnapshotError>| matches!(r, Err(SnapshotError::Invalid(_)));
+        assert!(CountMinSketch::new(4, 2, 1).check_restored().is_ok());
+        for (width, depth, cells) in [(0, 2, 0), (4, 0, 0), (4, 2, 7), (4, 2, 9)] {
+            let sketch = CountMinSketch { width, depth, seed: 1, rows: vec![0; cells] };
+            assert!(invalid(sketch.check_restored()), "{width}x{depth} with {cells} cells");
+        }
+        let mut ss = SpaceSaving::new(2);
+        ss.add(1, 3);
+        ss.add(5, 2);
+        assert!(ss.check_restored().is_ok());
+        let (a, b) = (ss.entries[0], ss.entries[1]);
+        for (capacity, entries) in [(2, vec![b, a]), (2, vec![a, a]), (1, vec![a, b]), (0, vec![])]
+        {
+            assert!(invalid(SpaceSaving { capacity, entries }.check_restored()));
+        }
     }
 
     #[test]

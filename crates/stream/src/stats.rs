@@ -16,7 +16,9 @@
 //! fits in memory — the mode under which the streaming path's ledgers are
 //! bit-identical to the batch engine (DESIGN.md §10).
 
+use crate::checkpoint::SnapshotError;
 use crate::event::Event;
+use crate::wire::{invalid_state, put_column, put_len, put_varint, Reader};
 use serde::{Deserialize, Serialize};
 
 /// Sliding-window statistics for one file. See the module docs for the
@@ -140,6 +142,57 @@ impl FileStats {
     pub fn pending(&self) -> (u64, u64) {
         (self.pending_reads, self.pending_writes)
     }
+
+    /// Fewest payload bytes one encoded [`FileStats`] takes: five varints
+    /// and two column lengths.
+    pub(crate) const MIN_WIRE_BYTES: usize = 7;
+
+    /// Appends the v3 encoding: the five counters, then both rings.
+    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+        for v in [
+            self.closed_days,
+            self.sum_reads,
+            self.sum_writes,
+            self.pending_reads,
+            self.pending_writes,
+        ] {
+            put_varint(out, v);
+        }
+        put_column(out, &self.recent_reads);
+        put_column(out, &self.recent_writes);
+    }
+
+    /// Reads what [`FileStats::write_wire`] wrote.
+    pub(crate) fn read_wire(r: &mut Reader<'_>) -> Result<FileStats, SnapshotError> {
+        Ok(FileStats {
+            closed_days: r.varint("file closed days")?,
+            sum_reads: r.varint("file read sum")?,
+            sum_writes: r.varint("file write sum")?,
+            pending_reads: r.varint("file pending reads")?,
+            pending_writes: r.varint("file pending writes")?,
+            recent_reads: r.varint_column("file read ring")?,
+            recent_writes: r.varint_column("file write ring")?,
+        })
+    }
+
+    /// Checks the rings against `window` and the day count against the
+    /// fleet's `closed_days`.
+    pub(crate) fn check_restored(
+        &self,
+        window: usize,
+        closed_days: u64,
+    ) -> Result<(), SnapshotError> {
+        if self.recent_reads.len() != self.recent_writes.len() {
+            return Err(invalid_state("read and write rings differ in length"));
+        }
+        if self.recent_reads.len() > window {
+            return Err(invalid_state("ring longer than the window"));
+        }
+        if self.closed_days != closed_days {
+            return Err(invalid_state("file closed-day count differs from the fleet's"));
+        }
+        Ok(())
+    }
 }
 
 /// Dense exact statistics for a whole fleet, indexed by
@@ -204,6 +257,47 @@ impl ExactStats {
     #[must_use]
     pub fn file(&self, ix: usize) -> Option<&FileStats> {
         self.files.get(ix)
+    }
+
+    /// Appends the v3 encoding: window, closed days, then every file.
+    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+        put_len(out, self.window);
+        put_varint(out, self.closed_days);
+        put_len(out, self.files.len());
+        for file in &self.files {
+            file.write_wire(out);
+        }
+    }
+
+    /// Reads what [`ExactStats::write_wire`] wrote.
+    pub(crate) fn read_wire(r: &mut Reader<'_>) -> Result<ExactStats, SnapshotError> {
+        let window = r.varint_usize("exact window")?;
+        let closed_days = r.varint("exact closed days")?;
+        let n = r.seq_len("exact files", FileStats::MIN_WIRE_BYTES)?;
+        let mut files = Vec::with_capacity(n);
+        for _ in 0..n {
+            files.push(FileStats::read_wire(r)?);
+        }
+        Ok(ExactStats { window, files, closed_days })
+    }
+
+    /// Checks a restored fleet: `fleet` files, `closed_days` days closed
+    /// everywhere, and every ring within a nonzero window.
+    pub(crate) fn check_restored(
+        &self,
+        fleet: usize,
+        closed_days: u64,
+    ) -> Result<(), SnapshotError> {
+        if self.window == 0 {
+            return Err(invalid_state("exact window is zero"));
+        }
+        if self.files.len() != fleet {
+            return Err(invalid_state("exact statistics cover a different fleet size"));
+        }
+        if self.closed_days != closed_days {
+            return Err(invalid_state("exact closed-day count differs from the day cursor"));
+        }
+        self.files.iter().try_for_each(|f| f.check_restored(self.window, closed_days))
     }
 }
 
@@ -273,6 +367,30 @@ mod tests {
         fleet.close_day();
         assert_eq!(fleet.file(0).unwrap().sum_reads(), 0);
         assert!(fleet.file(9).is_none());
+    }
+
+    #[test]
+    fn restored_fleets_are_checked() {
+        let invalid = |r: Result<(), SnapshotError>| matches!(r, Err(SnapshotError::Invalid(_)));
+        let mut fleet = ExactStats::new(2, 2);
+        for day in 0..3 {
+            fleet.ingest(&ev(day % 2, 1, 1));
+            fleet.close_day();
+        }
+        assert!(fleet.check_restored(2, 3).is_ok());
+        assert!(invalid(fleet.check_restored(3, 3)), "fleet size");
+        assert!(invalid(fleet.check_restored(2, 4)), "closed days");
+        let mut long = fleet.clone();
+        long.files[0].recent_reads.push(0);
+        long.files[0].recent_writes.push(0);
+        assert!(invalid(long.check_restored(2, 3)), "ring longer than the window");
+        let mut uneven = fleet.clone();
+        uneven.files[1].recent_writes.pop();
+        assert!(invalid(uneven.check_restored(2, 3)), "rings of unequal length");
+        let mut lagging = fleet.clone();
+        lagging.files[1].closed_days = 2;
+        assert!(invalid(lagging.check_restored(2, 3)), "file behind the fleet");
+        assert!(invalid(ExactStats { window: 0, ..fleet }.check_restored(2, 3)), "zero window");
     }
 
     #[test]
