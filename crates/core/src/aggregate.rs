@@ -61,9 +61,7 @@ impl Omega {
     ) -> Omega {
         assert!(n >= 2, "aggregation needs at least 2 files");
         assert!(total_size_gb > 0.0, "aggregate size must be positive");
-        let prices = model.policy().tier(tier);
-        let up_daily = prices.storage_gb_month / pricing::policy::DAYS_PER_MONTH;
-        let urf_per_op = prices.read_per_10k / pricing::policy::OPS_PER_PRICE_UNIT;
+        let (up_daily, urf_per_op) = eq16_prices(model, tier);
         let gain = (n as f64 - 1.0) * mean_concurrent / total_size_gb;
         Omega(gain - up_daily / urf_per_op.max(f64::MIN_POSITIVE))
     }
@@ -73,9 +71,7 @@ impl Omega {
     #[must_use]
     pub fn threshold_rdc(n: usize, total_size_gb: f64, model: &CostModel, tier: Tier) -> f64 {
         assert!(n >= 2, "aggregation needs at least 2 files");
-        let prices = model.policy().tier(tier);
-        let up_daily = prices.storage_gb_month / pricing::policy::DAYS_PER_MONTH;
-        let urf_per_op = prices.read_per_10k / pricing::policy::OPS_PER_PRICE_UNIT;
+        let (up_daily, urf_per_op) = eq16_prices(model, tier);
         up_daily * total_size_gb / ((n as f64 - 1.0) * urf_per_op.max(f64::MIN_POSITIVE))
     }
 
@@ -84,6 +80,13 @@ impl Omega {
     pub fn is_beneficial(self) -> bool {
         self.0 > 0.0
     }
+}
+
+/// Eq. 16's `up_j` (daily storage price per GB) and `urf` (per-operation
+/// read price) of `tier`, read from the model's typed rates.
+fn eq16_prices(model: &CostModel, tier: Tier) -> (f64, f64) {
+    let rates = model.rates(tier);
+    (rates.storage_gb_day().0, rates.read_per_op().0)
 }
 
 /// Algorithm 2: periodic top-Ψ group selection with a two-period negative-Ω
@@ -204,6 +207,31 @@ mod tests {
             let above = Omega::from_parts(n, threshold * 1.01, size, &m, Tier::Hot);
             assert!(!below.is_beneficial(), "below threshold must not benefit");
             assert!(above.is_beneficial(), "above threshold must benefit");
+        }
+    }
+
+    #[test]
+    fn omega_matches_eqs_15_16_from_raw_tier_prices() {
+        use pricing::policy::{DAYS_PER_MONTH, OPS_PER_PRICE_UNIT};
+        for policy in [
+            PricingPolicy::paper_2020(),
+            PricingPolicy::azure_blob_2020(),
+            PricingPolicy::aws_s3_like(),
+            PricingPolicy::flat(),
+        ] {
+            let m = CostModel::new(policy.clone());
+            for tier in Tier::all() {
+                let p = policy.tier(tier);
+                let up = p.storage_gb_month / DAYS_PER_MONTH;
+                let urf = (p.read_per_10k / OPS_PER_PRICE_UNIT).max(f64::MIN_POSITIVE);
+                for &(n, r_dc, size) in &[(2usize, 0.0f64, 0.5f64), (3, 40.0, 2.0), (7, 1e4, 1e-3)]
+                {
+                    let eq16 = (n as f64 - 1.0) * r_dc / size - up / urf;
+                    assert_eq!(Omega::from_parts(n, r_dc, size, &m, tier).0, eq16, "{tier:?}");
+                    let eq15 = up * size / ((n as f64 - 1.0) * urf);
+                    assert_eq!(Omega::threshold_rdc(n, size, &m, tier), eq15, "{tier:?}");
+                }
+            }
         }
     }
 

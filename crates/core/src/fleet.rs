@@ -35,19 +35,14 @@ pub struct FleetState {
     /// One past the last day with a column (the horizon end).
     days: usize,
     /// File sizes, indexed by global file index.
-    /// xtask-unit: GB
     sizes: Vec<f64>,
     /// Per-file read totals before `first_day` (empty, so zero, from a trace).
-    /// xtask-unit: ops
     prior_reads: Vec<u64>,
     /// Per-file write totals before `first_day`.
-    /// xtask-unit: ops
     prior_writes: Vec<u64>,
     /// Daily read counts, file-major (`ix * stride + day - first_day`).
-    /// xtask-unit: ops
     reads: Vec<u64>,
     /// Daily write counts, file-major (`ix * stride + day - first_day`).
-    /// xtask-unit: ops
     writes: Vec<u64>,
 }
 
@@ -229,10 +224,8 @@ pub struct History<'a> {
     /// The last `min(window, day)` closed days of reads, oldest first.
     pub recent: &'a [u64],
     /// Total reads before the decision day.
-    /// xtask-unit: ops
     pub sum_reads: u64,
     /// Total writes before the decision day.
-    /// xtask-unit: ops
     pub sum_writes: u64,
 }
 

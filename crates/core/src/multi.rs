@@ -10,6 +10,7 @@
 //! quantify how much a provider-aware plan saves over replaying another
 //! provider's plan.
 
+use pricing::units::{Gb, UsdPerGb};
 use pricing::{CostModel, Money, Tier, TIER_COUNT};
 use serde::{Deserialize, Serialize};
 use tracegen::FileSeries;
@@ -30,7 +31,7 @@ pub struct MultiCspModel {
     pub models: Vec<CostModel>,
     /// Cross-datacenter migration price in dollars per GB (network egress;
     /// charged on top of the destination's tier-change cost).
-    pub migration_per_gb: f64,
+    pub migration_per_gb: UsdPerGb,
 }
 
 impl MultiCspModel {
@@ -40,7 +41,7 @@ impl MultiCspModel {
     pub fn new(models: Vec<CostModel>, migration_per_gb: f64) -> MultiCspModel {
         assert!(!models.is_empty(), "need at least one datacenter");
         assert!(migration_per_gb >= 0.0, "migration price must be non-negative");
-        MultiCspModel { models, migration_per_gb }
+        MultiCspModel { models, migration_per_gb: UsdPerGb(migration_per_gb) }
     }
 
     /// Number of locations (`datacenters x tiers`).
@@ -78,7 +79,7 @@ impl MultiCspModel {
         if from.dc == to.dc {
             self.models[from.dc].policy().change_cost(from.tier, to.tier, size_gb)
         } else {
-            Money::from_dollars(self.migration_per_gb * size_gb)
+            Money::from(self.migration_per_gb * Gb(size_gb))
                 + self.models[to.dc].policy().change_cost(Tier::Hot, to.tier, size_gb)
         }
     }
@@ -194,7 +195,7 @@ mod tests {
         let f = file(0.1, vec![50, 8_000, 0, 0, 120, 9_000, 3]);
         let (_, multi) = optimal_location_plan(&f, &m, Location { dc: 0, tier: Tier::Hot });
         for dc in 0..2 {
-            let single = MultiCspModel::new(vec![m.models[dc].clone()], m.migration_per_gb);
+            let single = MultiCspModel::new(vec![m.models[dc].clone()], m.migration_per_gb.0);
             let initial = Location { dc: 0, tier: Tier::Hot };
             let (_, single_cost) = optimal_location_plan(&f, &single, initial);
             // The multi-DC optimum starts in dc 0; landing in dc 1 pays
@@ -210,12 +211,12 @@ mod tests {
     fn migration_cost_gates_provider_hopping() {
         // An expensive migration price must pin the file to its home DC.
         let mut m = duo();
-        m.migration_per_gb = 1_000.0;
+        m.migration_per_gb = UsdPerGb(1_000.0);
         let f = file(1.0, vec![100; 10]);
         let (plan, _) = optimal_location_plan(&f, &m, Location { dc: 0, tier: Tier::Hot });
         assert!(plan.iter().all(|l| l.dc == 0), "{plan:?}");
         // Free migration: the optimizer may use either provider.
-        m.migration_per_gb = 0.0;
+        m.migration_per_gb = UsdPerGb(0.0);
         let (plan_free, cost_free) =
             optimal_location_plan(&f, &m, Location { dc: 0, tier: Tier::Hot });
         let pinned_model = MultiCspModel::new(vec![m.models[0].clone()], 0.0);

@@ -6,8 +6,9 @@
 //! components so experiments can attribute savings.
 
 use crate::money::Money;
-use crate::policy::{PricingPolicy, TierPrices, DAYS_PER_MONTH, OPS_PER_PRICE_UNIT};
+use crate::policy::{PricingPolicy, TierPrices};
 use crate::tier::{Tier, TIER_COUNT};
+use crate::units::{Gb, Ops, UsdPer10kOps, UsdPerGbDay, UsdPerGbMonth, UsdPerGbOp, UsdPerOp};
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
@@ -15,13 +16,10 @@ use std::ops::{Add, AddAssign};
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FileDay {
     /// File size in GB (`D_{d_i}`).
-    /// xtask-unit: GB
     pub size_gb: f64,
     /// Read operations this day (`F_r^t`).
-    /// xtask-unit: ops
     pub reads: u64,
     /// Write operations this day (`F_w^t`).
-    /// xtask-unit: ops
     pub writes: u64,
     /// Tier the file occupies during the day.
     pub tier: Tier,
@@ -42,16 +40,12 @@ impl FileDay {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CostBreakdown {
     /// Storage cost `Cs` (Eq. 6).
-    /// xtask-unit: $
     pub storage: Money,
     /// Tier-change cost `Cc` (Eq. 9).
-    /// xtask-unit: $
     pub change: Money,
     /// Read cost `Cr` (Eq. 7).
-    /// xtask-unit: $
     pub read: Money,
     /// Write cost `Cw` (Eq. 8).
-    /// xtask-unit: $
     pub write: Money,
 }
 
@@ -156,25 +150,16 @@ impl CostLedger {
 }
 
 /// One tier's unit prices with the per-day and per-operation quotients of
-/// Eqs. 6–8 divided out once. The only copy of those formulas:
-/// [`TierPrices`]'s cost methods and [`CostModel`] both evaluate them here.
+/// Eqs. 6–8 divided out once, typed by [`crate::units`]. The only copy of
+/// those formulas: [`TierPrices`]'s cost methods, [`CostModel`] and the
+/// aggregation coefficient (Eq. 16) all read them here.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct TierRates {
-    /// `storage_gb_month / DAYS_PER_MONTH`.
-    /// xtask-unit: $/GB·day
-    storage_gb_day: f64,
-    /// `read_per_10k / OPS_PER_PRICE_UNIT`.
-    /// xtask-unit: $/ops
-    read_per_op: f64,
-    /// Retrieval price per GB read (`urs`, Eq. 7).
-    /// xtask-unit: $/GB·ops
-    retrieval_per_gb: f64,
-    /// `write_per_10k / OPS_PER_PRICE_UNIT`.
-    /// xtask-unit: $/ops
-    write_per_op: f64,
-    /// Data write price per GB written (`uws`, Eq. 8).
-    /// xtask-unit: $/GB·ops
-    write_data_per_gb: f64,
+pub struct TierRates {
+    storage: UsdPerGbDay,
+    read_per_op: UsdPerOp,
+    retrieval: UsdPerGbOp,
+    write_per_op: UsdPerOp,
+    write_data: UsdPerGbOp,
 }
 
 impl TierRates {
@@ -183,32 +168,44 @@ impl TierRates {
     /// gives the same bits as dividing at every call.
     pub(crate) fn new(prices: &TierPrices) -> TierRates {
         TierRates {
-            storage_gb_day: prices.storage_gb_month / DAYS_PER_MONTH,
-            read_per_op: prices.read_per_10k / OPS_PER_PRICE_UNIT,
-            retrieval_per_gb: prices.retrieval_per_gb,
-            write_per_op: prices.write_per_10k / OPS_PER_PRICE_UNIT,
-            write_data_per_gb: prices.write_data_per_gb,
+            storage: UsdPerGbMonth(prices.storage_gb_month).per_day(),
+            read_per_op: UsdPer10kOps(prices.read_per_10k).per_op(),
+            retrieval: UsdPerGbOp(prices.retrieval_per_gb),
+            write_per_op: UsdPer10kOps(prices.write_per_10k).per_op(),
+            write_data: UsdPerGbOp(prices.write_data_per_gb),
         }
     }
 
-    /// Storage cost of `size_gb` gigabytes for one day (Eq. 6).
-    #[inline]
-    pub(crate) fn storage_day(&self, size_gb: f64) -> Money {
-        Money::from_dollars(self.storage_gb_day * size_gb)
+    /// The storage price per GB per day (`up_j`, pro-rated).
+    #[must_use]
+    pub fn storage_gb_day(&self) -> UsdPerGbDay {
+        self.storage
     }
 
-    /// Cost of `ops` reads of a `size_gb` GB file (Eq. 7:
+    /// The price of one read operation (`urf`).
+    #[must_use]
+    pub fn read_per_op(&self) -> UsdPerOp {
+        self.read_per_op
+    }
+
+    /// Storage cost of `size` for one day (Eq. 6).
+    #[inline]
+    pub(crate) fn storage_day(&self, size: Gb) -> Money {
+        Money::from(self.storage * size)
+    }
+
+    /// Cost of `ops` reads of a file of `size` (Eq. 7:
     /// `F_r * (urf + urs * D)`).
     #[inline]
-    pub(crate) fn read_cost(&self, ops: u64, size_gb: f64) -> Money {
-        Money::from_dollars(ops as f64 * (self.read_per_op + self.retrieval_per_gb * size_gb))
+    pub(crate) fn read_cost(&self, ops: Ops, size: Gb) -> Money {
+        Money::from(ops * (self.read_per_op + self.retrieval * size))
     }
 
-    /// Cost of `ops` writes to a `size_gb` GB file (Eq. 8:
+    /// Cost of `ops` writes to a file of `size` (Eq. 8:
     /// `F_w * (uwf + uws * D)`).
     #[inline]
-    pub(crate) fn write_cost(&self, ops: u64, size_gb: f64) -> Money {
-        Money::from_dollars(ops as f64 * (self.write_per_op + self.write_data_per_gb * size_gb))
+    pub(crate) fn write_cost(&self, ops: Ops, size: Gb) -> Money {
+        Money::from(ops * (self.write_per_op + self.write_data * size))
     }
 }
 
@@ -239,7 +236,8 @@ impl CostModel {
     }
 
     /// The derived rates of one tier.
-    fn rates(&self, tier: Tier) -> &TierRates {
+    #[must_use]
+    pub fn rates(&self, tier: Tier) -> &TierRates {
         let [hot, cool, archive] = &self.rates;
         match tier {
             Tier::Hot => hot,
@@ -252,15 +250,16 @@ impl CostModel {
     #[must_use]
     pub fn day_breakdown(&self, day: &FileDay) -> CostBreakdown {
         let rates = self.rates(day.tier);
+        let size = Gb(day.size_gb);
         let change = match day.changed_from {
             Some(from) => self.policy.change_cost(from, day.tier, day.size_gb),
             None => Money::ZERO,
         };
         CostBreakdown {
-            storage: rates.storage_day(day.size_gb),
+            storage: rates.storage_day(size),
             change,
-            read: rates.read_cost(day.reads, day.size_gb),
-            write: rates.write_cost(day.writes, day.size_gb),
+            read: rates.read_cost(Ops::from(day.reads), size),
+            write: rates.write_cost(Ops::from(day.writes), size),
         }
     }
 
@@ -274,10 +273,10 @@ impl CostModel {
     /// with no tier change. The hot inner loop of every optimizer.
     #[must_use]
     pub fn steady_day_cost(&self, size_gb: f64, reads: u64, writes: u64, tier: Tier) -> Money {
-        let rates = self.rates(tier);
-        rates.storage_day(size_gb)
-            + rates.read_cost(reads, size_gb)
-            + rates.write_cost(writes, size_gb)
+        let (rates, size) = (self.rates(tier), Gb(size_gb));
+        rates.storage_day(size)
+            + rates.read_cost(Ops::from(reads), size)
+            + rates.write_cost(Ops::from(writes), size)
     }
 
     /// The cheapest single tier for a whole series of (reads, writes) days,
@@ -309,6 +308,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{DAYS_PER_MONTH, OPS_PER_PRICE_UNIT};
     use proptest::prelude::*;
 
     fn model() -> CostModel {

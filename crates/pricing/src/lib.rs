@@ -50,8 +50,9 @@ pub mod cost;
 pub mod money;
 pub mod policy;
 pub mod tier;
+pub mod units;
 
-pub use cost::{CostBreakdown, CostLedger, CostModel, FileDay};
+pub use cost::{CostBreakdown, CostLedger, CostModel, FileDay, TierRates};
 pub use money::Money;
 pub use policy::{PricingPolicy, TierPrices};
 pub use tier::{Tier, TierSet, TIER_COUNT};

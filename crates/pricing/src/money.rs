@@ -43,8 +43,9 @@ fn round_to_i64(x: f64) -> i64 {
 /// An exact monetary amount in integer micro-dollars.
 ///
 /// Construction from floating-point dollar amounts ([`Money::from_dollars`],
-/// [`Money::scale`]) rounds to the nearest micro-dollar, ties away from zero,
-/// through one inline rounder that is bit-identical to `x.round() as i64`.
+/// or `From<Usd>` for a priced product of [`crate::units`]) rounds to the
+/// nearest micro-dollar, ties away from zero, through one inline rounder
+/// that is bit-identical to `x.round() as i64`.
 /// All subsequent arithmetic is exact integer arithmetic that saturates at
 /// [`Money::MIN`]/[`Money::MAX`] instead of wrapping or panicking.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
@@ -52,7 +53,6 @@ pub struct Money(i64);
 
 impl Money {
     /// Zero dollars.
-    /// xtask-unit: $
     pub const ZERO: Money = Money(0);
 
     /// Largest representable amount (used as an "infinite cost" sentinel in
@@ -65,7 +65,6 @@ impl Money {
 
     /// Creates a `Money` from a dollar amount, rounding to the nearest
     /// micro-dollar (ties away from zero, like `f64::round`).
-    /// xtask-unit(dollars): $
     #[must_use]
     pub fn from_dollars(dollars: f64) -> Self {
         debug_assert!(dollars.is_finite(), "money must be finite: {dollars}");
@@ -119,15 +118,6 @@ impl Money {
     #[must_use]
     pub const fn saturating_add(self, rhs: Money) -> Money {
         Money(self.0.saturating_add(rhs.0))
-    }
-
-    /// Multiplies by a non-negative scale factor, rounding to the nearest
-    /// micro-dollar. Used for unit-price × quantity computations where the
-    /// quantity is fractional (e.g. GB sizes).
-    #[must_use]
-    pub fn scale(self, factor: f64) -> Money {
-        debug_assert!(factor.is_finite(), "scale factor must be finite: {factor}");
-        Money(round_to_i64(self.0 as f64 * factor))
     }
 
     /// The smaller of two amounts.
@@ -298,14 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_by_fraction() {
-        let unit = Money::from_dollars(0.0184); // $/GB·month
-                                                // 0.1 GB worth.
-        assert_eq!(unit.scale(0.1), Money::from_dollars(0.00184));
-        assert_eq!(unit.scale(0.0), Money::ZERO);
-    }
-
-    #[test]
     fn display_formats() {
         let m = Money::from_dollars(1234.5678);
         assert_eq!(format!("{m}"), "$1234.57");
@@ -332,12 +314,6 @@ mod tests {
         fn dollars_round_trip_within_half_micro(d in -1.0e6f64..1.0e6) {
             let m = Money::from_dollars(d);
             prop_assert!((m.as_dollars() - d).abs() <= 0.5e-6 + 1e-12);
-        }
-
-        #[test]
-        fn scale_one_is_identity(micros in -1_000_000_000i64..1_000_000_000) {
-            let m = Money::from_micros(micros);
-            prop_assert_eq!(m.scale(1.0), m);
         }
 
         #[test]
@@ -438,8 +414,6 @@ mod tests {
                 let dollars = x / 1e6;
                 let micros = Money::from_dollars(dollars).micros();
                 assert_eq!(micros, round_oracle(dollars * 1e6), "from_dollars({dollars:e})");
-                assert_eq!(Money::from_micros(1).scale(x).micros(), round_oracle(x));
-                assert_eq!(Money::from_micros(-3).scale(x).micros(), round_oracle(-3.0 * x));
             }
         }
     }
@@ -448,8 +422,6 @@ mod tests {
     fn rounding_of_half_micros_goes_away_from_zero() {
         assert_eq!(Money::from_dollars(0.000_002_5).micros(), 3);
         assert_eq!(Money::from_dollars(-0.000_002_5).micros(), -3);
-        assert_eq!(Money::from_micros(5).scale(0.5).micros(), 3);
-        assert_eq!(Money::from_micros(-5).scale(0.5).micros(), -3);
     }
 
     proptest! {
@@ -469,23 +441,6 @@ mod tests {
             for x in [f64::from_bits(bits), dollars, half_micro] {
                 if x.is_finite() {
                     prop_assert_eq!(Money::from_dollars(x).micros(), round_oracle(x * 1e6));
-                }
-            }
-        }
-
-        #[test]
-        fn rounding_in_scale_matches_f64_round(
-            wide in any::<i64>(),
-            micros in -1_000_000_000_000i64..1_000_000_000_000,
-            bits in any::<u64>(),
-            factor in 0.0f64..1.0e4,
-        ) {
-            for m in [wide, micros] {
-                for f in [f64::from_bits(bits), factor] {
-                    if f.is_finite() {
-                        let scaled = Money::from_micros(m).scale(f).micros();
-                        prop_assert_eq!(scaled, round_oracle(m as f64 * f));
-                    }
                 }
             }
         }

@@ -9,34 +9,28 @@
 use crate::cost::TierRates;
 use crate::money::Money;
 use crate::tier::{Tier, TIER_COUNT};
+use crate::units::{Gb, Ops, Usd, UsdPerGb};
 use serde::{Deserialize, Serialize};
 
 /// Operations per pricing unit: CSPs quote operation prices per 10,000 ops.
 /// A pure scale factor — the per-op prices below absorb the ops dimension.
-/// xtask-unit: 1
 pub const OPS_PER_PRICE_UNIT: f64 = 10_000.0;
 
 /// Days per billing month used to pro-rate monthly storage prices.
-/// xtask-unit: day/month
 pub const DAYS_PER_MONTH: f64 = 30.0;
 
 /// Unit prices for a single storage tier.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TierPrices {
     /// Storage price in dollars per GB per month (`up_j` in Eq. 6).
-    /// xtask-unit: $/GB·month
     pub storage_gb_month: f64,
     /// Read operation price in dollars per 10,000 operations (`urf`, Eq. 7).
-    /// xtask-unit: $/ops
     pub read_per_10k: f64,
     /// Write operation price in dollars per 10,000 operations (`uwf`, Eq. 8).
-    /// xtask-unit: $/ops
     pub write_per_10k: f64,
     /// Data retrieval price in dollars per GB read (`urs`, Eq. 7).
-    /// xtask-unit: $/GB·ops
     pub retrieval_per_gb: f64,
     /// Data write price in dollars per GB written (`uws`, Eq. 8).
-    /// xtask-unit: $/GB·ops
     pub write_data_per_gb: f64,
 }
 
@@ -44,21 +38,21 @@ impl TierPrices {
     /// Pro-rated storage price for one day, for `size_gb` gigabytes (Eq. 6).
     #[must_use]
     pub fn storage_day(&self, size_gb: f64) -> Money {
-        TierRates::new(self).storage_day(size_gb)
+        TierRates::new(self).storage_day(Gb(size_gb))
     }
 
     /// Cost of `ops` read operations against a file of `size_gb` GB
     /// (Eq. 7: `F_r * (urf + urs * D)`).
     #[must_use]
     pub fn read_cost(&self, ops: u64, size_gb: f64) -> Money {
-        TierRates::new(self).read_cost(ops, size_gb)
+        TierRates::new(self).read_cost(Ops::from(ops), Gb(size_gb))
     }
 
     /// Cost of `ops` write operations against a file of `size_gb` GB
     /// (Eq. 8: `F_w * (uwf + uws * D)`).
     #[must_use]
     pub fn write_cost(&self, ops: u64, size_gb: f64) -> Money {
-        TierRates::new(self).write_cost(ops, size_gb)
+        TierRates::new(self).write_cost(Ops::from(ops), Gb(size_gb))
     }
 }
 
@@ -75,11 +69,9 @@ pub struct PricingPolicy {
     /// Per-tier unit prices, indexed by [`Tier::index`].
     pub tiers: [TierPrices; TIER_COUNT],
     /// Tier-change price matrix in dollars per GB, `[from][to]`.
-    /// xtask-unit: $/GB
     pub change_per_gb: [[f64; TIER_COUNT]; TIER_COUNT],
     /// Flat per-change operation fee in dollars (one op billed at the
     /// destination tier's write price in real CSPs; kept explicit here).
-    /// xtask-unit: $
     pub change_op_fee: f64,
 }
 
@@ -116,7 +108,7 @@ impl PricingPolicy {
             Tier::Cool => *to_cool,
             Tier::Archive => *to_archive,
         };
-        Money::from_dollars(per_gb * size_gb + self.change_op_fee)
+        Money::from(UsdPerGb(per_gb) * Gb(size_gb) + Usd(self.change_op_fee))
     }
 
     /// Microsoft Azure Block Blob pricing, US West, LRS, circa January 2020 —

@@ -41,13 +41,10 @@ pub struct FileSeries {
     /// The file's identity.
     pub id: FileId,
     /// File size in GB (constant over the trace, per the paper's §3.1).
-    /// xtask-unit: GB
     pub size_gb: f64,
     /// Daily read request counts, one per trace day.
-    /// xtask-unit: ops
     pub reads: Vec<u64>,
     /// Daily write request counts, one per trace day.
-    /// xtask-unit: ops
     pub writes: Vec<u64>,
 }
 

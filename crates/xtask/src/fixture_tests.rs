@@ -193,10 +193,9 @@ fn diagnostics_json_matches_documented_schema() {
     assert_eq!(field(&vs[0], "file"), &str_val("crates/core/src/x.rs"));
     assert_eq!(field(&vs[0], "line"), &Value::I64(7));
     let gates = field(&doc, "gates");
-    assert_eq!(keys(gates), ["lints", "flow", "units", "alloc", "allowlists", "fmt", "clippy"]);
+    assert_eq!(keys(gates), ["lints", "flow", "alloc", "allowlists", "fmt", "clippy"]);
     assert_eq!(field(gates, "lints"), &Value::Bool(false));
     assert_eq!(field(gates, "flow"), &Value::Bool(true));
-    assert_eq!(field(gates, "units"), &Value::Bool(true));
     assert_eq!(field(gates, "alloc"), &Value::Bool(true));
     // Strict + one unused alloc-allowlist entry fails the hygiene gate.
     assert_eq!(field(gates, "allowlists"), &Value::Bool(false));
@@ -210,8 +209,8 @@ fn diagnostics_json_matches_documented_schema() {
         [str_val("unused alloc-allowlist entry: core::gone (old)")]
     );
     let flow = field(&doc, "flow");
-    assert_eq!(keys(flow), ["kinds", "diagnostics", "unit_annotations"]);
-    assert_eq!(items(field(flow, "kinds")).len(), 5);
+    assert_eq!(keys(flow), ["kinds", "diagnostics"]);
+    assert_eq!(items(field(flow, "kinds")).len(), 4);
     assert_eq!(items(field(flow, "diagnostics")).len(), 0);
     let summary = field(&doc, "summary");
     assert_eq!(keys(summary), ["files", "total", "flow_total", "ok", "step_ms"]);
@@ -221,7 +220,7 @@ fn diagnostics_json_matches_documented_schema() {
     assert_eq!(field(summary, "ok"), &Value::Bool(false));
     // Each step's wall time, keyed by step name, in run order.
     let step_ms = field(summary, "step_ms");
-    assert_eq!(keys(step_ms), ["lints", "flow", "units", "alloc", "fmt", "clippy"]);
+    assert_eq!(keys(step_ms), ["lints", "flow", "alloc", "fmt", "clippy"]);
     assert_eq!(field(step_ms, "lints"), &Value::I64(3));
     assert_eq!(field(step_ms, "flow"), &Value::I64(5));
     // The document renders as one JSON line in the same key order.
@@ -231,7 +230,7 @@ fn diagnostics_json_matches_documented_schema() {
 
 #[test]
 fn every_graph_finding_lands_in_flow_diagnostics() {
-    // CI uploads only the check document, so F1, F4 and F5 findings must
+    // CI uploads only the check document, so F1 and F5 findings must
     // all reach `flow.diagnostics`, each under its kind and code.
     let diag = |kind: FlowKind| FlowDiag {
         kind,
@@ -243,7 +242,6 @@ fn every_graph_finding_lands_in_flow_diagnostics() {
     };
     let report = crate::CheckReport {
         flow_diags: vec![diag(FlowKind::DeterminismTaint)],
-        unit_diags: vec![diag(FlowKind::UnitDimensions)],
         alloc_diags: vec![diag(FlowKind::HotAlloc)],
         fmt_ok: true,
         clippy_ok: true,
@@ -255,19 +253,15 @@ fn every_graph_finding_lands_in_flow_diagnostics() {
         diags.iter().map(|d| (field(d, "kind"), field(d, "code"))).collect();
     assert_eq!(
         got,
-        [
-            (&str_val("determinism-taint"), &str_val("F1")),
-            (&str_val("unit-dimensions"), &str_val("F4")),
-            (&str_val("hot-alloc"), &str_val("F5")),
-        ]
+        [(&str_val("determinism-taint"), &str_val("F1")), (&str_val("hot-alloc"), &str_val("F5")),]
     );
     assert_eq!(keys(&diags[0]), ["kind", "code", "file", "line", "symbol", "message", "trace"]);
     assert_eq!(items(field(&diags[0], "trace")), [str_val("calls core::serve")]);
     let summary = field(&doc, "summary");
-    assert_eq!(field(summary, "flow_total"), &Value::I64(3));
+    assert_eq!(field(summary, "flow_total"), &Value::I64(2));
     assert_eq!(field(summary, "ok"), &Value::Bool(false));
     let gates = field(&doc, "gates");
-    for gate in ["flow", "units", "alloc"] {
+    for gate in ["flow", "alloc"] {
         assert_eq!(field(gates, gate), &Value::Bool(false), "{gate}");
     }
 }

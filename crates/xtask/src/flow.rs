@@ -92,8 +92,6 @@ pub enum FlowKind {
     PanicReachability,
     /// F3: lock acquisition orderings form a cycle.
     LockOrder,
-    /// F4: a derived billing dimension violates the unit discipline.
-    UnitDimensions,
     /// F5: a heap allocation is reachable from a per-day inner-loop root.
     HotAlloc,
 }
@@ -105,7 +103,6 @@ impl FlowKind {
             FlowKind::DeterminismTaint => "determinism-taint",
             FlowKind::PanicReachability => "panic-reachability",
             FlowKind::LockOrder => "lock-order",
-            FlowKind::UnitDimensions => "unit-dimensions",
             FlowKind::HotAlloc => "hot-alloc",
         }
     }
@@ -116,18 +113,16 @@ impl FlowKind {
             FlowKind::DeterminismTaint => "F1",
             FlowKind::PanicReachability => "F2",
             FlowKind::LockOrder => "F3",
-            FlowKind::UnitDimensions => "F4",
             FlowKind::HotAlloc => "F5",
         }
     }
 
     /// All kinds, in code order.
-    pub fn all() -> [FlowKind; 5] {
+    pub fn all() -> [FlowKind; 4] {
         [
             FlowKind::DeterminismTaint,
             FlowKind::PanicReachability,
             FlowKind::LockOrder,
-            FlowKind::UnitDimensions,
             FlowKind::HotAlloc,
         ]
     }

@@ -57,24 +57,6 @@ pub struct Allow {
     pub reason: String,
 }
 
-/// An `xtask-unit` dimension declaration comment (F4 `unit-dimensions`,
-/// DESIGN.md §13). Three spellings:
-///
-/// - `/// xtask-unit: $/GB·month` — bare; attaches to the next field,
-///   const, or `let` binding below the comment,
-/// - `/// xtask-unit(size_gb): GB` — names a parameter of the next `fn`,
-/// - `/// xtask-unit(return): $` — the next `fn`'s return dimension.
-#[derive(Clone, Debug)]
-pub struct UnitDecl {
-    /// 1-based line the comment sits on.
-    pub line: usize,
-    /// `Some(param_name)` / `Some("return")` for the named forms, `None`
-    /// for the bare form.
-    pub target: Option<String>,
-    /// The unit expression after the colon, trimmed (`$/GB·month`).
-    pub text: String,
-}
-
 /// Lexer output: token stream plus escape comments.
 #[derive(Debug, Default)]
 pub struct Lexed {
@@ -82,8 +64,6 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// All `xtask-allow` comments found anywhere in the file.
     pub allows: Vec<Allow>,
-    /// All `xtask-unit` dimension declarations found anywhere in the file.
-    pub units: Vec<UnitDecl>,
 }
 
 /// Multi-character operators, longest first so greedy matching is correct.
@@ -93,8 +73,6 @@ const MULTI_OPS: &[&str] = &[
 ];
 
 const ALLOW_MARKER: &str = "xtask-allow";
-
-const UNIT_MARKER: &str = "xtask-unit";
 
 /// Splits a comma-separated lint list, keeping each segment's leading
 /// lint-name token and returning any trailing free-form text of the last
@@ -132,25 +110,6 @@ fn record_allow(comment: &str, line: usize, allows: &mut Vec<Allow>) {
     }
 }
 
-/// Records an `xtask-unit` declaration: `xtask-unit: <unit>` (bare) or
-/// `xtask-unit(<name>): <unit>` (parameter / `return` of the next fn).
-fn record_unit(comment: &str, line: usize, units: &mut Vec<UnitDecl>) {
-    let Some(pos) = comment.find(UNIT_MARKER) else { return };
-    let rest = &comment[pos + UNIT_MARKER.len()..];
-    if let Some(body) = rest.strip_prefix('(') {
-        let Some(close) = body.find(')') else { return };
-        let target = body[..close].trim().to_string();
-        let Some(text) = body[close + 1..].trim_start().strip_prefix(':') else { return };
-        if !target.is_empty() && !text.trim().is_empty() {
-            units.push(UnitDecl { line, target: Some(target), text: text.trim().to_string() });
-        }
-    } else if let Some(text) = rest.strip_prefix(':') {
-        if !text.trim().is_empty() {
-            units.push(UnitDecl { line, target: None, text: text.trim().to_string() });
-        }
-    }
-}
-
 /// Lexes `src` into tokens and escape comments.
 pub fn lex(src: &str) -> Lexed {
     let bytes = src.as_bytes();
@@ -176,7 +135,6 @@ pub fn lex(src: &str) -> Lexed {
                 let end = src[i..].find('\n').map_or(bytes.len(), |p| i + p);
                 let comment = &src[i..end];
                 record_allow(comment, line, &mut out.allows);
-                record_unit(comment, line, &mut out.units);
                 i = end;
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
@@ -200,7 +158,6 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 let comment = &src[start..i];
                 record_allow(comment, start_line, &mut out.allows);
-                record_unit(comment, start_line, &mut out.units);
             }
             b'"' => {
                 let tok_line = line;
@@ -432,33 +389,6 @@ mod tests {
         let lexed = lex(src);
         assert_eq!(lexed.allows[0].lints, vec!["hashmap-iter-determinism"]);
         assert!(lexed.allows[0].reason.contains("order-free"), "{:?}", lexed.allows[0]);
-    }
-
-    #[test]
-    fn bare_unit_decls_are_collected() {
-        let src = "/// Monthly storage price.\n/// xtask-unit: $/GB\u{b7}month\npub storage_gb_month: f64,\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.units.len(), 1);
-        assert_eq!(lexed.units[0].line, 2);
-        assert_eq!(lexed.units[0].target, None);
-        assert_eq!(lexed.units[0].text, "$/GB\u{b7}month");
-    }
-
-    #[test]
-    fn named_unit_decls_carry_their_target() {
-        let src = "/// xtask-unit(size_gb): GB\n/// xtask-unit(return): $\nfn f(size_gb: f64) {}\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.units.len(), 2);
-        assert_eq!(lexed.units[0].target.as_deref(), Some("size_gb"));
-        assert_eq!(lexed.units[0].text, "GB");
-        assert_eq!(lexed.units[1].target.as_deref(), Some("return"));
-        assert_eq!(lexed.units[1].text, "$");
-    }
-
-    #[test]
-    fn malformed_unit_decls_are_ignored() {
-        let src = "/// xtask-unit:\n/// xtask-unit(): GB\n/// xtask-unit(x)\nlet y = 1;\n";
-        assert!(lex(src).units.is_empty());
     }
 
     #[test]

@@ -15,17 +15,15 @@
 //! 2. the three interprocedural flow analyses (F1 `determinism-taint`, F2
 //!    `panic-reachability`, F3 `lock-order`; DESIGN.md §12) over the
 //!    workspace call graph, gated on `xtask-panic-allowlist.json`,
-//! 3. the two abstract-interpretation analyses (F4 `unit-dimensions`, F5
-//!    `hot-alloc`; DESIGN.md §13) over the same call graph, gated on
-//!    `xtask-alloc-allowlist.json`,
+//! 3. the F5 `hot-alloc` abstract interpretation (DESIGN.md §13) over the
+//!    same call graph, gated on `xtask-alloc-allowlist.json`,
 //! 4. `cargo fmt --all --check`,
 //! 5. `cargo clippy --workspace --all-targets -- -D warnings`.
 //!
 //! `cargo xtask check --json` emits machine-readable diagnostics on stdout
 //! (schema in DESIGN.md §8, including each step's wall time) with human
 //! progress diverted to stderr. With `--strict`, unused allowlist entries
-//! and `xtask-unit` annotations F4 had to drop are errors instead of
-//! warnings (CI passes `--strict` so neither can rot).
+//! are errors instead of warnings (CI passes `--strict` so they cannot rot).
 //!
 //! `cargo xtask lint <path>...` runs only the custom lints over the given
 //! files or directories (used by the fixture self-tests and for spot checks).
@@ -46,7 +44,6 @@ mod parser;
 mod reach;
 mod syntax_lints;
 mod taint;
-mod units;
 mod walk;
 
 #[cfg(test)]
@@ -55,8 +52,6 @@ mod alloc_tests;
 mod fixture_tests;
 #[cfg(test)]
 mod flow_tests;
-#[cfg(test)]
-mod units_tests;
 
 use flow::{AllowEntry, Allowlist, FlowDiag, FlowKind, FnGraph, Workspace};
 use lints::{scan_source, FileContext, Lint, Violation};
@@ -72,7 +67,7 @@ enum Cmd {
     Check {
         /// Emit the DESIGN.md §8 document on stdout.
         json: bool,
-        /// Fail on unused allowlist entries and dropped `xtask-unit` annotations.
+        /// Fail on unused allowlist entries.
         strict: bool,
     },
     /// `lint <path>...`.
@@ -133,11 +128,10 @@ fn print_usage() {
          commands:\n  \
          check [--json] [--strict]\n                     \
          run the five custom lints + F1-F3 flow analyses +\n                     \
-         F4/F5 abstract interpretation + `cargo fmt --check`\n                     \
+         F5 abstract interpretation + `cargo fmt --check`\n                     \
          + clippy gate; --json emits the diagnostics\n                     \
          document (DESIGN.md \u{a7}8) on stdout; --strict\n                     \
-         makes unused allowlist entries and dropped\n                     \
-         xtask-unit annotations errors\n  \
+         makes unused allowlist entries errors\n  \
          lint <path>...     run only the custom lints over the given paths\n  \
          help               show this message"
     );
@@ -211,17 +205,13 @@ struct CheckReport {
     violations: Vec<Violation>,
     /// F1-F3 flow diagnostics.
     flow_diags: Vec<FlowDiag>,
-    /// F4 unit-dimensions diagnostics.
-    unit_diags: Vec<FlowDiag>,
     /// F5 hot-alloc diagnostics.
     alloc_diags: Vec<FlowDiag>,
     /// `xtask-panic-allowlist.json` entries that matched no finding.
     panic_unused: Vec<AllowEntry>,
     /// `xtask-alloc-allowlist.json` entries that matched no finding.
     alloc_unused: Vec<AllowEntry>,
-    /// `xtask-unit` annotations F4 had to drop.
-    unit_annotations: Vec<units::AnnotationWarning>,
-    /// Whether `--strict` promotes the three hygiene lists above to errors.
+    /// Whether `--strict` promotes the two hygiene lists above to errors.
     strict: bool,
     /// Whether `cargo fmt --all --check` passed.
     fmt_ok: bool,
@@ -236,7 +226,6 @@ struct CheckReport {
 struct StepMs {
     lints: u64,
     flow: u64,
-    units: u64,
     alloc: u64,
     fmt: u64,
     clippy: u64,
@@ -252,7 +241,6 @@ fn ms_since(start: Instant) -> u64 {
 struct Gates {
     lints: bool,
     flow: bool,
-    units: bool,
     alloc: bool,
     allowlists: bool,
     fmt: bool,
@@ -266,7 +254,6 @@ impl CheckReport {
         Gates {
             lints: self.violations.is_empty(),
             flow: self.flow_diags.is_empty(),
-            units: self.unit_diags.is_empty() && hygiene(self.unit_annotations.is_empty()),
             alloc: self.alloc_diags.is_empty(),
             allowlists: hygiene(self.panic_unused.is_empty() && self.alloc_unused.is_empty()),
             fmt: self.fmt_ok,
@@ -276,10 +263,10 @@ impl CheckReport {
 
     fn ok(&self) -> bool {
         let g = self.gates();
-        g.lints && g.flow && g.units && g.alloc && g.allowlists && g.fmt && g.clippy
+        g.lints && g.flow && g.alloc && g.allowlists && g.fmt && g.clippy
     }
 
-    /// Runs F1-F5 over one call graph of `ws`, recording each family's
+    /// Runs F1-F3 and F5 over one call graph of `ws`, recording each family's
     /// findings and adding its wall time to `step_ms`.
     fn run_graph_analyses(
         &mut self,
@@ -291,9 +278,6 @@ impl CheckReport {
         let g = FnGraph::build(ws);
         (self.flow_diags, self.panic_unused) = flow::analyze(ws, &g, panic_allow);
         self.step_ms.flow += ms_since(start);
-        let start = Instant::now();
-        (self.unit_diags, self.unit_annotations) = units::analyze(ws, &g);
-        self.step_ms.units += ms_since(start);
         let start = Instant::now();
         (self.alloc_diags, self.alloc_unused) =
             alloc::analyze(ws, &g, &alloc::roots(&g), alloc_allow);
@@ -312,7 +296,6 @@ impl CheckReport {
     fn hygiene_lines(&self) -> Vec<String> {
         let mut out = CheckReport::unused("panic-allowlist", &self.panic_unused);
         out.extend(CheckReport::unused("alloc-allowlist", &self.alloc_unused));
-        out.extend(self.unit_annotations.iter().map(ToString::to_string));
         out
     }
 }
@@ -360,7 +343,7 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
     progress!(
         json_mode,
         "==> call-graph analyses (F1 determinism-taint, F2 panic-reachability, F3 lock-order, \
-         F4 unit-dimensions, F5 hot-alloc)"
+         F5 hot-alloc)"
     );
     let start = Instant::now();
     let loaded = Workspace::load_flow(&root).and_then(|ws| {
@@ -380,12 +363,10 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
     r.step_ms.flow = ms_since(start);
     r.run_graph_analyses(&ws, &panic_allow, &alloc_allow);
     report_family(json_mode, "flow analyses", &r.flow_diags);
-    report_family(json_mode, "unit-dimensions", &r.unit_diags);
     report_family(json_mode, "hot-alloc", &r.alloc_diags);
 
-    // Unused allowlist entries and dropped annotations are hygiene
-    // warnings, promoted to errors under `--strict` so CI keeps the
-    // committed allowlists tight and every `xtask-unit` declaration live.
+    // Unused allowlist entries are hygiene warnings, promoted to errors
+    // under `--strict` so CI keeps the committed allowlists tight.
     let hygiene = r.hygiene_lines();
     for w in &hygiene {
         eprintln!("{}: {w}", if strict { "error" } else { "warning" });
@@ -455,12 +436,11 @@ struct ViolationDoc {
     message: String,
 }
 
-/// Every call-graph finding (F1-F5).
+/// Every call-graph finding (F1-F3, F5).
 #[derive(Debug, Serialize)]
 struct FlowDoc {
     kinds: Vec<&'static str>,
     diagnostics: Vec<DiagDoc>,
-    unit_annotations: Vec<String>,
 }
 
 /// One call-graph diagnostic.
@@ -499,7 +479,6 @@ fn check_doc(root: &Path, r: &CheckReport) -> CheckDoc {
     let diagnostics: Vec<DiagDoc> = r
         .flow_diags
         .iter()
-        .chain(&r.unit_diags)
         .chain(&r.alloc_diags)
         .map(|d| DiagDoc {
             kind: d.kind.name(),
@@ -531,11 +510,7 @@ fn check_doc(root: &Path, r: &CheckReport) -> CheckDoc {
             ok: r.ok(),
             step_ms: r.step_ms,
         },
-        flow: FlowDoc {
-            kinds: FlowKind::all().iter().map(|k| k.name()).collect(),
-            diagnostics,
-            unit_annotations: r.unit_annotations.iter().map(ToString::to_string).collect(),
-        },
+        flow: FlowDoc { kinds: FlowKind::all().iter().map(|k| k.name()).collect(), diagnostics },
         allowlists: AllowlistsDoc {
             strict: r.strict,
             panic_unused: CheckReport::unused("panic-allowlist", &r.panic_unused),
