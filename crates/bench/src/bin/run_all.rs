@@ -75,14 +75,6 @@ fn main() {
         width: 32,
     })
     .emit_into(&out);
-    b::ablation_trainer::run(&b::ablation_trainer::Params {
-        files: s(2_000).max(500),
-        days: 35,
-        seed: 2020,
-        updates: u(30_000),
-        width: 32,
-    })
-    .emit_into(&out);
     b::ablation_prediction::run(&b::ablation_prediction::Params {
         files: s(5_000).max(500),
         days: 35,

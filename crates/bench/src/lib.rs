@@ -14,7 +14,6 @@
 
 pub mod ablation_prediction;
 pub mod ablation_reward;
-pub mod ablation_trainer;
 pub mod args;
 pub mod fig10_greedy_rate;
 pub mod fig11_width;

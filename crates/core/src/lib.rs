@@ -31,10 +31,10 @@
 //! * [`train`] — the end-to-end pipeline: trace → environment → A3C →
 //!   deployable [`policy::RlPolicy`].
 //! * [`aggregate`] — the §5.2 concurrent-request aggregation enhancement.
-//! * [`serve`] — the online serving loop: streamed events drive bounded
+//! * [`serve`](mod@serve) — the online serving loop: streamed events drive bounded
 //!   online statistics, policy decisions, exact incremental ledgers, and
 //!   atomic checkpoint/restore (bit-identical to [`sim`] in exact mode).
-//! * [`supervise`] — the self-healing shell around [`serve`]: bounded
+//! * [`supervise`] — the self-healing shell around [`serve`](mod@serve): bounded
 //!   retries with deterministic backoff, checkpoint-rotation fallback,
 //!   degraded-mode policy pinning, and the incident log — driven by the
 //!   seeded chaos harness in `minicost-stream`'s `fault` module.

@@ -138,73 +138,6 @@ impl Layer for Relu {
     }
 }
 
-/// Hyperbolic tangent activation.
-#[derive(Clone, Debug, Default)]
-pub struct Tanh {
-    output: Matrix,
-}
-
-impl Tanh {
-    /// Creates a tanh activation.
-    #[must_use]
-    pub fn new() -> Tanh {
-        Tanh { output: Matrix::zeros(0, 0) }
-    }
-}
-
-impl Layer for Tanh {
-    fn infer_rows(&self, input: &[f64], out: &mut [f64]) {
-        for (o, &v) in out.iter_mut().zip(input) {
-            *o = v.tanh();
-        }
-    }
-
-    fn infer_in_place(&self, data: &mut [f64]) -> bool {
-        for v in data {
-            *v = v.tanh();
-        }
-        true
-    }
-
-    fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        self.infer_into(input, out);
-        self.output.copy_from(out);
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        assert_eq!(grad_output.shape(), self.output.shape(), "backward before forward");
-        // d tanh(x)/dx = 1 - tanh(x)^2
-        let deriv = self.output.map(|y| 1.0 - y * y);
-        grad_output.hadamard(&deriv)
-    }
-
-    fn params(&self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    fn set_params(&mut self, _flat: &[f64]) -> usize {
-        0
-    }
-
-    fn grads(&self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    fn zero_grads(&mut self) {}
-
-    fn param_count(&self) -> usize {
-        0
-    }
-
-    fn output_width(&self, input_width: usize) -> usize {
-        input_width
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,30 +160,13 @@ mod tests {
     }
 
     #[test]
-    fn tanh_forward_and_gradient() {
-        let mut tanh = Tanh::new();
-        let x = Matrix::row_vector(&[0.0, 1.0]);
-        let y = tanh.forward(&x);
-        assert_eq!(y.get(0, 0), 0.0);
-        assert!((y.get(0, 1) - 1.0f64.tanh()).abs() < 1e-12);
-        let g = tanh.backward(&Matrix::row_vector(&[1.0, 1.0]));
-        // At 0 the derivative is 1; at 1 it's 1 - tanh(1)^2.
-        assert!((g.get(0, 0) - 1.0).abs() < 1e-12);
-        assert!((g.get(0, 1) - (1.0 - 1.0f64.tanh().powi(2))).abs() < 1e-12);
-    }
-
-    #[test]
     fn activations_have_no_params() {
         let relu = Relu::new();
         assert_eq!(relu.param_count(), 0);
         assert!(relu.params().is_empty());
         assert!(relu.grads().is_empty());
         assert_eq!(relu.output_width(7), 7);
-        let tanh = Tanh::new();
-        assert_eq!(tanh.param_count(), 0);
-        assert_eq!(tanh.output_width(3), 3);
         assert_eq!(relu.name(), "relu");
-        assert_eq!(tanh.name(), "tanh");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! From-scratch neural networks for MiniCost's A3C actor and critic (and
-//! the DQN baseline).
+//! From-scratch neural networks for MiniCost's A3C actor and critic.
 //!
 //! The paper trains its actor and critic networks with TensorFlow/TFLearn
 //! (§6.1: "128 filters, each of size 4 with stride 1 ... aggregated with
@@ -10,16 +9,16 @@
 //!   kernels the layers need.
 //! * Layers — [`Dense`], [`Conv1d`], [`ConvBranch`] (conv over the history
 //!   window concatenated with pass-through scalar features, matching the
-//!   paper's "aggregated with other inputs"), [`Relu`], [`Tanh`].
+//!   paper's "aggregated with other inputs"), [`Relu`].
 //! * [`Network`] — a sequential container with a training forward/backward
 //!   pass, a stateless `&self` inference pass ([`Network::infer_into`],
 //!   bit-identical to the training forward and shareable across threads),
 //!   and flat parameter/gradient vectors (what the A3C parameter store
 //!   shares).
-//! * Optimizers — [`Sgd`], [`Momentum`], [`Adam`], all operating on flat
-//!   parameter vectors.
-//! * Losses/ops — softmax, MSE, and the advantage-weighted policy-gradient
-//!   loss with entropy bonus used by the actor.
+//! * Optimizers — [`Sgd`] and [`Adam`], both operating on flat parameter
+//!   vectors.
+//! * Ops — softmax and the advantage-weighted policy-gradient loss with
+//!   entropy bonus used by the actor.
 //!
 //! Backward passes are hand-written and verified against central finite
 //! differences in the test suite.
@@ -66,8 +65,8 @@ pub mod optimizer;
 
 pub use conv::{Conv1d, ConvBranch};
 pub use dense::Dense;
-pub use layer::{Layer, Relu, Tanh};
+pub use layer::{Layer, Relu};
 pub use matrix::Matrix;
 pub use network::{ForwardScratch, Network};
-pub use ops::{log_softmax, mse_grad, mse_loss, policy_gradient_loss, softmax, PolicyGrad};
-pub use optimizer::{clip_grad_norm, Adam, Momentum, Optimizer, Sgd};
+pub use ops::{policy_gradient_loss, softmax, PolicyGrad};
+pub use optimizer::{clip_grad_norm, Adam, Optimizer, Sgd};

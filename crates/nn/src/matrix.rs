@@ -339,7 +339,7 @@ impl Matrix {
 
     /// `self @ other` into `out`, reusing `out`'s allocation.
     ///
-    /// Register-tiled (see [`matmul_rows`]); per output element the
+    /// Register-tiled (see `matmul_rows`); per output element the
     /// reduction runs in ascending order with the `a == 0.0` skip, so the
     /// result is bit-identical to the plain ikj scalar loop.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
@@ -355,7 +355,7 @@ impl Matrix {
     /// Per output element the rows of `self` and `other` add in ascending
     /// order on top of its current value, skipping every `a == 0.0` term:
     /// bit-identical to `m` single-row accumulations in order, whatever
-    /// `out` held. For each output row a [`GATHER`]-wide chunk of input
+    /// `out` held. For each output row a `GATHER`-wide chunk of input
     /// rows gathers its nonzeros once, then every column tile sweeps them
     /// with its accumulators in registers.
     pub fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
@@ -404,7 +404,7 @@ impl Matrix {
     /// every term (no zero skip) in ascending reduction order, bit-identical
     /// to the scalar loop. The kernel copies `self` transposed into a small
     /// scratch, then for each output column (a row of `other`) computes a
-    /// tile of up to [`TILE`] output rows at once, one independent register
+    /// tile of up to `TILE` output rows at once, one independent register
     /// accumulator per row, while that row of `other` streams past once.
     pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
@@ -436,12 +436,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Element-wise map.
-    #[must_use]
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
     }
 
     /// Element-wise map into `out`, reusing `out`'s allocation.
@@ -593,7 +587,9 @@ mod tests {
         assert_eq!(out, a.transpose().matmul(&b));
         // A second call accumulates on top of the first.
         a.t_matmul_acc(&b, &mut out);
-        assert_eq!(out, a.transpose().matmul(&b).map(|v| 2.0 * v));
+        let mut twice = Matrix::default();
+        a.transpose().matmul(&b).map_into(|v| 2.0 * v, &mut twice);
+        assert_eq!(out, twice);
     }
 
     #[test]
@@ -641,7 +637,9 @@ mod tests {
     #[test]
     fn map_applies_elementwise() {
         let a = m(1, 3, &[-1.0, 0.0, 2.0]);
-        assert_eq!(a.map(|v| v.max(0.0)), m(1, 3, &[0.0, 0.0, 2.0]));
+        let mut out = Matrix::default();
+        a.map_into(|v| v.max(0.0), &mut out);
+        assert_eq!(out, m(1, 3, &[0.0, 0.0, 2.0]));
     }
 
     #[test]
@@ -772,7 +770,8 @@ mod tests {
         let b = filled(3, 4, 22);
         let mut out = Matrix::default();
         a.map_into(|v| v.max(0.0), &mut out);
-        assert_eq!(out, a.map(|v| v.max(0.0)));
+        let relu: Vec<f64> = a.as_slice().iter().map(|v| v.max(0.0)).collect();
+        assert_eq!(out, m(3, 5, &relu));
         a.hconcat_into(&b, &mut out);
         assert_eq!(out, a.hconcat(&b));
         let (mut l, mut r) = (Matrix::default(), Matrix::default());

@@ -238,7 +238,7 @@ mod tests {
     use super::*;
     use crate::conv::{Conv1d, ConvBranch};
     use crate::dense::Dense;
-    use crate::layer::{Relu, Tanh};
+    use crate::layer::Relu;
 
     fn mlp() -> Network {
         Network::new(vec![
@@ -321,7 +321,7 @@ mod tests {
         let conv = Conv1d::new(1, 6, 2, 3, 1, 9);
         let mut net = Network::new(vec![
             Box::new(ConvBranch::new(conv, 2)),
-            Box::new(Tanh::new()),
+            Box::new(Relu::new()),
             Box::new(Dense::new(2 * 4 + 2, 4, 10)),
             Box::new(Relu::new()),
             Box::new(Dense::new(4, 3, 11)),
@@ -391,7 +391,7 @@ mod tests {
         let conv = Conv1d::new(1, 6, 2, 3, 1, 9);
         let mut net = Network::new(vec![
             Box::new(ConvBranch::new(conv, 2)),
-            Box::new(Tanh::new()),
+            Box::new(Relu::new()),
             Box::new(Dense::new(2 * 4 + 2, 4, 10)),
             Box::new(Relu::new()),
             Box::new(Dense::new(4, 3, 11)),
@@ -517,17 +517,18 @@ mod tests {
 
     #[test]
     fn infer_into_bit_identical_through_every_layer_kind() {
-        // Tanh and ReLU in place, an activation first (so it reads the
-        // input rows directly), and the empty network.
+        // ReLU in place after the conv branch, after a dense layer and as
+        // the last layer, an activation first (so it reads the input rows
+        // directly), and the empty network.
         let conv = Conv1d::new(1, 6, 2, 3, 1, 9);
         let mut net = Network::new(vec![
             Box::new(Relu::new()),
             Box::new(ConvBranch::new(conv, 2)),
-            Box::new(Tanh::new()),
+            Box::new(Relu::new()),
             Box::new(Dense::new(2 * 4 + 2, 4, 10)),
             Box::new(Relu::new()),
             Box::new(Dense::new(4, 3, 11)),
-            Box::new(Tanh::new()),
+            Box::new(Relu::new()),
         ]);
         let x = crate::matrix::filled(3 * ROW_TILE + 1, 8, 5);
         let mut scratch = ForwardScratch::new();

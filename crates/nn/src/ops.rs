@@ -1,4 +1,4 @@
-//! Stateless operations: softmax, losses, and the actor's policy-gradient
+//! Stateless operations: softmax and the actor's policy-gradient
 //! loss (Eq. 11 of the paper: `∇ log π(s, a) · A(s, a)`, plus the usual
 //! entropy bonus that keeps exploration alive).
 
@@ -15,34 +15,13 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
 }
 
 /// Numerically stable log-softmax.
-#[must_use]
-pub fn log_softmax(logits: &[f64]) -> Vec<f64> {
+fn log_softmax(logits: &[f64]) -> Vec<f64> {
     if logits.is_empty() {
         return Vec::new();
     }
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let log_sum: f64 = logits.iter().map(|&l| (l - max).exp()).sum::<f64>().ln() + max;
     logits.iter().map(|&l| l - log_sum).collect()
-}
-
-/// Mean-squared-error loss `mean((pred - target)^2)`.
-///
-/// Panics on length mismatch.
-#[must_use]
-pub fn mse_loss(pred: &[f64], target: &[f64]) -> f64 {
-    assert_eq!(pred.len(), target.len(), "mse length mismatch");
-    if pred.is_empty() {
-        return 0.0;
-    }
-    pred.iter().zip(target).map(|(p, t)| (p - t) * (p - t)).sum::<f64>() / pred.len() as f64
-}
-
-/// Gradient of [`mse_loss`] w.r.t. `pred`: `2 (pred - target) / n`.
-#[must_use]
-pub fn mse_grad(pred: &[f64], target: &[f64]) -> Vec<f64> {
-    assert_eq!(pred.len(), target.len(), "mse length mismatch");
-    let n = pred.len().max(1) as f64;
-    pred.iter().zip(target).map(|(p, t)| 2.0 * (p - t) / n).collect()
 }
 
 /// Result of [`policy_gradient_loss`].
@@ -133,29 +112,6 @@ mod tests {
         let p = softmax(&logits);
         for (l, pp) in ls.iter().zip(&p) {
             assert!((l - pp.ln()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn mse_known_values() {
-        assert_eq!(mse_loss(&[1.0, 2.0], &[1.0, 4.0]), 2.0);
-        assert_eq!(mse_loss(&[], &[]), 0.0);
-        assert_eq!(mse_grad(&[3.0], &[1.0]), vec![4.0]);
-    }
-
-    #[test]
-    fn mse_grad_finite_difference() {
-        let pred = [0.5, -1.0, 2.0];
-        let target = [1.0, 0.0, 2.0];
-        let g = mse_grad(&pred, &target);
-        let eps = 1e-6;
-        for i in 0..3 {
-            let mut plus = pred;
-            plus[i] += eps;
-            let mut minus = pred;
-            minus[i] -= eps;
-            let fd = (mse_loss(&plus, &target) - mse_loss(&minus, &target)) / (2.0 * eps);
-            assert!((g[i] - fd).abs() < 1e-6, "dim {i}");
         }
     }
 

@@ -13,15 +13,6 @@ pub trait Optimizer: Send {
     /// Applies one update step. `params` and `grads` must have equal
     /// lengths, constant across calls.
     fn step(&mut self, params: &mut [f64], grads: &[f64]);
-
-    /// The configured learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Replaces the learning rate (used by the Fig. 9 sweep).
-    fn set_learning_rate(&mut self, lr: f64);
-
-    /// Resets internal state (momentum/moment buffers).
-    fn reset(&mut self);
 }
 
 /// Plain stochastic gradient descent.
@@ -46,59 +37,6 @@ impl Optimizer for Sgd {
             *p -= self.lr * g;
         }
     }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// SGD with classical momentum.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Momentum {
-    lr: f64,
-    beta: f64,
-    velocity: Vec<f64>,
-}
-
-impl Momentum {
-    /// Creates momentum SGD. Panics unless `lr > 0` and `0 <= beta < 1`.
-    #[must_use]
-    pub fn new(lr: f64, beta: f64) -> Momentum {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta), "beta must be in [0, 1)");
-        Momentum { lr, beta, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            *v = self.beta * *v + g;
-            *p -= self.lr * *v;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -114,19 +52,12 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Creates Adam with the standard betas (0.9, 0.999).
+    /// Creates Adam with the standard betas (0.9, 0.999). Panics unless
+    /// `lr > 0`.
     #[must_use]
     pub fn new(lr: f64) -> Adam {
-        Adam::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Creates Adam with explicit betas. Panics on invalid hyperparameters.
-    #[must_use]
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64) -> Adam {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1), "beta1 must be in [0, 1)");
-        assert!((0.0..1.0).contains(&beta2), "beta2 must be in [0, 1)");
-        Adam { lr, beta1, beta2, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
+        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 }
 
@@ -149,20 +80,6 @@ impl Optimizer for Adam {
             let v_hat = self.v[i] / bc2;
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t = 0;
     }
 }
 
@@ -201,13 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_converges_on_quadratic() {
-        let mut opt = Momentum::new(0.05, 0.9);
-        let x = run_quadratic(&mut opt, 300);
-        assert!((x - 3.0).abs() < 1e-4, "x = {x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1);
         let x = run_quadratic(&mut opt, 500);
@@ -220,42 +130,6 @@ mod tests {
         let mut p = vec![1.0, 2.0];
         opt.step(&mut p, &[2.0, -4.0]);
         assert_eq!(p, vec![0.0, 4.0]);
-    }
-
-    #[test]
-    fn learning_rate_setter() {
-        {
-            let opt = &mut Sgd::new(0.1) as &mut dyn Optimizer;
-            opt.set_learning_rate(0.25);
-            assert_eq!(opt.learning_rate(), 0.25);
-        }
-        let mut adam = Adam::new(0.1);
-        adam.set_learning_rate(0.001);
-        assert_eq!(adam.learning_rate(), 0.001);
-    }
-
-    #[test]
-    fn momentum_accelerates_along_constant_gradient() {
-        let mut opt = Momentum::new(0.1, 0.9);
-        let mut p = vec![0.0];
-        opt.step(&mut p, &[1.0]);
-        let first_step = -p[0];
-        let before = p[0];
-        opt.step(&mut p, &[1.0]);
-        let second_step = before - p[0];
-        assert!(second_step > first_step, "{second_step} <= {first_step}");
-    }
-
-    #[test]
-    fn adam_reset_clears_state() {
-        let mut opt = Adam::new(0.1);
-        let mut p = vec![0.0];
-        opt.step(&mut p, &[1.0]);
-        opt.reset();
-        let mut q = vec![0.0];
-        opt.step(&mut q, &[1.0]);
-        // Fresh state: identical first step.
-        assert_eq!(p, q);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 pub mod a3c;
 pub mod actor_critic;
-pub mod dqn;
 pub mod env;
 pub mod memory;
 pub mod metrics;
@@ -35,7 +34,6 @@ pub mod params;
 
 pub use a3c::{A3cConfig, A3cTrainer, ProgressPoint, TrainResult};
 pub use actor_critic::{ActorCritic, NetSpec};
-pub use dqn::{train_dqn, DqnConfig, DqnResult};
 pub use env::{Env, Step};
 pub use memory::{ReplayMemory, Transition};
 pub use metrics::{convergence_step, RollingRate};
