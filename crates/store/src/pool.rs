@@ -133,10 +133,11 @@ impl StoragePool {
         }
     }
 
-    /// Opens (creating as needed) a file-backed pool under `dir`,
-    /// scanning existing objects into the location map. Objects found on
-    /// more than one tier are left unlocated; journal recovery must
-    /// resolve them before the pool is usable.
+    /// Opens (creating as needed) a file-backed pool under `dir`, locating
+    /// the objects each tier's one directory listing found (see
+    /// [`FileVdev`]). Objects found on more than one tier are left
+    /// unlocated; journal recovery must resolve them before the pool is
+    /// usable.
     ///
     /// # Errors
     ///
@@ -226,7 +227,9 @@ impl StoragePool {
         self.vdevs.get(tier).contains(key)
     }
 
-    /// Keys resident on more than one tier (unresolved migrations).
+    /// Keys resident on more than one tier (unresolved migrations),
+    /// read from the vdevs' key sets: a file vdev answers from its listing
+    /// at open, kept current by every write and delete since.
     #[must_use]
     pub fn duplicate_keys(&self) -> Vec<u64> {
         let mut counts: BTreeMap<u64, u32> = BTreeMap::new();
@@ -473,6 +476,54 @@ mod tests {
         assert_eq!(pool.location(11), Some(Tier::Cool), "reopen must rediscover objects");
         assert!(pool.duplicate_keys().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_copy_after_open_shows_in_duplicates_without_reopen() {
+        let dir = std::env::temp_dir().join(format!("minicost-pool-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut pool = StoragePool::open_dir(&dir).unwrap();
+        pool.put(7, Tier::Hot, 128).unwrap();
+        assert!(pool.duplicate_keys().is_empty());
+        let frame = frame_object(128, &synth_payload(7, 128));
+        pool.write_frame(Tier::Cool, 7, &frame[..frame.len() / 2], 128, 0).unwrap();
+        assert!(pool.contains_at(Tier::Cool, 7));
+        assert_eq!(pool.duplicate_keys(), vec![7]);
+        pool.delete_frame(Tier::Cool, 7).unwrap();
+        assert!(pool.duplicate_keys().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        /// An open pool's listing answers what a fresh reopen of the same
+        /// directory lists, after every `put`, `write_frame` and
+        /// `delete_frame` of a generated sequence.
+        #[test]
+        fn listing_matches_a_fresh_reopen(
+            ops in proptest::collection::vec((0u8..3, 0u64..6, 0usize..3), 1..24),
+        ) {
+            let dir =
+                std::env::temp_dir().join(format!("minicost-pool-listing-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut pool = StoragePool::open_dir(&dir).unwrap();
+            for &(op, key, tier) in &ops {
+                let tier = Tier::ALL[tier];
+                match op {
+                    0 => pool.put(key, tier, 64).unwrap(),
+                    1 => {
+                        let frame = frame_object(64, &synth_payload(key, 64));
+                        pool.write_frame(tier, key, &frame, 64, 0).unwrap();
+                    }
+                    _ => pool.delete_frame(tier, key).unwrap(),
+                }
+                let fresh = StoragePool::open_dir(&dir).unwrap();
+                for tier in Tier::ALL {
+                    proptest::prop_assert_eq!(pool.keys_at(tier), fresh.keys_at(tier));
+                }
+                proptest::prop_assert_eq!(pool.duplicate_keys(), fresh.duplicate_keys());
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! never consults the wall clock, so every run is replayable.
 
 use pricing::Tier;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ffi::OsStr;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
@@ -193,22 +194,42 @@ impl Vdev for MemoryVdev {
 }
 
 /// A directory-backed vdev: one `<key:016x>.obj` file per object.
+///
+/// [`FileVdev::open`] lists the directory once, parsing object names
+/// without `stat`ing them, and keeps the keys it found; [`Vdev::write`]
+/// and [`Vdev::delete`] keep that set current, and [`Vdev::keys`] and
+/// [`Vdev::contains`] answer from it without touching the file system.
+/// The contract that makes this sound: while a vdev is open it is the
+/// only writer of its directory (another handle may rewrite an object's
+/// bytes, but must not create or remove objects). The set may hold a key
+/// whose object is gone, never miss one that is resident: a failed write
+/// or delete keeps the key unless the object is known to be absent.
+/// Only [`Vdev::used_bytes`], which capacity-bounded vdevs consult,
+/// `stat`s objects.
 #[derive(Debug)]
 pub struct FileVdev {
     dir: PathBuf,
     capacity: Option<u64>,
+    keys: BTreeSet<u64>,
 }
 
 impl FileVdev {
-    /// Opens (creating if needed) the vdev directory.
+    /// Opens (creating if needed) the vdev directory and lists the
+    /// objects already in it.
     ///
     /// # Errors
     ///
-    /// [`VdevError::Io`] if the directory cannot be created.
+    /// [`VdevError::Io`] if the directory cannot be created or listed.
     pub fn open(dir: &Path, capacity: Option<u64>) -> Result<FileVdev, VdevError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| VdevError::Io(format!("{}: {e}", dir.display())))?;
-        Ok(FileVdev { dir: dir.to_path_buf(), capacity })
+        let io_err = |e: std::io::Error| VdevError::Io(format!("{}: {e}", dir.display()));
+        std::fs::create_dir_all(dir).map_err(io_err)?;
+        let mut keys = BTreeSet::new();
+        for entry in std::fs::read_dir(dir).map_err(io_err)? {
+            if let Some(key) = object_key(&entry.map_err(io_err)?.file_name()) {
+                keys.insert(key);
+            }
+        }
+        Ok(FileVdev { dir: dir.to_path_buf(), capacity, keys })
     }
 
     /// The on-disk path of an object (stable; the torn-copy proptest
@@ -219,25 +240,25 @@ impl FileVdev {
         self.dir.join(format!("{key:016x}.obj"))
     }
 
-    fn scan(&self) -> Vec<(u64, u64)> {
-        let mut found = Vec::new();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return found;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".obj")) else {
-                continue;
-            };
-            let Ok(key) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
-            let len = entry.metadata().map_or(0, |m| m.len());
-            found.push((key, len));
+    /// After a failed write or delete of `key`: drops the key only if
+    /// its object is certainly absent, so the set never under-approximates.
+    fn resync(&mut self, key: u64) {
+        if let Ok(false) = self.object_path(key).try_exists() {
+            self.keys.remove(&key);
+        } else {
+            self.keys.insert(key);
         }
-        found.sort_unstable();
-        found
     }
+}
+
+/// The key whose [`FileVdev::object_path`] ends in `name`, if any: exactly
+/// sixteen lowercase hex digits and `.obj`.
+fn object_key(name: &OsStr) -> Option<u64> {
+    let stem = name.to_str()?.strip_suffix(".obj")?;
+    if stem.len() != 16 || !stem.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return None;
+    }
+    u64::from_str_radix(stem, 16).ok()
 }
 
 impl Vdev for FileVdev {
@@ -261,28 +282,44 @@ impl Vdev for FileVdev {
         // Plain write on purpose: object durability is the journal's
         // problem, and a non-atomic write is what makes crash-mid-copy a
         // real, testable state.
-        std::fs::write(self.object_path(key), frame)
-            .map_err(|e| VdevError::Io(format!("write {key:016x}: {e}")))
+        match std::fs::write(self.object_path(key), frame) {
+            Ok(()) => {
+                self.keys.insert(key);
+                Ok(())
+            }
+            Err(e) => {
+                self.resync(key);
+                Err(VdevError::Io(format!("write {key:016x}: {e}")))
+            }
+        }
     }
 
     fn delete(&mut self, key: u64) -> Result<(), VdevError> {
         match std::fs::remove_file(self.object_path(key)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(VdevError::Io(format!("delete {key:016x}: {e}"))),
+            Err(e) if e.kind() != ErrorKind::NotFound => {
+                self.resync(key);
+                Err(VdevError::Io(format!("delete {key:016x}: {e}")))
+            }
+            Ok(()) | Err(_) => {
+                self.keys.remove(&key);
+                Ok(())
+            }
         }
     }
 
     fn contains(&self, key: u64) -> bool {
-        self.object_path(key).exists()
+        self.keys.contains(&key)
     }
 
     fn keys(&self) -> Vec<u64> {
-        self.scan().into_iter().map(|(k, _)| k).collect()
+        self.keys.iter().copied().collect()
     }
 
     fn used_bytes(&self) -> u64 {
-        self.scan().into_iter().map(|(_, len)| len).sum()
+        self.keys
+            .iter()
+            .map(|&key| std::fs::metadata(self.object_path(key)).map_or(0, |m| m.len()))
+            .sum()
     }
 
     fn capacity_bytes(&self) -> Option<u64> {
@@ -352,6 +389,34 @@ mod tests {
         let v = FileVdev::open(&dir, None).unwrap();
         assert_eq!(v.keys(), vec![0xabc]);
         assert_eq!(v.used_bytes(), 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_vdev_lists_only_canonical_object_names() {
+        let dir = scratch("names");
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in ["00000000000000ab.obj", "00000000000000AB.obj", "ab.obj", "notes.txt"] {
+            std::fs::write(dir.join(name), b"x").unwrap();
+        }
+        let v = FileVdev::open(&dir, None).unwrap();
+        assert_eq!(v.keys(), vec![0xab]);
+        assert!(v.contains(0xab) && !v.contains(0xac));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_write_or_delete_keeps_a_resident_key() {
+        let dir = scratch("failed");
+        let mut v = FileVdev::open(&dir, None).unwrap();
+        // A directory squatting on the object path: writes and deletes of
+        // the key fail, and the path stays resident.
+        std::fs::create_dir(v.object_path(5)).unwrap();
+        assert!(matches!(v.write(5, b"frame"), Err(VdevError::Io(_))));
+        assert!(v.contains(5), "a failed write must not hide a resident path");
+        assert!(matches!(v.delete(5), Err(VdevError::Io(_))));
+        assert!(v.contains(5), "a failed delete must not hide a resident path");
+        assert_eq!(v.keys(), FileVdev::open(&dir, None).unwrap().keys());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -540,6 +540,108 @@ mod tests {
         assert!(invalid(zero.check_restored(5)), "zero window");
     }
 
+    /// Per-day digests for [`bounded_wire_digests_are_pinned_per_day`].
+    const PINNED_DAY_DIGESTS: [u64; 60] = [
+        0x8c29_0771_83d3_266c,
+        0x81e1_818f_4b55_7209,
+        0x09ea_cba6_df90_12f4,
+        0x3490_d7ed_3628_b076,
+        0x5e96_24ff_5ae6_d4f9,
+        0x39cd_c227_6ae0_f2f4,
+        0xb6e3_3eae_1487_06cc,
+        0x7d6d_0b2a_c13c_6aa6,
+        0xc06c_e743_56fd_fd52,
+        0x5d2e_c3d5_30a5_3493,
+        0x3810_e68e_9fff_68fb,
+        0xd210_5859_900e_6288,
+        0xf8ca_cc5d_9f91_8879,
+        0xdd73_14e4_2b36_9b1c,
+        0xd082_da93_d5ac_ca04,
+        0xcae6_a9fc_8ed6_1376,
+        0xb7ac_6653_5713_878d,
+        0x2351_350a_7446_5d68,
+        0xbeb2_b108_5931_40f2,
+        0x25c2_07ff_f0e5_c513,
+        0x9be9_5fd2_7055_eba8,
+        0x02ac_aa6a_d75d_550a,
+        0x4fb6_eec0_bcf9_2544,
+        0x6fa9_2e71_0eb8_cd13,
+        0x8b85_0f97_12c9_ada2,
+        0xaeba_c3c4_0c8e_a61e,
+        0x411f_7d34_1713_caa1,
+        0xa503_e5b6_10ca_d2f9,
+        0x4295_bed2_9059_7f09,
+        0x4d77_c292_e257_c131,
+        0xfdf7_7141_946e_a401,
+        0x6d3d_c972_f085_ba43,
+        0xeb76_894a_a024_4f86,
+        0xeb95_6ee5_df97_f88f,
+        0x3273_b145_c6f2_8389,
+        0xb105_5188_56ac_d95c,
+        0x9539_cdd6_6512_d405,
+        0x6c98_94e6_3019_a114,
+        0xb695_8e03_bfd9_c2c9,
+        0xe5da_1f19_965d_ca75,
+        0xf899_3380_ef13_1e04,
+        0x061b_7b49_13c6_cb76,
+        0xecc2_fd34_4aaa_ef80,
+        0x2a27_fe5c_3e33_5eeb,
+        0x3437_34c4_c942_858d,
+        0x6328_4ddc_9295_0d3a,
+        0x2453_bc78_79c8_4dd6,
+        0xde81_3be9_9c28_2067,
+        0x6da5_692d_3d63_95ac,
+        0xc561_bbd2_681c_8f45,
+        0x779a_5255_5a20_9ab5,
+        0xcb86_5049_d3f8_1b6a,
+        0x4126_c078_c7a6_5d77,
+        0xa6a1_6b30_2170_0477,
+        0x93b6_f260_0c66_0173,
+        0x6755_a807_7d9b_e39f,
+        0xa9c3_c365_162f_9bcb,
+        0x480e_6f34_a61a_53fc,
+        0x3d14_14ed_452c_34fd,
+        0x4198_e190_d6b6_0b26,
+    ];
+
+    /// The fnv1a64 of the bounded wire bytes after each closed day of a
+    /// seeded 300-file, 60-day trace at `max_tracked` 25, so 300 files
+    /// contend for the summary's 100 slots and most untracked arrivals
+    /// evict. The digests were recorded before `SpaceSaving` gained its
+    /// min-index, on the linear-scan eviction it replaced; any change to
+    /// eviction order shifts them. The benchmark's ledger pins cannot catch
+    /// that, because its offline-optimum policy ignores features.
+    #[test]
+    fn bounded_wire_digests_are_pinned_per_day() {
+        use crate::checkpoint::fnv1a64;
+        use crate::event::{EventSource, TraceSource};
+        use tracegen::{DiurnalProfile, Trace, TraceConfig};
+
+        let trace = Trace::generate(&TraceConfig::small(300, 60, 2020));
+        let mut source = TraceSource::new(&trace, DiurnalProfile::web_default(), 2020, 0);
+        let mut b = BoundedStats::new(BoundedConfig {
+            max_tracked: 25,
+            cms_width: 256,
+            cms_depth: 4,
+            window: 7,
+            seed: 2020,
+        });
+        let mut digests = Vec::new();
+        while let Some(batch) = source.next_batch() {
+            for e in &batch.events {
+                b.ingest(e);
+            }
+            b.close_day();
+            let mut wire = Vec::new();
+            b.write_wire(&mut wire);
+            digests.push(fnv1a64(&wire));
+        }
+        assert_eq!(digests.len(), PINNED_DAY_DIGESTS.len());
+        for (day, (got, want)) in digests.iter().zip(PINNED_DAY_DIGESTS).enumerate() {
+            assert_eq!(*got, want, "bounded state after day {day} drifted");
+        }
+    }
+
     #[test]
     fn bounded_stats_serialize_round_trip() {
         let mut b = tiny();

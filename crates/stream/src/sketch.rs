@@ -7,7 +7,8 @@
 //!   colliding mass, shrinking as `width` grows (Cormode & Muthukrishnan).
 //! * [`SpaceSaving`] — the top-`k` heavy-hitter summary (Metwally et al.):
 //!   at most `capacity` tracked ids, each with an exact-or-overestimated
-//!   count and the overestimation bound it inherited at admission.
+//!   count and the overestimation bound it inherited at admission. A lazy
+//!   min-index finds the entry to evict in `O(log k)` amortized.
 //!
 //! Both are deterministic: hashing derives from [`crate::mix64`] with an
 //! explicit seed, never from the process-randomized std hasher, and
@@ -17,7 +18,9 @@
 use crate::checkpoint::SnapshotError;
 use crate::mix64;
 use crate::wire::{invalid_state, put_column, put_len, put_u64_le, put_varint, Reader};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A count-min sketch over `u64` keys with saturating counters.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,17 +140,63 @@ pub struct SpaceSavingEntry {
 /// Entries are kept sorted by ascending id; eviction picks the minimum
 /// count, breaking ties on the smallest id, so the summary's evolution is
 /// a pure function of the update sequence.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The entry to evict comes from a lazy min-index: a heap holding one
+/// `(count, id)` key per entry, each key's count at most its entry's live
+/// count. A hit leaves the index alone. Eviction pops the smallest key; a
+/// stale one (its entry has since grown) is pushed back at the live count
+/// and the pop repeats. Counts only grow, so the first fresh key popped is
+/// the least `(count, id)` over all entries — the same entry a linear scan
+/// for the first minimum in id order finds. The index is derived state:
+/// it is not encoded, not serialized, not compared, and is rebuilt on
+/// every restore.
+#[derive(Clone, Debug)]
 pub struct SpaceSaving {
     capacity: usize,
     entries: Vec<SpaceSavingEntry>,
+    by_count: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl PartialEq for SpaceSaving {
+    fn eq(&self, other: &SpaceSaving) -> bool {
+        self.capacity == other.capacity && self.entries == other.entries
+    }
+}
+
+impl Eq for SpaceSaving {}
+
+impl Serialize for SpaceSaving {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("capacity".to_owned(), self.capacity.to_value()),
+            ("entries".to_owned(), self.entries.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for SpaceSaving {
+    fn from_value(v: &Value) -> Result<SpaceSaving, DeError> {
+        let Value::Map(map) = v else {
+            return Err(DeError::expected("object", v));
+        };
+        Ok(SpaceSaving::indexed(
+            serde::get_field(map, "capacity")?,
+            serde::get_field(map, "entries")?,
+        ))
+    }
 }
 
 impl SpaceSaving {
     /// A summary tracking at most `capacity` keys (clamped to at least 1).
     #[must_use]
     pub fn new(capacity: usize) -> SpaceSaving {
-        SpaceSaving { capacity: capacity.max(1), entries: Vec::new() }
+        SpaceSaving::indexed(capacity.max(1), Vec::new())
+    }
+
+    /// A summary over restored `entries`, with its min-index rebuilt.
+    fn indexed(capacity: usize, entries: Vec<SpaceSavingEntry>) -> SpaceSaving {
+        let by_count = entries.iter().map(|e| Reverse((e.count, e.id))).collect();
+        SpaceSaving { capacity, entries, by_count }
     }
 
     /// Maximum number of tracked keys.
@@ -173,33 +222,50 @@ impl SpaceSaving {
             }
             Err(pos) if self.entries.len() < self.capacity => {
                 self.entries.insert(pos, SpaceSavingEntry { id, count, overestimate: 0 });
+                self.by_count.push(Reverse((count, id)));
             }
-            Err(_) => {
-                // min_by_key keeps the first minimum, and entries are sorted
-                // by ascending id, so ties evict the smallest id.
-                let Some((min_pos, floor)) = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, e)| e.count)
-                    .map(|(i, e)| (i, e.count))
-                else {
+            Err(pos) => {
+                let Some((min_pos, floor)) = self.pop_min() else {
                     return; // full implies non-empty (capacity >= 1)
                 };
-                self.entries.remove(min_pos);
-                let ins = match self.entries.binary_search_by_key(&id, |e| e.id) {
-                    Ok(pos) | Err(pos) => pos,
+                let admitted = SpaceSavingEntry {
+                    id,
+                    count: floor.saturating_add(count),
+                    overestimate: floor,
                 };
-                self.entries.insert(
-                    ins,
-                    SpaceSavingEntry {
-                        id,
-                        count: floor.saturating_add(count),
-                        overestimate: floor,
-                    },
-                );
+                // Slide the evicted entry's slot to `id`'s place in id order
+                // (`pos` counts the evicted entry), shifting only the entries
+                // between the two.
+                let slot = if min_pos < pos { pos - 1 } else { pos };
+                if let Some(span) = self.entries.get_mut(min_pos.min(slot)..=min_pos.max(slot)) {
+                    if slot > min_pos {
+                        span.rotate_left(1);
+                    } else {
+                        span.rotate_right(1);
+                    }
+                }
+                if let Some(e) = self.entries.get_mut(slot) {
+                    *e = admitted;
+                }
+                self.by_count.push(Reverse((admitted.count, id)));
             }
         }
+    }
+
+    /// Pops the min-index down to its first fresh key and returns that
+    /// entry's position and count: the least `(count, id)` entry.
+    fn pop_min(&mut self) -> Option<(usize, u64)> {
+        while let Some(Reverse((count, id))) = self.by_count.pop() {
+            let Ok(pos) = self.entries.binary_search_by_key(&id, |e| e.id) else {
+                continue; // unreachable: every entry has exactly one key
+            };
+            let live = self.entries.get(pos).map_or(count, |e| e.count);
+            if live == count {
+                return Some((pos, count));
+            }
+            self.by_count.push(Reverse((live, id)));
+        }
+        None
     }
 
     /// The tracked estimate for `id`, if currently tracked.
@@ -246,7 +312,7 @@ impl SpaceSaving {
                 overestimate: r.varint("heavy-hitter overestimate")?,
             });
         }
-        Ok(SpaceSaving { capacity, entries })
+        Ok(SpaceSaving::indexed(capacity, entries))
     }
 
     /// Checks what [`SpaceSaving::add`]'s binary searches rely on: a
@@ -367,7 +433,7 @@ mod tests {
         let (a, b) = (ss.entries[0], ss.entries[1]);
         for (capacity, entries) in [(2, vec![b, a]), (2, vec![a, a]), (1, vec![a, b]), (0, vec![])]
         {
-            assert!(invalid(SpaceSaving { capacity, entries }.check_restored()));
+            assert!(invalid(SpaceSaving::indexed(capacity, entries).check_restored()));
         }
     }
 
@@ -384,6 +450,87 @@ mod tests {
         ss.add(1, 9);
         let ss2: SpaceSaving = serde_json::from_str(&serde_json::to_string(&ss).unwrap()).unwrap();
         assert_eq!(ss2, ss);
+    }
+
+    /// The linear-scan eviction [`SpaceSaving::add`] used before its
+    /// min-index, kept as the reference the indexed summary must match.
+    struct LinearSpaceSaving {
+        capacity: usize,
+        entries: Vec<SpaceSavingEntry>,
+    }
+
+    impl LinearSpaceSaving {
+        fn add(&mut self, id: u32, count: u64) {
+            match self.entries.binary_search_by_key(&id, |e| e.id) {
+                Ok(pos) => {
+                    let e = &mut self.entries[pos];
+                    e.count = e.count.saturating_add(count);
+                }
+                Err(pos) if self.entries.len() < self.capacity => {
+                    self.entries.insert(pos, SpaceSavingEntry { id, count, overestimate: 0 });
+                }
+                Err(_) => {
+                    // min_by_key keeps the first minimum, and entries are
+                    // sorted by ascending id, so ties evict the smallest id.
+                    let (min_pos, floor) = self
+                        .entries
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|&(_, e)| e.count)
+                        .map(|(i, e)| (i, e.count))
+                        .unwrap();
+                    self.entries.remove(min_pos);
+                    let ins = match self.entries.binary_search_by_key(&id, |e| e.id) {
+                        Ok(pos) | Err(pos) => pos,
+                    };
+                    self.entries.insert(
+                        ins,
+                        SpaceSavingEntry {
+                            id,
+                            count: floor.saturating_add(count),
+                            overestimate: floor,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The indexed summary evicts exactly what a linear scan for the
+        /// first minimum in id order evicts, after every update: small
+        /// counts force ties, counts near `u64::MAX` saturate, and a wire
+        /// or serde round trip mid-sequence rebuilds the index, after which
+        /// both copies keep being fed.
+        #[test]
+        fn space_saving_matches_linear_scan_oracle(
+            updates in proptest::collection::vec((0u32..24, 0u64..20), 1..300),
+            capacity in 1usize..=12,
+            restore_at in 0usize..300,
+            via_serde in any::<bool>(),
+        ) {
+            let mut ss = SpaceSaving::new(capacity);
+            let mut oracle = LinearSpaceSaving { capacity, entries: Vec::new() };
+            for (i, &(id, draw)) in updates.iter().enumerate() {
+                // Mostly 1..=3 (ties); one draw in ten is u64::MAX or one less.
+                let count = if draw < 18 { 1 + draw % 3 } else { u64::MAX - (draw - 18) };
+                if i == restore_at {
+                    ss = if via_serde {
+                        serde_json::from_str(&serde_json::to_string(&ss).unwrap()).unwrap()
+                    } else {
+                        let mut wire = Vec::new();
+                        ss.write_wire(&mut wire);
+                        SpaceSaving::read_wire(&mut Reader::new(&wire)).unwrap()
+                    };
+                }
+                ss.add(id, count);
+                oracle.add(id, count);
+                prop_assert_eq!(ss.entries(), oracle.entries.as_slice());
+                prop_assert_eq!(ss.by_count.len(), ss.entries.len());
+            }
+        }
     }
 
     proptest! {
