@@ -53,7 +53,7 @@ fn serve_exit_code(e: &ServeError) -> u8 {
         ServeError::RetriesExhausted { .. } => 4,
         ServeError::Pool(_) => 5,
         ServeError::InjectedCrash(_) => 6,
-        ServeError::Stream(_) => 1,
+        ServeError::Stream(_) | ServeError::Policy(_) => 1,
     }
 }
 

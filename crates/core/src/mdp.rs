@@ -220,7 +220,7 @@ impl<T: Deref<Target = Trace>> TieringEnv<T> {
     fn reset_episode(&mut self) -> Vec<f64> {
         self.file_ix = self.rng.random_range(0..self.trace.files.len());
         // Episodes start at day >= 1: the day-0 state is all padding and
-        // identical across files (see RlPolicy::decide_one), so training
+        // identical across files (see RlPolicy::decide_batch_into), so training
         // on it would only teach a blind majority action.
         let latest_start = self.trace.days - self.cfg.episode_len;
         self.day =

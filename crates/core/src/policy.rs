@@ -105,85 +105,29 @@ impl<'a> DecisionContext<'a> {
 
 /// A data-storage-type assignment strategy.
 ///
-/// Implementors provide [`Policy::decide_one`] (and may override
-/// [`Policy::decide_batch_into`] when a batched formulation is cheaper, as
-/// the RL policy's single network pass is) plus [`Policy::fork`], which
-/// the parallel engine uses to give each shard worker a private instance.
-///
-/// The batch API is *buffer-reusing*: the engine's day loop calls
-/// [`Policy::decide_batch_into`] with one decision buffer hoisted outside
-/// the loop, so steady-state decision sweeps allocate nothing (the F5
+/// A policy decides a whole batch at once through
+/// [`Policy::decide_batch_into`], and [`Policy::fork`] gives each parallel
+/// shard worker a private instance. The call is *buffer-reusing*: the
+/// engine's day loop and serve both hoist one decision buffer outside the
+/// loop, so steady-state decision sweeps allocate nothing (the F5
 /// `hot-alloc` gate in `cargo xtask check` enforces this).
-/// [`Policy::decide_batch`] is the owned-buffer convenience wrapper.
-///
-/// # Determinism contract
-///
-/// `decide_one(ctx, slot)` must be a pure function of
-/// `(file, day, current-tier-of-that-file, policy state)`, and
-/// `decide_batch_into` must equal slot-wise `decide_one` bit-for-bit —
-/// regardless of the buffer's prior contents — so that sharded and
-/// single-threaded simulations produce identical ledgers (DESIGN.md §9).
-/// The policy-conformance suite in `tests/policy_conformance.rs` enforces
-/// both properties for every shipped policy.
 pub trait Policy: Send {
     /// Short name for reports ("hot", "greedy", "minicost", ...).
     fn name(&self) -> &'static str;
 
-    /// Tier for the single batch entry `slot` of `ctx`.
-    fn decide_one(&mut self, ctx: &DecisionContext<'_>, slot: usize) -> Tier;
-
     /// Writes one tier per batch entry of `ctx` into `out`, in batch
     /// order, replacing whatever `out` held before.
     ///
-    /// The default implementation maps [`Policy::decide_one`] over the
-    /// batch; override it only with an implementation that writes the
-    /// exact same tiers. Implementations must fully overwrite `out`
-    /// (clear-then-fill) so a dirty reused buffer can never leak a stale
-    /// decision.
-    fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>) {
-        out.clear();
-        out.extend((0..ctx.len()).map(|slot| self.decide_one(ctx, slot)));
-    }
-
-    /// Tiers for every batch entry of `ctx`, one per file, in batch order.
+    /// # Determinism contract
     ///
-    /// Owned-buffer convenience over [`Policy::decide_batch_into`] for
-    /// call sites outside the engine's day loop; the sharded engine reuses
-    /// one buffer instead.
-    fn decide_batch(&mut self, ctx: &DecisionContext<'_>) -> Vec<Tier> {
-        let mut out = Vec::new();
-        self.decide_batch_into(ctx, &mut out);
-        out
-    }
-
-    /// Decides the whole columnar fleet in one batch (convenience for call
-    /// sites outside the sharded engine). `current` must hold one tier per
-    /// fleet file.
-    fn decide_full(
-        &mut self,
-        day: usize,
-        fleet: &FleetState,
-        model: &CostModel,
-        current: &[Tier],
-    ) -> Vec<Tier> {
-        assert_eq!(current.len(), fleet.len(), "one current tier per file");
-        let batch: Vec<usize> = (0..fleet.len()).collect();
-        let ctx = DecisionContext { day, fleet, model, batch: &batch, current };
-        self.decide_batch(&ctx)
-    }
-
-    /// [`Policy::decide_full`] from a row-major [`Trace`]: columnarizes the
-    /// trace first, so only suitable for one-shot calls (tests, examples) —
-    /// repeated callers should build the [`FleetState`] once themselves.
-    fn decide_fleet(
-        &mut self,
-        day: usize,
-        trace: &Trace,
-        model: &CostModel,
-        current: &[Tier],
-    ) -> Vec<Tier> {
-        self.decide_full(day, &FleetState::from_trace(trace), model, current)
-    }
+    /// The tier written for a file must be a pure function of
+    /// `(file, day, current-tier-of-that-file, policy state)`, never of
+    /// which other files share the batch nor of the buffer's prior
+    /// contents (implementations clear `out`, then fill it), so that
+    /// sharded and single-threaded simulations produce identical ledgers
+    /// (DESIGN.md §9). The policy-conformance suite in
+    /// `tests/policy_conformance.rs` enforces this for every shipped policy.
+    fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>);
 
     /// An independent copy for a parallel shard worker.
     ///
@@ -213,10 +157,6 @@ impl Policy for SingleTierPolicy {
         self.name
     }
 
-    fn decide_one(&mut self, _ctx: &DecisionContext<'_>, _slot: usize) -> Tier {
-        self.tier
-    }
-
     fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>) {
         out.clear();
         out.resize(ctx.len(), self.tier);
@@ -236,10 +176,6 @@ impl Policy for HotPolicy {
         "hot"
     }
 
-    fn decide_one(&mut self, _ctx: &DecisionContext<'_>, _slot: usize) -> Tier {
-        Tier::Hot
-    }
-
     fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>) {
         out.clear();
         out.resize(ctx.len(), Tier::Hot);
@@ -257,10 +193,6 @@ pub struct ColdPolicy;
 impl Policy for ColdPolicy {
     fn name(&self) -> &'static str {
         "cold"
-    }
-
-    fn decide_one(&mut self, _ctx: &DecisionContext<'_>, _slot: usize) -> Tier {
-        Tier::Cool
     }
 
     fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>) {
@@ -285,24 +217,26 @@ impl Policy for GreedyPolicy {
         "greedy"
     }
 
-    fn decide_one(&mut self, ctx: &DecisionContext<'_>, slot: usize) -> Tier {
-        let cur = ctx.current[slot];
-        let size_gb = ctx.size_gb(slot);
-        let (r, w) = ctx.day_counts(slot);
-        let q = |t: Tier| {
-            ctx.model.policy().change_cost(cur, t, size_gb)
-                + ctx.model.steady_day_cost(size_gb, r, w, t)
-        };
-        // Each tier is priced once; the first minimum wins, so ties
-        // (`flat()`, or costs saturated at `Money::MAX`) keep the hotter tier.
-        let mut best = (Tier::Hot, q(Tier::Hot));
-        for t in [Tier::Cool, Tier::Archive] {
-            let cost = q(t);
-            if cost < best.1 {
-                best = (t, cost);
+    fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>) {
+        out.clear();
+        out.extend(ctx.current.iter().enumerate().map(|(slot, &cur)| {
+            let size_gb = ctx.size_gb(slot);
+            let (r, w) = ctx.day_counts(slot);
+            let q = |t: Tier| {
+                ctx.model.policy().change_cost(cur, t, size_gb)
+                    + ctx.model.steady_day_cost(size_gb, r, w, t)
+            };
+            // Each tier is priced once; the first minimum wins, so ties
+            // (`flat()`, or costs saturated at `Money::MAX`) keep the hotter tier.
+            let mut best = (Tier::Hot, q(Tier::Hot));
+            for t in [Tier::Cool, Tier::Archive] {
+                let cost = q(t);
+                if cost < best.1 {
+                    best = (t, cost);
+                }
             }
-        }
-        best.0
+            best.0
+        }));
     }
 
     fn fork(&self) -> Box<dyn Policy> {
@@ -340,8 +274,9 @@ impl Policy for OptimalPolicy {
         "optimal"
     }
 
-    fn decide_one(&mut self, ctx: &DecisionContext<'_>, slot: usize) -> Tier {
-        self.plans[ctx.global(slot)][ctx.day]
+    fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>) {
+        out.clear();
+        out.extend(ctx.batch.iter().map(|&ix| self.plans[ix][ctx.day]));
     }
 
     fn fork(&self) -> Box<dyn Policy> {
@@ -406,30 +341,6 @@ impl Policy for RlPolicy {
         self.name
     }
 
-    fn decide_one(&mut self, ctx: &DecisionContext<'_>, slot: usize) -> Tier {
-        let current = ctx.current[slot];
-        if ctx.day == 0 {
-            // Nothing has been observed yet: every file encodes to the same
-            // all-padding state, so acting would apply one blind action to
-            // the whole catalog (catastrophic for the traffic head). Hold
-            // the current tier until the first observation arrives.
-            return current;
-        }
-        // The batch path's kernel and hoisted block, for one row.
-        self.block.reset(1, self.features.state_dim());
-        self.features.encode_slices(
-            self.block.row_mut(0),
-            ctx.history(slot, self.features.window),
-            ctx.day,
-            ctx.size_gb(slot),
-            current,
-        );
-        let logits = self.actor.infer_into(self.block.matrix(), &mut self.scratch);
-        // The actor emits one logit per tier, so argmax is always a valid
-        // index; hold the current tier if the network is ever mis-sized.
-        Tier::from_index(argmax(logits.row(0))).unwrap_or(current)
-    }
-
     /// Greedy actions for the whole batch in one network pass.
     ///
     /// The batch is featurized straight off the columnar fleet into the
@@ -437,8 +348,12 @@ impl Policy for RlPolicy {
     /// stateless, buffer-reusing [`nn::Network::infer_into`], so the steady-state
     /// sweep allocates nothing — this is what makes the daily decision
     /// sweep of Fig. 12 cheap at scale. Every forward row depends only on
-    /// its own input row, so the result is bit-identical to slot-wise
-    /// [`Policy::decide_one`] regardless of batch composition.
+    /// its own input row, so a file's tier never depends on the batch.
+    ///
+    /// On day 0 nothing has been observed yet: every file would encode to
+    /// the same all-padding state, so acting would apply one blind action
+    /// to the whole catalog (catastrophic for the traffic head). The batch
+    /// holds its current tiers until the first observation arrives.
     fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>) {
         out.clear();
         if ctx.day == 0 || ctx.is_empty() {
@@ -458,6 +373,26 @@ impl Policy for RlPolicy {
     fn fork(&self) -> Box<dyn Policy> {
         Box::new(RlPolicy::sharing(Arc::clone(&self.actor), self.spec, self.features))
     }
+}
+
+/// Decides every file of `trace` on `day` in one batch: the unit tests'
+/// one-shot form of [`Policy::decide_batch_into`].
+#[cfg(test)]
+pub(crate) fn decide_trace(
+    policy: &mut dyn Policy,
+    day: usize,
+    trace: &Trace,
+    model: &CostModel,
+    current: &[Tier],
+) -> Vec<Tier> {
+    let fleet = FleetState::from_trace(trace);
+    let batch: Vec<usize> = (0..fleet.len()).collect();
+    let mut out = Vec::new();
+    policy.decide_batch_into(
+        &DecisionContext { day, fleet: &fleet, model, batch: &batch, current },
+        &mut out,
+    );
+    out
 }
 
 #[cfg(test)]
@@ -487,6 +422,12 @@ mod tests {
         DecisionContext { day, fleet, model, batch, current }
     }
 
+    fn decide(policy: &mut dyn Policy, c: &DecisionContext<'_>) -> Vec<Tier> {
+        let mut out = Vec::new();
+        policy.decide_batch_into(c, &mut out);
+        out
+    }
+
     fn test_spec() -> NetSpec {
         NetSpec {
             window: 4,
@@ -507,10 +448,10 @@ mod tests {
         let batch = fleet(trace.len());
         let current = vec![Tier::Hot; trace.len()];
         let c = ctx(&columns, &model, 0, &batch, &current);
-        assert!(HotPolicy.decide_batch(&c).iter().all(|&t| t == Tier::Hot));
-        assert!(ColdPolicy.decide_batch(&c).iter().all(|&t| t == Tier::Cool));
+        assert!(decide(&mut HotPolicy, &c).iter().all(|&t| t == Tier::Hot));
+        assert!(decide(&mut ColdPolicy, &c).iter().all(|&t| t == Tier::Cool));
         let mut archive = SingleTierPolicy::new(Tier::Archive);
-        assert!(archive.decide_batch(&c).iter().all(|&t| t == Tier::Archive));
+        assert!(decide(&mut archive, &c).iter().all(|&t| t == Tier::Archive));
         assert_eq!(HotPolicy.name(), "hot");
         assert_eq!(ColdPolicy.name(), "cold");
         assert_eq!(archive.name(), "archive");
@@ -523,7 +464,7 @@ mod tests {
         let batch = fleet(trace.len());
         let current = vec![Tier::Hot; trace.len()];
         let c = ctx(&columns, &model, 5, &batch, &current);
-        let decision = GreedyPolicy.decide_batch(&c);
+        let decision = decide(&mut GreedyPolicy, &c);
         for (i, (&chosen, file)) in decision.iter().zip(&trace.files).enumerate() {
             let (r, w) = file.day(5);
             let cost_of = |t: Tier| {
@@ -553,7 +494,7 @@ mod tests {
         };
         let trace = Trace { days: 1, files: vec![file] };
         let current = vec![Tier::Cool];
-        let decision = GreedyPolicy.decide_fleet(0, &trace, &model, &current);
+        let decision = decide_trace(&mut GreedyPolicy, 0, &trace, &model, &current);
         assert_eq!(decision[0], Tier::Cool, "change cost must deter the move");
 
         // Sanity check of the premise: with two reads the saving flips and
@@ -565,7 +506,7 @@ mod tests {
             writes: vec![0],
         };
         let trace2 = Trace { days: 1, files: vec![file2] };
-        assert_eq!(GreedyPolicy.decide_fleet(0, &trace2, &model, &current)[0], Tier::Hot);
+        assert_eq!(decide_trace(&mut GreedyPolicy, 0, &trace2, &model, &current)[0], Tier::Hot);
     }
 
     /// The reference greedy: `reduce` re-prices the running best at every
@@ -578,7 +519,7 @@ mod tests {
     }
 
     /// Decides a one-day fleet of `(current, size, reads, writes)` files,
-    /// asserting `decide_one` matches the `reduce` oracle on every file.
+    /// asserting greedy matches the `reduce` oracle on every file.
     fn greedy_against_reduce(model: &CostModel, files: &[(Tier, f64, u64, u64)]) -> Vec<Tier> {
         let trace = Trace {
             days: 1,
@@ -597,16 +538,15 @@ mod tests {
         let batch = fleet(files.len());
         let current: Vec<Tier> = files.iter().map(|f| f.0).collect();
         let c = ctx(&columns, model, 0, &batch, &current);
-        let mut decided = Vec::with_capacity(files.len());
-        for (slot, &(cur, size_gb, r, w)) in files.iter().enumerate() {
-            let tier = GreedyPolicy.decide_one(&c, slot);
+        let decided = decide(&mut GreedyPolicy, &c);
+        assert_eq!(decided.len(), files.len());
+        for (&tier, &(cur, size_gb, r, w)) in decided.iter().zip(files) {
             assert_eq!(
                 tier,
                 greedy_by_reduce(model, cur, size_gb, r, w),
                 "{} from {cur}: {size_gb} GB, {r} reads, {w} writes",
                 model.policy().name
             );
-            decided.push(tier);
         }
         decided
     }
@@ -676,7 +616,7 @@ mod tests {
         assert!(opt.planned_cost > Money::ZERO);
         let current = vec![Tier::Hot; trace.len()];
         for day in [0usize, 7, 13] {
-            let decision = opt.decide_fleet(day, &trace, &model, &current);
+            let decision = decide_trace(&mut opt, day, &trace, &model, &current);
             assert_eq!(decision.len(), trace.len());
             for (plan, &tier) in opt.plans.iter().zip(&decision) {
                 assert_eq!(plan[day], tier);
@@ -696,7 +636,7 @@ mod tests {
         let batch = vec![7usize, 12, 25];
         let current = vec![Tier::Hot; batch.len()];
         let c = ctx(&columns, &model, 9, &batch, &current);
-        let decision = opt.decide_batch(&c);
+        let decision = decide(&mut opt, &c);
         for (slot, &ix) in batch.iter().enumerate() {
             assert_eq!(decision[slot], opt.plans[ix][9]);
         }
@@ -710,7 +650,7 @@ mod tests {
         let mut policy = RlPolicy::from_params(spec, &actor.param_vector(), features);
         let (trace, model) = setup();
         let current = vec![Tier::Hot; trace.len()];
-        let decision = policy.decide_fleet(6, &trace, &model, &current);
+        let decision = decide_trace(&mut policy, 6, &trace, &model, &current);
         assert_eq!(decision.len(), trace.len());
         assert_eq!(policy.name(), "minicost");
     }
@@ -725,8 +665,8 @@ mod tests {
         let (trace, model) = setup();
         let current = vec![Tier::Cool; trace.len()];
         assert_eq!(
-            p1.decide_fleet(9, &trace, &model, &current),
-            p2.decide_fleet(9, &trace, &model, &current)
+            decide_trace(&mut p1, 9, &trace, &model, &current),
+            decide_trace(&mut p2, 9, &trace, &model, &current)
         );
     }
 
@@ -742,9 +682,14 @@ mod tests {
         let current: Vec<Tier> =
             (0..trace.len()).map(|i| Tier::from_index(i % 3).unwrap()).collect();
         for day in [0usize, 1, 7] {
-            let c = ctx(&columns, &model, day, &batch, &current);
-            let batched = policy.decide_batch(&c);
-            let singly: Vec<Tier> = (0..c.len()).map(|slot| policy.decide_one(&c, slot)).collect();
+            let batched = decide(&mut policy, &ctx(&columns, &model, day, &batch, &current));
+            let singly: Vec<Tier> = batch
+                .iter()
+                .flat_map(|&ix| {
+                    let (one, cur) = ([ix], [current[ix]]);
+                    decide(&mut policy, &ctx(&columns, &model, day, &one, &cur))
+                })
+                .collect();
             assert_eq!(batched, singly, "day {day}");
         }
     }
@@ -773,7 +718,7 @@ mod tests {
             for policy in &mut policies {
                 let mut dirty = vec![Tier::Archive; trace.len() + 17];
                 policy.decide_batch_into(&c, &mut dirty);
-                assert_eq!(dirty, policy.decide_batch(&c), "{} day {day}", policy.name());
+                assert_eq!(dirty, decide(policy.as_mut(), &c), "{} day {day}", policy.name());
             }
         }
     }
@@ -788,8 +733,8 @@ mod tests {
         let (trace, model) = setup();
         let current = vec![Tier::Hot; trace.len()];
         assert_eq!(
-            policy.decide_fleet(6, &trace, &model, &current),
-            fork.decide_fleet(6, &trace, &model, &current)
+            decide_trace(&mut policy, 6, &trace, &model, &current),
+            decide_trace(fork.as_mut(), 6, &trace, &model, &current)
         );
         assert_eq!(fork.name(), "minicost");
     }
@@ -806,9 +751,9 @@ mod tests {
         let (trace, model) = setup();
         let current = vec![Tier::Cool; trace.len()];
         let mut own = policy;
-        let expect = own.decide_fleet(4, &trace, &model, &current);
+        let expect = decide_trace(&mut own, 4, &trace, &model, &current);
         for fork in &mut forks {
-            assert_eq!(fork.decide_fleet(4, &trace, &model, &current), expect);
+            assert_eq!(decide_trace(fork.as_mut(), 4, &trace, &model, &current), expect);
         }
         drop(forks);
         assert_eq!(Arc::strong_count(&own.actor), 1);

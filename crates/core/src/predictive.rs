@@ -142,35 +142,41 @@ impl<F: forecast::Forecaster + Clone + Send + 'static> Policy for PredictivePoli
         "predictive"
     }
 
-    fn decide_one(&mut self, ctx: &DecisionContext<'_>, slot: usize) -> Tier {
+    fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>) {
+        out.clear();
+        if ctx.is_empty() {
+            // Deciding nothing must not open a refit window either.
+            return;
+        }
         self.refit_if_due(ctx.day, ctx.fleet.len());
         let at = self.planned_at.unwrap_or(ctx.day);
-        let global = ctx.global(slot);
-        let cur = ctx.current[slot];
-        if self.plans.len() <= global {
-            self.plans.resize(global + 1, None);
-        }
-        if self.plans[global].is_none() {
-            let plan = if at == 0 {
-                // Nothing observed yet; hold (same rationale as RlPolicy's
-                // day-0 rule).
-                vec![cur; self.horizon]
-            } else {
-                // History is cut at the refit day, so a plan built lazily
-                // later in the window is identical to one built at refit.
-                self.plan_file(
-                    ctx.reads(slot),
-                    ctx.writes(slot),
-                    ctx.size_gb(slot),
-                    at,
-                    cur,
-                    ctx.model,
-                )
-            };
-            self.plans[global] = Some(plan);
-        }
         let offset = ctx.day - at;
-        self.plans[global].as_ref().and_then(|plan| plan.get(offset)).copied().unwrap_or(cur)
+        for (slot, (&global, &cur)) in ctx.batch.iter().zip(ctx.current).enumerate() {
+            if self.plans.len() <= global {
+                self.plans.resize(global + 1, None);
+            }
+            if self.plans[global].is_none() {
+                let plan = if at == 0 {
+                    // Nothing observed yet; hold (same rationale as RlPolicy's
+                    // day-0 rule).
+                    vec![cur; self.horizon]
+                } else {
+                    // History is cut at the refit day, so a plan built lazily
+                    // later in the window is identical to one built at refit.
+                    self.plan_file(
+                        ctx.reads(slot),
+                        ctx.writes(slot),
+                        ctx.size_gb(slot),
+                        at,
+                        cur,
+                        ctx.model,
+                    )
+                };
+                self.plans[global] = Some(plan);
+            }
+            let planned = self.plans[global].as_ref().and_then(|plan| plan.get(offset));
+            out.push(planned.copied().unwrap_or(cur));
+        }
     }
 
     fn fork(&self) -> Box<dyn Policy> {
@@ -189,7 +195,7 @@ impl<F: forecast::Forecaster + Clone + Send + 'static> Policy for PredictivePoli
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{HotPolicy, OptimalPolicy};
+    use crate::policy::{decide_trace, HotPolicy, OptimalPolicy};
     use crate::sim::{simulate, SimConfig};
     use forecast::{Naive, SeasonalNaive};
     use pricing::{CostModel, PricingPolicy};
@@ -247,11 +253,11 @@ mod tests {
         let mut policy = PredictivePolicy::new(Naive, 7);
         let current = vec![Tier::Hot; trace.len()];
         // Decisions inside one window come from one plan (same object).
-        let d7 = policy.decide_fleet(7, &trace, &model, &current);
+        let d7 = decide_trace(&mut policy, 7, &trace, &model, &current);
         let planned_at = policy.planned_at;
-        let _ = policy.decide_fleet(9, &trace, &model, &current);
+        let _ = decide_trace(&mut policy, 9, &trace, &model, &current);
         assert_eq!(policy.planned_at, planned_at, "no refit inside the window");
-        let _ = policy.decide_fleet(14, &trace, &model, &current);
+        let _ = decide_trace(&mut policy, 14, &trace, &model, &current);
         assert_ne!(policy.planned_at, planned_at, "refit at the boundary");
         assert_eq!(d7.len(), trace.len());
     }
@@ -261,7 +267,7 @@ mod tests {
         let (trace, model) = setup();
         let mut policy = PredictivePolicy::new(Naive, 7);
         let current = vec![Tier::Archive; trace.len()];
-        let decision = policy.decide_fleet(0, &trace, &model, &current);
+        let decision = decide_trace(&mut policy, 0, &trace, &model, &current);
         assert!(decision.iter().all(|&t| t == Tier::Archive));
     }
 

@@ -41,7 +41,7 @@
 
 use crate::engine::bill_day;
 use crate::fleet::FleetState;
-use crate::policy::Policy;
+use crate::policy::{DecisionContext, Policy};
 use crate::sim::SimResult;
 use crate::supervise::{IncidentKind, IncidentLog, SuperviseConfig, Supervisor};
 use pricing::{CostLedger, CostModel, Money, Tier, TIER_COUNT};
@@ -54,8 +54,8 @@ use store::{
 };
 use stream::{
     rotate, rotation_candidates, BoundedConfig, BoundedStats, DayBatch, Event, EventSource,
-    ExactStats, FaultyBackend, FaultySource, FsBackend, Snapshot, SnapshotError, StorageBackend,
-    TraceSource, SNAPSHOT_VERSION,
+    ExactStats, FaultyBackend, FaultySource, FileStats, FsBackend, Snapshot, SnapshotError,
+    StorageBackend, TraceSource, SNAPSHOT_VERSION,
 };
 use tracegen::{DiurnalProfile, Trace};
 
@@ -153,6 +153,9 @@ pub enum ServeError {
     /// The run aborted *before* billing the day; a restart from the last
     /// checkpoint replays it deterministically (CLI exit code 6).
     InjectedCrash(String),
+    /// The policy did not decide exactly one tier per file; the day was
+    /// not billed (CLI exit code 1).
+    Policy(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -168,6 +171,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Stream(msg) => write!(f, "event stream error: {msg}"),
             ServeError::Pool(msg) => write!(f, "unrecoverable pool error: {msg}"),
             ServeError::InjectedCrash(msg) => write!(f, "injected crash: {msg}"),
+            ServeError::Policy(msg) => write!(f, "policy error: {msg}"),
         }
     }
 }
@@ -235,6 +239,15 @@ pub struct StoreReport {
     pub io: [TierIo; TIER_COUNT],
 }
 
+/// The online statistics of a serving run, in exactly one mode.
+#[expect(clippy::large_enum_variant, reason = "one per serving run, never moved in the day loop")]
+enum Stats {
+    /// Exact per-file rings ([`ServeConfig::max_tracked`] = `None`).
+    Exact(ExactStats),
+    /// Exact rings for the heaviest files, sketches for the rest.
+    Bounded(BoundedStats),
+}
+
 /// Mutable serving state; mirrors [`Snapshot`] field-for-field.
 struct ServeState {
     next_day: usize,
@@ -245,24 +258,20 @@ struct ServeState {
     occupancy: Vec<[usize; TIER_COUNT]>,
     tier_changes: u64,
     billed_change_bytes: u64,
-    exact: Option<ExactStats>,
-    bounded: Option<BoundedStats>,
+    stats: Stats,
 }
 
 impl ServeState {
     fn fresh(cfg: &ServeConfig, fleet: usize) -> ServeState {
-        let (exact, bounded) = match cfg.max_tracked {
-            None => (Some(ExactStats::new(cfg.window, fleet)), None),
-            Some(k) => (
-                None,
-                Some(BoundedStats::new(BoundedConfig {
-                    max_tracked: k,
-                    cms_width: 2048,
-                    cms_depth: 4,
-                    window: cfg.window,
-                    seed: cfg.seed,
-                })),
-            ),
+        let stats = match cfg.max_tracked {
+            None => Stats::Exact(ExactStats::new(cfg.window, fleet)),
+            Some(k) => Stats::Bounded(BoundedStats::new(BoundedConfig {
+                max_tracked: k,
+                cms_width: 2048,
+                cms_depth: 4,
+                window: cfg.window,
+                seed: cfg.seed,
+            })),
         };
         ServeState {
             next_day: 0,
@@ -273,12 +282,13 @@ impl ServeState {
             occupancy: Vec::new(),
             tier_changes: 0,
             billed_change_bytes: 0,
-            exact,
-            bounded,
+            stats,
         }
     }
 
-    fn from_snapshot(snap: Snapshot) -> ServeState {
+    /// The state of `snap`, serving in the statistics mode `stats` that
+    /// [`check_snapshot`] took from it.
+    fn from_snapshot(snap: Snapshot, stats: Stats) -> ServeState {
         ServeState {
             next_day: snap.next_day,
             epoch: snap.epoch,
@@ -288,12 +298,15 @@ impl ServeState {
             occupancy: snap.occupancy,
             tier_changes: snap.tier_changes,
             billed_change_bytes: snap.billed_change_bytes,
-            exact: snap.exact,
-            bounded: snap.bounded,
+            stats,
         }
     }
 
     fn to_snapshot(&self, cfg: &ServeConfig, policy_name: &str) -> Snapshot {
+        let (exact, bounded) = match &self.stats {
+            Stats::Exact(exact) => (Some(exact.clone()), None),
+            Stats::Bounded(bounded) => (None, Some(bounded.clone())),
+        };
         Snapshot {
             version: SNAPSHOT_VERSION,
             policy_name: policy_name.to_owned(),
@@ -309,8 +322,8 @@ impl ServeState {
             occupancy: self.occupancy.clone(),
             tier_changes: self.tier_changes,
             billed_change_bytes: self.billed_change_bytes,
-            exact: self.exact.clone(),
-            bounded: self.bounded.clone(),
+            exact,
+            bounded,
         }
     }
 
@@ -319,11 +332,9 @@ impl ServeState {
     fn ingest(&mut self, fleet: &mut FleetState, day: usize, events: &[Event]) {
         fleet.open_day(day);
         for event in events {
-            if let Some(exact) = &mut self.exact {
-                exact.ingest(event);
-            }
-            if let Some(bounded) = &mut self.bounded {
-                bounded.ingest(event);
+            match &mut self.stats {
+                Stats::Exact(exact) => exact.ingest(event),
+                Stats::Bounded(bounded) => bounded.ingest(event),
             }
             fleet.record(event.file.index(), event.reads, event.writes);
         }
@@ -332,41 +343,41 @@ impl ServeState {
     /// Refills the decision fleet's closed-day columns and prior sums from
     /// the online statistics, ahead of a decision.
     fn refill_history(&self, fleet: &mut FleetState, catalog: &Trace) {
+        // Exact statistics cover the whole fleet (checked on restore); a
+        // file outside them would read as never observed.
+        let unobserved = FileStats::new();
         for (ix, file) in catalog.files.iter().enumerate() {
-            fleet.refill(ix, |reads, writes| {
-                if let Some(s) = self.exact.as_ref().and_then(|exact| exact.file(ix)) {
+            fleet.refill(ix, |reads, writes| match &self.stats {
+                Stats::Exact(exact) => {
+                    let s = exact.file(ix).unwrap_or(&unobserved);
                     s.window_into(reads, writes);
                     (s.sum_reads(), s.sum_writes())
-                } else if let Some(bounded) = &self.bounded {
+                }
+                Stats::Bounded(bounded) => {
                     bounded.window_into(file.id.0, reads, writes);
                     bounded.lifetime(file.id.0)
-                } else {
-                    reads.fill(0);
-                    writes.fill(0);
-                    (0, 0)
                 }
             });
         }
     }
 
-    /// Closes the served day in whichever statistics mode is active.
+    /// Closes the served day in the active statistics mode.
     fn close_day(&mut self) {
-        if let Some(exact) = &mut self.exact {
-            exact.close_day();
-        }
-        if let Some(bounded) = &mut self.bounded {
-            bounded.close_day();
+        match &mut self.stats {
+            Stats::Exact(exact) => exact.close_day(),
+            Stats::Bounded(bounded) => bounded.close_day(),
         }
     }
 }
 
-/// Validates a restored snapshot against this run's configuration.
+/// Validates a restored snapshot against this run's configuration and
+/// resumes its state in the statistics mode the run serves in.
 fn check_snapshot(
-    snap: &Snapshot,
+    mut snap: Snapshot,
     cfg: &ServeConfig,
     policy_name: &str,
     fleet: usize,
-) -> Result<(), ServeError> {
+) -> Result<ServeState, ServeError> {
     let mismatch = |what: &str| Err(ServeError::SnapshotMismatch(what.to_owned()));
     if snap.policy_name != policy_name {
         return mismatch(&format!("policy {} vs {}", snap.policy_name, policy_name));
@@ -386,11 +397,13 @@ fn check_snapshot(
     if snap.tiers.len() != fleet {
         return mismatch(&format!("fleet size {} vs {}", snap.tiers.len(), fleet));
     }
-    match cfg.max_tracked {
-        None if snap.exact.is_none() => mismatch("snapshot lacks exact statistics"),
-        Some(_) if snap.bounded.is_none() => mismatch("snapshot lacks bounded statistics"),
-        _ => Ok(()),
-    }
+    let stats = match (cfg.max_tracked, snap.exact.take(), snap.bounded.take()) {
+        (None, Some(exact), _) => Stats::Exact(exact),
+        (None, None, _) => return mismatch("snapshot lacks exact statistics"),
+        (Some(_), _, Some(bounded)) => Stats::Bounded(bounded),
+        (Some(_), _, None) => return mismatch("snapshot lacks bounded statistics"),
+    };
+    Ok(ServeState::from_snapshot(snap, stats))
 }
 
 /// Restores serving state from the newest usable rotation candidate.
@@ -413,7 +426,7 @@ fn restore(
     cfg: &ServeConfig,
     policy_name: &str,
     fleet: usize,
-) -> Result<Option<Snapshot>, ServeError> {
+) -> Result<Option<ServeState>, ServeError> {
     let candidates = rotation_candidates(path, cfg.checkpoint_keep);
     let mut newest_failure: Option<ServeError> = None;
     let mut tried = 0usize;
@@ -426,16 +439,16 @@ fn restore(
             Snapshot::load_with(backend, cand)
         });
         match loaded {
-            Ok(snap) => match check_snapshot(&snap, cfg, policy_name, fleet) {
-                Ok(()) => {
+            Ok(snap) => match check_snapshot(snap, cfg, policy_name, fleet) {
+                Ok(state) => {
                     if slot > 0 {
                         sup.record(
-                            snap.next_day,
+                            state.next_day,
                             IncidentKind::RolledBack,
                             format!("restored rotation slot {slot} ({})", cand.display()),
                         );
                     }
-                    return Ok(Some(snap));
+                    return Ok(Some(state));
                 }
                 Err(e) => {
                     sup.record(0, IncidentKind::CheckpointMismatch, format!("slot {slot}: {e}"));
@@ -753,17 +766,12 @@ pub(crate) fn run_supervised(
     };
 
     // Restore from the newest usable rotation candidate, or start fresh.
-    let mut resumed_from_day = None;
-    let mut state = match &cfg.checkpoint_path {
-        Some(path) => match restore(sup, backend.as_mut(), path, cfg, policy.name(), fleet)? {
-            Some(snap) => {
-                resumed_from_day = Some(snap.next_day);
-                ServeState::from_snapshot(snap)
-            }
-            None => ServeState::fresh(cfg, fleet),
-        },
-        None => ServeState::fresh(cfg, fleet),
+    let restored = match &cfg.checkpoint_path {
+        Some(path) => restore(sup, backend.as_mut(), path, cfg, policy.name(), fleet)?,
+        None => None,
     };
+    let resumed_from_day = restored.as_ref().map(|state| state.next_day);
+    let mut state = restored.unwrap_or_else(|| ServeState::fresh(cfg, fleet));
 
     // The object store, when attached: recover torn migrations, reconcile
     // with the restored state, place any missing objects.
@@ -791,6 +799,8 @@ pub(crate) fn run_supervised(
     let mut decision_fleet = FleetState::default();
     decision_fleet.reset_window(trace, cfg.window);
     let all: Vec<usize> = (0..fleet).collect();
+    // One decision buffer for the session, refilled on decision days.
+    let mut decision = Vec::with_capacity(fleet);
 
     for day in state.next_day..end {
         sup.tick();
@@ -803,27 +813,41 @@ pub(crate) fn run_supervised(
         // Decision phase, at the batch engine's cadence, on a window
         // refilled purely from online statistics. The supervisor retries
         // injected policy-step failures and degrades past the budget.
-        let mut decided = if day % cfg.decide_every == 0 {
+        let decided = day % cfg.decide_every == 0;
+        if decided {
             state.refill_history(&mut decision_fleet, trace);
+            let ctx = DecisionContext {
+                day,
+                fleet: &decision_fleet,
+                model,
+                batch: &all,
+                current: &state.tiers,
+            };
             let start = Instant::now();
-            let decision = sup.decide(policy, day, &decision_fleet, model, &state.tiers)?;
+            sup.decide(policy, &ctx, &mut decision)?;
             decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
-            Some(decision)
-        } else {
-            None
-        };
+            if decision.len() != fleet {
+                return Err(ServeError::Policy(format!(
+                    "policy {:?} decided {} tier(s) for {fleet} file(s) on day {day}",
+                    policy.name(),
+                    decision.len()
+                )));
+            }
+        }
 
         // Migration phase: physically apply the decision's tier changes
         // through the pipeline before billing, so exhausted jobs can pin
         // their file (and its bill) to the source tier, and an injected
         // crash aborts before the day is billed.
-        if let (Some(rt), Some(decision)) = (store_rt.as_mut(), decided.as_mut()) {
-            run_migrations(sup, rt, trace, day, decision, &state.tiers)?;
+        if let Some(rt) = store_rt.as_mut().filter(|_| decided) {
+            run_migrations(sup, rt, trace, day, &mut decision, &state.tiers)?;
         }
 
         // Billing phase: the simulate kernel on today's column, after
         // tallying the logical bytes of the (post-pinning) tier changes.
-        let moved = decided.iter().flat_map(|d| trace.files.iter().zip(&state.tiers).zip(d));
+        let decided_tiers = decided.then_some(decision.as_slice());
+        let moved =
+            decided_tiers.into_iter().flat_map(|d| trace.files.iter().zip(&state.tiers).zip(d));
         for ((file, _), _) in moved.filter(|((_, from), to)| from != to) {
             state.billed_change_bytes =
                 state.billed_change_bytes.saturating_add(logical_bytes(file.size_gb));
@@ -833,7 +857,7 @@ pub(crate) fn run_supervised(
             &decision_fleet,
             day,
             &all,
-            decided.as_deref(),
+            decided_tiers,
             &mut state.tiers,
             &mut state.per_file,
         );
@@ -845,7 +869,7 @@ pub(crate) fn run_supervised(
         state.close_day();
         state.next_day = day + 1;
 
-        if decided.is_some() {
+        if decided {
             state.epoch += 1;
             if cfg.checkpoint_every > 0 && state.epoch % cfg.checkpoint_every == 0 {
                 if let Some(path) = &cfg.checkpoint_path {
@@ -1118,6 +1142,50 @@ mod tests {
             serve(&trace, &model, &mut GreedyPolicy, &cfg),
             Err(ServeError::Config(_))
         ));
+    }
+
+    /// A policy bug: answers `keep / 2` archive tiers per batch file (half
+    /// or one and a half times too many), never one per file.
+    struct MisSized {
+        keep: usize,
+    }
+
+    impl Policy for MisSized {
+        fn name(&self) -> &'static str {
+            "mis-sized"
+        }
+
+        fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>) {
+            out.clear();
+            out.resize(ctx.len() * self.keep / 2, Tier::Archive);
+        }
+
+        fn fork(&self) -> Box<dyn Policy> {
+            Box::new(MisSized { keep: self.keep })
+        }
+    }
+
+    #[test]
+    fn mis_sized_decisions_are_a_typed_error_and_never_billed() {
+        let (trace, model) = setup();
+        for keep in [1usize, 3] {
+            let dir = scratch_dir(&format!("mis-sized-{keep}"));
+            let cfg = ServeConfig {
+                checkpoint_path: Some(dir.join("state.ckpt")),
+                checkpoint_every: 1,
+                ..ServeConfig::default()
+            };
+            match serve(&trace, &model, &mut MisSized { keep }, &cfg) {
+                Err(ServeError::Policy(msg)) => {
+                    let want = format!("{} tier(s) for {} file(s) on day 0", 12 * keep, 24);
+                    assert!(msg.contains(&want), "{msg}");
+                }
+                other => panic!("keep {keep}/2: expected a policy error, got {other:?}"),
+            }
+            // The failing day was neither billed nor checkpointed.
+            assert!(!dir.join("state.ckpt").exists());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! injected failure spends budget. The default allowance (8) exceeds the
 //! standard chaos plan's budget (6) for exactly this reason.
 
-use crate::fleet::FleetState;
-use crate::policy::{ColdPolicy, GreedyPolicy, HotPolicy, Policy};
+use crate::policy::{ColdPolicy, DecisionContext, GreedyPolicy, HotPolicy, Policy};
 use crate::serve::{ServeConfig, ServeError, ServeReport};
 use pricing::{CostModel, Tier};
 use std::fmt;
@@ -416,18 +415,17 @@ impl Supervisor {
         }
     }
 
-    /// One supervised policy decision: consults the injector's
-    /// `PolicyStep` site before each attempt, retries with backoff on
-    /// injected failures, and past the retry budget either pins the epoch
-    /// to the degraded fallback policy or aborts.
+    /// One supervised policy decision into the caller's buffer `out`:
+    /// consults the injector's `PolicyStep` site before each attempt,
+    /// retries with backoff on injected failures, and past the retry
+    /// budget either pins the epoch to the degraded fallback policy or
+    /// aborts.
     pub(crate) fn decide(
         &mut self,
         policy: &mut dyn Policy,
-        day: usize,
-        fleet: &FleetState,
-        model: &CostModel,
-        current: &[Tier],
-    ) -> Result<Vec<Tier>, ServeError> {
+        ctx: &DecisionContext<'_>,
+        out: &mut Vec<Tier>,
+    ) -> Result<(), ServeError> {
         let mut attempt = 0u32;
         loop {
             let fired = match &self.injector {
@@ -435,12 +433,13 @@ impl Supervisor {
                 None => false,
             };
             if !fired {
-                return Ok(policy.decide_full(day, fleet, model, current));
+                policy.decide_batch_into(ctx, out);
+                return Ok(());
             }
             if attempt < self.cfg.max_retries {
                 let delay = self.backoff_ms(attempt);
                 self.record(
-                    day,
+                    ctx.day,
                     IncidentKind::PolicyRetried,
                     format!("injected policy failure; retry {attempt} after {delay}ms"),
                 );
@@ -455,13 +454,13 @@ impl Supervisor {
                 Some(mut fb) => {
                     self.degraded_epochs += 1;
                     self.record(
-                        day,
+                        ctx.day,
                         IncidentKind::Degraded,
                         format!("epoch pinned to fallback policy {:?}", fb.name()),
                     );
-                    let decision = fb.decide_full(day, fleet, model, current);
+                    fb.decide_batch_into(ctx, out);
                     self.fallback = Some(fb);
-                    Ok(decision)
+                    Ok(())
                 }
                 None => Err(ServeError::RetriesExhausted {
                     what: "policy step".to_owned(),

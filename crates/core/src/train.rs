@@ -173,7 +173,7 @@ impl MiniCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{HotPolicy, OptimalPolicy, Policy};
+    use crate::policy::{decide_trace, HotPolicy, OptimalPolicy};
     use crate::sim::{simulate, SimConfig};
     use pricing::{PricingPolicy, Tier};
     use tracegen::TraceConfig;
@@ -290,8 +290,8 @@ mod tests {
         let mut p2 = back.policy();
         let current = vec![Tier::Hot; trace.len()];
         assert_eq!(
-            p1.decide_fleet(10, &trace, &model, &current),
-            p2.decide_fleet(10, &trace, &model, &current)
+            decide_trace(&mut p1, 10, &trace, &model, &current),
+            decide_trace(&mut p2, 10, &trace, &model, &current)
         );
     }
 }

@@ -1,7 +1,8 @@
 //! Fixture: F1 `determinism-taint`. Not compiled; the flow self-tests load
 //! this file as crate `core` and assert the wall-clock read three hops
-//! below `decide_batch` is caught, while the justified log-only timestamp
-//! is not, and that each OS-entropy read taints its `FaultPlan` sink.
+//! below `Jittery::decide_batch_into` is caught, while the justified
+//! log-only timestamp is not, and that each OS-entropy read taints its
+//! `FaultPlan` sink.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -9,12 +10,16 @@ pub struct Jittery;
 
 impl Jittery {
     /// VIOLATION: tainted sink — the source is two call hops down.
-    pub fn decide_batch(&mut self) -> u64 {
+    pub fn decide_batch_into(&mut self) -> u64 {
         score_all()
     }
+}
 
+pub struct Seeded;
+
+impl Seeded {
     /// Clean sink: only seeded, pure helpers below.
-    pub fn decide_one(&mut self) -> u64 {
+    pub fn decide_batch_into(&mut self) -> u64 {
         seeded_score()
     }
 }
@@ -41,9 +46,13 @@ fn log_stamp() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs())
 }
 
-/// Clean sink despite calling a waived source.
-pub fn decide_fleet() -> u64 {
-    log_stamp()
+pub struct LogOnly;
+
+impl LogOnly {
+    /// Clean sink despite calling a waived source.
+    pub fn decide_batch_into(&mut self) -> u64 {
+        log_stamp()
+    }
 }
 
 /// Fault-plan fire decisions are sinks: a replayed chaos run must fire the

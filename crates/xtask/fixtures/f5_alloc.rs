@@ -1,6 +1,6 @@
 //! Fixture: F5 `hot-alloc`. Not compiled; the alloc self-tests load this
 //! file as crate `core` with roots `core::run_shard`, `core::serve`, and
-//! the `decide_batch` impl, and assert reachable allocating functions are
+//! the `decide_batch_into` impl, and assert reachable allocating functions are
 //! flagged, the offline one is not, and the allowlist and site waivers
 //! suppress.
 
@@ -23,7 +23,7 @@ fn decide(day: usize) -> usize {
 /// Batch decision trait mirroring the real `Policy` dispatch.
 pub trait Policy {
     /// Decides every slot for one day.
-    fn decide_batch(&mut self, n: usize) -> Vec<usize>;
+    fn decide_batch_into(&mut self, n: usize) -> Vec<usize>;
 }
 
 /// A trivial policy implementation.
@@ -31,7 +31,7 @@ pub struct EveryDay;
 
 impl Policy for EveryDay {
     /// Allowlisted root: the API returns an owned buffer by contract.
-    fn decide_batch(&mut self, n: usize) -> Vec<usize> {
+    fn decide_batch_into(&mut self, n: usize) -> Vec<usize> {
         (0..n).collect()
     }
 }

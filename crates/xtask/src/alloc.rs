@@ -5,7 +5,7 @@
 //! starts with an inventory of what the hot path allocates today. This
 //! analysis walks the call graph forward from the per-day inner-loop
 //! roots — `core::run_shard`, the `core::serve` decision loop, and every
-//! `decide_batch`/`decide_batch_into` implementation — and flags each
+//! `decide_batch_into` implementation — and flags each
 //! reachable function that heap-allocates:
 //!
 //! - constructor paths (`Vec::new`, `Vec::with_capacity`, `Box::new`,
@@ -32,7 +32,7 @@ pub const ROOT_KEYS: &[&str] = &["core::run_shard", "core::serve"];
 
 /// Method names whose every implementation is an inner-loop root
 /// (trait-object dispatch makes the concrete impl unknowable statically).
-pub const ROOT_METHODS: &[&str] = &["decide_batch", "decide_batch_into"];
+pub const ROOT_METHODS: &[&str] = &["decide_batch_into"];
 
 /// The committed allowlist F5 findings are gated on.
 pub const ALLOWLIST: &str = "xtask-alloc-allowlist.json";

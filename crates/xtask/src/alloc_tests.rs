@@ -11,18 +11,18 @@ use crate::flow_tests::fixture_ws;
 fn f5_fixture_flags_reachable_allocations_only() {
     let (ws, g) = fixture_ws("f5_alloc.rs");
     let roots = alloc::roots(&g);
-    // Root discovery finds both fixed keys and the decide_batch impl.
+    // Root discovery finds both fixed keys and the decide_batch_into impl.
     assert!(roots.contains(&"core::run_shard".to_string()), "{roots:?}");
     assert!(roots.contains(&"core::serve".to_string()), "{roots:?}");
-    assert!(roots.contains(&"core::EveryDay::decide_batch".to_string()), "{roots:?}");
+    assert!(roots.contains(&"core::EveryDay::decide_batch_into".to_string()), "{roots:?}");
     let (diags, unused) = alloc::analyze(&ws, &g, &roots, &Allowlist::default());
     assert!(unused.is_empty(), "{unused:?}");
     let syms: Vec<&str> = diags.iter().map(|d| d.symbol.as_str()).collect();
     // `decide` (vec! + .clone(), one hop from run_shard) and the
-    // decide_batch impl (.collect()) are flagged; the waived `labeled`
+    // decide_batch_into impl (.collect()) are flagged; the waived `labeled`
     // and the unreachable `offline_report` are not.
     assert!(syms.contains(&"core::decide"), "{diags:?}");
-    assert!(syms.contains(&"core::EveryDay::decide_batch"), "{diags:?}");
+    assert!(syms.contains(&"core::EveryDay::decide_batch_into"), "{diags:?}");
     assert!(!syms.contains(&"core::labeled"), "{diags:?}");
     assert!(!syms.contains(&"core::offline_report"), "{diags:?}");
     assert!(diags.iter().all(|d| d.kind == FlowKind::HotAlloc));
@@ -40,7 +40,7 @@ fn f5_allowlist_suppresses_and_reports_unused_entries() {
     let roots = alloc::roots(&g);
     let allow = Allowlist::parse(
         r#"{"entries": [
-            {"function": "core::EveryDay::decide_batch",
+            {"function": "core::EveryDay::decide_batch_into",
              "reason": "the trait API returns an owned buffer"},
             {"function": "core::gone_function",
              "reason": "stale entry"}
@@ -49,7 +49,7 @@ fn f5_allowlist_suppresses_and_reports_unused_entries() {
     .expect("allowlist parses");
     let (diags, unused) = alloc::analyze(&ws, &g, &roots, &allow);
     // The allowlisted impl is suppressed; `decide` still fires.
-    assert!(!diags.iter().any(|d| d.symbol == "core::EveryDay::decide_batch"), "{diags:?}");
+    assert!(!diags.iter().any(|d| d.symbol == "core::EveryDay::decide_batch_into"), "{diags:?}");
     assert!(diags.iter().any(|d| d.symbol == "core::decide"), "{diags:?}");
     // The stale entry is reported for burn-down.
     assert_eq!(unused.len(), 1, "{unused:?}");

@@ -8,7 +8,7 @@
 //! `ThreadId`), or iterates an unordered map (the L5 lint's findings,
 //! mapped to their containing function). A function is **tainted** when it
 //! is a source or (transitively) calls one. The diagnostic fires on every
-//! tainted **sink**: the `Policy::decide_*` family and the billing,
+//! tainted **sink**: every `Policy::decide_batch_into` impl and the billing,
 //! checkpoint, and fault-decision containers, whose outputs the paper's
 //! reproducibility claims depend on.
 //!
@@ -20,8 +20,8 @@ use crate::flow::{flow_allowed, FlowDiag, FlowKind, FnGraph, FnNode, SourceFile,
 use crate::lints::{scan_source, FileContext, Lint};
 use std::path::Path;
 
-/// Sink function names: every impl of the `Policy` decision family.
-const SINK_FNS: &[&str] = &["decide_one", "decide_batch", "decide_batch_into", "decide_fleet"];
+/// Sink function names: every impl of the `Policy` decision method.
+const SINK_FNS: &[&str] = &["decide_batch_into"];
 
 /// Sink containers: any method of these types is a sink (billing
 /// arithmetic, snapshot serialization, fault-plan fire decisions).

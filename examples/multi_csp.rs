@@ -9,40 +9,7 @@
 //! cargo run --release --example multi_csp
 //! ```
 
-use minicost::policy::DecisionContext;
 use minicost::prelude::*;
-
-/// Replays a fixed per-day tier schedule captured from another run.
-struct ReplayPolicy {
-    schedule: Vec<Vec<Tier>>,
-}
-
-impl Policy for ReplayPolicy {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-
-    // The schedule is indexed by global file index, so replay stays correct
-    // (and deterministic) under sharded simulation too.
-    fn decide_one(&mut self, ctx: &DecisionContext<'_>, slot: usize) -> Tier {
-        self.schedule[ctx.day][ctx.global(slot)]
-    }
-
-    fn fork(&self) -> Box<dyn Policy> {
-        Box::new(ReplayPolicy { schedule: self.schedule.clone() })
-    }
-}
-
-/// Runs Optimal under `model` and records the day-by-day schedule.
-fn optimal_schedule(trace: &Trace, model: &CostModel, cfg: &SimConfig) -> Vec<Vec<Tier>> {
-    let mut opt = OptimalPolicy::plan(trace, model, cfg.initial_tier);
-    (0..trace.days)
-        .map(|day| {
-            let current = vec![cfg.initial_tier; trace.len()];
-            opt.decide_fleet(day, trace, model, &current)
-        })
-        .collect()
-}
 
 fn main() {
     let trace = Trace::generate(&TraceConfig {
@@ -58,12 +25,11 @@ fn main() {
 
     println!("{:<28} {:>14} {:>14}", "plan \\ billed under", "azure", "s3-like");
     for (plan_name, schedule_model) in [("azure-optimal plan", &azure), ("s3-optimal plan", &aws)] {
-        let schedule = optimal_schedule(&trace, schedule_model, &sim_cfg);
-        let under_azure =
-            simulate(&trace, &azure, &mut ReplayPolicy { schedule: schedule.clone() }, &sim_cfg)
-                .total_cost();
-        let under_aws =
-            simulate(&trace, &aws, &mut ReplayPolicy { schedule }, &sim_cfg).total_cost();
+        // Optimal decides from its own plans, never from the billing model,
+        // so one provider's plan bills directly under the other's prices.
+        let mut plan = OptimalPolicy::plan(&trace, schedule_model, sim_cfg.initial_tier);
+        let under_azure = simulate(&trace, &azure, &mut plan, &sim_cfg).total_cost();
+        let under_aws = simulate(&trace, &aws, &mut plan, &sim_cfg).total_cost();
         println!("{plan_name:<28} {under_azure:>14} {under_aws:>14}");
     }
 

@@ -1,10 +1,25 @@
 //! Policy-conformance suite: every shipped policy, driven purely through
 //! `dyn Policy`, must honor the batch-first trait contract the sharded
-//! engine relies on (DESIGN.md §9) — `decide_batch` equals slot-wise
-//! `decide_one`, forks decide identically to their originals, and the
-//! decision for a file never depends on which other files share the batch.
+//! engine relies on (DESIGN.md §9) — `decide_batch_into` writes one tier
+//! per batch entry whatever the buffer held, forks decide identically to
+//! their originals, and the decision for a file never depends on which
+//! other files share the batch.
 
 use minicost::prelude::*;
+
+/// Decides `batch` on `day` into a fresh buffer.
+fn decide(
+    policy: &mut dyn Policy,
+    fleet: &FleetState,
+    model: &CostModel,
+    day: usize,
+    batch: &[usize],
+    current: &[Tier],
+) -> Vec<Tier> {
+    let mut out = Vec::new();
+    policy.decide_batch_into(&DecisionContext { day, fleet, model, batch, current }, &mut out);
+    out
+}
 
 fn setup() -> (Trace, CostModel) {
     (Trace::generate(&TraceConfig::small(60, 14, 21)), CostModel::new(PricingPolicy::paper_2020()))
@@ -12,7 +27,8 @@ fn setup() -> (Trace, CostModel) {
 
 /// The paper's five strategies as trait objects: Hot, Cold, Greedy,
 /// MiniCost (briefly trained — conformance is independent of training
-/// quality), and Optimal.
+/// quality), and Optimal; plus the forecast-driven planner of the
+/// prediction ablation.
 fn all_policies(trace: &Trace, model: &CostModel) -> Vec<Box<dyn Policy>> {
     let mut cfg = MiniCostConfig::fast();
     cfg.a3c.workers = 1;
@@ -24,6 +40,7 @@ fn all_policies(trace: &Trace, model: &CostModel) -> Vec<Box<dyn Policy>> {
         Box::new(GreedyPolicy),
         Box::new(agent.policy()),
         Box::new(OptimalPolicy::plan(trace, model, Tier::Hot)),
+        Box::new(PredictivePolicy::new(forecast::Naive, 7)),
     ]
 }
 
@@ -49,21 +66,24 @@ fn names_are_nonempty_and_unique() {
 }
 
 #[test]
-fn decide_fleet_returns_one_tier_per_file_every_day() {
+fn decide_batch_into_returns_one_tier_per_file_every_day() {
     let (trace, model) = setup();
+    let fleet = FleetState::from_trace(&trace);
+    let all: Vec<usize> = (0..trace.len()).collect();
     for policy in &mut all_policies(&trace, &model) {
         let mut current = vec![Tier::Hot; trace.len()];
         for day in 0..trace.days {
-            current = policy.decide_fleet(day, &trace, &model, &current);
+            current = decide(policy.as_mut(), &fleet, &model, day, &all, &current);
             assert_eq!(current.len(), trace.len(), "{} day {day}", policy.name());
         }
     }
 }
 
 #[test]
-fn decide_batch_matches_slotwise_decide_one() {
+fn strided_batch_matches_singleton_batches() {
     let (trace, model) = setup();
-    // A strided sub-fleet batch, as a shard would present it.
+    // A strided sub-fleet batch, as a shard would present it, decided into
+    // a dirty buffer; then one file at a time on a single instance.
     let batch: Vec<usize> = (0..trace.len()).step_by(3).collect();
     let current = varied_tiers(batch.len());
     let fleet = FleetState::from_trace(&trace);
@@ -76,10 +96,15 @@ fn decide_batch_matches_slotwise_decide_one() {
                 batch: &batch,
                 current: &current,
             };
-            let batched = policy.fork().decide_batch(&ctx);
+            let mut batched = vec![Tier::Archive; batch.len() + 5];
+            policy.fork().decide_batch_into(&ctx, &mut batched);
             let mut single = policy.fork();
-            let slotwise: Vec<Tier> = (0..ctx.len()).map(|s| single.decide_one(&ctx, s)).collect();
-            assert_eq!(batched, slotwise, "{} day {day}", policy.name());
+            let singly: Vec<Tier> = batch
+                .iter()
+                .zip(&current)
+                .flat_map(|(&ix, &cur)| decide(single.as_mut(), &fleet, &model, day, &[ix], &[cur]))
+                .collect();
+            assert_eq!(batched, singly, "{} day {day}", policy.name());
         }
     }
 }
@@ -87,13 +112,15 @@ fn decide_batch_matches_slotwise_decide_one() {
 #[test]
 fn forks_decide_identically_to_their_original() {
     let (trace, model) = setup();
+    let fleet = FleetState::from_trace(&trace);
+    let all: Vec<usize> = (0..trace.len()).collect();
     for policy in &mut all_policies(&trace, &model) {
         let mut fork = policy.fork();
         assert_eq!(policy.name(), fork.name());
         let mut current = vec![Tier::Hot; trace.len()];
         for day in 0..trace.days {
-            let a = policy.decide_fleet(day, &trace, &model, &current);
-            let b = fork.decide_fleet(day, &trace, &model, &current);
+            let a = decide(policy.as_mut(), &fleet, &model, day, &all, &current);
+            let b = decide(fork.as_mut(), &fleet, &model, day, &all, &current);
             assert_eq!(a, b, "{} day {day}", policy.name());
             current = a;
         }
@@ -110,25 +137,10 @@ fn decisions_are_independent_of_batch_composition() {
     let columns = FleetState::from_trace(&trace);
     for policy in &all_policies(&trace, &model) {
         for day in [1usize, 5, 10] {
-            let ctx = DecisionContext {
-                day,
-                fleet: &columns,
-                model: &model,
-                batch: &full,
-                current: &current,
-            };
-            let fleet = policy.fork().decide_batch(&ctx);
+            let fleet = decide(policy.fork().as_mut(), &columns, &model, day, &full, &current);
             for ix in (0..trace.len()).step_by(7) {
-                let one_batch = [ix];
-                let one_current = [current[ix]];
-                let one_ctx = DecisionContext {
-                    day,
-                    fleet: &columns,
-                    model: &model,
-                    batch: &one_batch,
-                    current: &one_current,
-                };
-                let alone = policy.fork().decide_batch(&one_ctx);
+                let alone =
+                    decide(policy.fork().as_mut(), &columns, &model, day, &[ix], &[current[ix]]);
                 assert_eq!(
                     alone,
                     vec![fleet[ix]],
@@ -143,12 +155,12 @@ fn decisions_are_independent_of_batch_composition() {
 #[test]
 fn empty_batch_is_legal() {
     let (trace, model) = setup();
-    let batch: [usize; 0] = [];
-    let current: [Tier; 0] = [];
     let fleet = FleetState::from_trace(&trace);
-    let ctx =
-        DecisionContext { day: 0, fleet: &fleet, model: &model, batch: &batch, current: &current };
     for policy in &mut all_policies(&trace, &model) {
-        assert!(policy.decide_batch(&ctx).is_empty(), "{}", policy.name());
+        let ctx =
+            DecisionContext { day: 0, fleet: &fleet, model: &model, batch: &[], current: &[] };
+        let mut out = vec![Tier::Archive; 3];
+        policy.decide_batch_into(&ctx, &mut out);
+        assert!(out.is_empty(), "{}", policy.name());
     }
 }

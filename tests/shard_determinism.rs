@@ -170,3 +170,27 @@ fn rl_policy_sharding_survives_serde_round_trip() {
     let b = simulate(&trace, &model, &mut back.policy(), &config(4));
     assert_bit_identical(&a, &b, "serde round-trip under sharding");
 }
+
+#[test]
+fn predictive_policy_is_bit_identical_across_worker_counts() {
+    // Plans are keyed by global file index and rebuilt lazily by each
+    // fork, so a sharded run must replay the single-threaded ledgers
+    // exactly, at the daily cadence and between refits.
+    let (trace, model) = setup();
+    for decide_every in [1usize, 3] {
+        let cfg = |workers: usize| {
+            SimConfig::builder()
+                .seed(13)
+                .workers(workers)
+                .decide_every(decide_every)
+                .build()
+                .expect("valid sim config")
+        };
+        let mut policy = PredictivePolicy::new(forecast::Naive, 7);
+        let base = simulate(&trace, &model, &mut policy, &cfg(1));
+        let sharded = simulate(&trace, &model, &mut policy, &cfg(4));
+        let what = format!("predictive decide_every={decide_every} workers=4");
+        assert_bit_identical(&base, &sharded, &what);
+        assert!(base.tier_changes > 0, "{what}: the planner never moved a file");
+    }
+}
