@@ -61,21 +61,8 @@ impl FeatureConfig {
     pub fn encode(&self, file: &FileSeries, day: usize, tier: Tier) -> Vec<f64> {
         assert!(day <= file.reads.len(), "day beyond series");
         let history = History::observed(&file.reads[..day], &file.writes[..day], self.window);
-        self.encode_state(history, day, file.size_gb, tier)
-    }
-
-    /// An owned row from a [`History`] — the allocating convenience over
-    /// [`FeatureConfig::encode_slices`] behind [`FeatureConfig::encode`].
-    #[must_use]
-    pub fn encode_state(
-        &self,
-        history: History<'_>,
-        day: usize,
-        size_gb: f64,
-        tier: Tier,
-    ) -> Vec<f64> {
         let mut out = vec![0.0; self.state_dim()];
-        self.encode_slices(&mut out, history, day, size_gb, tier);
+        self.encode_slices(&mut out, history, day, file.size_gb, tier);
         out
     }
 
@@ -313,17 +300,6 @@ mod tests {
                 assert_eq!(block.matrix().row(slot), &expect[..], "slot {slot} day {day}");
             }
         }
-    }
-
-    #[test]
-    fn encode_state_matches_encode() {
-        let f = file(vec![3, 1, 4, 1, 5]);
-        let cfg = FeatureConfig::default();
-        let history = History::observed(&f.reads[..4], &f.writes[..4], cfg.window);
-        assert_eq!(
-            cfg.encode_state(history, 4, f.size_gb, Tier::Cool),
-            cfg.encode(&f, 4, Tier::Cool)
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The tiering MDP: reward function (Eq. 4) and the training environment.
 
 use crate::features::FeatureConfig;
-use crate::optimal::{oracle_action, suffix_values};
+use crate::optimal::{oracle_action, q_values, suffix_values};
 use pricing::{CostModel, Money, Tier, TIER_COUNT};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -244,9 +244,9 @@ impl<T: Deref<Target = Trace>> TieringEnv<T> {
     }
 
     /// Regret of taking `action` now versus the oracle's best action:
-    /// `Q*(s, a) - min_a' Q*(s, a')` where
-    /// `Q*(s, a) = change + steady + V[d+1][a]` from the suffix DP.
-    /// Requires the oracle tables (`with_oracle`).
+    /// `Q*(s, a) - min_a' Q*(s, a')`, with `Q*` read from [`q_values`] (the
+    /// one lookahead [`oracle_action`] also reads). Requires the oracle
+    /// tables (`with_oracle`).
     fn action_regret(&self, action: Tier) -> Money {
         let Some(values) = self.oracle[self.file_ix].as_ref() else {
             // ShapedRegret requires `with_oracle = true`; without the tables
@@ -255,18 +255,9 @@ impl<T: Deref<Target = Trace>> TieringEnv<T> {
             debug_assert!(false, "ShapedRegret reward requires with_oracle = true");
             return Money::ZERO;
         };
-        let file = &self.trace.files[self.file_ix];
-        let (r, w) = file.day(self.day);
-        let q = |a: Tier| -> Money {
-            self.model
-                .policy()
-                .change_cost(self.tier, a, file.size_gb)
-                .saturating_add(self.model.steady_day_cost(file.size_gb, r, w, a))
-                .saturating_add(values[self.day + 1][a.index()])
-        };
-        let q_a = q(action);
-        let q_best = Tier::all().map(q).reduce(Money::min).unwrap_or(q_a);
-        q_a - q_best
+        let q = q_values(&self.trace.files[self.file_ix], &self.model, values, self.day, self.tier);
+        let best = q.into_iter().fold(Money::MAX, Money::min);
+        q[action.index()] - best
     }
 
     /// Always-hot reference cost for the decided day (reward normalizer).

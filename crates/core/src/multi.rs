@@ -5,11 +5,12 @@
 //! notes the tier set Γ generalizes across CSPs. This module makes that
 //! concrete: a [`MultiCspModel`] holds one [`CostModel`] per datacenter
 //! plus a migration price, the location space is the product
-//! `datacenter x tier`, and [`optimal_location_plan`] runs the same
-//! shortest-path optimization over it. The `multi_csp` example uses this to
+//! `datacenter x tier`, and [`optimal_location_plan`] runs the one lattice
+//! solver, [`cheapest_path`], over it. The `multi_csp` example uses this to
 //! quantify how much a provider-aware plan saves over replaying another
 //! provider's plan.
 
+use crate::optimal::cheapest_path;
 use pricing::units::{Gb, UsdPerGb};
 use pricing::{CostModel, Money, Tier, TIER_COUNT};
 use serde::{Deserialize, Serialize};
@@ -87,59 +88,26 @@ impl MultiCspModel {
 
 /// The exact cheapest location sequence for one file over its whole series,
 /// starting from `initial` — the multi-datacenter generalization of
-/// [`crate::optimal::optimal_plan`] (`O(days * locations^2)`).
+/// [`crate::optimal::optimal_plan`]: [`cheapest_path`] over the locations in
+/// [`MultiCspModel::locations`] order (`O(days * locations^2)`), so ties go
+/// to the earlier location.
 #[must_use]
 pub fn optimal_location_plan(
     file: &FileSeries,
     model: &MultiCspModel,
     initial: Location,
 ) -> (Vec<Location>, Money) {
-    let days = file.days();
-    if days == 0 {
-        return (Vec::new(), Money::ZERO);
-    }
     let locations: Vec<Location> = model.locations().collect();
-    let n = locations.len();
-    let mut best = vec![vec![Money::MAX; n]; days];
-    let mut parent = vec![vec![0usize; n]; days];
-
-    let (r0, w0) = file.day(0);
-    for (j, &loc) in locations.iter().enumerate() {
-        best[0][j] = model.move_cost(initial, loc, file.size_gb)
-            + model.steady_day_cost(loc, file.size_gb, r0, w0);
-    }
-    for d in 1..days {
-        let (r, w) = file.day(d);
-        for (j, &loc) in locations.iter().enumerate() {
-            let steady = model.steady_day_cost(loc, file.size_gb, r, w);
-            let (prev, cost) = locations
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    (i, best[d - 1][i].saturating_add(model.move_cost(p, loc, file.size_gb)))
-                })
-                .min_by_key(|&(_, c)| c)
-                .unwrap_or((0, Money::MAX));
-            best[d][j] = cost.saturating_add(steady);
-            parent[d][j] = prev;
-        }
-    }
-
-    let (mut last, mut total) = (0, Money::MAX);
-    for (i, &c) in best[days - 1].iter().enumerate() {
-        if c < total {
-            last = i;
-            total = c;
-        }
-    }
-    let mut plan = vec![initial; days];
-    for d in (0..days).rev() {
-        plan[d] = locations[last];
-        if d > 0 {
-            last = parent[d][last];
-        }
-    }
-    (plan, total)
+    cheapest_path(
+        file.days(),
+        &locations,
+        |to| model.move_cost(initial, to, file.size_gb),
+        |d, loc| {
+            let (r, w) = file.day(d);
+            model.steady_day_cost(loc, file.size_gb, r, w)
+        },
+        |from, to| model.move_cost(from, to, file.size_gb),
+    )
 }
 
 #[cfg(test)]

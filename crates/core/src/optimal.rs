@@ -6,75 +6,105 @@
 //! total cost (Eqs. 5–9) is a sum of per-file terms and the per-file cost is
 //! a sum over days of (steady day cost + change cost between consecutive
 //! days' tiers), the exhaustive search factorizes exactly into a per-file
-//! shortest path over a `(day, tier)` lattice. [`optimal_plan`] solves that
-//! in `O(days · Γ²)`; [`brute_force_plan`] is the literal `Γ^days`
-//! enumeration kept as an executable proof of equivalence (see tests and
-//! the property test in `tests/policy_ordering.rs`).
+//! shortest path over a `(day, state)` lattice. [`cheapest_path`] is the one
+//! solver of that lattice, in `O(days · states²)`: [`optimal_plan`] runs it
+//! over the tiers, [`crate::multi::optimal_location_plan`] over
+//! `datacenter × tier` locations, and [`crate::predictive::PredictivePolicy`]
+//! over the tiers on forecast frequencies. [`brute_force_plan`] is the
+//! literal `Γ^days` enumeration kept as an executable proof of equivalence
+//! (see tests and the property test in `tests/policy_ordering.rs`).
+//!
+//! [`suffix_values`] runs the same recurrence backwards to the optimal
+//! cost-to-go `V`; [`q_values`] reads the one-step lookahead `Q*` from it,
+//! for the oracle action and the training regret.
 
 use pricing::{CostModel, Money, Tier, TIER_COUNT};
 use tracegen::FileSeries;
 
+/// The cheapest path through a `(day, state)` lattice of `days` days.
+///
+/// A path picks one of `states` per day. Day 0 costs `enter(s) + stay(0, s)`
+/// (`enter` prices the move from the state held before day 0); each later
+/// day `d` adds `step(prev, s) + stay(d, s)`. Sums saturate at
+/// [`Money::MAX`]. Returns the path and its total.
+///
+/// Ties go to the earliest state in `states` order: each day keeps the
+/// first cheapest predecessor, and the path ends in the first cheapest final
+/// state, so where every cost is `Money::MAX` state 0 wins. An empty horizon
+/// gives an empty path at zero cost; an empty state set with days to cover
+/// has no path, so it gives an empty path at `Money::MAX`.
+#[must_use]
+pub fn cheapest_path<S: Copy>(
+    days: usize,
+    states: &[S],
+    enter: impl Fn(S) -> Money,
+    stay: impl Fn(usize, S) -> Money,
+    step: impl Fn(S, S) -> Money,
+) -> (Vec<S>, Money) {
+    let n = states.len();
+    if days == 0 || n == 0 {
+        return (Vec::new(), if days == 0 { Money::ZERO } else { Money::MAX });
+    }
+    // `prior[j]`: the cheapest cost of days 0..=d ending day d in state j;
+    // `next` receives day d+1. `parents` holds one row of `n` predecessor
+    // indices per day after day 0.
+    let mut rows = vec![Money::MAX; 2 * n];
+    let (mut prior, mut next) = rows.split_at_mut(n);
+    for (&s, cost) in states.iter().zip(prior.iter_mut()) {
+        *cost = enter(s).saturating_add(stay(0, s));
+    }
+    let mut parents = Vec::with_capacity((days - 1) * n);
+    for d in 1..days {
+        for (&s, cost) in states.iter().zip(next.iter_mut()) {
+            let (parent, best) = first_min(
+                states.iter().zip(prior.iter()).map(|(&from, &c)| c.saturating_add(step(from, s))),
+            );
+            parents.push(parent);
+            *cost = best.saturating_add(stay(d, s));
+        }
+        std::mem::swap(&mut prior, &mut next);
+    }
+    let (last, total) = first_min(prior.iter().copied());
+
+    // Walk the parent rows back from the last day, then reverse.
+    let mut back = parents.chunks_exact(n).rev();
+    let mut path = Vec::with_capacity(days);
+    path.extend(
+        std::iter::successors(Some(last), |&j| back.next().and_then(|row| row.get(j).copied()))
+            .filter_map(|j| states.get(j).copied()),
+    );
+    path.reverse();
+    (path, total)
+}
+
+/// The first cheapest of `costs` as `(position, cost)`; `(0, Money::MAX)`
+/// when every cost is `Money::MAX`.
+fn first_min(costs: impl Iterator<Item = Money>) -> (usize, Money) {
+    costs.enumerate().fold((0, Money::MAX), |best, (i, c)| if c < best.1 { (i, c) } else { best })
+}
+
 /// The exact cheapest tier sequence for one file, given it starts in
 /// `initial_tier` *before* day 0 (a change on day 0 is charged).
 ///
-/// Returns the per-day tier plan and its total cost.
+/// Returns the per-day tier plan and its total cost; ties go to the hotter
+/// tier ([`cheapest_path`]).
 #[must_use]
 pub fn optimal_plan(
     file: &FileSeries,
     model: &CostModel,
     initial_tier: Tier,
 ) -> (Vec<Tier>, Money) {
-    let days = file.days();
-    if days == 0 {
-        return (Vec::new(), Money::ZERO);
-    }
-    // best[d][t]: min cost of days 0..=d ending day d in tier t.
-    // parent[d][t]: tier on day d-1 achieving it.
-    let mut best = vec![[Money::MAX; TIER_COUNT]; days];
-    let mut parent = vec![[0usize; TIER_COUNT]; days];
-
     let change = change_costs(model, file.size_gb);
-    let (r0, w0) = file.day(0);
-    for tier in Tier::all() {
-        best[0][tier.index()] = change[initial_tier.index()][tier.index()]
-            + model.steady_day_cost(file.size_gb, r0, w0, tier);
-    }
-
-    for d in 1..days {
-        let (r, w) = file.day(d);
-        for tier in Tier::all() {
-            let steady = model.steady_day_cost(file.size_gb, r, w, tier);
-            let mut best_cost = Money::MAX;
-            let mut best_prev = 0;
-            for prev in Tier::all() {
-                let cost =
-                    best[d - 1][prev.index()].saturating_add(change[prev.index()][tier.index()]);
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_prev = prev.index();
-                }
-            }
-            best[d][tier.index()] = best_cost.saturating_add(steady);
-            parent[d][tier.index()] = best_prev;
-        }
-    }
-
-    // Backtrack from the cheapest final tier.
-    let mut last = Tier::Hot;
-    for t in Tier::all() {
-        if best[days - 1][t.index()] < best[days - 1][last.index()] {
-            last = t;
-        }
-    }
-    let total = best[days - 1][last.index()];
-    let mut plan = vec![Tier::Hot; days];
-    for d in (0..days).rev() {
-        plan[d] = last;
-        if d > 0 {
-            last = Tier::ALL[parent[d][last.index()]];
-        }
-    }
-    (plan, total)
+    cheapest_path(
+        file.days(),
+        &Tier::ALL,
+        |to| change[initial_tier.index()][to.index()],
+        |d, tier| {
+            let (r, w) = file.day(d);
+            model.steady_day_cost(file.size_gb, r, w, tier)
+        },
+        |from, to| change[from.index()][to.index()],
+    )
 }
 
 /// `[from][to]` tier-change charges (Eq. 9) for a file of `size_gb` GB.
@@ -172,8 +202,35 @@ pub fn suffix_values(file: &FileSeries, model: &CostModel) -> Vec<[Money; TIER_C
     values
 }
 
+/// The one-step lookahead `Q*(s, a) = change + steady + V[day + 1][a]` for
+/// every action `a` at `(day, current)`, from precomputed [`suffix_values`].
+/// Each sum saturates in that order: change, then steady, then `V`.
+///
+/// Panics if `day >= file.days()`.
+#[must_use]
+pub fn q_values(
+    file: &FileSeries,
+    model: &CostModel,
+    values: &[[Money; TIER_COUNT]],
+    day: usize,
+    current: Tier,
+) -> [Money; TIER_COUNT] {
+    assert!(day < file.days(), "day out of range");
+    let (r, w) = file.day(day);
+    let mut q = values[day + 1];
+    for (a, v) in Tier::all().zip(&mut q) {
+        *v = model
+            .policy()
+            .change_cost(current, a, file.size_gb)
+            .saturating_add(model.steady_day_cost(file.size_gb, r, w, a))
+            .saturating_add(*v);
+    }
+    q
+}
+
 /// The optimal action (tier for day `day`) given the file enters `day` in
-/// `current`, using precomputed [`suffix_values`].
+/// `current`: the first argmin of [`q_values`], so ties go to the hotter
+/// tier.
 ///
 /// Panics if `day >= file.days()`.
 #[must_use]
@@ -184,16 +241,8 @@ pub fn oracle_action(
     day: usize,
     current: Tier,
 ) -> Tier {
-    assert!(day < file.days(), "day out of range");
-    let (r, w) = file.day(day);
-    let q = |a: Tier| {
-        model
-            .policy()
-            .change_cost(current, a, file.size_gb)
-            .saturating_add(model.steady_day_cost(file.size_gb, r, w, a))
-            .saturating_add(values[day + 1][a.index()])
-    };
-    Tier::all().reduce(|best, a| if q(a) < q(best) { a } else { best }).unwrap_or(Tier::Hot)
+    let q = q_values(file, model, values, day, current);
+    Tier::ALL[first_min(q.into_iter()).0]
 }
 
 #[cfg(test)]
@@ -315,6 +364,92 @@ mod tests {
         assert_eq!(total, opt);
     }
 
+    /// Pins which plan comes out, not only its cost: the fnv1a64 of the
+    /// Optimal plans from every initial tier, the Predictive ledgers and the
+    /// azure+aws location plans, under all four presets (`flat` makes every
+    /// tier tie, so it pins the tie rule). Any change to a solver's
+    /// tie-breaking or saturation moves a digest.
+    #[test]
+    fn pinned_plan_digests() {
+        use crate::multi::{optimal_location_plan, Location, MultiCspModel};
+        use crate::predictive::PredictivePolicy;
+        use crate::sim::{simulate, SimConfig, SimResult};
+        use tracegen::{Trace, TraceConfig};
+
+        fn ledger(bytes: &mut Vec<u8>, run: &SimResult) {
+            for c in &run.daily {
+                for m in [c.storage, c.change, c.read, c.write] {
+                    bytes.extend(m.micros().to_le_bytes());
+                }
+            }
+            bytes.extend(run.per_file.iter().flat_map(|m| m.micros().to_le_bytes()));
+            bytes.extend(run.tier_changes.to_le_bytes());
+            bytes.extend(run.occupancy.iter().flatten().flat_map(|n| n.to_le_bytes()));
+        }
+
+        let trace = Trace::generate(&TraceConfig::small(400, 40, 11));
+        let presets = [
+            PricingPolicy::azure_blob_2020(),
+            PricingPolicy::paper_2020(),
+            PricingPolicy::aws_s3_like(),
+            PricingPolicy::flat(),
+        ];
+        let mut digests = Vec::new();
+        for policy in presets {
+            let m = CostModel::new(policy);
+            let mut bytes = Vec::new();
+            for init in Tier::all() {
+                for f in &trace.files {
+                    let (plan, cost) = optimal_plan(f, &m, init);
+                    bytes.extend(plan.iter().map(|t| t.index() as u8));
+                    bytes.extend(cost.micros().to_le_bytes());
+                }
+            }
+            digests.push(stream::fnv1a64(&bytes));
+            let cfg = SimConfig::default();
+            let mut naive = PredictivePolicy::new(forecast::Naive, 7);
+            let mut seasonal = PredictivePolicy::new(forecast::SeasonalNaive::new(7), 5);
+            bytes.clear();
+            ledger(&mut bytes, &simulate(&trace, &m, &mut naive, &cfg));
+            ledger(&mut bytes, &simulate(&trace, &m, &mut seasonal, &cfg));
+            digests.push(stream::fnv1a64(&bytes));
+        }
+        let duo = MultiCspModel::new(
+            vec![
+                CostModel::new(PricingPolicy::azure_blob_2020()),
+                CostModel::new(PricingPolicy::aws_s3_like()),
+            ],
+            0.05,
+        );
+        let mut bytes = Vec::new();
+        for tier in Tier::all() {
+            for f in &trace.files {
+                let (plan, cost) = optimal_location_plan(f, &duo, Location { dc: 0, tier });
+                for l in &plan {
+                    bytes.extend([l.dc as u8, l.tier.index() as u8]);
+                }
+                bytes.extend(cost.micros().to_le_bytes());
+            }
+        }
+        digests.push(stream::fnv1a64(&bytes));
+        let hex: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
+        assert_eq!(
+            digests,
+            [
+                0x0173_06df_0498_2aae,
+                0x929a_4c9e_1135_52fe,
+                0xe45c_2905_79b2_10b0,
+                0x0780_44c8_d268_def4,
+                0x2d6e_1049_9584_0228,
+                0x4d26_5008_febc_cf63,
+                0x7602_14a6_c85c_295d,
+                0x3cab_8bea_768b_24a9,
+                0x41a1_d215_f2aa_f9c8,
+            ],
+            "{hex:?}"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "exponential")]
     fn brute_force_rejects_long_horizons() {
@@ -322,8 +457,66 @@ mod tests {
         let _ = brute_force_plan(&f, &model(), Tier::Hot);
     }
 
+    #[test]
+    fn cheapest_path_of_nothing() {
+        let free = |_: usize| Money::ZERO;
+        let (path, cost) =
+            cheapest_path(0, &[0_usize, 1], free, |_, _| Money::ZERO, |_, _| Money::ZERO);
+        assert!(path.is_empty());
+        assert_eq!(cost, Money::ZERO);
+        let (path, cost) = cheapest_path(3, &[], free, |_, _| Money::ZERO, |_, _| Money::ZERO);
+        assert!(path.is_empty());
+        assert_eq!(cost, Money::MAX);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// [`cheapest_path`] against the enumeration of all `n^days` paths,
+        /// on costs drawn from a range small enough to tie and with
+        /// `Money::MAX` mixed in so that sums saturate.
+        #[test]
+        fn cheapest_path_matches_brute_force(
+            n in 1usize..6,
+            days in 0usize..7,
+            codes in proptest::collection::vec(0i64..6, 60),
+        ) {
+            // Code 5 is `Money::MAX`; the rest are micro-dollars 0..=4.
+            let cost = |k: usize| match codes[k] {
+                5 => Money::MAX,
+                c => Money::from_micros(c),
+            };
+            let states: Vec<usize> = (0..n).collect();
+            let enter = |s: usize| cost(s);
+            let stay = |d: usize, s: usize| cost(n + d * n + s);
+            let step = |from: usize, to: usize| cost(n + 6 * n + from * n + to);
+            let price = |path: &[usize]| {
+                let mut total = Money::ZERO;
+                for (d, &s) in path.iter().enumerate() {
+                    let change = if d == 0 { enter(s) } else { step(path[d - 1], s) };
+                    total = total.saturating_add(change).saturating_add(stay(d, s));
+                }
+                total
+            };
+
+            let (path, total) = cheapest_path(days, &states, enter, stay, step);
+            prop_assert_eq!(path.len(), days);
+            prop_assert_eq!(price(&path), total);
+            let mut best = if days == 0 { Money::ZERO } else { Money::MAX };
+            let combos = n.pow(u32::try_from(days).unwrap());
+            for code in 0..combos {
+                let mut c = code;
+                let candidate: Vec<usize> = (0..days)
+                    .map(|_| {
+                        let s = c % n;
+                        c /= n;
+                        s
+                    })
+                    .collect();
+                best = best.min(price(&candidate));
+            }
+            prop_assert_eq!(total, best);
+        }
 
         #[test]
         fn dp_equals_brute_force(

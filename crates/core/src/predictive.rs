@@ -10,16 +10,18 @@
 //! it approaches Optimal; where they are not (the viral bucket) it pays for
 //! its confidence — the `ablation_prediction` experiment quantifies both.
 
+use crate::optimal::cheapest_path;
 use crate::policy::{DecisionContext, Policy};
-use pricing::{Money, Tier, TIER_COUNT};
+use pricing::{Money, Tier};
 
 /// A planner that forecasts request frequencies and optimizes tiers against
 /// the forecast.
 ///
 /// Every `horizon` days it re-forecasts each file's next `horizon` daily
 /// read counts from the observed history (strictly before the decision
-/// day), plans the cheapest tier sequence for that window with the same DP
-/// as [`crate::optimal`], and replays the plan until the next refit.
+/// day), plans the cheapest tier sequence for that window with the Optimal
+/// lattice solver ([`cheapest_path`]), and replays the plan until the next
+/// refit.
 ///
 /// Plans are keyed by **global** file index and built lazily per batch, so
 /// a file's plan is the same whether it is decided in the full fleet or in
@@ -78,9 +80,8 @@ impl<F: forecast::Forecaster> PredictivePolicy<F> {
         let write_ratio =
             if observed_reads == 0 { 0.0 } else { observed_writes as f64 / observed_reads as f64 };
 
-        // DP over (day-in-window, tier) on predicted frequencies — same
-        // recurrence as `optimal::optimal_plan`, inlined here because the
-        // inputs are fractional predictions, not integer history.
+        // The Optimal lattice on predicted frequencies: the inputs are
+        // fractional predictions, so each day's steady cost rounds them.
         let days = predicted_reads.len();
         if days == 0 {
             return vec![current];
@@ -94,46 +95,14 @@ impl<F: forecast::Forecaster> PredictivePolicy<F> {
             let writes = (pred.max(0.0) * write_ratio).round() as u64;
             model.steady_day_cost(size_gb, reads, writes, tier)
         };
-        let mut best = vec![[Money::MAX; TIER_COUNT]; days];
-        let mut parent = vec![[0usize; TIER_COUNT]; days];
-        for tier in Tier::all() {
-            best[0][tier.index()] = model.policy().change_cost(current, tier, size_gb)
-                + cost_of(predicted_reads[0], tier);
-        }
-        for d in 1..days {
-            for tier in Tier::all() {
-                let steady = cost_of(predicted_reads[d], tier);
-                let (prev, cost) = Tier::all()
-                    .map(|p| {
-                        (
-                            p,
-                            best[d - 1][p.index()]
-                                .saturating_add(model.policy().change_cost(p, tier, size_gb)),
-                        )
-                    })
-                    .fold(None, |best: Option<(Tier, Money)>, cand| match best {
-                        Some(b) if b.1 <= cand.1 => Some(b),
-                        _ => Some(cand),
-                    })
-                    .unwrap_or((Tier::Hot, Money::MAX));
-                best[d][tier.index()] = cost.saturating_add(steady);
-                parent[d][tier.index()] = prev.index();
-            }
-        }
-        let mut last = Tier::Hot;
-        for t in Tier::all() {
-            if best[days - 1][t.index()] < best[days - 1][last.index()] {
-                last = t;
-            }
-        }
-        let mut plan = vec![Tier::Hot; days];
-        for d in (0..days).rev() {
-            plan[d] = last;
-            if d > 0 {
-                last = Tier::ALL[parent[d][last.index()]];
-            }
-        }
-        plan
+        cheapest_path(
+            days,
+            &Tier::ALL,
+            |to| model.policy().change_cost(current, to, size_gb),
+            |d, tier| cost_of(predicted_reads[d], tier),
+            |from, to| model.policy().change_cost(from, to, size_gb),
+        )
+        .0
     }
 }
 

@@ -335,11 +335,10 @@ impl Supervisor {
     }
 
     /// The backoff delay before retry number `attempt` (0-based):
-    /// `base · 2^attempt`, saturating, capped at `backoff_cap_ms`.
+    /// [`stream::backoff_ms`] with this supervisor's base and cap.
     #[must_use]
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        self.cfg.backoff_base_ms.saturating_mul(factor).min(self.cfg.backoff_cap_ms)
+        stream::backoff_ms(self.cfg.backoff_base_ms, self.cfg.backoff_cap_ms, attempt)
     }
 
     /// Advances the virtual clock by the backoff delay for `attempt`.

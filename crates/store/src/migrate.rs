@@ -27,8 +27,8 @@ use crate::StoreError;
 use stream::FaultSite;
 
 /// Tuning for the migration pipeline (CLI: `--migrate-bw`,
-/// `--migrate-inflight`; the retry/backoff family mirrors the
-/// supervisor's defaults).
+/// `--migrate-inflight`; the retry/backoff family has the supervisor's
+/// defaults, and both price a delay with [`stream::backoff_ms`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MigrateConfig {
     /// Bandwidth cap in MiB/s of virtual time; 0 = device speed.
@@ -151,11 +151,11 @@ impl Migrator {
     }
 
     /// Deterministic exponential backoff before retry `attempt` (0-based):
-    /// `base * 2^attempt`, saturating, capped (the supervisor's curve).
+    /// [`stream::backoff_ms`], the supervisor's curve, with this
+    /// migrator's base and cap.
     #[must_use]
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        self.cfg.backoff_base_ms.saturating_mul(factor).min(self.cfg.backoff_cap_ms)
+        stream::backoff_ms(self.cfg.backoff_base_ms, self.cfg.backoff_cap_ms, attempt)
     }
 
     /// Drains one decision batch. Jobs run in the given order; lanes are

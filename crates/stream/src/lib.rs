@@ -65,6 +65,16 @@ pub use fault::{
 pub use sketch::{CountMinSketch, SpaceSaving, SpaceSavingEntry};
 pub use stats::{ExactStats, FileStats};
 
+/// The deterministic retry backoff shared by the serve supervisor and the
+/// store's migration pipeline: the delay before retry number `attempt`
+/// (0-based) is `base_ms · 2^attempt` virtual milliseconds, saturating,
+/// capped at `cap_ms`.
+#[must_use]
+pub fn backoff_ms(base_ms: u64, cap_ms: u64, attempt: u32) -> u64 {
+    let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
+    base_ms.saturating_mul(factor).min(cap_ms)
+}
+
 /// A splitmix64-style finalizer: the stable 64-bit mixer every seeded hash
 /// in this crate derives from, so nothing depends on the process-seeded
 /// std hasher.
