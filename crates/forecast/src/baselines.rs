@@ -26,7 +26,8 @@ impl Forecaster for Naive {
 /// natural baseline for the weekly request cycles the paper describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeasonalNaive {
-    /// Season length in steps (7 for weekly cycles on daily data).
+    /// Season length in steps (7 for weekly cycles on daily data). A zero
+    /// period never completes a season, so it forecasts the history's mean.
     pub period: usize,
 }
 
@@ -41,15 +42,19 @@ impl SeasonalNaive {
 
 impl Forecaster for SeasonalNaive {
     fn forecast(&self, history: &[f64], horizon: usize) -> Vec<f64> {
-        if history.is_empty() {
-            return vec![0.0; horizon];
-        }
-        if history.len() < self.period {
+        // The last full season, if there is one. A zero period (a struct
+        // literal or a deserialized value skips `new`'s check) has none.
+        let season = history
+            .len()
+            .checked_sub(self.period)
+            .and_then(|start| history.get(start..))
+            .filter(|season| !season.is_empty());
+        match season {
+            Some(season) => season.iter().copied().cycle().take(horizon).collect(),
+            None if history.is_empty() => vec![0.0; horizon],
             // Not a full season yet: fall back to the mean.
-            return vec![mean(history); horizon];
+            None => vec![mean(history); horizon],
         }
-        let season = &history[history.len() - self.period..];
-        (0..horizon).map(|k| season[k % self.period]).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -126,6 +131,16 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn seasonal_naive_zero_period_panics() {
         let _ = SeasonalNaive::new(0);
+    }
+
+    #[test]
+    fn seasonal_naive_zero_period_literal_forecasts_the_mean() {
+        // The public field lets a literal skip `new`'s check; it must not
+        // divide by zero.
+        let zero = SeasonalNaive { period: 0 };
+        assert_eq!(zero.forecast(&[2.0, 4.0], 3), vec![3.0; 3]);
+        assert_eq!(zero.forecast(&[], 2), vec![0.0; 2]);
+        assert_eq!(zero.forecast(&[5.0], 0), Vec::<f64>::new());
     }
 
     #[test]

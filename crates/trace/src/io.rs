@@ -14,7 +14,11 @@
 
 use crate::file::{FileId, FileSeries};
 use crate::workload::Trace;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+
+/// 2^64: the first byte count a `u64` cannot hold.
+const TWO_POW_64: f64 = 4_294_967_296.0 * 4_294_967_296.0;
 
 /// Writes `trace` as interchange CSV.
 ///
@@ -64,14 +68,16 @@ impl From<std::io::Error> for TraceIoError {
 
 /// Reads a trace from interchange CSV (as written by [`write_csv`]).
 ///
-/// Files are re-identified densely in row order; all series must share one
-/// day count.
+/// Files are re-identified densely in row order; the `id` column must hold
+/// distinct integers, each `size_gb` must be a byte count (`size_gb * 1e9`)
+/// that fits in a `u64`, and all series must share one day count.
 ///
 /// # Errors
 /// Returns [`TraceIoError`] on I/O failure or any malformed row.
 pub fn read_csv<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
     let input = BufReader::new(reader);
     let mut files = Vec::new();
+    let mut ids = BTreeMap::new();
     let mut days: Option<usize> = None;
     for (ix, line) in input.lines().enumerate() {
         let line = line?;
@@ -92,9 +98,19 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
                 format!("expected 4 fields, got {}", fields.len()),
             ));
         }
+        let id: u64 =
+            fields[0].trim().parse().map_err(|e| TraceIoError::Parse(row, format!("id: {e}")))?;
+        if let Some(first) = ids.insert(id, row) {
+            return Err(TraceIoError::Parse(
+                row,
+                format!("duplicate id {id} (first on line {first})"),
+            ));
+        }
         let size_gb: f64 =
             fields[1].parse().map_err(|e| TraceIoError::Parse(row, format!("size_gb: {e}")))?;
-        if !size_gb.is_finite() || size_gb < 0.0 {
+        // Events carry `size_gb * 1e9` bytes as a u64; past 2^64 it would
+        // saturate into a size, and a price, that means nothing.
+        if !size_gb.is_finite() || size_gb < 0.0 || size_gb * 1e9 >= TWO_POW_64 {
             return Err(TraceIoError::Parse(row, format!("size_gb out of range: {size_gb}")));
         }
         let parse_series = |field: &str, name: &str| -> Result<Vec<u64>, TraceIoError> {
@@ -260,6 +276,27 @@ mod tests {
         assert!(read_csv(csv.as_bytes()).is_err());
         let csv = "id,size_gb,reads,writes\n0,-3.0,1,0\n";
         assert!(read_csv(csv.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn rejects_duplicate_ids() {
+        let csv = "id,size_gb,reads,writes\n7,0.1,1;2,0;0\n3,0.2,3;4,0;1\n7,0.3,5;6,0;0\n";
+        let err = read_csv(csv.as_bytes()).unwrap_err();
+        assert!(matches!(err, TraceIoError::Parse(4, _)), "{err}");
+        assert!(err.to_string().contains("duplicate id 7 (first on line 2)"), "{err}");
+    }
+
+    #[test]
+    fn rejects_sizes_whose_bytes_overflow_u64() {
+        let csv = "id,size_gb,reads,writes\n0,0.1,1,0\n1,1e308,1,0\n";
+        let err = read_csv(csv.as_bytes()).unwrap_err();
+        assert!(matches!(err, TraceIoError::Parse(3, _)), "{err}");
+        assert!(err.to_string().contains("size_gb out of range"), "{err}");
+        // 2^64 bytes is one past u64::MAX; a GB count just below it loads.
+        let csv = "id,size_gb,reads,writes\n0,18446744073.709553,1,0\n";
+        assert!(read_csv(csv.as_bytes()).is_err());
+        let csv = "id,size_gb,reads,writes\n0,18446744073.709,1,0\n";
+        assert!(read_csv(csv.as_bytes()).is_ok());
     }
 
     #[test]

@@ -65,17 +65,30 @@ pub fn lognormal_factor_from_z(z: f64, cv: f64) -> f64 {
 /// Uses Knuth's product-of-uniforms method for small `lambda` and a
 /// normal approximation (continuity-corrected, clamped at zero) for large
 /// `lambda`, where the exact method would need `O(lambda)` uniforms.
+pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
+    poisson_with_limit(rng, lambda, || (-lambda).exp())
+}
+
+/// [`poisson`] with Knuth's limit `exp(-lambda)` supplied by `limit`, which
+/// is called only when the product-of-uniforms method runs
+/// (`0 < lambda < 30`). A `limit` that returns the value `(-lambda).exp()`
+/// computed for the same `lambda` (say, from a cache) draws exactly what
+/// [`poisson`] draws.
 #[expect(
     clippy::cast_possible_truncation,
     reason = "positive floor of a normal sample; `as` saturates"
 )]
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
+pub fn poisson_with_limit<R: Rng + ?Sized>(
+    rng: &mut R,
+    lambda: f64,
+    limit: impl FnOnce() -> f64,
+) -> u64 {
     debug_assert!(lambda >= 0.0, "lambda must be non-negative");
     if lambda <= 0.0 {
         return 0;
     }
     if lambda < 30.0 {
-        let limit = (-lambda).exp();
+        let limit = limit();
         let mut product: f64 = rng.random();
         let mut count = 0u64;
         while product > limit {
