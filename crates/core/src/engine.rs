@@ -93,7 +93,7 @@ pub fn run_shard(
     let m = indices.len();
     let days = fleet.days();
     // Setup buffers, sized once per shard; the day loop below reuses them
-    // and must stay allocation-free (the F5 `hot-alloc` gate).
+    // and must stay allocation-free (`tests/alloc_budget.rs` counts it).
     let mut current = vec![cfg.initial_tier; m];
     let mut decision = vec![cfg.initial_tier; m];
     let mut run = ShardRun {

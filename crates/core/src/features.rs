@@ -46,10 +46,12 @@ impl FeatureConfig {
     /// breakeven.
     pub const CHANNELS: usize = 2;
 
-    /// Total state width: `CHANNELS * window + EXTRA_FEATURES`.
+    /// Total state width: `CHANNELS * window + EXTRA_FEATURES`, saturating
+    /// so that a corrupt deserialized window reads as a mismatch, not an
+    /// overflow.
     #[must_use]
     pub fn state_dim(&self) -> usize {
-        Self::CHANNELS * self.window + EXTRA_FEATURES
+        Self::CHANNELS.saturating_mul(self.window).saturating_add(EXTRA_FEATURES)
     }
 
     /// Builds the feature vector for `file` on the morning of `day`
@@ -67,9 +69,10 @@ impl FeatureConfig {
     }
 
     /// Encodes one batch row per [`FleetView`] slot into `block` — the
-    /// allocation-free batch featurization path: `block` is reshaped
-    /// (reusing its backing buffer) and every row written in slot order,
-    /// bit-identical to the per-file [`FeatureConfig::encode`] output.
+    /// allocation-free batch featurization path (`tests/alloc_budget.rs`
+    /// measures it): `block` is reshaped (reusing its backing buffer) and
+    /// every row written in slot order, bit-identical to the per-file
+    /// [`FeatureConfig::encode`] output.
     ///
     /// `current[slot]` is the tier batch entry `slot` currently occupies.
     pub fn encode_block(&self, view: &FleetView<'_>, current: &[Tier], block: &mut FeatureBlock) {

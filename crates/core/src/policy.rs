@@ -109,8 +109,8 @@ impl<'a> DecisionContext<'a> {
 /// [`Policy::decide_batch_into`], and [`Policy::fork`] gives each parallel
 /// shard worker a private instance. The call is *buffer-reusing*: the
 /// engine's day loop and serve both hoist one decision buffer outside the
-/// loop, so steady-state decision sweeps allocate nothing (the F5
-/// `hot-alloc` gate in `cargo xtask check` enforces this).
+/// loop, so steady-state decision sweeps allocate nothing (the
+/// `alloc_budget` test measures this).
 pub trait Policy: Send {
     /// Short name for reports ("hot", "greedy", "minicost", ...).
     fn name(&self) -> &'static str;
@@ -246,9 +246,12 @@ impl Policy for GreedyPolicy {
 
 /// The paper's *Optimal* baseline: the exact offline optimum, precomputed
 /// per file over the full horizon (see [`crate::optimal`]).
+///
+/// The plans are immutable once solved, so every [`Policy::fork`] shares
+/// them by reference, as [`RlPolicy`] shares its actor.
 #[derive(Clone, Debug)]
 pub struct OptimalPolicy {
-    plans: Vec<Vec<Tier>>,
+    plans: Arc<[Vec<Tier>]>,
     /// Total cost the planner expects (useful for cross-checking the
     /// simulator's ledger).
     pub planned_cost: Money,
@@ -265,7 +268,7 @@ impl OptimalPolicy {
             planned_cost += cost;
             plans.push(plan);
         }
-        OptimalPolicy { plans, planned_cost }
+        OptimalPolicy { plans: plans.into(), planned_cost }
     }
 }
 

@@ -157,10 +157,42 @@ impl MiniCost {
     /// Loads an agent persisted by [`MiniCost::save`].
     ///
     /// # Errors
-    /// Propagates filesystem and deserialization errors.
+    /// Propagates filesystem and deserialization errors, and returns
+    /// [`std::io::ErrorKind::InvalidData`] naming the field when the
+    /// agent's networks cannot be built: a spec no network fits, a
+    /// parameter vector of the wrong length, or a feature window whose
+    /// state width differs from the spec's.
     pub fn load(path: &std::path::Path) -> std::io::Result<MiniCost> {
         let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(std::io::Error::other)
+        let agent: MiniCost = serde_json::from_str(&json).map_err(std::io::Error::other)?;
+        agent
+            .check_shapes()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        Ok(agent)
+    }
+
+    /// Checks, before any layer is built, that the stored parameters and
+    /// feature window fit the stored network spec.
+    fn check_shapes(&self) -> Result<(), String> {
+        let spec = &self.result.spec;
+        let (actor, critic) =
+            spec.param_counts().ok_or_else(|| format!("result.spec {spec:?} builds no network"))?;
+        for (field, have, want) in [
+            ("result.actor_params", self.result.actor_params.len(), actor),
+            ("result.critic_params", self.result.critic_params.len(), critic),
+        ] {
+            if have != want {
+                return Err(format!("{field} holds {have} parameters; result.spec needs {want}"));
+            }
+        }
+        let (have, want) = (self.features.state_dim(), spec.state_dim());
+        if have != want {
+            return Err(format!(
+                "features.window {} gives {have} state features; result.spec takes {want}",
+                self.features.window
+            ));
+        }
+        Ok(())
     }
 
     /// Final optimal-action rate observed during training, if recorded.
@@ -273,6 +305,48 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(agent.result.actor_params, back.result.actor_params);
         assert!(MiniCost::load(std::path::Path::new("/nonexistent/agent.json")).is_err());
+    }
+
+    /// Saves an untrained agent of the fast recipe after `edit` has
+    /// changed it, then loads it back.
+    fn load_edited(name: &str, edit: impl FnOnce(&mut MiniCost)) -> std::io::Result<MiniCost> {
+        let cfg = MiniCostConfig::fast();
+        let spec = cfg.net_spec();
+        let mut agent = MiniCost {
+            result: TrainResult {
+                actor_params: spec.build_actor(0).param_vector(),
+                critic_params: spec.build_critic(0).param_vector(),
+                spec,
+                progress: Vec::new(),
+                updates: 0,
+            },
+            features: cfg.features,
+        };
+        edit(&mut agent);
+        let path =
+            std::env::temp_dir().join(format!("minicost-agent-{name}-{}.json", std::process::id()));
+        agent.save(&path)?;
+        let loaded = MiniCost::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn load_rejects_actor_params_of_the_wrong_length() {
+        assert!(load_edited("whole", |_| {}).is_ok());
+        let err = load_edited("short", |a| {
+            a.result.actor_params.truncate(a.result.actor_params.len() - 3);
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("result.actor_params"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_a_feature_window_the_spec_does_not_take() {
+        let err = load_edited("window", |a| a.features.window = 1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("features.window"), "{err}");
     }
 
     #[test]

@@ -61,6 +61,35 @@ impl NetSpec {
         self.channels * self.window + self.extras
     }
 
+    /// Parameter counts of the actor and the critic this spec builds, in
+    /// that order, computed without building either. `None` when building
+    /// would fail: a zero dimension or stride, a kernel wider than the
+    /// window, or a count or the state width beyond `usize`.
+    #[must_use]
+    pub fn param_counts(&self) -> Option<(usize, usize)> {
+        let buildable = self.channels > 0
+            && self.filters > 0
+            && self.stride > 0
+            && self.kernel > 0
+            && self.kernel <= self.window
+            && self.hidden > 0
+            && self.actions > 0;
+        if !buildable {
+            return None;
+        }
+        // Callers compare `state_dim`, so it must not overflow either.
+        self.channels.checked_mul(self.window)?.checked_add(self.extras)?;
+        let conv_len = (self.window - self.kernel) / self.stride + 1;
+        // A layer with `n` inputs and `m` outputs holds `(n + 1) * m`
+        // parameters: the weights and one bias per output.
+        let layer = |inputs: usize, outputs: usize| inputs.checked_add(1)?.checked_mul(outputs);
+        let conv = layer(self.channels.checked_mul(self.kernel)?, self.filters)?;
+        let trunk_out = self.filters.checked_mul(conv_len)?.checked_add(self.extras)?;
+        let trunk = conv.checked_add(layer(trunk_out, self.hidden)?)?;
+        let total = |outputs: usize| trunk.checked_add(layer(self.hidden, outputs)?);
+        Some((total(self.actions)?, total(1)?))
+    }
+
     /// Builds a network with this trunk and `out` output units.
     fn build(&self, out: usize, seed: u64) -> Network {
         assert!(self.window >= self.kernel, "window must fit the conv kernel");
@@ -392,6 +421,23 @@ mod tests {
 
     fn state() -> Vec<f64> {
         vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 1.0, 0.0, 0.5]
+    }
+
+    #[test]
+    fn param_counts_match_the_built_networks() {
+        let strided = NetSpec { window: 21, channels: 2, stride: 2, ..spec() };
+        for s in [spec(), strided, NetSpec::paper_default(21, 7, 3)] {
+            let built = (s.build_actor(1).param_count(), s.build_critic(1).param_count());
+            assert_eq!(s.param_counts(), Some(built), "{s:?}");
+        }
+        for unbuildable in [
+            NetSpec { kernel: 8, ..spec() },
+            NetSpec { stride: 0, ..spec() },
+            NetSpec { filters: 0, ..spec() },
+            NetSpec { extras: usize::MAX, ..spec() },
+        ] {
+            assert_eq!(unbuildable.param_counts(), None, "{unbuildable:?}");
+        }
     }
 
     #[test]

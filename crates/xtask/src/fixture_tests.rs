@@ -6,8 +6,9 @@
 //! dollar-named helper also trips L1). Each test therefore filters to the
 //! lint under test before asserting counts.
 
-use crate::flow::{AllowEntry, FlowDiag, FlowKind};
+use crate::flow::{FlowDiag, FlowKind};
 use crate::lints::{scan_source, FileContext, Lint, Violation};
+use crate::reach::AllowEntry;
 use serde::{Serialize, Value};
 use std::path::PathBuf;
 
@@ -167,7 +168,7 @@ fn diagnostics_json_matches_documented_schema() {
             line: 7,
             message: "dollars".to_string(),
         }],
-        alloc_unused: vec![AllowEntry {
+        panic_unused: vec![AllowEntry {
             function: "core::gone".to_string(),
             reason: "old".to_string(),
         }],
@@ -184,7 +185,7 @@ fn diagnostics_json_matches_documented_schema() {
         keys(&doc),
         ["version", "lints", "violations", "flow", "allowlists", "gates", "summary"]
     );
-    assert_eq!(field(&doc, "version"), &Value::I64(1));
+    assert_eq!(field(&doc, "version"), &Value::I64(2));
     assert_eq!(items(field(&doc, "lints")).len(), 5);
     let vs = items(field(&doc, "violations"));
     assert_eq!(vs.len(), 1);
@@ -193,24 +194,23 @@ fn diagnostics_json_matches_documented_schema() {
     assert_eq!(field(&vs[0], "file"), &str_val("crates/core/src/x.rs"));
     assert_eq!(field(&vs[0], "line"), &Value::I64(7));
     let gates = field(&doc, "gates");
-    assert_eq!(keys(gates), ["lints", "flow", "alloc", "allowlists", "fmt", "clippy"]);
+    assert_eq!(keys(gates), ["lints", "flow", "allowlists", "fmt", "clippy"]);
     assert_eq!(field(gates, "lints"), &Value::Bool(false));
     assert_eq!(field(gates, "flow"), &Value::Bool(true));
-    assert_eq!(field(gates, "alloc"), &Value::Bool(true));
-    // Strict + one unused alloc-allowlist entry fails the hygiene gate.
+    // Strict + one unused panic-allowlist entry fails the hygiene gate.
     assert_eq!(field(gates, "allowlists"), &Value::Bool(false));
     assert_eq!(field(gates, "fmt"), &Value::Bool(true));
     assert_eq!(field(gates, "clippy"), &Value::Bool(true));
     let allowlists = field(&doc, "allowlists");
-    assert_eq!(keys(allowlists), ["strict", "panic_unused", "alloc_unused"]);
+    assert_eq!(keys(allowlists), ["strict", "panic_unused"]);
     assert_eq!(field(allowlists, "strict"), &Value::Bool(true));
     assert_eq!(
-        items(field(allowlists, "alloc_unused")),
-        [str_val("unused alloc-allowlist entry: core::gone (old)")]
+        items(field(allowlists, "panic_unused")),
+        [str_val("unused panic-allowlist entry: core::gone (old)")]
     );
     let flow = field(&doc, "flow");
     assert_eq!(keys(flow), ["kinds", "diagnostics"]);
-    assert_eq!(items(field(flow, "kinds")).len(), 4);
+    assert_eq!(items(field(flow, "kinds")).len(), 3);
     assert_eq!(items(field(flow, "diagnostics")).len(), 0);
     let summary = field(&doc, "summary");
     assert_eq!(keys(summary), ["files", "total", "flow_total", "ok", "step_ms"]);
@@ -220,18 +220,18 @@ fn diagnostics_json_matches_documented_schema() {
     assert_eq!(field(summary, "ok"), &Value::Bool(false));
     // Each step's wall time, keyed by step name, in run order.
     let step_ms = field(summary, "step_ms");
-    assert_eq!(keys(step_ms), ["lints", "flow", "alloc", "fmt", "clippy"]);
+    assert_eq!(keys(step_ms), ["lints", "flow", "fmt", "clippy"]);
     assert_eq!(field(step_ms, "lints"), &Value::I64(3));
     assert_eq!(field(step_ms, "flow"), &Value::I64(5));
     // The document renders as one JSON line in the same key order.
     let rendered = serde_json::to_string(&check).expect("render");
-    assert!(rendered.starts_with(r#"{"version":1,"lints":["money-safety","#), "{rendered}");
+    assert!(rendered.starts_with(r#"{"version":2,"lints":["money-safety","#), "{rendered}");
 }
 
 #[test]
 fn every_graph_finding_lands_in_flow_diagnostics() {
-    // CI uploads only the check document, so F1 and F5 findings must
-    // all reach `flow.diagnostics`, each under its kind and code.
+    // CI uploads only the check document, so every flow finding must
+    // reach `flow.diagnostics`, each under its kind and code.
     let diag = |kind: FlowKind| FlowDiag {
         kind,
         file: "crates/core/src/x.rs".to_string(),
@@ -241,8 +241,7 @@ fn every_graph_finding_lands_in_flow_diagnostics() {
         trace: vec!["calls core::serve".to_string()],
     };
     let report = crate::CheckReport {
-        flow_diags: vec![diag(FlowKind::DeterminismTaint)],
-        alloc_diags: vec![diag(FlowKind::HotAlloc)],
+        flow_diags: FlowKind::all().map(diag).to_vec(),
         fmt_ok: true,
         clippy_ok: true,
         ..crate::CheckReport::default()
@@ -253,17 +252,18 @@ fn every_graph_finding_lands_in_flow_diagnostics() {
         diags.iter().map(|d| (field(d, "kind"), field(d, "code"))).collect();
     assert_eq!(
         got,
-        [(&str_val("determinism-taint"), &str_val("F1")), (&str_val("hot-alloc"), &str_val("F5")),]
+        [
+            (&str_val("determinism-taint"), &str_val("F1")),
+            (&str_val("panic-reachability"), &str_val("F2")),
+            (&str_val("lock-order"), &str_val("F3")),
+        ]
     );
     assert_eq!(keys(&diags[0]), ["kind", "code", "file", "line", "symbol", "message", "trace"]);
     assert_eq!(items(field(&diags[0], "trace")), [str_val("calls core::serve")]);
     let summary = field(&doc, "summary");
-    assert_eq!(field(summary, "flow_total"), &Value::I64(2));
+    assert_eq!(field(summary, "flow_total"), &Value::I64(3));
     assert_eq!(field(summary, "ok"), &Value::Bool(false));
-    let gates = field(&doc, "gates");
-    for gate in ["flow", "alloc"] {
-        assert_eq!(field(gates, gate), &Value::Bool(false), "{gate}");
-    }
+    assert_eq!(field(field(&doc, "gates"), "flow"), &Value::Bool(false));
 }
 
 #[test]

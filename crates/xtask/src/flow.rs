@@ -14,15 +14,14 @@
 //!
 //! This module owns the pieces the analyses share: the [`Workspace`] loader
 //! (sources, tokens, item trees for every first-party crate), the function
-//! call graph [`FnGraph`], the [`FlowDiag`] diagnostic type that feeds the
-//! same gate as the syntax lints, and the allowlist-gated reachability walk
-//! ([`gated_reach`]) behind F2 and F5.
+//! call graph [`FnGraph`], and the [`FlowDiag`] diagnostic type that feeds
+//! the same gate as the syntax lints.
 
-use crate::lexer::{lex, Lexed, Tok};
+use crate::lexer::{lex, Lexed};
 use crate::lints::mark_regions;
 use crate::parser::{parse_items, walk_items, Item, ItemKind};
-use serde::Deserialize;
-use std::collections::{BTreeMap, VecDeque};
+use crate::reach::{AllowEntry, Allowlist};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -92,8 +91,6 @@ pub enum FlowKind {
     PanicReachability,
     /// F3: lock acquisition orderings form a cycle.
     LockOrder,
-    /// F5: a heap allocation is reachable from a per-day inner-loop root.
-    HotAlloc,
 }
 
 impl FlowKind {
@@ -103,28 +100,21 @@ impl FlowKind {
             FlowKind::DeterminismTaint => "determinism-taint",
             FlowKind::PanicReachability => "panic-reachability",
             FlowKind::LockOrder => "lock-order",
-            FlowKind::HotAlloc => "hot-alloc",
         }
     }
 
-    /// Short code for human output (`F1`..`F5`).
+    /// Short code for human output (`F1`..`F3`).
     pub fn code(self) -> &'static str {
         match self {
             FlowKind::DeterminismTaint => "F1",
             FlowKind::PanicReachability => "F2",
             FlowKind::LockOrder => "F3",
-            FlowKind::HotAlloc => "F5",
         }
     }
 
     /// All kinds, in code order.
-    pub fn all() -> [FlowKind; 4] {
-        [
-            FlowKind::DeterminismTaint,
-            FlowKind::PanicReachability,
-            FlowKind::LockOrder,
-            FlowKind::HotAlloc,
-        ]
+    pub fn all() -> [FlowKind; 3] {
+        [FlowKind::DeterminismTaint, FlowKind::PanicReachability, FlowKind::LockOrder]
     }
 }
 
@@ -444,151 +434,5 @@ pub fn analyze(
     let (reach_diags, unused) = crate::reach::analyze(ws, g, crate::reach::ROOTS, panic_allow);
     diags.extend(reach_diags);
     diags.extend(crate::lockorder::analyze(ws, g));
-    (diags, unused)
-}
-
-/// One tolerated function of a committed allowlist.
-#[derive(Clone, Debug, PartialEq, Eq, Deserialize)]
-pub struct AllowEntry {
-    /// Qualified function key (`core::Engine::run_shard`).
-    pub function: String,
-    /// Why the flagged sites are acceptable.
-    pub reason: String,
-}
-
-/// A committed `{"entries": [{"function": ..., "reason": ...}, ...]}`
-/// allowlist: `xtask-panic-allowlist.json` (F2) or
-/// `xtask-alloc-allowlist.json` (F5).
-#[derive(Clone, Debug, Default, Deserialize)]
-pub struct Allowlist {
-    /// All entries, in file order.
-    pub entries: Vec<AllowEntry>,
-}
-
-impl Allowlist {
-    /// Loads `<root>/<name>`; a missing file is an empty allowlist, a
-    /// malformed one is an error.
-    pub fn load(root: &Path, name: &str) -> Result<Allowlist, String> {
-        let path = root.join(name);
-        match std::fs::read_to_string(&path) {
-            Ok(src) => Allowlist::parse(&src).map_err(|e| format!("{}: {e}", path.display())),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Allowlist::default()),
-            Err(e) => Err(format!("{}: {e}", path.display())),
-        }
-    }
-
-    /// Parses an allowlist document. Entries are audits, so a blank
-    /// `reason` is rejected like a missing one.
-    pub fn parse(src: &str) -> Result<Allowlist, String> {
-        let list: Allowlist = serde_json::from_str(src).map_err(|e| e.to_string())?;
-        match list.entries.iter().position(|e| e.reason.trim().is_empty()) {
-            Some(i) => Err(format!("entry {i}: reason must not be empty")),
-            None => Ok(list),
-        }
-    }
-}
-
-/// How an allowlist-gated reachability analysis reports its findings.
-pub struct Gate {
-    /// Which analysis this is.
-    pub kind: FlowKind,
-    /// Trace role of the flagged function (`panics in`).
-    pub role: &'static str,
-    /// What the flagged function does (`can panic`).
-    pub finding: &'static str,
-    /// The first remedy offered (`fix`).
-    pub remedy: &'static str,
-    /// The allowlist file that can absorb a finding.
-    pub allowlist: &'static str,
-}
-
-/// Walks the graph forward from `roots` and flags every reachable function
-/// whose body `scan` finds `(label, line)` sites in, after dropping sites a
-/// justified `xtask-allow(<kind>)` waives. Functions `allow` lists are not
-/// flagged; the entries that matched nothing are returned beside the
-/// diagnostics. BFS order makes every trace a shortest root-to-site path.
-pub fn gated_reach<'r>(
-    ws: &Workspace,
-    g: &FnGraph,
-    roots: impl IntoIterator<Item = &'r str>,
-    allow: &Allowlist,
-    gate: &Gate,
-    scan: impl Fn(&[Tok]) -> Vec<(String, usize)>,
-) -> (Vec<FlowDiag>, Vec<AllowEntry>) {
-    let mut prev: Vec<Option<usize>> = vec![None; g.nodes.len()];
-    let mut root_of: Vec<Option<usize>> = vec![None; g.nodes.len()];
-    let mut queue = VecDeque::new();
-    for key in roots {
-        if let Some(ix) = g.by_key(key) {
-            if root_of[ix].is_none() {
-                root_of[ix] = Some(ix);
-                queue.push_back(ix);
-            }
-        }
-    }
-    while let Some(ix) = queue.pop_front() {
-        for &c in &g.nodes[ix].callees {
-            if root_of[c].is_none() {
-                root_of[c] = root_of[ix];
-                prev[c] = Some(ix);
-                queue.push_back(c);
-            }
-        }
-    }
-
-    let mut used = vec![false; allow.entries.len()];
-    let mut diags = Vec::new();
-    for (ix, node) in g.nodes.iter().enumerate() {
-        let Some(root_ix) = root_of[ix] else { continue };
-        let Some((start, end)) = node.body else { continue };
-        let sf = &ws.files[node.file_ix];
-        // label -> (count, first line), in label order.
-        let mut sites: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for (label, line) in scan(&sf.lexed.toks[start..end.min(sf.lexed.toks.len())]) {
-            if !flow_allowed(&sf.lexed, gate.kind, line) {
-                sites.entry(label).or_insert((0, line)).0 += 1;
-            }
-        }
-        if sites.is_empty() {
-            continue;
-        }
-        if let Some(pos) = allow.entries.iter().position(|e| e.function == node.key) {
-            used[pos] = true;
-            continue;
-        }
-        let mut path = vec![ix];
-        while let Some(p) = prev[*path.last().unwrap_or(&ix)] {
-            path.push(p);
-        }
-        path.reverse();
-        let trace = path
-            .iter()
-            .map(|&step| {
-                let role = if step == ix { gate.role } else { "calls" };
-                format!("{role} {}", g.label(ws, step))
-            })
-            .collect();
-        let summary: Vec<String> =
-            sites.iter().map(|(label, (n, _))| format!("{n} {label}")).collect();
-        diags.push(FlowDiag {
-            kind: gate.kind,
-            file: sf.file.clone(),
-            line: sites.values().map(|&(_, line)| line).min().unwrap_or(0),
-            symbol: node.key.clone(),
-            message: format!(
-                "{} ({}) and is reachable from `{}` ({} hop(s)); {}, waive the site, or add an \
-                 `{}` entry",
-                gate.finding,
-                summary.join(", "),
-                g.nodes[root_ix].key,
-                path.len().saturating_sub(1),
-                gate.remedy,
-                gate.allowlist,
-            ),
-            trace,
-        });
-    }
-    let unused =
-        allow.entries.iter().zip(&used).filter(|(_, u)| !**u).map(|(e, _)| e.clone()).collect();
     (diags, unused)
 }

@@ -3,7 +3,8 @@
 //! must be clean modulo the panic allowlist. Also
 //! holds the call-graph snapshot test pinning `Policy` dispatch coverage.
 
-use crate::flow::{Allowlist, FlowDiag, FlowKind, FnGraph, Workspace};
+use crate::flow::{FlowDiag, FlowKind, FnGraph, Workspace};
+use crate::reach::Allowlist;
 use crate::{lockorder, reach, taint};
 use std::path::PathBuf;
 
@@ -217,7 +218,7 @@ fn flow_tree_is_clean_modulo_allowlist() {
     let root = crate::walk::repo_root();
     let ws = Workspace::load_flow(&root).expect("workspace loads");
     let g = FnGraph::build(&ws);
-    let allow = Allowlist::load(&root, reach::ALLOWLIST).expect("allowlist parses");
+    let allow = Allowlist::load(&root).expect("allowlist parses");
     let (diags, _unused) = crate::flow::analyze(&ws, &g, &allow);
     let rendered: Vec<String> = diags.iter().map(ToString::to_string).collect();
     assert!(rendered.is_empty(), "workspace has flow diagnostics:\n{}", rendered.join("\n"));

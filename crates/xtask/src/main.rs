@@ -15,15 +15,17 @@
 //! 2. the three interprocedural flow analyses (F1 `determinism-taint`, F2
 //!    `panic-reachability`, F3 `lock-order`; DESIGN.md §12) over the
 //!    workspace call graph, gated on `xtask-panic-allowlist.json`,
-//! 3. the F5 `hot-alloc` abstract interpretation (DESIGN.md §13) over the
-//!    same call graph, gated on `xtask-alloc-allowlist.json`,
-//! 4. `cargo fmt --all --check`,
-//! 5. `cargo clippy --workspace --all-targets -- -D warnings`.
+//! 3. `cargo fmt --all --check`,
+//! 4. `cargo clippy --workspace --all-targets -- -D warnings`.
 //!
 //! `cargo xtask check --json` emits machine-readable diagnostics on stdout
 //! (schema in DESIGN.md §8, including each step's wall time) with human
 //! progress diverted to stderr. With `--strict`, unused allowlist entries
 //! are errors instead of warnings (CI passes `--strict` so they cannot rot).
+//!
+//! Heap allocations on the per-day loops are measured, not inferred: the
+//! counting-allocator test `tests/alloc_budget.rs` (DESIGN.md §13) holds
+//! them to committed budgets.
 //!
 //! `cargo xtask lint <path>...` runs only the custom lints over the given
 //! files or directories (used by the fixture self-tests and for spot checks).
@@ -35,7 +37,6 @@
 // natural "anything else"; no storage tier is matched here.
 #![allow(clippy::wildcard_enum_match_arm, reason = "no tier matches in the analyzer")]
 
-mod alloc;
 mod flow;
 mod lexer;
 mod lints;
@@ -47,14 +48,13 @@ mod taint;
 mod walk;
 
 #[cfg(test)]
-mod alloc_tests;
-#[cfg(test)]
 mod fixture_tests;
 #[cfg(test)]
 mod flow_tests;
 
-use flow::{AllowEntry, Allowlist, FlowDiag, FlowKind, FnGraph, Workspace};
+use flow::{FlowDiag, FlowKind, FnGraph, Workspace};
 use lints::{scan_source, FileContext, Lint, Violation};
+use reach::{AllowEntry, Allowlist};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -128,8 +128,8 @@ fn print_usage() {
          commands:\n  \
          check [--json] [--strict]\n                     \
          run the five custom lints + F1-F3 flow analyses +\n                     \
-         F5 abstract interpretation + `cargo fmt --check`\n                     \
-         + clippy gate; --json emits the diagnostics\n                     \
+         `cargo fmt --check` + clippy gate; --json emits\n                     \
+         the diagnostics\n                     \
          document (DESIGN.md \u{a7}8) on stdout; --strict\n                     \
          makes unused allowlist entries errors\n  \
          lint <path>...     run only the custom lints over the given paths\n  \
@@ -205,13 +205,9 @@ struct CheckReport {
     violations: Vec<Violation>,
     /// F1-F3 flow diagnostics.
     flow_diags: Vec<FlowDiag>,
-    /// F5 hot-alloc diagnostics.
-    alloc_diags: Vec<FlowDiag>,
     /// `xtask-panic-allowlist.json` entries that matched no finding.
     panic_unused: Vec<AllowEntry>,
-    /// `xtask-alloc-allowlist.json` entries that matched no finding.
-    alloc_unused: Vec<AllowEntry>,
-    /// Whether `--strict` promotes the two hygiene lists above to errors.
+    /// Whether `--strict` promotes the hygiene list above to errors.
     strict: bool,
     /// Whether `cargo fmt --all --check` passed.
     fmt_ok: bool,
@@ -226,7 +222,6 @@ struct CheckReport {
 struct StepMs {
     lints: u64,
     flow: u64,
-    alloc: u64,
     fmt: u64,
     clippy: u64,
 }
@@ -241,7 +236,6 @@ fn ms_since(start: Instant) -> u64 {
 struct Gates {
     lints: bool,
     flow: bool,
-    alloc: bool,
     allowlists: bool,
     fmt: bool,
     clippy: bool,
@@ -249,13 +243,11 @@ struct Gates {
 
 impl CheckReport {
     fn gates(&self) -> Gates {
-        // Hygiene findings fail their gate only under `--strict`.
-        let hygiene = |clean: bool| clean || !self.strict;
         Gates {
             lints: self.violations.is_empty(),
             flow: self.flow_diags.is_empty(),
-            alloc: self.alloc_diags.is_empty(),
-            allowlists: hygiene(self.panic_unused.is_empty() && self.alloc_unused.is_empty()),
+            // Hygiene findings fail their gate only under `--strict`.
+            allowlists: self.panic_unused.is_empty() || !self.strict,
             fmt: self.fmt_ok,
             clippy: self.clippy_ok,
         }
@@ -263,52 +255,15 @@ impl CheckReport {
 
     fn ok(&self) -> bool {
         let g = self.gates();
-        g.lints && g.flow && g.alloc && g.allowlists && g.fmt && g.clippy
+        g.lints && g.flow && g.allowlists && g.fmt && g.clippy
     }
 
-    /// Runs F1-F3 and F5 over one call graph of `ws`, recording each family's
-    /// findings and adding its wall time to `step_ms`.
-    fn run_graph_analyses(
-        &mut self,
-        ws: &Workspace,
-        panic_allow: &Allowlist,
-        alloc_allow: &Allowlist,
-    ) {
-        let start = Instant::now();
-        let g = FnGraph::build(ws);
-        (self.flow_diags, self.panic_unused) = flow::analyze(ws, &g, panic_allow);
-        self.step_ms.flow += ms_since(start);
-        let start = Instant::now();
-        (self.alloc_diags, self.alloc_unused) =
-            alloc::analyze(ws, &g, &alloc::roots(&g), alloc_allow);
-        self.step_ms.alloc += ms_since(start);
-    }
-
-    /// The `panic_unused` / `alloc_unused` lines of the document.
+    /// The `panic_unused` lines of the document.
     fn unused(list: &str, entries: &[AllowEntry]) -> Vec<String> {
         entries
             .iter()
             .map(|e| format!("unused {list} entry: {} ({})", e.function, e.reason))
             .collect()
-    }
-
-    /// Every hygiene finding as one printable line.
-    fn hygiene_lines(&self) -> Vec<String> {
-        let mut out = CheckReport::unused("panic-allowlist", &self.panic_unused);
-        out.extend(CheckReport::unused("alloc-allowlist", &self.alloc_unused));
-        out
-    }
-}
-
-/// Prints one analysis family's diagnostics and its verdict line.
-fn report_family(json_mode: bool, label: &str, diags: &[FlowDiag]) {
-    for d in diags {
-        eprintln!("{d}");
-    }
-    if diags.is_empty() {
-        progress!(json_mode, "==> {label} passed");
-    } else {
-        eprintln!("==> {label} FAILED: {} diagnostic(s)", diags.len());
     }
 }
 
@@ -339,35 +294,34 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
         eprintln!("==> custom lints FAILED: {} violation(s)", r.violations.len());
     }
 
-    // 2-3. Flow analyses and abstract interpretation over one call graph.
+    // 2. Flow analyses over the workspace call graph.
     progress!(
         json_mode,
-        "==> call-graph analyses (F1 determinism-taint, F2 panic-reachability, F3 lock-order, \
-         F5 hot-alloc)"
+        "==> call-graph analyses (F1 determinism-taint, F2 panic-reachability, F3 lock-order)"
     );
     let start = Instant::now();
-    let loaded = Workspace::load_flow(&root).and_then(|ws| {
-        Ok((
-            ws,
-            Allowlist::load(&root, reach::ALLOWLIST)?,
-            Allowlist::load(&root, alloc::ALLOWLIST)?,
-        ))
-    });
-    let (ws, panic_allow, alloc_allow) = match loaded {
+    let loaded = Workspace::load_flow(&root).and_then(|ws| Ok((ws, Allowlist::load(&root)?)));
+    let (ws, panic_allow) = match loaded {
         Ok(x) => x,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
+    (r.flow_diags, r.panic_unused) = flow::analyze(&ws, &FnGraph::build(&ws), &panic_allow);
     r.step_ms.flow = ms_since(start);
-    r.run_graph_analyses(&ws, &panic_allow, &alloc_allow);
-    report_family(json_mode, "flow analyses", &r.flow_diags);
-    report_family(json_mode, "hot-alloc", &r.alloc_diags);
+    for d in &r.flow_diags {
+        eprintln!("{d}");
+    }
+    if r.flow_diags.is_empty() {
+        progress!(json_mode, "==> flow analyses passed");
+    } else {
+        eprintln!("==> flow analyses FAILED: {} diagnostic(s)", r.flow_diags.len());
+    }
 
     // Unused allowlist entries are hygiene warnings, promoted to errors
-    // under `--strict` so CI keeps the committed allowlists tight.
-    let hygiene = r.hygiene_lines();
+    // under `--strict` so CI keeps the committed allowlist tight.
+    let hygiene = CheckReport::unused("panic-allowlist", &r.panic_unused);
     for w in &hygiene {
         eprintln!("{}: {w}", if strict { "error" } else { "warning" });
     }
@@ -375,7 +329,7 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
         eprintln!("==> hygiene FAILED (--strict): {} finding(s)", hygiene.len());
     }
 
-    // 4. rustfmt gate.
+    // 3. rustfmt gate.
     progress!(json_mode, "==> cargo fmt --all --check");
     let start = Instant::now();
     r.fmt_ok = run_cargo(&root, &["fmt", "--all", "--check"], json_mode);
@@ -384,7 +338,7 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
         eprintln!("==> rustfmt gate FAILED (run `cargo fmt --all` to fix)");
     }
 
-    // 5. clippy gate, deny warnings.
+    // 4. clippy gate, deny warnings.
     progress!(json_mode, "==> cargo clippy --workspace --all-targets -- -D warnings");
     let start = Instant::now();
     r.clippy_ok = run_cargo(
@@ -436,7 +390,7 @@ struct ViolationDoc {
     message: String,
 }
 
-/// Every call-graph finding (F1-F3, F5).
+/// Every call-graph finding (F1-F3).
 #[derive(Debug, Serialize)]
 struct FlowDoc {
     kinds: Vec<&'static str>,
@@ -460,7 +414,6 @@ struct DiagDoc {
 struct AllowlistsDoc {
     strict: bool,
     panic_unused: Vec<String>,
-    alloc_unused: Vec<String>,
 }
 
 /// Counts, verdict and step timings.
@@ -479,7 +432,6 @@ fn check_doc(root: &Path, r: &CheckReport) -> CheckDoc {
     let diagnostics: Vec<DiagDoc> = r
         .flow_diags
         .iter()
-        .chain(&r.alloc_diags)
         .map(|d| DiagDoc {
             kind: d.kind.name(),
             code: d.kind.code(),
@@ -491,7 +443,7 @@ fn check_doc(root: &Path, r: &CheckReport) -> CheckDoc {
         })
         .collect();
     CheckDoc {
-        version: 1,
+        version: 2,
         lints: Lint::all().iter().map(|l| l.name()).collect(),
         violations: r
             .violations
@@ -514,7 +466,6 @@ fn check_doc(root: &Path, r: &CheckReport) -> CheckDoc {
         allowlists: AllowlistsDoc {
             strict: r.strict,
             panic_unused: CheckReport::unused("panic-allowlist", &r.panic_unused),
-            alloc_unused: CheckReport::unused("alloc-allowlist", &r.alloc_unused),
         },
         gates: r.gates(),
     }

@@ -22,24 +22,17 @@
 //! match nothing are reported so the file shrinks as code moves. Site-level
 //! waivers use `// xtask-allow(panic-reachability): <reason>`.
 
-use crate::flow::{
-    gated_reach, AllowEntry, Allowlist, FlowDiag, FlowKind, FnGraph, Gate, Workspace,
-};
+use crate::flow::{flow_allowed, FlowDiag, FlowKind, FnGraph, Workspace};
 use crate::lexer::{Tok, TokKind};
+use serde::Deserialize;
+use std::collections::{BTreeMap, VecDeque};
+use std::path::Path;
 
 /// Entry points whose transitive callees constitute the serving path.
 pub const ROOTS: &[&str] = &["core::serve", "core::simulate", "core::Supervisor::run"];
 
 /// The committed allowlist F2 findings are gated on.
 pub const ALLOWLIST: &str = "xtask-panic-allowlist.json";
-
-const GATE: Gate = Gate {
-    kind: FlowKind::PanicReachability,
-    role: "panics in",
-    finding: "can panic",
-    remedy: "fix",
-    allowlist: ALLOWLIST,
-};
 
 /// Identifiers that legitimately precede `[` without indexing.
 const NON_INDEX_PRECEDERS: &[&str] = &[
@@ -93,13 +86,127 @@ fn panic_sites(toks: &[Tok]) -> Vec<(String, usize)> {
     sites
 }
 
-/// Walks the graph from `roots`, flags reachable panicking functions not
-/// covered by the allowlist, and returns the entries that matched nothing.
+/// One tolerated function of the committed allowlist.
+#[derive(Clone, Debug, PartialEq, Eq, Deserialize)]
+pub struct AllowEntry {
+    /// Qualified function key (`core::Engine::run_shard`).
+    pub function: String,
+    /// Why the flagged sites are acceptable.
+    pub reason: String,
+}
+
+/// The committed `{"entries": [{"function": ..., "reason": ...}, ...]}`
+/// allowlist, [`ALLOWLIST`].
+#[derive(Clone, Debug, Default, Deserialize)]
+pub struct Allowlist {
+    /// All entries, in file order.
+    pub entries: Vec<AllowEntry>,
+}
+
+impl Allowlist {
+    /// Loads `<root>/`[`ALLOWLIST`]; a missing file is an empty allowlist,
+    /// a malformed one is an error.
+    pub fn load(root: &Path) -> Result<Allowlist, String> {
+        let path = root.join(ALLOWLIST);
+        match std::fs::read_to_string(&path) {
+            Ok(src) => Allowlist::parse(&src).map_err(|e| format!("{}: {e}", path.display())),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Allowlist::default()),
+            Err(e) => Err(format!("{}: {e}", path.display())),
+        }
+    }
+
+    /// Parses an allowlist document. Entries are audits, so a blank
+    /// `reason` is rejected like a missing one.
+    pub fn parse(src: &str) -> Result<Allowlist, String> {
+        let list: Allowlist = serde_json::from_str(src).map_err(|e| e.to_string())?;
+        match list.entries.iter().position(|e| e.reason.trim().is_empty()) {
+            Some(i) => Err(format!("entry {i}: reason must not be empty")),
+            None => Ok(list),
+        }
+    }
+}
+
+/// Walks the graph forward from `roots` and flags every reachable function
+/// with a panic site that no justified `xtask-allow(panic-reachability)`
+/// waives. Functions `allow` lists are not flagged; the entries that matched
+/// nothing are returned beside the diagnostics. BFS order makes every trace
+/// a shortest root-to-site path.
 pub fn analyze(
     ws: &Workspace,
     g: &FnGraph,
     roots: &[&str],
     allow: &Allowlist,
 ) -> (Vec<FlowDiag>, Vec<AllowEntry>) {
-    gated_reach(ws, g, roots.iter().copied(), allow, &GATE, panic_sites)
+    let mut prev: Vec<Option<usize>> = vec![None; g.nodes.len()];
+    let mut root_of: Vec<Option<usize>> = vec![None; g.nodes.len()];
+    let mut queue = VecDeque::new();
+    for key in roots {
+        if let Some(ix) = g.by_key(key) {
+            if root_of[ix].is_none() {
+                root_of[ix] = Some(ix);
+                queue.push_back(ix);
+            }
+        }
+    }
+    while let Some(ix) = queue.pop_front() {
+        for &c in &g.nodes[ix].callees {
+            if root_of[c].is_none() {
+                root_of[c] = root_of[ix];
+                prev[c] = Some(ix);
+                queue.push_back(c);
+            }
+        }
+    }
+
+    let mut used = vec![false; allow.entries.len()];
+    let mut diags = Vec::new();
+    for (ix, node) in g.nodes.iter().enumerate() {
+        let Some(root_ix) = root_of[ix] else { continue };
+        let Some((start, end)) = node.body else { continue };
+        let sf = &ws.files[node.file_ix];
+        // category -> (count, first line), in category order.
+        let mut sites: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        for (cat, line) in panic_sites(&sf.lexed.toks[start..end.min(sf.lexed.toks.len())]) {
+            if !flow_allowed(&sf.lexed, FlowKind::PanicReachability, line) {
+                sites.entry(cat).or_insert((0, line)).0 += 1;
+            }
+        }
+        if sites.is_empty() {
+            continue;
+        }
+        if let Some(pos) = allow.entries.iter().position(|e| e.function == node.key) {
+            used[pos] = true;
+            continue;
+        }
+        let mut path = vec![ix];
+        while let Some(p) = prev[*path.last().unwrap_or(&ix)] {
+            path.push(p);
+        }
+        path.reverse();
+        let trace = path
+            .iter()
+            .map(|&step| {
+                let role = if step == ix { "panics in" } else { "calls" };
+                format!("{role} {}", g.label(ws, step))
+            })
+            .collect();
+        let summary: Vec<String> = sites.iter().map(|(cat, (n, _))| format!("{n} {cat}")).collect();
+        diags.push(FlowDiag {
+            kind: FlowKind::PanicReachability,
+            file: sf.file.clone(),
+            line: sites.values().map(|&(_, line)| line).min().unwrap_or(0),
+            symbol: node.key.clone(),
+            message: format!(
+                "can panic ({}) and is reachable from `{}` ({} hop(s)); fix, waive the site, or \
+                 add an `{ALLOWLIST}` entry",
+                summary.join(", "),
+                g.nodes[root_ix].key,
+                path.len().saturating_sub(1),
+            ),
+            trace,
+        });
+    }
+    let unused =
+        allow.entries.iter().zip(&used).filter(|(_, u)| !**u).map(|(e, _)| e.clone()).collect();
+    (diags, unused)
 }
