@@ -199,8 +199,10 @@ pub struct ServeReport {
     pub resumed_from_day: Option<usize>,
     /// Snapshots written during this invocation.
     pub checkpoints_written: u64,
-    /// Whether the full horizon was served (false when `max_days` cut the
-    /// run short — the checkpoint then carries the rest).
+    /// How many days of the horizon have been served, counting any days
+    /// a restored snapshot had already served: the first day not yet
+    /// served. The horizon length after a full run, fewer when `max_days`
+    /// cut the run short (the checkpoint then carries the rest).
     pub days_served_through: usize,
     /// Every recovery action the supervisor took; empty for a clean run,
     /// bit-identical across reruns of the same fault plan.

@@ -150,8 +150,15 @@ impl BoundedStats {
     /// every tracked window, and re-evaluates tracked membership against
     /// the heavy-hitter summary (promotions backfill their window from the
     /// ring sketches; demoted files fall back to sketch answers).
+    ///
+    /// Once the ring is full, the day sketch that leaves it is cleared and
+    /// becomes the new open day, so a day close allocates no sketch. Every
+    /// ring day started as a clone of the open day, so the recycled one
+    /// hashes alike (a restore rejects a ring that does not).
     pub fn close_day(&mut self) {
-        let mut fresh = self.current.clone();
+        let recycled =
+            if self.ring.len() >= self.config.window { self.ring.pop_front() } else { None };
+        let mut fresh = recycled.unwrap_or_else(|| self.current.clone());
         fresh.reads.clear();
         fresh.writes.clear();
         let day = std::mem::replace(&mut self.current, fresh);
@@ -320,8 +327,9 @@ impl BoundedStats {
     /// Checks a restored instance against what [`BoundedStats::new`] and
     /// the day loop guarantee: a nonzero window and tracked budget, at
     /// most that many tracked files in strictly ascending id order, rings
-    /// within the window, well-formed sketches and summary, and
-    /// `closed_days` days closed everywhere.
+    /// within the window whose day sketches share the open day's width,
+    /// depth and seed, well-formed sketches and summary, and `closed_days`
+    /// days closed everywhere.
     pub(crate) fn check_restored(&self, closed_days: u64) -> Result<(), SnapshotError> {
         let window = self.config.window;
         if window == 0 || self.config.max_tracked == 0 {
@@ -338,6 +346,14 @@ impl BoundedStats {
         }
         if self.ring.len() > window {
             return Err(invalid_state("day ring longer than the window"));
+        }
+        let open = &self.current;
+        if !self
+            .ring
+            .iter()
+            .all(|d| d.reads.same_geometry(&open.reads) && d.writes.same_geometry(&open.writes))
+        {
+            return Err(invalid_state("day ring sketch hashed unlike the open day"));
         }
         self.heavy.check_restored()?;
         self.tracked.iter().try_for_each(|t| t.stats.check_restored(window, closed_days))?;
@@ -531,6 +547,9 @@ mod tests {
         let mut long = b.clone();
         long.ring.push_back(long.current.clone());
         assert!(invalid(long.check_restored(5)), "ring longer than the window");
+        let mut reseeded = b.clone();
+        reseeded.ring[0].writes = CountMinSketch::new(256, 4, 7);
+        assert!(invalid(reseeded.check_restored(5)), "ring sketch hashed unlike the open day");
         let mut torn = b.clone();
         torn.life_writes =
             serde_json::from_str(r#"{"width":2,"depth":2,"seed":0,"rows":[0,0,0]}"#).unwrap();

@@ -71,21 +71,44 @@ struct FileDaySplit {
 /// (duplicated/dropped/reordered/amplified events) without access to
 /// ground truth.
 ///
-/// Folds the five fields of each event in as `u64` words, one FNV-style
-/// step per word: `h = (h ^ w) * FNV_PRIME; h ^= h >> 32`. Each step is a
-/// bijection of the running state and injective in the word, so any
-/// single-field substitution changes the digest. Digests are never
-/// persisted; the snapshot checksum is [`crate::fnv1a64`].
+/// Each event's five fields are first mixed into one word, independently
+/// of the running state: every field, as a `u64`, times its own odd
+/// constant and rotated by its own amount, the five results XORed. With
+/// the other fields fixed that word is a bijection of each field. One
+/// FNV-style step per event then folds it in:
+/// `h = (h ^ w) * FNV_PRIME; h ^= h >> 32`, a bijection of the running
+/// state, injective in the word. So any single-field substitution changes
+/// the digest, and the field mixes of successive events do not wait on
+/// the chain. Digests are never persisted; the snapshot checksum is
+/// [`crate::fnv1a64`].
 #[must_use]
 pub fn digest_events(events: &[Event]) -> u64 {
     let mut h = FNV_OFFSET;
     for e in events {
-        for w in [e.hour, u64::from(e.file.0), e.reads, e.writes, e.bytes] {
-            h = (h ^ w).wrapping_mul(FNV_PRIME);
-            h ^= h >> 32;
-        }
+        let w = event_word(e);
+        h = (h ^ w).wrapping_mul(FNV_PRIME);
+        h ^= h >> 32;
     }
     h
+}
+
+/// Per-field odd multipliers and rotations of [`event_word`], in field
+/// order: hour, file, reads, writes, bytes.
+const FIELD_MIX: [(u64, u32); 5] = [
+    (0x9E37_79B9_7F4A_7C15, 0),
+    (0xBF58_476D_1CE4_E5B9, 13),
+    (0x94D0_49BB_1331_11EB, 26),
+    (0xC2B2_AE3D_27D4_EB4F, 39),
+    (0x1656_67B1_9E37_79F9, 52),
+];
+
+/// One event's fields mixed into one word by [`FIELD_MIX`]; see
+/// [`digest_events`].
+fn event_word(e: &Event) -> u64 {
+    [e.hour, u64::from(e.file.0), e.reads, e.writes, e.bytes]
+        .iter()
+        .zip(FIELD_MIX)
+        .fold(0, |w, (&field, (k, r))| w ^ field.wrapping_mul(k).rotate_left(r))
 }
 
 /// One day's worth of events as a delivery unit, with a digest computed at
@@ -231,6 +254,7 @@ impl EventSource for TraceSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
     use tracegen::TraceConfig;
 
@@ -476,6 +500,54 @@ mod tests {
                     assert!(!tampered.verifies(), "event {ix} field {field} substitution {kind}");
                 }
             }
+        }
+    }
+
+    /// A field value from a raw draw: 0 and `u64::MAX` one draw in four
+    /// each, else the draw itself.
+    fn edge_value(raw: u64) -> u64 {
+        match raw % 4 {
+            0 => 0,
+            1 => u64::MAX,
+            _ => raw,
+        }
+    }
+
+    /// Events built five raw draws at a time, one per field; the file id
+    /// keeps the low 32 bits, so it too takes 0 and `u32::MAX`.
+    fn events_from(raw: &[u64]) -> Vec<Event> {
+        raw.chunks_exact(5)
+            .map(|w| Event {
+                hour: edge_value(w[0]),
+                file: FileId(edge_value(w[1]) as u32),
+                reads: edge_value(w[2]),
+                writes: edge_value(w[3]),
+                bytes: edge_value(w[4]),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any one field of any one event of a random batch, changed to
+        /// any other value, changes the digest.
+        #[test]
+        fn digest_changes_with_any_single_field_of_a_random_batch(
+            raw in proptest::collection::vec(any::<u64>(), 5..200),
+            at in any::<u64>(),
+            field in 0usize..5,
+            value in any::<u64>(),
+        ) {
+            let events = events_from(&raw);
+            let ix = (at % events.len() as u64) as usize;
+            let tampered_event = mutate(&events[ix], field, |_, top| {
+                edge_value(value) & (u64::MAX >> (63 - top))
+            });
+            prop_assume!(tampered_event != events[ix]);
+            let mut tampered = events.clone();
+            tampered[ix] = tampered_event;
+            prop_assert_ne!(digest_events(&tampered), digest_events(&events));
         }
     }
 

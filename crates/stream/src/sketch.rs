@@ -20,15 +20,70 @@ use crate::mix64;
 use crate::wire::{invalid_state, put_column, put_len, put_u64_le, put_varint, Reader};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// A count-min sketch over `u64` keys with saturating counters.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Row `r` hashes a key under the salt `mix64(seed + r + 1)`. The salts
+/// are derived state: computed once at construction and at every restore,
+/// shared by clones (cloning allocates only the counters), and neither
+/// encoded, serialized nor compared.
+#[derive(Clone, Debug)]
 pub struct CountMinSketch {
     width: usize,
     depth: usize,
     seed: u64,
     rows: Vec<u64>,
+    salts: Arc<[u64]>,
+}
+
+impl PartialEq for CountMinSketch {
+    fn eq(&self, other: &CountMinSketch) -> bool {
+        self.same_geometry(other) && self.rows == other.rows
+    }
+}
+
+impl Eq for CountMinSketch {}
+
+impl Serialize for CountMinSketch {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("width".to_owned(), self.width.to_value()),
+            ("depth".to_owned(), self.depth.to_value()),
+            ("seed".to_owned(), self.seed.to_value()),
+            ("rows".to_owned(), self.rows.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for CountMinSketch {
+    fn from_value(v: &Value) -> Result<CountMinSketch, DeError> {
+        let Value::Map(map) = v else {
+            return Err(DeError::expected("object", v));
+        };
+        Ok(CountMinSketch::salted(
+            serde::get_field(map, "width")?,
+            serde::get_field(map, "depth")?,
+            serde::get_field(map, "seed")?,
+            serde::get_field(map, "rows")?,
+        ))
+    }
+}
+
+/// The flat index of the counter that the row `row`, hashed under `salt`,
+/// assigns `key` in a sketch `width` counters wide:
+/// `row * width + mix64(key ^ salt) % width`. A power-of-two width reduces
+/// with a mask instead of a division; a zero width (only a restored,
+/// not yet checked sketch has one) maps to column 0.
+#[expect(clippy::cast_possible_truncation, reason = "the column is below `width`, a usize")]
+fn cell(width: usize, row: usize, salt: u64, key: u64) -> usize {
+    let h = mix64(key ^ salt);
+    let wide = width as u64;
+    let column =
+        if wide.is_power_of_two() { h & (wide - 1) } else { h.checked_rem(wide).unwrap_or(0) };
+    row.wrapping_mul(width).wrapping_add(column as usize)
 }
 
 impl CountMinSketch {
@@ -38,7 +93,17 @@ impl CountMinSketch {
     pub fn new(width: usize, depth: usize, seed: u64) -> CountMinSketch {
         let width = width.max(1);
         let depth = depth.max(1);
-        CountMinSketch { width, depth, seed, rows: vec![0; width * depth] }
+        CountMinSketch::salted(width, depth, seed, vec![0; width * depth])
+    }
+
+    /// A sketch over restored `rows`, with its row salts derived: one per
+    /// row, but never more than there are counters, so a restored depth
+    /// that [`CountMinSketch::check_restored`] will reject cannot make this
+    /// allocate past what was read.
+    fn salted(width: usize, depth: usize, seed: u64, rows: Vec<u64>) -> CountMinSketch {
+        let hashed = depth.min(rows.len()) as u64;
+        let salts = (1..=hashed).map(|row| mix64(seed.wrapping_add(row))).collect();
+        CountMinSketch { width, depth, seed, rows, salts }
     }
 
     /// Counters per row.
@@ -53,18 +118,11 @@ impl CountMinSketch {
         self.depth
     }
 
-    /// The flat cell index of `key` in `row`.
-    fn cell(&self, row: usize, key: u64) -> usize {
-        let h = mix64(key ^ mix64(self.seed.wrapping_add(row as u64 + 1)));
-        // xtask-allow(panic-reachability): width clamped to at least 1 in new()
-        row * self.width + (h % self.width as u64) as usize
-    }
-
     /// Adds `count` to `key` in every row (saturating).
     pub fn add(&mut self, key: u64, count: u64) {
-        for row in 0..self.depth {
-            let ix = self.cell(row, key);
-            if let Some(counter) = self.rows.get_mut(ix) {
+        let CountMinSketch { width, rows, salts, .. } = self;
+        for (row, &salt) in salts.iter().enumerate() {
+            if let Some(counter) = rows.get_mut(cell(*width, row, salt, key)) {
                 *counter = counter.saturating_add(count);
             }
         }
@@ -74,8 +132,12 @@ impl CountMinSketch {
     /// true count added for `key` (absent counter saturation).
     #[must_use]
     pub fn estimate(&self, key: u64) -> u64 {
-        (0..self.depth)
-            .map(|row| self.rows.get(self.cell(row, key)).copied().unwrap_or(u64::MAX))
+        self.salts
+            .iter()
+            .enumerate()
+            .map(|(row, &salt)| {
+                self.rows.get(cell(self.width, row, salt, key)).copied().unwrap_or(u64::MAX)
+            })
             .fold(u64::MAX, u64::min)
     }
 
@@ -84,6 +146,12 @@ impl CountMinSketch {
         for cell in &mut self.rows {
             *cell = 0;
         }
+    }
+
+    /// Whether `other` hashes keys to the same cells: equal width, depth
+    /// and seed.
+    pub(crate) fn same_geometry(&self, other: &CountMinSketch) -> bool {
+        (self.width, self.depth, self.seed) == (other.width, other.depth, other.seed)
     }
 
     /// Fewest payload bytes one encoded sketch takes: two varints, the
@@ -101,12 +169,12 @@ impl CountMinSketch {
 
     /// Reads what [`CountMinSketch::write_wire`] wrote.
     pub(crate) fn read_wire(r: &mut Reader<'_>) -> Result<CountMinSketch, SnapshotError> {
-        Ok(CountMinSketch {
-            width: r.varint_usize("sketch width")?,
-            depth: r.varint_usize("sketch depth")?,
-            seed: r.word_le("sketch seed")?,
-            rows: r.varint_column("sketch counters")?,
-        })
+        Ok(CountMinSketch::salted(
+            r.varint_usize("sketch width")?,
+            r.varint_usize("sketch depth")?,
+            r.word_le("sketch seed")?,
+            r.varint_column("sketch counters")?,
+        ))
     }
 
     /// Checks the geometry [`CountMinSketch::new`] guarantees: nonzero
@@ -135,11 +203,40 @@ pub struct SpaceSavingEntry {
     pub overestimate: u64,
 }
 
+/// Hashes a `u32` id through [`mix64`]: a fixed hasher, so the id index
+/// of [`SpaceSaving`] never depends on the process-seeded `RandomState`.
+/// Ids crafted to collide can slow a probe, but never past a scan of the
+/// at most `capacity` ids the index holds.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = mix64(self.0 ^ u64::from(id));
+    }
+}
+
 /// A deterministic space-saving heavy-hitter summary over `u32` keys.
 ///
-/// Entries are kept sorted by ascending id; eviction picks the minimum
-/// count, breaking ties on the smallest id, so the summary's evolution is
-/// a pure function of the update sequence.
+/// Eviction picks the minimum count, breaking ties on the smallest id, so
+/// the summary's evolution is a pure function of the update sequence.
+///
+/// Entries sit in slots in no particular order; an admitted id takes over
+/// the evicted entry's slot in place. An id → slot index answers lookups
+/// (it is only ever probed, never iterated). The id order is produced
+/// only where it is observable: by [`SpaceSaving::entries`], the v3 wire
+/// bytes and the serde tree; `==` matches entries id by id, whatever
+/// their slots.
 ///
 /// The entry to evict comes from a lazy min-index: a heap holding one
 /// `(count, id)` key per entry, each key's count at most its entry's live
@@ -147,19 +244,24 @@ pub struct SpaceSavingEntry {
 /// stale one (its entry has since grown) is pushed back at the live count
 /// and the pop repeats. Counts only grow, so the first fresh key popped is
 /// the least `(count, id)` over all entries — the same entry a linear scan
-/// for the first minimum in id order finds. The index is derived state:
-/// it is not encoded, not serialized, not compared, and is rebuilt on
-/// every restore.
+/// for the first minimum in id order finds. Both indexes are derived
+/// state: they are not encoded, not serialized, not compared, and are
+/// rebuilt on every restore.
 #[derive(Clone, Debug)]
 pub struct SpaceSaving {
     capacity: usize,
+    /// The tracked entries by slot. A restored summary holds them in the
+    /// order they were read until its first admission.
     entries: Vec<SpaceSavingEntry>,
+    slot_of: HashMap<u32, usize, BuildHasherDefault<IdHasher>>,
     by_count: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl PartialEq for SpaceSaving {
     fn eq(&self, other: &SpaceSaving) -> bool {
-        self.capacity == other.capacity && self.entries == other.entries
+        self.capacity == other.capacity
+            && self.entries.len() == other.entries.len()
+            && self.entries.iter().all(|e| other.get(e.id) == Some(*e))
     }
 }
 
@@ -169,7 +271,7 @@ impl Serialize for SpaceSaving {
     fn to_value(&self) -> Value {
         Value::Map(vec![
             ("capacity".to_owned(), self.capacity.to_value()),
-            ("entries".to_owned(), self.entries.to_value()),
+            ("entries".to_owned(), self.entries().to_value()),
         ])
     }
 }
@@ -193,10 +295,11 @@ impl SpaceSaving {
         SpaceSaving::indexed(capacity.max(1), Vec::new())
     }
 
-    /// A summary over restored `entries`, with its min-index rebuilt.
+    /// A summary over restored `entries`, with its indexes rebuilt.
     fn indexed(capacity: usize, entries: Vec<SpaceSavingEntry>) -> SpaceSaving {
+        let slot_of = entries.iter().enumerate().map(|(slot, e)| (e.id, slot)).collect();
         let by_count = entries.iter().map(|e| Reverse((e.count, e.id))).collect();
-        SpaceSaving { capacity, entries, by_count }
+        SpaceSaving { capacity, entries, slot_of, by_count }
     }
 
     /// Maximum number of tracked keys.
@@ -207,61 +310,49 @@ impl SpaceSaving {
 
     /// Currently tracked keys, ascending by id.
     #[must_use]
-    pub fn entries(&self) -> &[SpaceSavingEntry] {
-        &self.entries
+    pub fn entries(&self) -> Vec<SpaceSavingEntry> {
+        let mut sorted = self.entries.clone();
+        sorted.sort_unstable_by_key(|e| e.id);
+        sorted
     }
 
     /// Adds `count` occurrences of `id`, evicting the current minimum if
     /// the summary is full and `id` is untracked.
     pub fn add(&mut self, id: u32, count: u64) {
-        match self.entries.binary_search_by_key(&id, |e| e.id) {
-            Ok(pos) => {
-                if let Some(e) = self.entries.get_mut(pos) {
-                    e.count = e.count.saturating_add(count);
-                }
-            }
-            Err(pos) if self.entries.len() < self.capacity => {
-                self.entries.insert(pos, SpaceSavingEntry { id, count, overestimate: 0 });
-                self.by_count.push(Reverse((count, id)));
-            }
-            Err(pos) => {
-                let Some((min_pos, floor)) = self.pop_min() else {
-                    return; // full implies non-empty (capacity >= 1)
-                };
-                let admitted = SpaceSavingEntry {
-                    id,
-                    count: floor.saturating_add(count),
-                    overestimate: floor,
-                };
-                // Slide the evicted entry's slot to `id`'s place in id order
-                // (`pos` counts the evicted entry), shifting only the entries
-                // between the two.
-                let slot = if min_pos < pos { pos - 1 } else { pos };
-                if let Some(span) = self.entries.get_mut(min_pos.min(slot)..=min_pos.max(slot)) {
-                    if slot > min_pos {
-                        span.rotate_left(1);
-                    } else {
-                        span.rotate_right(1);
-                    }
-                }
-                if let Some(e) = self.entries.get_mut(slot) {
-                    *e = admitted;
-                }
-                self.by_count.push(Reverse((admitted.count, id)));
-            }
+        if let Some(e) = self.slot_of.get(&id).and_then(|&slot| self.entries.get_mut(slot)) {
+            e.count = e.count.saturating_add(count);
+            return;
         }
+        if self.entries.len() < self.capacity {
+            self.slot_of.insert(id, self.entries.len());
+            self.entries.push(SpaceSavingEntry { id, count, overestimate: 0 });
+            self.by_count.push(Reverse((count, id)));
+            return;
+        }
+        // Full implies non-empty (capacity >= 1), so a minimum exists.
+        let Some(slot) = self.pop_min() else {
+            return;
+        };
+        let Some(e) = self.entries.get_mut(slot) else {
+            return;
+        };
+        self.slot_of.remove(&e.id);
+        let floor = e.count;
+        *e = SpaceSavingEntry { id, count: floor.saturating_add(count), overestimate: floor };
+        self.slot_of.insert(id, slot);
+        self.by_count.push(Reverse((e.count, id)));
     }
 
     /// Pops the min-index down to its first fresh key and returns that
-    /// entry's position and count: the least `(count, id)` entry.
-    fn pop_min(&mut self) -> Option<(usize, u64)> {
+    /// entry's slot: the least `(count, id)` entry.
+    fn pop_min(&mut self) -> Option<usize> {
         while let Some(Reverse((count, id))) = self.by_count.pop() {
-            let Ok(pos) = self.entries.binary_search_by_key(&id, |e| e.id) else {
+            let Some(&slot) = self.slot_of.get(&id) else {
                 continue; // unreachable: every entry has exactly one key
             };
-            let live = self.entries.get(pos).map_or(count, |e| e.count);
+            let live = self.entries.get(slot).map_or(count, |e| e.count);
             if live == count {
-                return Some((pos, count));
+                return Some(slot);
             }
             self.by_count.push(Reverse((live, id)));
         }
@@ -271,11 +362,7 @@ impl SpaceSaving {
     /// The tracked estimate for `id`, if currently tracked.
     #[must_use]
     pub fn get(&self, id: u32) -> Option<SpaceSavingEntry> {
-        self.entries
-            .binary_search_by_key(&id, |e| e.id)
-            .ok()
-            .and_then(|pos| self.entries.get(pos))
-            .copied()
+        self.slot_of.get(&id).and_then(|&slot| self.entries.get(slot)).copied()
     }
 
     /// The `k` heaviest tracked entries, descending by count, ties broken
@@ -293,7 +380,7 @@ impl SpaceSaving {
     pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
         put_len(out, self.capacity);
         put_len(out, self.entries.len());
-        for e in &self.entries {
+        for e in self.entries() {
             put_varint(out, u64::from(e.id));
             put_varint(out, e.count);
             put_varint(out, e.overestimate);
@@ -315,8 +402,9 @@ impl SpaceSaving {
         Ok(SpaceSaving::indexed(capacity, entries))
     }
 
-    /// Checks what [`SpaceSaving::add`]'s binary searches rely on: a
-    /// nonzero capacity it is not over, and strictly ascending ids.
+    /// Checks a restored summary, whose slots still hold the entries in
+    /// the order they were read: a nonzero capacity it is not over, and
+    /// strictly ascending ids, so no id is tracked twice.
     pub(crate) fn check_restored(&self) -> Result<(), SnapshotError> {
         if self.capacity == 0 || self.entries.len() > self.capacity {
             return Err(invalid_state("heavy-hitter summary over its capacity"));
@@ -423,7 +511,7 @@ mod tests {
         let invalid = |r: Result<(), SnapshotError>| matches!(r, Err(SnapshotError::Invalid(_)));
         assert!(CountMinSketch::new(4, 2, 1).check_restored().is_ok());
         for (width, depth, cells) in [(0, 2, 0), (4, 0, 0), (4, 2, 7), (4, 2, 9)] {
-            let sketch = CountMinSketch { width, depth, seed: 1, rows: vec![0; cells] };
+            let sketch = CountMinSketch::salted(width, depth, 1, vec![0; cells]);
             assert!(invalid(sketch.check_restored()), "{width}x{depth} with {cells} cells");
         }
         let mut ss = SpaceSaving::new(2);
@@ -530,6 +618,80 @@ mod tests {
                 prop_assert_eq!(ss.entries(), oracle.entries.as_slice());
                 prop_assert_eq!(ss.by_count.len(), ss.entries.len());
             }
+        }
+    }
+
+    /// The cell `CountMinSketch` hashed `key` to in `row` before it kept
+    /// per-row salts: `mix64(key ^ mix64(seed + row + 1)) % width`.
+    fn oracle_cell(width: usize, seed: u64, row: usize, key: u64) -> usize {
+        let h = mix64(key ^ mix64(seed.wrapping_add(row as u64 + 1)));
+        row * width + (h % width as u64) as usize
+    }
+
+    /// Every cell of `cms` for `keys`, and every estimate, equals the
+    /// oracle formula's over `rows`, the counters the oracle accumulated.
+    fn assert_matches_oracle(cms: &CountMinSketch, rows: &[u64], keys: &[u64]) {
+        assert_eq!(cms.rows, rows);
+        for &key in keys {
+            let (width, seed) = (cms.width, cms.seed);
+            let mut estimate = u64::MAX;
+            for (row, &salt) in cms.salts.iter().enumerate() {
+                let want = oracle_cell(width, seed, row, key);
+                assert_eq!(cell(width, row, salt, key), want, "{width}x{} row {row}", cms.depth);
+                estimate = estimate.min(rows[want]);
+            }
+            assert_eq!(cms.salts.len(), cms.depth);
+            assert_eq!(cms.estimate(key), estimate, "key {key}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Salted cells and masked or divided columns equal the unsalted
+        /// formula for random keys, seeds and geometries, powers of two
+        /// and not, and stay equal through a wire and a serde round trip
+        /// (which derive the salts afresh) with updates after each.
+        #[test]
+        fn cms_cells_match_the_unsalted_formula(
+            keys in proptest::collection::vec(any::<u64>(), 1..40),
+            seed in any::<u64>(),
+            depth in 1usize..7,
+            width_draw in (0u32..12, 1usize..3000, any::<bool>()),
+        ) {
+            let (log2, odd, pow2) = width_draw;
+            let width = if pow2 { 1 << log2 } else { odd };
+            let mut cms = CountMinSketch::new(width, depth, seed);
+            let mut rows = vec![0u64; width * depth];
+            let feed = |cms: &mut CountMinSketch, rows: &mut [u64], round: u64| {
+                for (i, &key) in keys.iter().enumerate() {
+                    let count = 1 + (i as u64 ^ round) % 5;
+                    cms.add(key, count);
+                    for row in 0..depth {
+                        let c = &mut rows[oracle_cell(width, seed, row, key)];
+                        *c = c.saturating_add(count);
+                    }
+                }
+            };
+            let probes: Vec<u64> = keys.iter().map(|k| k.wrapping_add(1)).chain(keys.clone()).collect();
+            feed(&mut cms, &mut rows, 0);
+            assert_matches_oracle(&cms, &rows, &probes);
+
+            let mut wire = Vec::new();
+            cms.write_wire(&mut wire);
+            let mut back = CountMinSketch::read_wire(&mut Reader::new(&wire)).unwrap();
+            prop_assert!(back.check_restored().is_ok());
+            assert_matches_oracle(&back, &rows, &probes);
+            feed(&mut back, &mut rows, 1);
+            assert_matches_oracle(&back, &rows, &probes);
+
+            let json = serde_json::to_string(&back).unwrap();
+            let head = format!("{{\"width\":{width},\"depth\":{depth},\"seed\":{seed},\"rows\":[");
+            prop_assert!(json.starts_with(&head), "{}", json);
+            let mut again: CountMinSketch = serde_json::from_str(&json).unwrap();
+            assert_matches_oracle(&again, &rows, &probes);
+            feed(&mut again, &mut rows, 2);
+            assert_matches_oracle(&again, &rows, &probes);
         }
     }
 

@@ -196,9 +196,30 @@ impl DiurnalProfile {
 /// `HOURS` as the width [`apportion`] counts in.
 const HOURS_WIDE: u128 = HOURS as u128;
 
+/// 2^52: from here on every `f64` is an integer, and below it truncation
+/// through an integer is exact.
+const EXACT_INTEGERS: f64 = 4_503_599_627_370_496.0;
+
+/// `x.floor()`, bit for bit, without the libm call `f64::floor` compiles
+/// to on x86-64 baselines lacking SSE4.1. A positive `x` below 2^52
+/// truncates exactly through `i64`, and truncation is its floor. Every
+/// other input, the zeros included, takes `f64::floor`: truncating `-0.0`
+/// would give `+0.0`, and its remainder `-0.0`, which ranks below `+0.0`
+/// in [`total_order_key`].
+#[expect(clippy::cast_possible_truncation, reason = "0 < x < 2^52, so x truncates exactly")]
+#[inline]
+fn floor(x: f64) -> f64 {
+    if x > 0.0 && x < EXACT_INTEGERS {
+        (x as i64) as f64
+    } else {
+        x.floor()
+    }
+}
+
 /// Largest-remainder apportionment of `total` over `expected`: floor every
 /// hour, then hand the leftover units to the hours with the largest
-/// fractional remainders, ties toward the earlier hour.
+/// fractional remainders, ties toward the earlier hour. The floors need
+/// no libm call ([`floor`]).
 ///
 /// The order `(remainder desc, hour asc)` is total, so [`pick_largest`]'s
 /// maximum scans choose exactly the set a stable sort of all 24 would.
@@ -218,7 +239,7 @@ fn apportion(total: u64, expected: &[f64; HOURS]) -> [u64; HOURS] {
     let mut out = [0u64; HOURS];
     let mut remainders = [0.0f64; HOURS];
     for ((o, r), &e) in out.iter_mut().zip(&mut remainders).zip(expected) {
-        let floor = e.floor();
+        let floor = floor(e);
         *o = floor as u64;
         *r = e - floor;
     }
@@ -479,6 +500,34 @@ mod tests {
             prop_assert_eq!(wide_sum(&p.split_day(total, Some(&mut rng))), u128::from(total));
         }
 
+        #[test]
+        fn fast_floor_matches_libm_floor_on_any_bit_pattern(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(floor(x).to_bits(), x.floor().to_bits(), "floor({:e})", x);
+        }
+
+        /// Profiles with `-0.0` weights split every total, with and without
+        /// jitter, exactly as the libm floor did.
+        #[test]
+        fn split_day_with_signed_zero_weights_matches_the_libm_floor(
+            raw in any::<u64>(),
+            shift in 0u32..64,
+            zeros in 0u32..1 << 23,
+            seed in proptest::option::of(any::<u64>()),
+        ) {
+            let total = raw >> shift;
+            let p = signed_zero_profile(zeros);
+            let mut split_rng = seed.map(StdRng::seed_from_u64);
+            let mut oracle_rng = seed.map(StdRng::seed_from_u64);
+            let split = p.split_day(total, split_rng.as_mut());
+            let oracle = if total == 0 {
+                [0; HOURS]
+            } else {
+                libm_apportion(total, &p.expected(total, oracle_rng.as_mut()))
+            };
+            prop_assert_eq!(split, oracle, "total {}", total);
+        }
+
         /// The selection loop equals the sort oracle on real profiles,
         /// flat-profile ties included, wherever the oracle conserves.
         #[test]
@@ -514,6 +563,97 @@ mod tests {
             let oracle = sort_oracle(total, &expected);
             prop_assert!(oracle.is_some());
             prop_assert_eq!(Some(apportion(total, &expected)), oracle);
+        }
+    }
+
+    /// Inputs at every boundary of [`floor`]: signed zeros, subnormals,
+    /// values just below and above one, the `2^52` switch-over and its
+    /// neighbours, `2^53`, negatives, infinities and NaN.
+    const FLOOR_EDGES: [f64; 26] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::EPSILON,
+        0.999_999_999_999_999_9,
+        1.0,
+        1.5,
+        -1.5,
+        4_503_599_627_370_495.0,
+        4_503_599_627_370_495.5,
+        4_503_599_627_370_496.0,
+        4_503_599_627_370_497.0,
+        -4_503_599_627_370_495.5,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        u64::MAX as f64,
+        1e300,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+
+    #[test]
+    fn fast_floor_matches_libm_floor_on_edge_cases() {
+        for x in FLOOR_EDGES {
+            assert_eq!(floor(x).to_bits(), x.floor().to_bits(), "floor({x:e})");
+        }
+    }
+
+    /// [`apportion`] as it was with the libm floor, kept as the oracle of
+    /// the libm-free one.
+    fn libm_apportion(total: u64, expected: &[f64; HOURS]) -> [u64; HOURS] {
+        let mut out = [0u64; HOURS];
+        let mut remainders = [0.0f64; HOURS];
+        for ((o, r), &e) in out.iter_mut().zip(&mut remainders).zip(expected) {
+            let floor = e.floor();
+            *o = floor as u64;
+            *r = e - floor;
+        }
+        let assigned: u128 = out.iter().map(|&c| u128::from(c)).sum();
+        let total = u128::from(total);
+        if assigned > total {
+            give_back(&mut out, assigned - total);
+            return out;
+        }
+        let leftover = total - assigned;
+        let rounds = (leftover / HOURS_WIDE) as u64;
+        for o in &mut out {
+            *o += rounds;
+        }
+        let picks = (leftover - u128::from(rounds) * HOURS_WIDE) as usize;
+        if picks > 0 {
+            pick_largest(&mut out, &remainders, picks);
+        }
+        out
+    }
+
+    /// A profile whose hours `zeros` carry a weight of `-0.0` (which
+    /// `DiurnalProfile::new` accepts), the others `1 + h % 3`.
+    fn signed_zero_profile(zeros: u32) -> DiurnalProfile {
+        let mut raw = [0.0; HOURS];
+        for (h, w) in raw.iter_mut().enumerate() {
+            *w = if zeros >> h & 1 == 1 { -0.0 } else { 1.0 + (h % 3) as f64 };
+        }
+        DiurnalProfile::new(raw)
+    }
+
+    #[test]
+    fn split_day_keeps_signed_zero_weights_tied_with_whole_hours() {
+        // Hour 0 weighs -0.0, so its expected count is -0.0; past 2^53 every
+        // other hour's remainder is +0.0 too, and the leftover picks go to
+        // the earliest zero-remainder hours, hour 0 first. A floor that
+        // turned -0.0 into +0.0 would leave the remainder -0.0 and skip it.
+        let p = signed_zero_profile(1);
+        for total in [u64::MAX, u64::MAX >> 7, (1 << 60) + 12_345] {
+            let expected = p.expected(total, None);
+            assert_eq!(expected[0].to_bits(), (-0.0f64).to_bits());
+            assert_eq!(p.split_day(total, None), libm_apportion(total, &expected), "{total}");
         }
     }
 

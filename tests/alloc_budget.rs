@@ -52,8 +52,9 @@ const PREDICTIVE_ALLOCS_PER_FILE_REFIT: u64 = 5;
 const SERVE_EXACT_ALLOCS_PER_DAY: u64 = 12;
 
 /// Bounded serve (`max_tracked` 25) adds the sketch's promotions and
-/// evictions of tracked files to the event batch growth.
-const SERVE_BOUNDED_ALLOCS_PER_DAY: u64 = 16;
+/// evictions of tracked files to the event batch growth; a day close
+/// recycles the day sketch that leaves the ring, so it allocates none.
+const SERVE_BOUNDED_ALLOCS_PER_DAY: u64 = 14;
 
 /// A checkpoint every day encodes a snapshot, builds the rotation paths,
 /// and writes, syncs and renames the files.
