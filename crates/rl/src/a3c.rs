@@ -23,7 +23,6 @@ use crate::memory::{ReplayMemory, Transition};
 use crate::metrics::RollingRate;
 use crate::params::ParamStore;
 use nn::Adam;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -208,35 +207,33 @@ impl A3cTrainer {
                 cfg.max_grad_norm,
             )
         };
-        let progress: Mutex<Vec<ProgressPoint>> = Mutex::new(Vec::new());
+        let mut ledgers: Vec<Vec<ProgressPoint>> = vec![Vec::new(); cfg.workers];
 
         std::thread::scope(|scope| {
-            for worker in 0..cfg.workers {
+            for (worker, ledger) in ledgers.iter_mut().enumerate() {
                 let store = &store;
-                let progress = &progress;
                 let make_env = &make_env;
                 scope.spawn(move || {
-                    run_worker(worker, spec, cfg, store, progress, make_env(worker));
+                    *ledger = run_worker(worker, spec, cfg, store, make_env(worker));
                 });
             }
         });
 
         let (actor_params, critic_params) = store.snapshot();
-        let mut progress = progress.into_inner();
+        let mut progress = ledgers.concat();
         progress.sort_by_key(|p| p.update);
         TrainResult { actor_params, critic_params, spec, progress, updates: store.update_count() }
     }
 }
 
-/// One worker's training loop.
+/// One worker's training loop; returns the progress points it recorded.
 fn run_worker<E: Env>(
     worker: usize,
     spec: NetSpec,
     cfg: &A3cConfig,
     store: &ParamStore,
-    progress: &Mutex<Vec<ProgressPoint>>,
     mut env: E,
-) {
+) -> Vec<ProgressPoint> {
     assert_eq!(
         env.state_dim(),
         spec.state_dim(),
@@ -261,6 +258,7 @@ fn run_worker<E: Env>(
     // run; the pull path copies straight into the networks.
     let (mut ga, mut gc) = (Vec::new(), Vec::new());
     let mut rollout = Vec::with_capacity(cfg.rollout_len);
+    let mut progress = Vec::new();
 
     while store.update_count() < cfg.total_updates {
         // Pull the freshest shared parameters.
@@ -318,13 +316,14 @@ fn run_worker<E: Env>(
         let update = store.apply_grads(&mut ga, &mut gc);
 
         if update % cfg.progress_every == 0 {
-            progress.lock().push(ProgressPoint {
+            progress.push(ProgressPoint {
                 update,
                 mean_reward: reward_sum / cfg.rollout_len as f64,
                 optimal_rate: saw_oracle.then(|| optimal_rate.rate()),
             });
         }
     }
+    progress
 }
 
 #[cfg(test)]
@@ -423,7 +422,7 @@ mod tests {
     // --- Determinism audit -------------------------------------------------
     //
     // The shared ParamStore applies gradients Hogwild-style: with two or more
-    // workers the interleaving of `store.apply` calls is scheduler-dependent,
+    // workers the interleaving of `store.apply_grads` calls is scheduler-dependent,
     // so bit-identical multi-worker replays are impossible by construction.
     // The audit therefore pins down both halves of the contract documented in
     // DESIGN.md ("Static analysis & invariants"):
@@ -515,8 +514,10 @@ mod tests {
                 "updates {} outside envelope",
                 result.updates
             );
-            // The ledger is sorted and every recorded value is finite.
-            assert!(result.progress.windows(2).all(|w| w[0].update <= w[1].update));
+            // The merged ledger records each applied update at most once, at
+            // a multiple of `progress_every`, and every value is finite.
+            assert!(result.progress.windows(2).all(|w| w[0].update < w[1].update));
+            assert!(result.progress.iter().all(|p| p.update % cfg.progress_every == 0));
             assert!(result.progress.iter().all(|p| p.mean_reward.is_finite()));
             assert!(result.actor_params.iter().all(|p| p.is_finite()));
             assert!(result.critic_params.iter().all(|p| p.is_finite()));

@@ -1,6 +1,6 @@
 //! Shared infrastructure for the flow-sensitive interprocedural analyses.
 //!
-//! `cargo xtask check` runs three analyses over the workspace function-call
+//! `cargo xtask check` runs two analyses over the workspace function-call
 //! graph as its second step (schema and rationale in DESIGN.md §12):
 //!
 //! - **F1 `determinism-taint`** ([`crate::taint`]): nondeterministic inputs
@@ -9,8 +9,6 @@
 //! - **F2 `panic-reachability`** ([`crate::reach`]): functions reachable
 //!   from the serve/simulate entry points that can panic must be listed in
 //!   the committed `xtask-panic-allowlist.json`.
-//! - **F3 `lock-order`** ([`crate::lockorder`]): lock acquisition orderings
-//!   must be acyclic across the whole call graph.
 //!
 //! This module owns the pieces the analyses share: the [`Workspace`] loader
 //! (sources, tokens, item trees for every first-party crate), the function
@@ -89,8 +87,6 @@ pub enum FlowKind {
     DeterminismTaint,
     /// F2: a panic site is reachable from a serving entry point.
     PanicReachability,
-    /// F3: lock acquisition orderings form a cycle.
-    LockOrder,
 }
 
 impl FlowKind {
@@ -99,22 +95,20 @@ impl FlowKind {
         match self {
             FlowKind::DeterminismTaint => "determinism-taint",
             FlowKind::PanicReachability => "panic-reachability",
-            FlowKind::LockOrder => "lock-order",
         }
     }
 
-    /// Short code for human output (`F1`..`F3`).
+    /// Short code for human output (`F1`, `F2`).
     pub fn code(self) -> &'static str {
         match self {
             FlowKind::DeterminismTaint => "F1",
             FlowKind::PanicReachability => "F2",
-            FlowKind::LockOrder => "F3",
         }
     }
 
     /// All kinds, in code order.
-    pub fn all() -> [FlowKind; 3] {
-        [FlowKind::DeterminismTaint, FlowKind::PanicReachability, FlowKind::LockOrder]
+    pub fn all() -> [FlowKind; 2] {
+        [FlowKind::DeterminismTaint, FlowKind::PanicReachability]
     }
 }
 
@@ -357,6 +351,7 @@ impl FnGraph {
     }
 
     /// Node indices of every function with this simple name.
+    #[cfg(test)]
     pub fn named(&self, name: &str) -> &[usize] {
         self.by_name.get(name).map_or(&[], Vec::as_slice)
     }
@@ -421,7 +416,7 @@ pub fn flow_allowed(lexed: &Lexed, kind: FlowKind, line: usize) -> bool {
     })
 }
 
-/// Runs all three analyses; returns diagnostics plus the panic-allowlist
+/// Runs both analyses; returns diagnostics plus the panic-allowlist
 /// entries that matched nothing.
 pub fn analyze(
     ws: &Workspace,
@@ -433,6 +428,5 @@ pub fn analyze(
     diags.extend(crate::taint::diagnostics(ws, g, &taint));
     let (reach_diags, unused) = crate::reach::analyze(ws, g, crate::reach::ROOTS, panic_allow);
     diags.extend(reach_diags);
-    diags.extend(crate::lockorder::analyze(ws, g));
     (diags, unused)
 }

@@ -1,11 +1,11 @@
-//! Self-tests for the F1–F3 flow analyses: each committed `f*` fixture must
+//! Self-tests for the F1–F2 flow analyses: each committed `f*` fixture must
 //! trip its analysis with the documented precision, and the real workspace
 //! must be clean modulo the panic allowlist. Also
 //! holds the call-graph snapshot test pinning `Policy` dispatch coverage.
 
 use crate::flow::{FlowDiag, FlowKind, FnGraph, Workspace};
 use crate::reach::Allowlist;
-use crate::{lockorder, reach, taint};
+use crate::{reach, taint};
 use std::path::PathBuf;
 
 pub(crate) fn fixture_src(name: &str) -> String {
@@ -116,48 +116,6 @@ fn f2_allowlist_rejects_empty_reasons_and_junk() {
         Allowlist::parse(r#"{"entries": [{"function": "f", "reason": "  "}]}"#).is_err(),
         "allowlist entries are audits; a blank reason is no audit"
     );
-}
-
-#[test]
-fn f3_fixture_reports_the_inverted_order_cycle() {
-    let (ws, g) = fixture_ws("f3_lockorder.rs");
-    let diags = lockorder::analyze(&ws, &g);
-    // apply/snapshot agree (actor -> critic); rollback inverts through
-    // log_actor (critic -> actor): exactly one cycle, reported once.
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    let d = &diags[0];
-    assert_eq!(d.kind, FlowKind::LockOrder);
-    assert!(d.message.contains("actor -> critic -> actor"), "{d:?}");
-    let trace = d.trace.join("\n");
-    assert!(trace.contains("`critic` held while acquiring `actor`"), "{trace}");
-    assert!(trace.contains("rollback"), "{trace}");
-    assert!(!trace.contains("audit"), "independent lock must stay out: {trace}");
-}
-
-#[test]
-fn f3_consistent_orders_are_silent() {
-    let src = r"
-        pub fn a(s: &S) { let x = s.first.lock(); let _y = s.second.lock(); drop(x); }
-        pub fn b(s: &S) { let x = s.first.lock(); let _y = s.second.lock(); drop(x); }
-    ";
-    let ws = Workspace::from_sources(&[("core", "crates/core/src/x.rs", src)]);
-    let g = FnGraph::build(&ws);
-    assert!(lockorder::analyze(&ws, &g).is_empty());
-}
-
-#[test]
-fn f3_same_statement_temporaries_order_locks() {
-    // Both guards live to the statement's end: a -> b is recorded, and the
-    // reversed function closes the cycle.
-    let src = r"
-        pub fn merge(s: &S) -> usize { combine(s.a.lock(), s.b.lock()) }
-        pub fn unmerge(s: &S) -> usize { combine(s.b.lock(), s.a.lock()) }
-    ";
-    let ws = Workspace::from_sources(&[("core", "crates/core/src/x.rs", src)]);
-    let g = FnGraph::build(&ws);
-    let diags = lockorder::analyze(&ws, &g);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("a -> b -> a"), "{diags:?}");
 }
 
 #[test]

@@ -358,11 +358,11 @@ mod tests {
 
     #[test]
     fn allow_comments_are_collected() {
-        let src = "let x = 1; // xtask-allow: money-safety, lock-discipline\nlet y = 2;\n";
+        let src = "let x = 1; // xtask-allow: money-safety, float-reduction-order\nlet y = 2;\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1);
         assert_eq!(lexed.allows[0].line, 1);
-        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "lock-discipline"]);
+        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "float-reduction-order"]);
         assert!(lexed.allows[0].reason.is_empty(), "bare escape carries no reason");
     }
 

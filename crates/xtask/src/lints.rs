@@ -1,4 +1,4 @@
-//! The MiniCost-specific lints: L1 and L4 are token lints, L10 is escape
+//! The MiniCost-specific lints: L1 is a token lint, L10 is escape
 //! hygiene, and L5–L6 live in [`crate::syntax_lints`]. Rules a compiler lint
 //! can express (panics in libraries, narrowing casts, wildcard enum matches,
 //! undocumented public items) are rustc/clippy lints instead, denied in the
@@ -18,8 +18,6 @@ use std::path::Path;
 pub enum Lint {
     /// L1: raw f64 arithmetic on dollar quantities outside `crates/pricing`.
     MoneySafety,
-    /// L4: mutex guards held across spawns or long loops.
-    LockDiscipline,
     /// L5: iterating a `HashMap`/`HashSet` in library code.
     HashmapIterDeterminism,
     /// L6: float reductions over unordered iterators in `nn`/`rl`.
@@ -33,7 +31,6 @@ impl Lint {
     pub fn name(self) -> &'static str {
         match self {
             Lint::MoneySafety => "money-safety",
-            Lint::LockDiscipline => "lock-discipline",
             Lint::HashmapIterDeterminism => "hashmap-iter-determinism",
             Lint::FloatReductionOrder => "float-reduction-order",
             Lint::EscapeJustification => "escape-hatch-justification",
@@ -41,10 +38,9 @@ impl Lint {
     }
 
     /// All lints, in diagnostic order.
-    pub fn all() -> [Lint; 5] {
+    pub fn all() -> [Lint; 4] {
         [
             Lint::MoneySafety,
-            Lint::LockDiscipline,
             Lint::HashmapIterDeterminism,
             Lint::FloatReductionOrder,
             Lint::EscapeJustification,
@@ -109,9 +105,6 @@ impl FileContext {
         match lint {
             // Pricing owns dollar<->micro conversion; bench code is exempt.
             Lint::MoneySafety => self.crate_name != "pricing" && self.crate_name != "bench",
-            Lint::LockDiscipline => {
-                matches!(self.crate_name.as_str(), "rl" | "core" | "fixture")
-            }
             // Bit-determinism of the A3C audit: any unordered iteration in
             // library code can leak into reward accounting.
             Lint::HashmapIterDeterminism => !self.is_bin,
@@ -125,9 +118,6 @@ impl FileContext {
     }
 }
 
-/// A loop body spanning at least this many lines counts as "long" for L4.
-const LONG_LOOP_LINES: usize = 8;
-
 /// Runs every applicable lint over one file's source.
 pub fn scan_source(path: &Path, src: &str, ctx: &FileContext) -> Vec<Violation> {
     let lexed = lex(src);
@@ -140,7 +130,6 @@ pub fn scan_source(path: &Path, src: &str, ctx: &FileContext) -> Vec<Violation> 
         }
         let raw = match lint {
             Lint::MoneySafety => lint_money_safety(&lexed.toks, &marks),
-            Lint::LockDiscipline => lint_lock_discipline(&lexed.toks, &marks),
             Lint::HashmapIterDeterminism => {
                 crate::syntax_lints::lint_hashmap_iter(&lexed.toks, &marks, &items)
             }
@@ -193,16 +182,14 @@ fn lint_escape_justification(lexed: &Lexed) -> Vec<(usize, String)> {
         .collect()
 }
 
-/// Per-token context: brace depth and whether the token is inside test code.
+/// Per-token context: whether the token is inside test code.
 pub struct Marks {
-    pub depth: Vec<usize>,
     pub in_test: Vec<bool>,
 }
 
-/// Computes brace depth and `#[cfg(test)]` / `#[test]` regions per token.
+/// Computes `#[cfg(test)]` / `#[test]` regions per token.
 pub fn mark_regions(toks: &[Tok]) -> Marks {
     let mut depth = 0usize;
-    let mut depths = Vec::with_capacity(toks.len());
     let mut in_test = Vec::with_capacity(toks.len());
     // Depths at which a test-scoped `{` was opened.
     let mut test_stack: Vec<usize> = Vec::new();
@@ -213,7 +200,6 @@ pub fn mark_regions(toks: &[Tok]) -> Marks {
     let mut i = 0;
     while i < toks.len() {
         let t = &toks[i];
-        depths.push(depth);
         in_test.push(!test_stack.is_empty());
         match &t.kind {
             TokKind::Punct(p) => match p.as_str() {
@@ -255,7 +241,6 @@ pub fn mark_regions(toks: &[Tok]) -> Marks {
                     }
                     // Re-push marks for skipped attribute tokens.
                     for _ in i + 1..=j.min(toks.len().saturating_sub(1)) {
-                        depths.push(depth);
                         in_test.push(!test_stack.is_empty());
                     }
                     i = j;
@@ -266,7 +251,7 @@ pub fn mark_regions(toks: &[Tok]) -> Marks {
         }
         i += 1;
     }
-    Marks { depth: depths, in_test }
+    Marks { in_test }
 }
 
 fn is_arith(kind: &TokKind) -> bool {
@@ -359,147 +344,6 @@ fn lint_money_safety(toks: &[Tok], marks: &Marks) -> Vec<(usize, String)> {
     out
 }
 
-/// An active mutex guard being tracked by L4.
-struct Guard {
-    name: String,
-    line: usize,
-    depth: usize,
-}
-
-/// L4: flags `let g = x.lock()` guards that stay live across a `spawn`/
-/// `thread::scope` call or a loop body of [`LONG_LOOP_LINES`]+ lines.
-fn lint_lock_discipline(toks: &[Tok], marks: &Marks) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        if marks.in_test[i] {
-            i += 1;
-            continue;
-        }
-        // Close guards whose scope ended.
-        guards.retain(|g| marks.depth[i] >= g.depth);
-        match t.kind.ident() {
-            Some("let") => {
-                // Skip `if let` / `while let` (pattern scrutinees, not guards).
-                let after_branch_kw =
-                    i >= 1 && matches!(toks[i - 1].kind.ident(), Some("if" | "while"));
-                if !after_branch_kw {
-                    if let Some(g) = parse_guard_binding(toks, i, marks.depth[i]) {
-                        guards.push(g);
-                        // Jump past the binding statement so `.lock()` inside
-                        // it is not re-examined.
-                        while i < toks.len() && !toks[i].kind.is_punct(";") {
-                            i += 1;
-                        }
-                    }
-                }
-            }
-            Some("drop") if toks.get(i + 1).is_some_and(|t| t.kind.is_punct("(")) => {
-                if let Some(TokKind::Ident(name)) = toks.get(i + 2).map(|t| &t.kind) {
-                    guards.retain(|g| &g.name != name);
-                }
-            }
-            Some("spawn" | "scope") if !guards.is_empty() => {
-                let is_call = toks.get(i + 1).is_some_and(|t| t.kind.is_punct("("));
-                if is_call {
-                    for g in &guards {
-                        out.push((
-                            t.line,
-                            format!(
-                                "mutex guard `{}` (acquired line {}) is held across \
-                                 `{}`; scope the lock or clone the data first",
-                                g.name,
-                                g.line,
-                                t.kind.ident().unwrap_or_default(),
-                            ),
-                        ));
-                    }
-                    guards.clear(); // one report per guard
-                }
-            }
-            Some("for" | "while" | "loop") if !guards.is_empty() => {
-                if let Some(span) = loop_body_line_span(toks, i) {
-                    if span >= LONG_LOOP_LINES {
-                        for g in &guards {
-                            out.push((
-                                t.line,
-                                format!(
-                                    "mutex guard `{}` (acquired line {}) is held across a \
-                                     {span}-line loop; narrow the critical section",
-                                    g.name, g.line,
-                                ),
-                            ));
-                        }
-                        guards.clear();
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Parses `let [mut] NAME ... = ... .lock() ... ;` starting at the `let`.
-fn parse_guard_binding(toks: &[Tok], let_idx: usize, depth: usize) -> Option<Guard> {
-    let mut j = let_idx + 1;
-    if toks.get(j)?.kind.ident() == Some("mut") {
-        j += 1;
-    }
-    let name = toks.get(j)?.kind.ident()?.to_string();
-    // Scan the statement for `.lock()`.
-    let mut k = j;
-    while let Some(t) = toks.get(k) {
-        if t.kind.is_punct(";") {
-            return None;
-        }
-        if t.kind.ident() == Some("lock")
-            && k >= 1
-            && toks[k - 1].kind.is_punct(".")
-            && toks.get(k + 1).is_some_and(|t| t.kind.is_punct("("))
-        {
-            return Some(Guard { name, line: toks[let_idx].line, depth });
-        }
-        k += 1;
-    }
-    None
-}
-
-/// Line span of the loop body block following the loop keyword at `kw_idx`.
-fn loop_body_line_span(toks: &[Tok], kw_idx: usize) -> Option<usize> {
-    // Find the body `{`: the first `{` after the keyword at paren depth 0.
-    let mut j = kw_idx + 1;
-    let mut paren = 0usize;
-    let open = loop {
-        let t = toks.get(j)?;
-        match &t.kind {
-            TokKind::Punct(p) if p == "(" || p == "[" => paren += 1,
-            TokKind::Punct(p) if p == ")" || p == "]" => paren = paren.saturating_sub(1),
-            TokKind::Punct(p) if p == "{" && paren == 0 => break j,
-            TokKind::Punct(p) if p == ";" => return None,
-            _ => {}
-        }
-        j += 1;
-    };
-    let mut brace = 0usize;
-    let mut k = open;
-    while let Some(t) = toks.get(k) {
-        if t.kind.is_punct("{") {
-            brace += 1;
-        } else if t.kind.is_punct("}") {
-            brace -= 1;
-            if brace == 0 {
-                return Some(toks[k].line - toks[open].line + 1);
-            }
-        }
-        k += 1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,63 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn l4_flags_guard_across_spawn() {
-        let src = r"
-            fn f(m: &Mutex<u8>) {
-                let g = m.lock();
-                std::thread::scope(|s| { s.spawn(|| work(&g)); });
-            }
-        ";
-        let v = scan(src, "rl");
-        assert!(!v.is_empty());
-        assert_eq!(v[0].lint, Lint::LockDiscipline);
-    }
-
-    #[test]
-    fn l4_ignores_short_critical_sections() {
-        let src = r"
-            fn f(m: &Mutex<Vec<u8>>) {
-                let mut g = m.lock();
-                g.push(1);
-            }
-        ";
-        assert!(scan(src, "rl").is_empty());
-    }
-
-    #[test]
-    fn l4_flags_guard_across_long_loop() {
-        let src = r"
-            fn f(m: &Mutex<u8>) {
-                let g = m.lock();
-                for i in 0..10 {
-                    a();
-                    b();
-                    c();
-                    d();
-                    e();
-                    h();
-                    j();
-                }
-                use_it(&g);
-            }
-        ";
-        let v = scan(src, "core");
-        assert!(v.iter().any(|v| v.message.contains("loop")), "{v:?}");
-    }
-
-    #[test]
-    fn l4_respects_drop() {
-        let src = r"
-            fn f(m: &Mutex<u8>) {
-                let g = m.lock();
-                drop(g);
-                std::thread::scope(|s| { s.spawn(work); });
-            }
-        ";
-        assert!(scan(src, "rl").is_empty());
-    }
-
-    #[test]
     fn allow_comment_suppresses_same_line() {
         let src = "fn f(total_dollars: f64) -> f64 { total_dollars * 2.0 } \
                    // xtask-allow(money-safety): test shim";
@@ -605,7 +392,7 @@ mod tests {
     #[test]
     fn allow_for_other_lint_does_not_suppress() {
         let src = "fn f(total_dollars: f64) -> f64 { total_dollars * 2.0 } \
-                   // xtask-allow(lock-discipline): n/a";
+                   // xtask-allow(float-reduction-order): n/a";
         assert_eq!(scan(src, "core").iter().filter(|v| v.lint == Lint::MoneySafety).count(), 1);
     }
 

@@ -8,13 +8,12 @@
 //! gate through its clippy step.
 //!
 //! `cargo xtask check` runs, in order:
-//! 1. the five custom MiniCost lints (L1 `money-safety`, L4
-//!    `lock-discipline`, L5 `hashmap-iter-determinism`, L6
-//!    `float-reduction-order`, L10 `escape-hatch-justification`) over every
-//!    `crates/*/src` tree,
-//! 2. the three interprocedural flow analyses (F1 `determinism-taint`, F2
-//!    `panic-reachability`, F3 `lock-order`; DESIGN.md §12) over the
-//!    workspace call graph, gated on `xtask-panic-allowlist.json`,
+//! 1. the four custom MiniCost lints (L1 `money-safety`, L5
+//!    `hashmap-iter-determinism`, L6 `float-reduction-order`, L10
+//!    `escape-hatch-justification`) over every `crates/*/src` tree,
+//! 2. the two interprocedural flow analyses (F1 `determinism-taint`, F2
+//!    `panic-reachability`; DESIGN.md §12) over the workspace call graph,
+//!    gated on `xtask-panic-allowlist.json`,
 //! 3. `cargo fmt --all --check`,
 //! 4. `cargo clippy --workspace --all-targets -- -D warnings`.
 //!
@@ -40,7 +39,6 @@
 mod flow;
 mod lexer;
 mod lints;
-mod lockorder;
 mod parser;
 mod reach;
 mod syntax_lints;
@@ -127,7 +125,7 @@ fn print_usage() {
         "usage: cargo xtask <command>\n\n\
          commands:\n  \
          check [--json] [--strict]\n                     \
-         run the five custom lints + F1-F3 flow analyses +\n                     \
+         run the four custom lints + F1-F2 flow analyses +\n                     \
          `cargo fmt --check` + clippy gate; --json emits\n                     \
          the diagnostics\n                     \
          document (DESIGN.md \u{a7}8) on stdout; --strict\n                     \
@@ -201,9 +199,9 @@ macro_rules! progress {
 struct CheckReport {
     /// Number of files the custom lints scanned.
     files: usize,
-    /// Custom-lint violations (L1, L4, L5, L6, L10).
+    /// Custom-lint violations (L1, L5, L6, L10).
     violations: Vec<Violation>,
-    /// F1-F3 flow diagnostics.
+    /// F1-F2 flow diagnostics.
     flow_diags: Vec<FlowDiag>,
     /// `xtask-panic-allowlist.json` entries that matched no finding.
     panic_unused: Vec<AllowEntry>,
@@ -272,7 +270,7 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
     let mut r = CheckReport { strict, ..CheckReport::default() };
 
     // 1. Custom lints.
-    progress!(json_mode, "==> custom lints (L1, L4, L5, L6, L10)");
+    progress!(json_mode, "==> custom lints (L1, L5, L6, L10)");
     let start = Instant::now();
     let scanned = walk::workspace_lint_files(&root)
         .map_err(|e| format!("cannot enumerate workspace sources: {e}"))
@@ -295,10 +293,7 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
     }
 
     // 2. Flow analyses over the workspace call graph.
-    progress!(
-        json_mode,
-        "==> call-graph analyses (F1 determinism-taint, F2 panic-reachability, F3 lock-order)"
-    );
+    progress!(json_mode, "==> call-graph analyses (F1 determinism-taint, F2 panic-reachability)");
     let start = Instant::now();
     let loaded = Workspace::load_flow(&root).and_then(|ws| Ok((ws, Allowlist::load(&root)?)));
     let (ws, panic_allow) = match loaded {
@@ -390,7 +385,7 @@ struct ViolationDoc {
     message: String,
 }
 
-/// Every call-graph finding (F1-F3).
+/// Every call-graph finding (F1-F2).
 #[derive(Debug, Serialize)]
 struct FlowDoc {
     kinds: Vec<&'static str>,
@@ -443,7 +438,7 @@ fn check_doc(root: &Path, r: &CheckReport) -> CheckDoc {
         })
         .collect();
     CheckDoc {
-        version: 2,
+        version: 3,
         lints: Lint::all().iter().map(|l| l.name()).collect(),
         violations: r
             .violations
