@@ -7,6 +7,12 @@
 //! accumulators, and merges the shard results **in fixed shard order** —
 //! never in thread-completion order.
 //!
+//! Within a shard, [`run_shard`] sweeps the files in fixed tiles: a tile
+//! runs every day (decide, then bill) before the next tile starts, so its
+//! fleet columns stay in cache from one day to the next. The caller's
+//! policy instance decides only the first tile; each later tile decides on
+//! a fresh [`Policy::fork`].
+//!
 //! # Determinism contract (DESIGN.md §9)
 //!
 //! * The partition depends only on `(FileId, seed, workers)` — not on
@@ -16,8 +22,9 @@
 //!   [`Money`] accumulation is exact, so shard totals equal the
 //!   single-threaded totals bit-for-bit.
 //! * Wall-clock decision timings are the only fields allowed to differ
-//!   between worker counts; they are merged as the per-day maximum (the
-//!   parallel critical path) with the raw per-shard ledgers preserved.
+//!   between worker counts; a shard's entry for a day is the sum over its
+//!   tiles, and shards are merged as the per-day maximum (the parallel
+//!   critical path) with the raw per-shard ledgers preserved.
 
 use crate::fleet::FleetState;
 use crate::policy::{DecisionContext, Policy};
@@ -70,7 +77,8 @@ pub struct ShardRun {
     /// `indices`).
     pub per_file: Vec<Money>,
     /// Wall-clock milliseconds this shard spent in
-    /// `Policy::decide_batch_into`, one entry per decision day.
+    /// `Policy::decide_batch_into`, one entry per decision day (summed over
+    /// the shard's tiles).
     pub decision_millis: Vec<f64>,
     /// Tier changes applied to the shard's files.
     pub tier_changes: u64,
@@ -78,9 +86,29 @@ pub struct ShardRun {
     pub occupancy: Vec<[usize; TIER_COUNT]>,
 }
 
+/// Files per tile of [`run_shard`]'s sweep.
+///
+/// `FleetState` is file-major, so one day's sweep reads one cache line of
+/// each file's read series and one of its write series, and consecutive
+/// files sit `stride × 8` bytes apart (2,920 at a 365-day horizon). Over a
+/// whole shard those lines leave the cache before the next day comes back
+/// to them; a tile's stay, and each line holds eight days of one file.
+/// Counted in files, not bytes, because a tile's per-day working set is
+/// `files × 2` lines whatever the horizon, and so that the number of forks
+/// does not depend on `days`. At least 1000, so a 1000-file fleet is one
+/// tile and runs on the caller's instance alone.
+const TILE_FILES: usize = 1024;
+
 /// Runs `policy` over the shard `indices` of the columnar `fleet` for
 /// every day — the single-threaded billing loop restricted to one batch of
 /// files.
+///
+/// The shard is swept in tiles of `TILE_FILES` files: each tile runs
+/// every day (decide, then [`bill_day`]) before the next tile starts. The
+/// caller's `policy` decides the first tile; each later tile decides on a
+/// fresh [`Policy::fork`], which decides identically (DESIGN.md §9). Tiles
+/// accumulate into the one [`ShardRun`] in place, and a decision day's
+/// `decision_millis` entry is its sum over the tiles.
 ///
 /// Panics if the policy returns a tier vector of the wrong length.
 pub fn run_shard(
@@ -92,37 +120,57 @@ pub fn run_shard(
 ) -> ShardRun {
     let m = indices.len();
     let days = fleet.days();
-    // Setup buffers, sized once per shard; the day loop below reuses them
-    // and must stay allocation-free (`tests/alloc_budget.rs` counts it).
+    let every = cfg.decide_every.max(1);
+    // Setup buffers, sized once per shard; the tile and day loops below
+    // reuse them and must stay allocation-free apart from one fork per
+    // later tile (`tests/alloc_budget.rs` counts it).
     let mut current = vec![cfg.initial_tier; m];
-    let mut decision = vec![cfg.initial_tier; m];
+    let mut decision = vec![cfg.initial_tier; m.min(TILE_FILES)];
     let mut run = ShardRun {
         indices: indices.to_vec(),
-        daily: Vec::with_capacity(days),
+        daily: vec![CostBreakdown::default(); days],
         per_file: vec![Money::ZERO; m],
-        decision_millis: Vec::with_capacity(days),
+        decision_millis: vec![0.0; days.div_ceil(every)],
         tier_changes: 0,
-        occupancy: Vec::with_capacity(days),
+        occupancy: vec![[0; TIER_COUNT]; days],
     };
 
-    for day in 0..days {
-        // Decision phase, refilling the hoisted buffer in place.
-        let decided = if day % cfg.decide_every.max(1) == 0 {
-            let ctx = DecisionContext { day, fleet, model, batch: indices, current: &current };
-            let start = Instant::now();
-            policy.decide_batch_into(&ctx, &mut decision);
-            run.decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
-            assert_eq!(decision.len(), m, "policy must decide every file in the batch");
-            true
-        } else {
-            false
-        };
+    let mut fork: Option<Box<dyn Policy>> = None;
+    let tiles = indices
+        .chunks(TILE_FILES)
+        .zip(current.chunks_mut(TILE_FILES).zip(run.per_file.chunks_mut(TILE_FILES)));
+    for (tile, (batch, (current, per_file))) in tiles.enumerate() {
+        let decider: &mut dyn Policy =
+            if tile == 0 { &mut *policy } else { fork.insert(policy.fork()).as_mut() };
+        let mut millis = run.decision_millis.iter_mut();
+        let ledgers = run.daily.iter_mut().zip(run.occupancy.iter_mut());
+        for (day, (daily, occupancy)) in ledgers.enumerate() {
+            // Decision phase, refilling the hoisted buffer in place.
+            let decided = if day % every == 0 {
+                let ctx = DecisionContext { day, fleet, model, batch, current };
+                let start = Instant::now();
+                decider.decide_batch_into(&ctx, &mut decision);
+                if let Some(ms) = millis.next() {
+                    *ms += start.elapsed().as_secs_f64() * 1e3;
+                }
+                assert_eq!(
+                    decision.len(),
+                    batch.len(),
+                    "policy must decide every file in the batch"
+                );
+                true
+            } else {
+                false
+            };
 
-        let decision = decided.then_some(decision.as_slice());
-        let bill = bill_day(model, fleet, day, indices, decision, &mut current, &mut run.per_file);
-        run.daily.push(bill.breakdown);
-        run.tier_changes += bill.tier_changes;
-        run.occupancy.push(bill.occupancy);
+            let decision = decided.then_some(decision.as_slice());
+            let bill = bill_day(model, fleet, day, batch, decision, current, per_file);
+            *daily += bill.breakdown;
+            run.tier_changes += bill.tier_changes;
+            for (total, count) in occupancy.iter_mut().zip(bill.occupancy) {
+                *total += count;
+            }
+        }
     }
     run
 }
@@ -357,6 +405,31 @@ mod tests {
         assert!(shard.daily.iter().all(|d| d.total() == Money::ZERO));
         assert_eq!(shard.decision_millis.len(), trace.days);
         assert_eq!(shard.tier_changes, 0);
+    }
+
+    #[test]
+    fn tiled_shard_equals_its_single_tile_pieces_merged() {
+        let files = 2 * TILE_FILES + 1;
+        let trace = Trace::generate(&TraceConfig::small(files, 9, 31));
+        let model = CostModel::new(PricingPolicy::paper_2020());
+        let fleet = FleetState::from_trace(&trace);
+        let all: Vec<usize> = (0..files).collect();
+        for decide_every in [1usize, 2] {
+            let cfg = SimConfig { decide_every, workers: 1, ..SimConfig::default() };
+            let whole = run_shard(&fleet, &model, &mut GreedyPolicy, &cfg, &all);
+            assert_eq!(whole.decision_millis.len(), trace.days.div_ceil(decide_every));
+            let pieces: Vec<ShardRun> = all
+                .chunks(TILE_FILES)
+                .map(|piece| run_shard(&fleet, &model, &mut GreedyPolicy, &cfg, piece))
+                .collect();
+            assert_eq!(pieces.len(), 3);
+            let tiled = merge_shards("greedy", trace.days, files, std::slice::from_ref(&whole));
+            let merged = merge_shards("greedy", trace.days, files, &pieces);
+            assert_eq!(tiled.daily, merged.daily, "decide_every={decide_every}");
+            assert_eq!(tiled.per_file, merged.per_file);
+            assert_eq!(tiled.tier_changes, merged.tier_changes);
+            assert_eq!(tiled.occupancy, merged.occupancy);
+        }
     }
 
     #[test]

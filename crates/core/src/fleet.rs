@@ -24,8 +24,11 @@ use tracegen::Trace;
 /// Row `ix` (a file's index in the trace) owns `sizes[ix]`, the prior sums of
 /// every day before `first_day`, and the slices `reads[ix*stride ..]` /
 /// `writes[..]`, whose column `c` holds absolute day `first_day + c` —
-/// file-major, so per-file history reads are contiguous and the per-day
-/// billing sweep walks each column with unit stride per file.
+/// file-major, so per-file history reads are contiguous. The per-day sweep
+/// steps `stride` entries (`8 × stride` bytes, 2,920 at 365 days) from one
+/// file to the next, a fresh cache line per file and column; the engine
+/// sweeps in fixed tiles of files so that a tile's lines stay cached from
+/// one day to the next, eight days to a line (DESIGN.md §14).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetState {
     /// Columns per file (the row stride).

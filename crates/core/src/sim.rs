@@ -42,7 +42,8 @@ pub struct SimConfig {
     /// The paper's agent decides daily (1).
     pub decide_every: usize,
     /// Number of simulation shards/threads. 1 runs the caller's policy in
-    /// place; >1 forks the policy per shard. Never alters `Money` ledgers.
+    /// place on the first tile of files and forks it for later tiles; >1
+    /// forks the policy per shard. Never alters `Money` ledgers.
     #[serde(default = "default_workers")]
     pub workers: usize,
     /// Seed for the stable shard-assignment hash (and only that — billing
@@ -212,11 +213,14 @@ impl SimResult {
 
 /// Runs `policy` over `trace` under `model`.
 ///
-/// With `cfg.workers == 1` the caller's policy instance decides in place;
-/// with more, each deterministic shard gets a [`Policy::fork`] on its own
-/// scoped thread and the results are merged in fixed shard order, so every
+/// With `cfg.workers == 1` the fleet is one shard; with more, each
+/// deterministic shard gets a [`Policy::fork`] on its own scoped thread and
+/// the results are merged in fixed shard order, so every
 /// `Money`/occupancy/tier-change ledger is bit-identical to the
-/// single-threaded run (DESIGN.md §9).
+/// single-threaded run (DESIGN.md §9). [`engine::run_shard`] sweeps a shard
+/// in fixed tiles of files, so the caller's instance decides only the
+/// first tile of the fleet (at one worker) and never decides at more;
+/// every other tile decides on a fork.
 ///
 /// Panics if the policy returns a tier vector of the wrong length or if
 /// `cfg.decide_every == 0` (unreachable through the builder).

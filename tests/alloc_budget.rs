@@ -7,7 +7,8 @@
 //!
 //! * `simulate` makes the same number of allocations on a `D`-day and a
 //!   `2D`-day trace, for every policy but Predictive, at one worker and at
-//!   four. Predictive refits its plans, so it gets a per-refit budget.
+//!   four, on a 200-file fleet and on a fleet of five engine tiles.
+//!   Predictive refits its plans, so it gets a per-refit budget.
 //! * `serve`, run on one trace for `D` and for `2D` days (so both runs
 //!   share their first `D` days), adds at most a committed number of
 //!   allocations per extra day, for each serving configuration.
@@ -28,8 +29,19 @@ use store::{MigrateConfig, PoolBuild};
 /// Horizon of the shorter run, in days; the longer run is twice this.
 const D: usize = 20;
 
-/// Files in every trace.
+/// Files in every trace but the tiled ones.
 const FILES: usize = 200;
+
+/// Files per tile of the engine's shard loop (`engine::TILE_FILES`, private
+/// to the engine): a shard forks its policy once per tile after the first.
+const TILE: usize = 1024;
+
+/// Files in the tiled traces: five tiles at one worker, and shards of more
+/// than one tile at four.
+const TILED_FILES: usize = 5 * TILE;
+
+/// Seed of the shard partition.
+const SHARD_SEED: u64 = 3;
 
 /// Shards of the parallel runs.
 const WORKERS: usize = 4;
@@ -37,8 +49,9 @@ const WORKERS: usize = 4;
 /// Predictive's refit cadence in days (the paper's weekly period).
 const REFIT_EVERY: usize = 7;
 
-/// A fork of Optimal boxes one handle to the plans every fork shares; a
-/// Greedy fork is zero-sized and boxes nothing.
+/// A fork of Optimal (per shard, and per tile after a shard's first) boxes
+/// one handle to the plans every fork shares; a Greedy fork is zero-sized
+/// and boxes nothing.
 const OPTIMAL_ALLOCS_PER_FORK: u64 = 1;
 
 /// Per file and refit, Predictive builds the file's observed history, its
@@ -114,8 +127,8 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.load(Ordering::SeqCst) - before)
 }
 
-fn trace(days: usize) -> Trace {
-    Trace::generate(&TraceConfig::small(FILES, days, 7))
+fn trace(files: usize, days: usize) -> Trace {
+    Trace::generate(&TraceConfig::small(files, days, 7))
 }
 
 /// The policies whose `simulate` allocations must not depend on the
@@ -138,9 +151,61 @@ fn horizon_free_policies(
 /// Allocations of one `simulate` call, on a fresh fork of `policy` so no
 /// earlier run's scratch buffers are reused.
 fn simulate_allocs(trace: &Trace, model: &CostModel, policy: &dyn Policy, workers: usize) -> u64 {
-    let cfg = SimConfig::builder().seed(3).workers(workers).build().expect("valid sim config");
+    let cfg =
+        SimConfig::builder().seed(SHARD_SEED).workers(workers).build().expect("valid sim config");
     let mut fresh = policy.fork();
     counted(|| simulate(trace, model, fresh.as_mut(), &cfg)).1
+}
+
+/// Forks one `simulate` call makes at `workers`: one per tile after the
+/// first at one worker; one per shard, and one per tile after a shard's
+/// first, at more.
+fn forks(trace: &Trace, workers: usize) -> u64 {
+    let tiles = |files: usize| files.div_ceil(TILE).max(1) as u64;
+    if workers == 1 {
+        return tiles(trace.len()) - 1;
+    }
+    partition(trace, SHARD_SEED, workers).iter().map(|shard| tiles(shard.len())).sum()
+}
+
+/// Checks that `simulate` allocates as much over `short` as over `long`
+/// (the same fleet over twice the days) for every horizon-free policy, and
+/// that Optimal's forks cost no more than their handles.
+fn check_horizon_free(
+    short: &Trace,
+    long: &Trace,
+    model: &CostModel,
+    agent: &MiniCost,
+    failures: &mut Vec<String>,
+) {
+    let short_policies = horizon_free_policies(short, model, agent);
+    let long_policies = horizon_free_policies(long, model, agent);
+    for workers in [1, WORKERS] {
+        let mut counts = BTreeMap::new();
+        for (s, l) in short_policies.iter().zip(&long_policies) {
+            let at_d = simulate_allocs(short, model, s.as_ref(), workers);
+            let at_2d = simulate_allocs(long, model, l.as_ref(), workers);
+            if at_d != at_2d {
+                failures.push(format!(
+                    "simulate {} on {} files at {workers} worker(s): {at_d} allocations over \
+                     {D} days, {at_2d} over {}",
+                    s.name(),
+                    short.len(),
+                    2 * D
+                ));
+            }
+            counts.insert(s.name(), at_d);
+        }
+        let (greedy, optimal) = (counts["greedy"], counts["optimal"]);
+        let forks = forks(short, workers);
+        if optimal > greedy + OPTIMAL_ALLOCS_PER_FORK * forks {
+            failures.push(format!(
+                "simulate optimal on {} files at {workers} worker(s): {optimal} allocations, \
+                 greedy {greedy}, {forks} forks",
+                short.len()
+            ));
+        }
+    }
 }
 
 /// Refits Predictive makes over `days` daily decisions.
@@ -221,39 +286,16 @@ fn serve_allocs(
 #[test]
 fn allocations_stay_within_their_budgets() {
     let model = CostModel::new(PricingPolicy::azure_blob_2020());
-    let (short, long) = (trace(D), trace(2 * D));
+    let (short, long) = (trace(FILES, D), trace(FILES, 2 * D));
     let mut cfg = MiniCostConfig::fast();
     cfg.a3c.workers = 1;
     cfg.a3c.total_updates = 30;
     let agent = MiniCost::train(&short, &model, &cfg);
     let mut failures = Vec::new();
 
-    let short_policies = horizon_free_policies(&short, &model, &agent);
-    let long_policies = horizon_free_policies(&long, &model, &agent);
-    let mut forked = BTreeMap::new();
-    for (s, l) in short_policies.iter().zip(&long_policies) {
-        for workers in [1, WORKERS] {
-            let at_d = simulate_allocs(&short, &model, s.as_ref(), workers);
-            let at_2d = simulate_allocs(&long, &model, l.as_ref(), workers);
-            if at_d != at_2d {
-                failures.push(format!(
-                    "simulate {} at {workers} worker(s): {at_d} allocations over {D} days, \
-                     {at_2d} over {}",
-                    s.name(),
-                    2 * D
-                ));
-            }
-            if workers == WORKERS {
-                forked.insert(s.name(), at_d);
-            }
-        }
-    }
-    let (greedy, optimal) = (forked["greedy"], forked["optimal"]);
-    if optimal > greedy + OPTIMAL_ALLOCS_PER_FORK * WORKERS as u64 {
-        failures.push(format!(
-            "simulate optimal at {WORKERS} workers: {optimal} allocations, greedy {greedy}"
-        ));
-    }
+    check_horizon_free(&short, &long, &model, &agent, &mut failures);
+    let (tiled_short, tiled_long) = (trace(TILED_FILES, D), trace(TILED_FILES, 2 * D));
+    check_horizon_free(&tiled_short, &tiled_long, &model, &agent, &mut failures);
 
     let predictive = PredictivePolicy::new(forecast::Naive, REFIT_EVERY);
     let budget = PREDICTIVE_ALLOCS_PER_FILE_REFIT * FILES as u64 * (refits(2 * D) - refits(D));
