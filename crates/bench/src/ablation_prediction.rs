@@ -57,15 +57,10 @@ pub fn run(params: &Params) -> Report {
     );
 
     let runs = vec![
-        simulate(test, &model, &mut PredictivePolicy::new(Arima::weekly_default(), 7), &sim_cfg),
-        simulate(test, &model, &mut PredictivePolicy::new(SeasonalNaive::new(7), 7), &sim_cfg),
-        simulate(test, &model, &mut agent.policy(), &sim_cfg),
-        simulate(
-            test,
-            &model,
-            &mut OptimalPolicy::plan(test, &model, sim_cfg.initial_tier),
-            &sim_cfg,
-        ),
+        simulate(test, &model, &PredictivePolicy::new(Arima::weekly_default(), 7), &sim_cfg),
+        simulate(test, &model, &PredictivePolicy::new(SeasonalNaive::new(7), 7), &sim_cfg),
+        simulate(test, &model, &agent.policy(), &sim_cfg),
+        simulate(test, &model, &OptimalPolicy::plan(test, &model, sim_cfg.initial_tier), &sim_cfg),
     ];
     let labels = ["predictive-arima", "predictive-seasonal", "minicost", "optimal"];
 

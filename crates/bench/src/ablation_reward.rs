@@ -59,15 +59,11 @@ pub fn run(params: &Params) -> Report {
     let sim_cfg = crate::experiment_sim_config(params.seed, minicost::default_workers());
     let test = &split.test;
 
-    let hot = simulate(test, &model, &mut HotPolicy, &sim_cfg).total_cost();
-    let greedy = simulate(test, &model, &mut GreedyPolicy, &sim_cfg).total_cost();
-    let opt = simulate(
-        test,
-        &model,
-        &mut OptimalPolicy::plan(test, &model, sim_cfg.initial_tier),
-        &sim_cfg,
-    )
-    .total_cost();
+    let hot = simulate(test, &model, &HotPolicy, &sim_cfg).total_cost();
+    let greedy = simulate(test, &model, &GreedyPolicy, &sim_cfg).total_cost();
+    let opt =
+        simulate(test, &model, &OptimalPolicy::plan(test, &model, sim_cfg.initial_tier), &sim_cfg)
+            .total_cost();
 
     let mut report = Report::new(
         "ablation_reward",
@@ -95,7 +91,7 @@ pub fn run(params: &Params) -> Report {
             cfg.a3c.critic_baseline = true;
         }
         let agent = MiniCost::train(&split.train, &model, &cfg);
-        let cost = simulate(test, &model, &mut agent.policy(), &sim_cfg).total_cost();
+        let cost = simulate(test, &model, &agent.policy(), &sim_cfg).total_cost();
         report.push_row(vec![
             label.to_owned(),
             format!("{cost}"),

@@ -58,16 +58,14 @@ pub fn run(params: &Params) -> Report {
         &crate::experiment_training(params.updates, params.width, params.seed),
     );
 
-    let mut policies: Vec<Box<dyn Policy>> = vec![
+    let policies: Vec<Box<dyn Policy>> = vec![
         Box::new(HotPolicy),
         Box::new(ColdPolicy),
         Box::new(GreedyPolicy),
         Box::new(agent.policy()),
     ];
-    let runs: Vec<SimResult> = policies
-        .iter_mut()
-        .map(|policy| simulate(&trace, &model, policy.as_mut(), &sim_cfg))
-        .collect();
+    let runs: Vec<SimResult> =
+        policies.iter().map(|policy| simulate(&trace, &model, policy.as_ref(), &sim_cfg)).collect();
 
     let mut report = Report::new(
         "fig12",

@@ -49,12 +49,7 @@ impl Params {
 
 /// Simulates a policy week by week over the (optionally aggregated) trace,
 /// returning cumulative cost per week boundary.
-fn weekly_costs(
-    trace: &Trace,
-    model: &CostModel,
-    policy: &mut dyn Policy,
-    weeks: usize,
-) -> Vec<Money> {
+fn weekly_costs(trace: &Trace, model: &CostModel, policy: &dyn Policy, weeks: usize) -> Vec<Money> {
     let sim_cfg = crate::experiment_sim_config(0, minicost::default_workers());
     let mut cumulative = Vec::with_capacity(weeks);
     let mut total = Money::ZERO;
@@ -71,7 +66,7 @@ fn weekly_costs(
 fn weekly_costs_with_aggregation(
     trace: &Trace,
     model: &CostModel,
-    policy: &mut dyn Policy,
+    policy: &dyn Policy,
     groups: &[tracegen::CoRequestGroup],
     psi: usize,
     weeks: usize,
@@ -117,16 +112,10 @@ pub fn run(params: &Params) -> Report {
     let groups = CoRequestModel { groups: params.groups, seed: params.seed, ..Default::default() }
         .generate(test);
 
-    let greedy = weekly_costs(test, &model, &mut GreedyPolicy, weeks);
-    let minicost = weekly_costs(test, &model, &mut agent.policy(), weeks);
-    let minicost_e = weekly_costs_with_aggregation(
-        test,
-        &model,
-        &mut agent.policy(),
-        &groups,
-        params.psi,
-        weeks,
-    );
+    let greedy = weekly_costs(test, &model, &GreedyPolicy, weeks);
+    let minicost = weekly_costs(test, &model, &agent.policy(), weeks);
+    let minicost_e =
+        weekly_costs_with_aggregation(test, &model, &agent.policy(), &groups, params.psi, weeks);
     // Optimal replans per week window inside weekly_costs via a fresh plan:
     // approximate by planning on the full horizon then windowing — the
     // planner is per-file DP, so plan weekly exactly:
@@ -135,8 +124,8 @@ pub fn run(params: &Params) -> Report {
     let mut total = Money::ZERO;
     for week in 0..weeks {
         let window = test.day_window(week * 7..(week + 1) * 7);
-        let mut opt = OptimalPolicy::plan(&window, &model, sim_cfg.initial_tier);
-        total += simulate(&window, &model, &mut opt, &sim_cfg).total_cost();
+        let opt = OptimalPolicy::plan(&window, &model, sim_cfg.initial_tier);
+        total += simulate(&window, &model, &opt, &sim_cfg).total_cost();
         optimal_cum.push(total);
     }
 
@@ -178,9 +167,9 @@ mod tests {
         let groups = CoRequestModel { groups: 80, seed: 8, level: 0.9, ..Default::default() }
             .generate(&trace);
         let weeks = 4;
-        let plain = weekly_costs(&trace, &model, &mut GreedyPolicy, weeks);
+        let plain = weekly_costs(&trace, &model, &GreedyPolicy, weeks);
         let merged =
-            weekly_costs_with_aggregation(&trace, &model, &mut GreedyPolicy, &groups, 40, weeks);
+            weekly_costs_with_aggregation(&trace, &model, &GreedyPolicy, &groups, 40, weeks);
         assert_eq!(plain.len(), weeks);
         // Cumulative series are monotone.
         assert!(plain.windows(2).all(|w| w[0] <= w[1]));

@@ -61,17 +61,15 @@ pub fn evaluate(params: &Params) -> Fig7Runs {
     let sim_cfg = crate::experiment_sim_config(params.seed, params.workers);
     let test = split.test;
     // One uniform `dyn Policy` path for all five strategies, in paper order.
-    let mut policies: Vec<Box<dyn Policy>> = vec![
+    let policies: Vec<Box<dyn Policy>> = vec![
         Box::new(HotPolicy),
         Box::new(ColdPolicy),
         Box::new(GreedyPolicy),
         Box::new(agent.policy()),
         Box::new(OptimalPolicy::plan(&test, &model, sim_cfg.initial_tier)),
     ];
-    let runs = policies
-        .iter_mut()
-        .map(|policy| simulate(&test, &model, policy.as_mut(), &sim_cfg))
-        .collect();
+    let runs =
+        policies.iter().map(|policy| simulate(&test, &model, policy.as_ref(), &sim_cfg)).collect();
     Fig7Runs { runs, test }
 }
 
@@ -126,16 +124,12 @@ mod tests {
         let trace = Trace::generate(&crate::experiment_trace(1_500, 21, 5));
         let model = crate::experiment_model();
         let cfg = crate::experiment_sim_config(5, minicost::default_workers());
-        let hot = simulate(&trace, &model, &mut HotPolicy, &cfg).total_cost();
-        let cold = simulate(&trace, &model, &mut ColdPolicy, &cfg).total_cost();
-        let greedy = simulate(&trace, &model, &mut GreedyPolicy, &cfg).total_cost();
-        let opt = simulate(
-            &trace,
-            &model,
-            &mut OptimalPolicy::plan(&trace, &model, cfg.initial_tier),
-            &cfg,
-        )
-        .total_cost();
+        let hot = simulate(&trace, &model, &HotPolicy, &cfg).total_cost();
+        let cold = simulate(&trace, &model, &ColdPolicy, &cfg).total_cost();
+        let greedy = simulate(&trace, &model, &GreedyPolicy, &cfg).total_cost();
+        let opt =
+            simulate(&trace, &model, &OptimalPolicy::plan(&trace, &model, cfg.initial_tier), &cfg)
+                .total_cost();
         assert!(cold > hot, "cold {cold} vs hot {hot}");
         assert!(hot > greedy, "hot {hot} vs greedy {greedy}");
         assert!(greedy > opt, "greedy {greedy} vs optimal {opt}");

@@ -268,9 +268,9 @@ mod tests {
         assert!(omega.is_beneficial(), "omega {omega:?}");
 
         let cfg = SimConfig::default();
-        let plain = simulate(&trace, &m, &mut HotPolicy, &cfg).total_cost();
+        let plain = simulate(&trace, &m, &HotPolicy, &cfg).total_cost();
         let merged = apply_aggregation(&trace, &[group], &[0]);
-        let aggregated = simulate(&merged, &m, &mut HotPolicy, &cfg).total_cost();
+        let aggregated = simulate(&merged, &m, &HotPolicy, &cfg).total_cost();
         assert!(aggregated < plain, "aggregated {aggregated} must beat plain {plain}");
     }
 
@@ -290,9 +290,9 @@ mod tests {
         assert!(!omega.is_beneficial(), "omega {omega:?}");
 
         let cfg = SimConfig::default();
-        let plain = simulate(&trace, &m, &mut HotPolicy, &cfg).total_cost();
+        let plain = simulate(&trace, &m, &HotPolicy, &cfg).total_cost();
         let merged = apply_aggregation(&trace, &[group], &[0]);
-        let aggregated = simulate(&merged, &m, &mut HotPolicy, &cfg).total_cost();
+        let aggregated = simulate(&merged, &m, &HotPolicy, &cfg).total_cost();
         assert!(aggregated > plain, "backfire expected: {aggregated} vs {plain}");
     }
 
@@ -399,8 +399,8 @@ mod tests {
         let merged_perm = apply_aggregation(&trace, &stored, &active_inv);
 
         assert_eq!(merged_fwd, merged_perm, "merged trace must not depend on storage order");
-        let cost_fwd = simulate(&merged_fwd, &m, &mut HotPolicy, &cfg).total_cost();
-        let cost_perm = simulate(&merged_perm, &m, &mut HotPolicy, &cfg).total_cost();
+        let cost_fwd = simulate(&merged_fwd, &m, &HotPolicy, &cfg).total_cost();
+        let cost_perm = simulate(&merged_perm, &m, &HotPolicy, &cfg).total_cost();
         assert_eq!(cost_fwd, cost_perm, "aggregated cost must be identical to the micro-dollar");
     }
 
@@ -448,9 +448,9 @@ mod tests {
             let m = model();
             let omega = Omega::evaluate(&group, &trace, &m, Tier::Hot, 0..days);
             let cfg = SimConfig::default();
-            let plain = simulate(&trace, &m, &mut HotPolicy, &cfg).total_cost();
+            let plain = simulate(&trace, &m, &HotPolicy, &cfg).total_cost();
             let merged = apply_aggregation(&trace, &[group], &[0]);
-            let aggregated = simulate(&merged, &m, &mut HotPolicy, &cfg).total_cost();
+            let aggregated = simulate(&merged, &m, &HotPolicy, &cfg).total_cost();
             // Allow the knife-edge zone where rounding to whole operations
             // blurs the sign.
             prop_assume!(omega.0.abs() > 0.5);

@@ -304,7 +304,7 @@ fn serve_cmd(flags: &Flags) -> Result<(), CliError> {
     let seed = flag(flags, "seed", 0u64).map_err(CliError::config)?;
     let decide_every = flag(flags, "decide-every", 1usize).map_err(CliError::config)?;
 
-    let mut policy: Box<dyn Policy> = match flags.get("agent") {
+    let policy: Box<dyn Policy> = match flags.get("agent") {
         Some(agent_path) => {
             let agent = MiniCost::load(Path::new(agent_path))
                 .map_err(|e| CliError::config(format!("{agent_path}: {e}")))?;
@@ -403,8 +403,9 @@ fn serve_cmd(flags: &Flags) -> Result<(), CliError> {
     let sup_cfg = SuperviseConfig { fault_plan, degraded, ..SuperviseConfig::default() };
 
     let report = Supervisor::new(sup_cfg)
-        .run(&trace, &model, policy.as_mut(), &cfg)
+        .run(&trace, &model, policy.as_ref(), &cfg)
         .map_err(|e| CliError { code: serve_exit_code(&e), message: e.to_string() })?;
+    check_unsaturated(&trace, &report.result).map_err(CliError::general)?;
     if let Some(day) = report.resumed_from_day {
         println!("resumed from checkpoint at day {day}");
     }
@@ -454,7 +455,7 @@ fn serve_cmd(flags: &Flags) -> Result<(), CliError> {
             .build()
             .map_err(|e| CliError::config(e.to_string()))?;
         let horizon = cfg.max_days.map_or(trace.days, |m| m.min(trace.days));
-        let batch = simulate(&trace, &model, policy.as_mut(), &sim_cfg);
+        let batch = simulate(&trace, &model, policy.as_ref(), &sim_cfg);
         let daily_match = report.result.daily == batch.daily[..horizon.min(batch.daily.len())];
         let per_file_match = horizon == trace.days && report.result.per_file == batch.per_file;
         let full = horizon == trace.days;
@@ -484,17 +485,18 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
         SimConfig::builder().seed(seed).workers(workers).build().map_err(|e| e.to_string())?;
 
     // All five comparison strategies through one `dyn Policy` code path.
-    let mut policies: Vec<Box<dyn Policy>> = vec![
+    let policies: Vec<Box<dyn Policy>> = vec![
         Box::new(HotPolicy),
         Box::new(ColdPolicy),
         Box::new(GreedyPolicy),
         Box::new(agent.policy()),
         Box::new(OptimalPolicy::plan(test, &model, sim_cfg.initial_tier)),
     ];
-    let runs: Vec<SimResult> = policies
-        .iter_mut()
-        .map(|policy| simulate(test, &model, policy.as_mut(), &sim_cfg))
-        .collect();
+    let runs: Vec<SimResult> =
+        policies.iter().map(|policy| simulate(test, &model, policy.as_ref(), &sim_cfg)).collect();
+    for run in &runs {
+        check_unsaturated(test, run)?;
+    }
     let reference = runs.last().expect("non-empty").total_cost();
     println!("{} held-out files x {} days under {}:", test.len(), test.days, model.policy().name);
     println!("{:<10} {:>14} {:>11} {:>9}", "policy", "total cost", "vs optimal", "changes");
@@ -510,9 +512,48 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Fails when the ledgers of `result` (a run over `trace`) saturated at
+/// [`Money::MAX`], which is a clamp, not a price. Bills are never negative,
+/// so any saturated `per_file` or `daily` entry saturates the running
+/// total; the error names the day it did and the first saturated file.
+fn check_unsaturated(trace: &Trace, result: &SimResult) -> Result<(), String> {
+    let mut running = Money::ZERO;
+    let Some(day) = result.daily.iter().position(|bill| {
+        running += bill.total();
+        running == Money::MAX
+    }) else {
+        return Ok(());
+    };
+    let file =
+        result.per_file.iter().position(|&paid| paid == Money::MAX).map_or(String::new(), |ix| {
+            format!("; file {}'s total reads it", trace.files.get(ix).map_or(ix, |f| f.id.index()))
+        });
+    Err(format!(
+        "the {} cost ledger saturated at {} on day {day}{file}: the trace's request counts are \
+         too large to bill",
+        result.policy_name,
+        Money::MAX,
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn saturated_ledger_is_an_error_naming_day_and_file() {
+        let mut trace = Trace::generate(&TraceConfig::small(30, 10, 4));
+        let model = CostModel::new(PricingPolicy::azure_blob_2020());
+        let cfg = SimConfig::builder().seed(0).workers(1).build().unwrap();
+        let batch = simulate(&trace, &model, &GreedyPolicy, &cfg);
+        assert_eq!(check_unsaturated(&trace, &batch), Ok(()));
+        trace.files[0].reads = vec![u64::MAX; 10];
+        let served = serve(&trace, &model, &GreedyPolicy, &ServeConfig::default()).unwrap();
+        let err = check_unsaturated(&trace, &served.result).unwrap_err();
+        assert!(err.contains(" on day 1; file 0's total reads it"), "{err}");
+        let batch = simulate(&trace, &model, &GreedyPolicy, &cfg);
+        assert_eq!(check_unsaturated(&trace, &batch), Err(err));
+    }
 
     fn parse(line: &str) -> Result<Flags, CliError> {
         let mut words = line.split_whitespace().map(str::to_owned);

@@ -9,9 +9,9 @@
 //!
 //! Within a shard, [`run_shard`] sweeps the files in fixed tiles: a tile
 //! runs every day (decide, then bill) before the next tile starts, so its
-//! fleet columns stay in cache from one day to the next. The caller's
-//! policy instance decides only the first tile; each later tile decides on
-//! a fresh [`Policy::fork`].
+//! fleet columns stay in cache from one day to the next. Every tile
+//! decides on its own [`Policy::fork`], so a run never mutates the policy
+//! it was given.
 //!
 //! # Determinism contract (DESIGN.md §9)
 //!
@@ -96,7 +96,7 @@ pub struct ShardRun {
 /// Counted in files, not bytes, because a tile's per-day working set is
 /// `files × 2` lines whatever the horizon, and so that the number of forks
 /// does not depend on `days`. At least 1000, so a 1000-file fleet is one
-/// tile and runs on the caller's instance alone.
+/// tile and one fork.
 const TILE_FILES: usize = 1024;
 
 /// Runs `policy` over the shard `indices` of the columnar `fleet` for
@@ -104,17 +104,17 @@ const TILE_FILES: usize = 1024;
 /// files.
 ///
 /// The shard is swept in tiles of `TILE_FILES` files: each tile runs
-/// every day (decide, then [`bill_day`]) before the next tile starts. The
-/// caller's `policy` decides the first tile; each later tile decides on a
-/// fresh [`Policy::fork`], which decides identically (DESIGN.md §9). Tiles
-/// accumulate into the one [`ShardRun`] in place, and a decision day's
-/// `decision_millis` entry is its sum over the tiles.
+/// every day (decide, then [`bill_day`]) before the next tile starts, on a
+/// fresh [`Policy::fork`] of `policy`, which decides identically (DESIGN.md
+/// §9); `policy` itself never decides. Tiles accumulate into the one
+/// [`ShardRun`] in place, and a decision day's `decision_millis` entry is
+/// its sum over the tiles.
 ///
 /// Panics if the policy returns a tier vector of the wrong length.
 pub fn run_shard(
     fleet: &FleetState,
     model: &CostModel,
-    policy: &mut dyn Policy,
+    policy: &dyn Policy,
     cfg: &SimConfig,
     indices: &[usize],
 ) -> ShardRun {
@@ -123,7 +123,7 @@ pub fn run_shard(
     let every = cfg.decide_every.max(1);
     // Setup buffers, sized once per shard; the tile and day loops below
     // reuse them and must stay allocation-free apart from one fork per
-    // later tile (`tests/alloc_budget.rs` counts it).
+    // tile (`tests/alloc_budget.rs` counts it).
     let mut current = vec![cfg.initial_tier; m];
     let mut decision = vec![cfg.initial_tier; m.min(TILE_FILES)];
     let mut run = ShardRun {
@@ -135,13 +135,11 @@ pub fn run_shard(
         occupancy: vec![[0; TIER_COUNT]; days],
     };
 
-    let mut fork: Option<Box<dyn Policy>> = None;
     let tiles = indices
         .chunks(TILE_FILES)
         .zip(current.chunks_mut(TILE_FILES).zip(run.per_file.chunks_mut(TILE_FILES)));
-    for (tile, (batch, (current, per_file))) in tiles.enumerate() {
-        let decider: &mut dyn Policy =
-            if tile == 0 { &mut *policy } else { fork.insert(policy.fork()).as_mut() };
+    for (batch, (current, per_file)) in tiles {
+        let mut decider = policy.fork();
         let mut millis = run.decision_millis.iter_mut();
         let ledgers = run.daily.iter_mut().zip(run.occupancy.iter_mut());
         for (day, (daily, occupancy)) in ledgers.enumerate() {
@@ -386,9 +384,9 @@ mod tests {
         let cfg = SimConfig::default();
         let columns = FleetState::from_trace(&trace);
         let all: Vec<usize> = (0..trace.len()).collect();
-        let shard = run_shard(&columns, &model, &mut GreedyPolicy, &cfg, &all);
+        let shard = run_shard(&columns, &model, &GreedyPolicy, &cfg, &all);
         let merged = merge_shards("greedy", trace.days, trace.len(), std::slice::from_ref(&shard));
-        let direct = simulate(&trace, &model, &mut GreedyPolicy, &cfg);
+        let direct = simulate(&trace, &model, &GreedyPolicy, &cfg);
         assert_eq!(merged.daily, direct.daily);
         assert_eq!(merged.per_file, direct.per_file);
         assert_eq!(merged.tier_changes, direct.tier_changes);
@@ -400,7 +398,7 @@ mod tests {
         let (trace, model) = setup();
         let cfg = SimConfig::default();
         let columns = FleetState::from_trace(&trace);
-        let shard = run_shard(&columns, &model, &mut GreedyPolicy, &cfg, &[]);
+        let shard = run_shard(&columns, &model, &GreedyPolicy, &cfg, &[]);
         assert_eq!(shard.daily.len(), trace.days);
         assert!(shard.daily.iter().all(|d| d.total() == Money::ZERO));
         assert_eq!(shard.decision_millis.len(), trace.days);
@@ -416,11 +414,11 @@ mod tests {
         let all: Vec<usize> = (0..files).collect();
         for decide_every in [1usize, 2] {
             let cfg = SimConfig { decide_every, workers: 1, ..SimConfig::default() };
-            let whole = run_shard(&fleet, &model, &mut GreedyPolicy, &cfg, &all);
+            let whole = run_shard(&fleet, &model, &GreedyPolicy, &cfg, &all);
             assert_eq!(whole.decision_millis.len(), trace.days.div_ceil(decide_every));
             let pieces: Vec<ShardRun> = all
                 .chunks(TILE_FILES)
-                .map(|piece| run_shard(&fleet, &model, &mut GreedyPolicy, &cfg, piece))
+                .map(|piece| run_shard(&fleet, &model, &GreedyPolicy, &cfg, piece))
                 .collect();
             assert_eq!(pieces.len(), 3);
             let tiled = merge_shards("greedy", trace.days, files, std::slice::from_ref(&whole));

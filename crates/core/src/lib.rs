@@ -55,8 +55,8 @@
 //!
 //! // 2. Simulate the always-hot baseline and the exact offline optimum.
 //! let cfg = SimConfig::default();
-//! let hot = simulate(&trace, &model, &mut HotPolicy, &cfg);
-//! let opt = simulate(&trace, &model, &mut OptimalPolicy::plan(&trace, &model, cfg.initial_tier), &cfg);
+//! let hot = simulate(&trace, &model, &HotPolicy, &cfg);
+//! let opt = simulate(&trace, &model, &OptimalPolicy::plan(&trace, &model, cfg.initial_tier), &cfg);
 //! assert!(opt.total_cost() <= hot.total_cost());
 //! ```
 

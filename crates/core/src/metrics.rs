@@ -108,7 +108,7 @@ mod tests {
     fn bucket_costs_partition_the_total() {
         let trace = Trace::generate(&TraceConfig::small(100, 21, 4));
         let model = CostModel::new(PricingPolicy::azure_blob_2020());
-        let result = simulate(&trace, &model, &mut HotPolicy, &SimConfig::default());
+        let result = simulate(&trace, &model, &HotPolicy, &SimConfig::default());
         let buckets = bucket_costs(&trace, &result.per_file);
         let sum: Money = buckets.iter().sum();
         assert_eq!(sum, result.total_cost());
@@ -125,7 +125,7 @@ mod tests {
     fn normalized_costs_reference_semantics() {
         let trace = Trace::generate(&TraceConfig::small(10, 7, 4));
         let model = CostModel::new(PricingPolicy::azure_blob_2020());
-        let result = simulate(&trace, &model, &mut HotPolicy, &SimConfig::default());
+        let result = simulate(&trace, &model, &HotPolicy, &SimConfig::default());
         let normalized = normalized_costs(&[&result], result.total_cost());
         assert!((normalized[0] - 1.0).abs() < 1e-12);
         // Zero reference.
@@ -137,7 +137,7 @@ mod tests {
     fn decision_latency_digests_shard_ledgers() {
         let trace = Trace::generate(&TraceConfig::small(30, 7, 4));
         let model = CostModel::new(PricingPolicy::azure_blob_2020());
-        let mut result = simulate(&trace, &model, &mut HotPolicy, &SimConfig::default());
+        let mut result = simulate(&trace, &model, &HotPolicy, &SimConfig::default());
         // Overwrite the wall-clock ledgers with known values: 2 shards,
         // per-day maxima 3.0 and 4.0.
         result.shard_decision_millis = vec![vec![1.0, 4.0], vec![3.0, 2.0]];

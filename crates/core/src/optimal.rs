@@ -407,11 +407,11 @@ mod tests {
             }
             digests.push(stream::fnv1a64(&bytes));
             let cfg = SimConfig::default();
-            let mut naive = PredictivePolicy::new(forecast::Naive, 7);
-            let mut seasonal = PredictivePolicy::new(forecast::SeasonalNaive::new(7), 5);
+            let naive = PredictivePolicy::new(forecast::Naive, 7);
+            let seasonal = PredictivePolicy::new(forecast::SeasonalNaive::new(7), 5);
             bytes.clear();
-            ledger(&mut bytes, &simulate(&trace, &m, &mut naive, &cfg));
-            ledger(&mut bytes, &simulate(&trace, &m, &mut seasonal, &cfg));
+            ledger(&mut bytes, &simulate(&trace, &m, &naive, &cfg));
+            ledger(&mut bytes, &simulate(&trace, &m, &seasonal, &cfg));
             digests.push(stream::fnv1a64(&bytes));
         }
         let duo = MultiCspModel::new(

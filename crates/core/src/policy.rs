@@ -106,12 +106,18 @@ impl<'a> DecisionContext<'a> {
 /// A data-storage-type assignment strategy.
 ///
 /// A policy decides a whole batch at once through
-/// [`Policy::decide_batch_into`], and [`Policy::fork`] gives each parallel
-/// shard worker a private instance. The call is *buffer-reusing*: the
-/// engine's day loop and serve both hoist one decision buffer outside the
-/// loop, so steady-state decision sweeps allocate nothing (the
-/// `alloc_budget` test measures this).
-pub trait Policy: Send {
+/// [`Policy::decide_batch_into`], and [`Policy::fork`] gives each tile of
+/// the engine's sweep, and each serve run, a private instance. The call is
+/// *buffer-reusing*: the engine's day loop and serve both hoist one
+/// decision buffer outside the loop, so steady-state decision sweeps
+/// allocate nothing (the `alloc_budget` test measures this).
+///
+/// [`crate::sim::simulate`] and [`crate::serve::serve`] take `&dyn Policy`
+/// and decide only on forks, so they never mutate the instance they are
+/// given: a run is a fresh episode however many ran before it. The
+/// `Send + Sync` bound is what lets every shard thread share that one
+/// instance and fork its own tiles from it.
+pub trait Policy: Send + Sync {
     /// Short name for reports ("hot", "greedy", "minicost", ...).
     fn name(&self) -> &'static str;
 
@@ -129,11 +135,12 @@ pub trait Policy: Send {
     /// `tests/policy_conformance.rs` enforces this for every shipped policy.
     fn decide_batch_into(&mut self, ctx: &DecisionContext<'_>, out: &mut Vec<Tier>);
 
-    /// An independent copy for a parallel shard worker.
+    /// An independent copy that starts a fresh run.
     ///
     /// The fork must make decisions identical to `self`'s; accumulated
     /// per-instance state (caches, plans) may be dropped as long as it is
-    /// rebuilt deterministically.
+    /// rebuilt deterministically. `simulate` decides every tile, and
+    /// `serve` every run, on a fork, never on `self`.
     fn fork(&self) -> Box<dyn Policy>;
 }
 

@@ -45,13 +45,15 @@ impl<F: forecast::Forecaster> PredictivePolicy<F> {
     }
 
     /// Clears all plans and restarts the window when the decision day has
-    /// moved past the current one. The cadence depends only on the sequence
-    /// of decision days, never on which files are in the batch, so every
-    /// shard fork refits on the same days.
+    /// moved past the current one, or back before its start (a caller may
+    /// decide one instance out of day order; it then plans as a fresh fork
+    /// would). The cadence depends only on the sequence of decision days,
+    /// never on which files are in the batch, so every shard fork refits on
+    /// the same days.
     fn refit_if_due(&mut self, day: usize, files: usize) {
         let refit = match self.planned_at {
             None => true,
-            Some(at) => day >= at + self.horizon,
+            Some(at) => day < at || day >= at + self.horizon,
         };
         if refit {
             self.plans.clear();
@@ -106,7 +108,7 @@ impl<F: forecast::Forecaster> PredictivePolicy<F> {
     }
 }
 
-impl<F: forecast::Forecaster + Clone + Send + 'static> Policy for PredictivePolicy<F> {
+impl<F: forecast::Forecaster + Clone + Send + Sync + 'static> Policy for PredictivePolicy<F> {
     fn name(&self) -> &'static str {
         "predictive"
     }
@@ -119,7 +121,8 @@ impl<F: forecast::Forecaster + Clone + Send + 'static> Policy for PredictivePoli
         }
         self.refit_if_due(ctx.day, ctx.fleet.len());
         let at = self.planned_at.unwrap_or(ctx.day);
-        let offset = ctx.day - at;
+        // `refit_if_due` just made `at <= ctx.day`, so this is always `Some`.
+        let offset = ctx.day.checked_sub(at);
         for (slot, (&global, &cur)) in ctx.batch.iter().zip(ctx.current).enumerate() {
             if self.plans.len() <= global {
                 self.plans.resize(global + 1, None);
@@ -143,7 +146,7 @@ impl<F: forecast::Forecaster + Clone + Send + 'static> Policy for PredictivePoli
                 };
                 self.plans[global] = Some(plan);
             }
-            let planned = self.plans[global].as_ref().and_then(|plan| plan.get(offset));
+            let planned = self.plans[global].as_ref().zip(offset).and_then(|(plan, k)| plan.get(k));
             out.push(planned.copied().unwrap_or(cur));
         }
     }
@@ -181,19 +184,15 @@ mod tests {
     fn predictive_policy_runs_end_to_end() {
         let (trace, model) = setup();
         let cfg = SimConfig::default();
-        let mut policy = PredictivePolicy::new(SeasonalNaive::new(7), 7);
-        let run = simulate(&trace, &model, &mut policy, &cfg);
+        let policy = PredictivePolicy::new(SeasonalNaive::new(7), 7);
+        let run = simulate(&trace, &model, &policy, &cfg);
         assert_eq!(run.days(), trace.days);
         assert_eq!(run.policy_name, "predictive");
 
         // Bounded by the oracle on one side and sanity on the other.
-        let opt = simulate(
-            &trace,
-            &model,
-            &mut OptimalPolicy::plan(&trace, &model, cfg.initial_tier),
-            &cfg,
-        )
-        .total_cost();
+        let opt =
+            simulate(&trace, &model, &OptimalPolicy::plan(&trace, &model, cfg.initial_tier), &cfg)
+                .total_cost();
         assert!(run.total_cost() >= opt);
     }
 
@@ -210,9 +209,9 @@ mod tests {
         });
         let model = CostModel::new(PricingPolicy::paper_2020());
         let cfg = SimConfig::default();
-        let mut policy = PredictivePolicy::new(SeasonalNaive::new(7), 7);
-        let predictive = simulate(&trace, &model, &mut policy, &cfg).total_cost();
-        let hot = simulate(&trace, &model, &mut HotPolicy, &cfg).total_cost();
+        let policy = PredictivePolicy::new(SeasonalNaive::new(7), 7);
+        let predictive = simulate(&trace, &model, &policy, &cfg).total_cost();
+        let hot = simulate(&trace, &model, &HotPolicy, &cfg).total_cost();
         assert!(predictive < hot, "predictive {predictive} should beat always-hot {hot}");
     }
 

@@ -566,6 +566,8 @@ fn acquire_day(
 /// The trace is read only as (a) the event source behind
 /// [`stream::TraceSource`] and (b) the size/id catalog — per-day request
 /// counts reach the policy exclusively through the online statistics.
+/// `policy` is forked once per call and never decides itself, so a resumed
+/// run decides exactly as a fresh process would.
 ///
 /// This is the unsupervised spelling: it runs under a quiet
 /// [`Supervisor`] (no fault plan, no degraded fallback). To arm the chaos
@@ -580,7 +582,7 @@ fn acquire_day(
 pub fn serve(
     trace: &Trace,
     model: &CostModel,
-    policy: &mut dyn Policy,
+    policy: &dyn Policy,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, ServeError> {
     Supervisor::new(SuperviseConfig::default()).run(trace, model, policy, cfg)
@@ -747,17 +749,19 @@ fn run_migrations(
 }
 
 /// The supervised serve loop behind both [`serve`] and
-/// [`Supervisor::run`].
+/// [`Supervisor::run`]. Decides on one fork of `policy` per call, never on
+/// `policy` itself.
 pub(crate) fn run_supervised(
     sup: &mut Supervisor,
     trace: &Trace,
     model: &CostModel,
-    policy: &mut dyn Policy,
+    policy: &dyn Policy,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, ServeError> {
     if cfg.decide_every == 0 {
         return Err(ServeError::Config("decide_every must be positive".to_owned()));
     }
+    let mut policy = policy.fork();
     let fleet = trace.files.len();
 
     // The storage backend and event source, wrapped in their faulty
@@ -826,7 +830,7 @@ pub(crate) fn run_supervised(
                 current: &state.tiers,
             };
             let start = Instant::now();
-            sup.decide(policy, &ctx, &mut decision)?;
+            sup.decide(policy.as_mut(), &ctx, &mut decision)?;
             decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
             if decision.len() != fleet {
                 return Err(ServeError::Policy(format!(
@@ -975,8 +979,8 @@ mod tests {
     #[test]
     fn exact_serve_matches_batch_greedy_bit_for_bit() {
         let (trace, model) = setup();
-        let batch = simulate(&trace, &model, &mut GreedyPolicy, &batch_cfg());
-        let report = serve(&trace, &model, &mut GreedyPolicy, &ServeConfig::default()).unwrap();
+        let batch = simulate(&trace, &model, &GreedyPolicy, &batch_cfg());
+        let report = serve(&trace, &model, &GreedyPolicy, &ServeConfig::default()).unwrap();
         assert_eq!(report.result.daily, batch.daily);
         assert_eq!(report.result.per_file, batch.per_file);
         assert_eq!(report.result.tier_changes, batch.tier_changes);
@@ -988,14 +992,10 @@ mod tests {
     #[test]
     fn exact_serve_matches_batch_at_weekly_cadence() {
         let (trace, model) = setup();
-        let batch = simulate(
-            &trace,
-            &model,
-            &mut GreedyPolicy,
-            &SimConfig { decide_every: 7, ..batch_cfg() },
-        );
+        let batch =
+            simulate(&trace, &model, &GreedyPolicy, &SimConfig { decide_every: 7, ..batch_cfg() });
         let cfg = ServeConfig { decide_every: 7, ..ServeConfig::default() };
-        let report = serve(&trace, &model, &mut GreedyPolicy, &cfg).unwrap();
+        let report = serve(&trace, &model, &GreedyPolicy, &cfg).unwrap();
         assert_eq!(report.result.daily, batch.daily);
         assert_eq!(report.result.per_file, batch.per_file);
         assert_eq!(report.result.occupancy, batch.occupancy);
@@ -1006,15 +1006,15 @@ mod tests {
     fn bounded_serve_bills_exactly_even_with_sketched_features() {
         let (trace, model) = setup();
         let cfg = ServeConfig { max_tracked: Some(4), ..ServeConfig::default() };
-        let report = serve(&trace, &model, &mut GreedyPolicy, &cfg).unwrap();
+        let report = serve(&trace, &model, &GreedyPolicy, &cfg).unwrap();
         // Hot baseline ignores features entirely, so bounded mode must be
         // bit-identical there; greedy may legitimately diverge in decisions
         // but its ledgers must still be self-consistent.
         let per_file_total: Money = report.result.per_file.iter().sum();
         assert_eq!(per_file_total, report.result.total_cost());
         let hot_cfg = ServeConfig { max_tracked: Some(4), ..ServeConfig::default() };
-        let hot = serve(&trace, &model, &mut HotPolicy, &hot_cfg).unwrap();
-        let batch_hot = simulate(&trace, &model, &mut HotPolicy, &batch_cfg());
+        let hot = serve(&trace, &model, &HotPolicy, &hot_cfg).unwrap();
+        let batch_hot = simulate(&trace, &model, &HotPolicy, &batch_cfg());
         assert_eq!(hot.result.daily, batch_hot.daily);
         assert_eq!(hot.result.per_file, batch_hot.per_file);
     }
@@ -1038,7 +1038,7 @@ mod tests {
                     checkpoint_path: Some(path.clone()),
                     ..ServeConfig::default()
                 };
-                serve(&trace, &model, &mut GreedyPolicy, &cfg).unwrap();
+                serve(&trace, &model, &GreedyPolicy, &cfg).unwrap();
                 let bytes = std::fs::read(&path).unwrap();
                 std::fs::remove_dir_all(path.parent().unwrap()).ok();
                 bytes
@@ -1060,7 +1060,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let cut = ServeConfig { max_days: Some(5), ..base.clone() };
-        serve(&trace, &model, &mut GreedyPolicy, &cut).unwrap();
+        serve(&trace, &model, &GreedyPolicy, &cut).unwrap();
 
         // Rewrite the checkpoint as such a v2 file: its JSON with the key.
         let snap = Snapshot::load(&path).unwrap();
@@ -1070,9 +1070,9 @@ mod tests {
         std::fs::write(&path, format!("minicost-snapshot v2 fnv1a64:{digest:016x}\n{legacy}"))
             .unwrap();
 
-        let resumed = serve(&trace, &model, &mut GreedyPolicy, &base).unwrap();
+        let resumed = serve(&trace, &model, &GreedyPolicy, &base).unwrap();
         assert_eq!(resumed.resumed_from_day, Some(5));
-        let batch = simulate(&trace, &model, &mut GreedyPolicy, &batch_cfg());
+        let batch = simulate(&trace, &model, &GreedyPolicy, &batch_cfg());
         assert_eq!(resumed.result.daily, batch.daily);
         assert_eq!(resumed.result.per_file, batch.per_file);
         assert_eq!(resumed.result.tier_changes, batch.tier_changes);
@@ -1098,7 +1098,7 @@ mod tests {
                 max_days: Some(day + 1),
                 ..ServeConfig::default()
             };
-            let report = serve(&trace, &model, &mut GreedyPolicy, &cfg).unwrap();
+            let report = serve(&trace, &model, &GreedyPolicy, &cfg).unwrap();
             assert_eq!(report.checkpoints_written, 1, "day {day}");
         }
         let days: Vec<usize> = rotation_candidates(&path, 2)
@@ -1125,11 +1125,11 @@ mod tests {
                 max_days: Some(5),
                 ..ServeConfig::default()
             };
-            let report = serve(&trace, &model, &mut GreedyPolicy, &cfg).unwrap();
+            let report = serve(&trace, &model, &GreedyPolicy, &cfg).unwrap();
             assert_eq!(report.checkpoints_written, 3);
             assert_eq!(Snapshot::load(&path).unwrap().next_day, 5);
             let resumed =
-                serve(&trace, &model, &mut GreedyPolicy, &ServeConfig { max_days: None, ..cfg })
+                serve(&trace, &model, &GreedyPolicy, &ServeConfig { max_days: None, ..cfg })
                     .unwrap();
             assert_eq!(resumed.resumed_from_day, Some(5));
             std::fs::remove_dir_all(&dir).ok();
@@ -1140,10 +1140,7 @@ mod tests {
     fn zero_cadence_is_rejected() {
         let (trace, model) = setup();
         let cfg = ServeConfig { decide_every: 0, ..ServeConfig::default() };
-        assert!(matches!(
-            serve(&trace, &model, &mut GreedyPolicy, &cfg),
-            Err(ServeError::Config(_))
-        ));
+        assert!(matches!(serve(&trace, &model, &GreedyPolicy, &cfg), Err(ServeError::Config(_))));
     }
 
     /// A policy bug: answers `keep / 2` archive tiers per batch file (half
@@ -1177,7 +1174,7 @@ mod tests {
                 checkpoint_every: 1,
                 ..ServeConfig::default()
             };
-            match serve(&trace, &model, &mut MisSized { keep }, &cfg) {
+            match serve(&trace, &model, &MisSized { keep }, &cfg) {
                 Err(ServeError::Policy(msg)) => {
                     let want = format!("{} tier(s) for {} file(s) on day 0", 12 * keep, 24);
                     assert!(msg.contains(&want), "{msg}");

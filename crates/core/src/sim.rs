@@ -41,9 +41,9 @@ pub struct SimConfig {
     /// Run the policy every `decide_every` days; tiers persist in between.
     /// The paper's agent decides daily (1).
     pub decide_every: usize,
-    /// Number of simulation shards/threads. 1 runs the caller's policy in
-    /// place on the first tile of files and forks it for later tiles; >1
-    /// forks the policy per shard. Never alters `Money` ledgers.
+    /// Number of simulation shards/threads. Every tile of every shard
+    /// decides on its own fork of the policy, whatever the count, so it
+    /// never alters `Money` ledgers.
     #[serde(default = "default_workers")]
     pub workers: usize,
     /// Seed for the stable shard-assignment hash (and only that — billing
@@ -214,20 +214,19 @@ impl SimResult {
 /// Runs `policy` over `trace` under `model`.
 ///
 /// With `cfg.workers == 1` the fleet is one shard; with more, each
-/// deterministic shard gets a [`Policy::fork`] on its own scoped thread and
-/// the results are merged in fixed shard order, so every
-/// `Money`/occupancy/tier-change ledger is bit-identical to the
-/// single-threaded run (DESIGN.md §9). [`engine::run_shard`] sweeps a shard
-/// in fixed tiles of files, so the caller's instance decides only the
-/// first tile of the fleet (at one worker) and never decides at more;
-/// every other tile decides on a fork.
+/// deterministic shard runs on its own scoped thread and the results are
+/// merged in fixed shard order, so every `Money`/occupancy/tier-change
+/// ledger is bit-identical to the single-threaded run (DESIGN.md §9).
+/// [`engine::run_shard`] sweeps a shard in fixed tiles of files and decides
+/// each tile on a fresh [`Policy::fork`], so `policy` itself never decides:
+/// one instance run twice gives the same ledgers as a fresh one.
 ///
 /// Panics if the policy returns a tier vector of the wrong length or if
 /// `cfg.decide_every == 0` (unreachable through the builder).
 pub fn simulate(
     trace: &Trace,
     model: &CostModel,
-    policy: &mut dyn Policy,
+    policy: &dyn Policy,
     cfg: &SimConfig,
 ) -> SimResult {
     assert!(cfg.decide_every > 0, "decide_every must be positive");
@@ -248,8 +247,7 @@ pub fn simulate(
         let handles: Vec<_> = shards
             .iter()
             .map(|indices| {
-                let mut forked = policy.fork();
-                scope.spawn(move || engine::run_shard(fleet, model, forked.as_mut(), cfg, indices))
+                scope.spawn(move || engine::run_shard(fleet, model, policy, cfg, indices))
             })
             .collect();
         // Join in spawn order == partition order: the merge below must
@@ -286,7 +284,7 @@ mod tests {
     #[test]
     fn hot_policy_never_changes_tiers() {
         let (trace, model) = setup();
-        let result = simulate(&trace, &model, &mut HotPolicy, &single());
+        let result = simulate(&trace, &model, &HotPolicy, &single());
         assert_eq!(result.tier_changes, 0);
         assert_eq!(result.days(), 21);
         assert_eq!(result.per_file.len(), 40);
@@ -299,7 +297,7 @@ mod tests {
     fn cold_policy_changes_once_per_file() {
         let (trace, model) = setup();
         // Initial tier is Hot, so day 0 moves every file to Cool exactly once.
-        let result = simulate(&trace, &model, &mut ColdPolicy, &single());
+        let result = simulate(&trace, &model, &ColdPolicy, &single());
         assert_eq!(result.tier_changes, 40);
         assert!(result.daily[0].change > Money::ZERO);
         assert!(result.daily[1..].iter().all(|d| d.change == Money::ZERO));
@@ -308,7 +306,7 @@ mod tests {
     #[test]
     fn per_file_ledger_sums_to_daily_ledger() {
         let (trace, model) = setup();
-        let result = simulate(&trace, &model, &mut GreedyPolicy, &single());
+        let result = simulate(&trace, &model, &GreedyPolicy, &single());
         let per_file_total: Money = result.per_file.iter().sum();
         assert_eq!(per_file_total, result.total_cost());
     }
@@ -318,9 +316,9 @@ mod tests {
         // The simulator's ledger for OptimalPolicy must equal the DP's own
         // cost computation exactly — two independent accounting paths.
         let (trace, model) = setup();
-        let mut opt = OptimalPolicy::plan(&trace, &model, Tier::Hot);
+        let opt = OptimalPolicy::plan(&trace, &model, Tier::Hot);
         let planned = opt.planned_cost;
-        let result = simulate(&trace, &model, &mut opt, &single());
+        let result = simulate(&trace, &model, &opt, &single());
         assert_eq!(result.total_cost(), planned);
     }
 
@@ -328,16 +326,12 @@ mod tests {
     fn optimal_is_cheapest() {
         let (trace, model) = setup();
         let cfg = single();
-        let hot = simulate(&trace, &model, &mut HotPolicy, &cfg).total_cost();
-        let cold = simulate(&trace, &model, &mut ColdPolicy, &cfg).total_cost();
-        let greedy = simulate(&trace, &model, &mut GreedyPolicy, &cfg).total_cost();
-        let opt = simulate(
-            &trace,
-            &model,
-            &mut OptimalPolicy::plan(&trace, &model, cfg.initial_tier),
-            &cfg,
-        )
-        .total_cost();
+        let hot = simulate(&trace, &model, &HotPolicy, &cfg).total_cost();
+        let cold = simulate(&trace, &model, &ColdPolicy, &cfg).total_cost();
+        let greedy = simulate(&trace, &model, &GreedyPolicy, &cfg).total_cost();
+        let opt =
+            simulate(&trace, &model, &OptimalPolicy::plan(&trace, &model, cfg.initial_tier), &cfg)
+                .total_cost();
         assert!(opt <= greedy, "optimal {opt} vs greedy {greedy}");
         assert!(opt <= hot && opt <= cold);
         // Greedy at least matches the better static baseline... not
@@ -349,20 +343,20 @@ mod tests {
     #[test]
     fn occupancy_partitions_the_catalog() {
         let (trace, model) = setup();
-        let result = simulate(&trace, &model, &mut GreedyPolicy, &single());
+        let result = simulate(&trace, &model, &GreedyPolicy, &single());
         assert_eq!(result.occupancy.len(), trace.days);
         for day in &result.occupancy {
             assert_eq!(day.iter().sum::<usize>(), trace.len());
         }
         // Hot policy: everything in hot every day.
-        let hot = simulate(&trace, &model, &mut HotPolicy, &single());
+        let hot = simulate(&trace, &model, &HotPolicy, &single());
         assert!(hot.occupancy.iter().all(|d| d[0] == trace.len()));
     }
 
     #[test]
     fn cumulative_cost_is_monotone() {
         let (trace, model) = setup();
-        let result = simulate(&trace, &model, &mut GreedyPolicy, &single());
+        let result = simulate(&trace, &model, &GreedyPolicy, &single());
         let mut prev = Money::ZERO;
         for d in 0..result.days() {
             let c = result.cumulative_cost(d);
@@ -376,7 +370,7 @@ mod tests {
     fn decide_every_skips_decisions() {
         let (trace, model) = setup();
         let cfg = SimConfig { decide_every: 7, ..single() };
-        let result = simulate(&trace, &model, &mut GreedyPolicy, &cfg);
+        let result = simulate(&trace, &model, &GreedyPolicy, &cfg);
         // 21 days, deciding on days 0, 7, 14.
         assert_eq!(result.decision_millis.len(), 3);
     }
@@ -385,7 +379,7 @@ mod tests {
     fn empty_trace_simulates_to_zero() {
         let (_, model) = setup();
         let trace = Trace { days: 0, files: vec![] };
-        let result = simulate(&trace, &model, &mut HotPolicy, &SimConfig::default());
+        let result = simulate(&trace, &model, &HotPolicy, &SimConfig::default());
         assert_eq!(result.total_cost(), Money::ZERO);
         assert_eq!(result.days(), 0);
     }
@@ -394,7 +388,7 @@ mod tests {
     fn initial_tier_affects_day_zero_changes() {
         let (trace, model) = setup();
         let cfg = SimConfig { initial_tier: Tier::Cool, ..single() };
-        let result = simulate(&trace, &model, &mut ColdPolicy, &cfg);
+        let result = simulate(&trace, &model, &ColdPolicy, &cfg);
         // Already cool: no changes at all.
         assert_eq!(result.tier_changes, 0);
     }
@@ -404,16 +398,16 @@ mod tests {
     fn zero_decide_every_panics() {
         let (trace, model) = setup();
         let cfg = SimConfig { decide_every: 0, ..single() };
-        let _ = simulate(&trace, &model, &mut HotPolicy, &cfg);
+        let _ = simulate(&trace, &model, &HotPolicy, &cfg);
     }
 
     #[test]
     fn sharded_greedy_is_bit_identical() {
         let (trace, model) = setup();
-        let base = simulate(&trace, &model, &mut GreedyPolicy, &single());
+        let base = simulate(&trace, &model, &GreedyPolicy, &single());
         for workers in [2usize, 3, 5] {
             let cfg = SimConfig { workers, seed: 11, ..SimConfig::default() };
-            let sharded = simulate(&trace, &model, &mut GreedyPolicy, &cfg);
+            let sharded = simulate(&trace, &model, &GreedyPolicy, &cfg);
             assert_eq!(sharded.daily, base.daily, "workers={workers}");
             assert_eq!(sharded.per_file, base.per_file);
             assert_eq!(sharded.tier_changes, base.tier_changes);
@@ -427,8 +421,8 @@ mod tests {
         let (_, model) = setup();
         let trace = Trace::generate(&TraceConfig::small(3, 7, 1));
         let cfg = SimConfig { workers: 64, seed: 5, ..SimConfig::default() };
-        let sharded = simulate(&trace, &model, &mut GreedyPolicy, &cfg);
-        let base = simulate(&trace, &model, &mut GreedyPolicy, &single());
+        let sharded = simulate(&trace, &model, &GreedyPolicy, &cfg);
+        let base = simulate(&trace, &model, &GreedyPolicy, &single());
         assert_eq!(sharded.daily, base.daily);
     }
 

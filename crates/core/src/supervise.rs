@@ -316,7 +316,7 @@ impl Supervisor {
         &mut self,
         trace: &Trace,
         model: &CostModel,
-        policy: &mut dyn Policy,
+        policy: &dyn Policy,
         cfg: &ServeConfig,
     ) -> Result<ServeReport, ServeError> {
         // Reset per-run state so one supervisor can drive several runs

@@ -235,18 +235,18 @@ mod tests {
         assert!(agent.final_optimal_rate().is_some());
 
         // The trained policy must run end-to-end through the simulator.
-        let mut policy = agent.policy();
+        let policy = agent.policy();
         let sim_cfg = SimConfig::default();
-        let result = simulate(&trace, &model, &mut policy, &sim_cfg);
+        let result = simulate(&trace, &model, &policy, &sim_cfg);
         assert_eq!(result.days(), trace.days);
         assert_eq!(result.policy_name, "minicost");
 
         // Sanity (not a tight bound at this tiny training budget): the
         // learned policy should not be wildly worse than always-hot, and
         // can never beat Optimal.
-        let hot = simulate(&trace, &model, &mut HotPolicy, &sim_cfg).total_cost();
+        let hot = simulate(&trace, &model, &HotPolicy, &sim_cfg).total_cost();
         let opt =
-            simulate(&trace, &model, &mut OptimalPolicy::plan(&trace, &model, Tier::Hot), &sim_cfg)
+            simulate(&trace, &model, &OptimalPolicy::plan(&trace, &model, Tier::Hot), &sim_cfg)
                 .total_cost();
         assert!(result.total_cost() >= opt);
         assert!(

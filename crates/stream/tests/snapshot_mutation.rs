@@ -129,7 +129,7 @@ fn seeds() -> &'static [Seed] {
                     ..ServeConfig::default()
                 };
                 let cut = ServeConfig { max_days: Some(6), ..cfg.clone() };
-                serve(&trace, &model, &mut GreedyPolicy, &cut).expect("seed run");
+                serve(&trace, &model, &GreedyPolicy, &cut).expect("seed run");
                 let bytes = std::fs::read(&path).expect("seed checkpoint");
                 assert!(bytes.starts_with(b"minicost-snapshot v3 "), "{name} seed is v3");
                 Seed { name, cfg, bytes }
@@ -243,7 +243,7 @@ fn reframed_snapshot_mutants_decode_totally_and_resume_cleanly() {
         let path = scratch(&format!("resume-{}", seed.name));
         std::fs::write(&path, &framed).expect("stage mutant");
         let cfg = ServeConfig { checkpoint_path: Some(path), ..seed.cfg.clone() };
-        match serve(&trace, &model, &mut GreedyPolicy, &cfg) {
+        match serve(&trace, &model, &GreedyPolicy, &cfg) {
             Ok(report) => {
                 let r = &report.result;
                 assert_eq!(

@@ -27,9 +27,9 @@ fn main() {
     for (plan_name, schedule_model) in [("azure-optimal plan", &azure), ("s3-optimal plan", &aws)] {
         // Optimal decides from its own plans, never from the billing model,
         // so one provider's plan bills directly under the other's prices.
-        let mut plan = OptimalPolicy::plan(&trace, schedule_model, sim_cfg.initial_tier);
-        let under_azure = simulate(&trace, &azure, &mut plan, &sim_cfg).total_cost();
-        let under_aws = simulate(&trace, &aws, &mut plan, &sim_cfg).total_cost();
+        let plan = OptimalPolicy::plan(&trace, schedule_model, sim_cfg.initial_tier);
+        let under_azure = simulate(&trace, &azure, &plan, &sim_cfg).total_cost();
+        let under_aws = simulate(&trace, &aws, &plan, &sim_cfg).total_cost();
         println!("{plan_name:<28} {under_azure:>14} {under_aws:>14}");
     }
 
@@ -37,8 +37,8 @@ fn main() {
     for (name, policy) in [("always hot", 0usize), ("always cold", 1)] {
         let mk = |tier| SingleTierPolicy::new(tier);
         let tier = if policy == 0 { Tier::Hot } else { Tier::Cool };
-        let a = simulate(&trace, &azure, &mut mk(tier), &sim_cfg).total_cost();
-        let s = simulate(&trace, &aws, &mut mk(tier), &sim_cfg).total_cost();
+        let a = simulate(&trace, &azure, &mk(tier), &sim_cfg).total_cost();
+        let s = simulate(&trace, &aws, &mk(tier), &sim_cfg).total_cost();
         println!("{name:<28} {a:>14} {s:>14}");
     }
 
@@ -64,7 +64,7 @@ fn main() {
     let azure_only = simulate(
         &trace,
         &azure,
-        &mut OptimalPolicy::plan(&trace, &azure, sim_cfg.initial_tier),
+        &OptimalPolicy::plan(&trace, &azure, sim_cfg.initial_tier),
         &sim_cfg,
     )
     .total_cost();

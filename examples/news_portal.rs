@@ -38,7 +38,7 @@ fn main() {
     let psi = 40;
 
     // Baseline: no aggregation, Greedy tiering, whole horizon.
-    let baseline = simulate(&trace, &model, &mut GreedyPolicy, &sim_cfg).total_cost();
+    let baseline = simulate(&trace, &model, &GreedyPolicy, &sim_cfg).total_cost();
 
     // Enhancement: weekly Algorithm 2 rounds. Week w's selection uses week
     // w-1's concurrency statistics (week 0 runs unaggregated).
@@ -57,7 +57,7 @@ fn main() {
         };
         let week_trace =
             apply_aggregation(&trace, &groups, &active).day_window(week * 7..(week + 1) * 7);
-        let run = simulate(&week_trace, &model, &mut GreedyPolicy, &sim_cfg);
+        let run = simulate(&week_trace, &model, &GreedyPolicy, &sim_cfg);
         println!("week {week}: {} bundles active, cost {}", active.len(), run.total_cost());
         enhanced_total += run.total_cost();
     }

@@ -36,10 +36,10 @@ fn main() {
     }
 
     let sim_cfg = SimConfig::default();
-    let hot = simulate(&trace, &model, &mut HotPolicy, &sim_cfg);
-    let greedy = simulate(&trace, &model, &mut GreedyPolicy, &sim_cfg);
-    let mut opt_policy = OptimalPolicy::plan(&trace, &model, sim_cfg.initial_tier);
-    let opt = simulate(&trace, &model, &mut opt_policy, &sim_cfg);
+    let hot = simulate(&trace, &model, &HotPolicy, &sim_cfg);
+    let greedy = simulate(&trace, &model, &GreedyPolicy, &sim_cfg);
+    let opt_policy = OptimalPolicy::plan(&trace, &model, sim_cfg.initial_tier);
+    let opt = simulate(&trace, &model, &opt_policy, &sim_cfg);
 
     println!("\nper-bucket 4-week cost (the Fig. 8 view):");
     println!("{:>8} {:>14} {:>14} {:>14}", "bucket", "hot", "greedy", "optimal");

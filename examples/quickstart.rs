@@ -36,13 +36,13 @@ fn main() {
     // 4. Head-to-head on the held-out 20%.
     let sim_cfg = SimConfig::default();
     let test = &split.test;
-    let mut optimal = OptimalPolicy::plan(test, &model, sim_cfg.initial_tier);
+    let optimal = OptimalPolicy::plan(test, &model, sim_cfg.initial_tier);
     let runs = vec![
-        simulate(test, &model, &mut HotPolicy, &sim_cfg),
-        simulate(test, &model, &mut ColdPolicy, &sim_cfg),
-        simulate(test, &model, &mut GreedyPolicy, &sim_cfg),
-        simulate(test, &model, &mut agent.policy(), &sim_cfg),
-        simulate(test, &model, &mut optimal, &sim_cfg),
+        simulate(test, &model, &HotPolicy, &sim_cfg),
+        simulate(test, &model, &ColdPolicy, &sim_cfg),
+        simulate(test, &model, &GreedyPolicy, &sim_cfg),
+        simulate(test, &model, &agent.policy(), &sim_cfg),
+        simulate(test, &model, &optimal, &sim_cfg),
     ];
 
     let reference = runs.last().expect("non-empty").total_cost();

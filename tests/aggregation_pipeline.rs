@@ -35,7 +35,7 @@ fn weekly_aggregation_rounds_run_end_to_end() {
 
         let merged = apply_aggregation(&trace, &groups, &active);
         assert_eq!(merged.files.len(), trace.files.len() + active.len());
-        let result = simulate(&merged, &model, &mut GreedyPolicy, &SimConfig::default());
+        let result = simulate(&merged, &model, &GreedyPolicy, &SimConfig::default());
         assert_eq!(result.per_file.len(), merged.files.len());
     }
 }
@@ -58,16 +58,12 @@ fn aggregation_never_hurts_when_planner_is_selective() {
 
     let cfg = SimConfig::default();
     let plain =
-        simulate(&trace, &model, &mut OptimalPolicy::plan(&trace, &model, cfg.initial_tier), &cfg)
+        simulate(&trace, &model, &OptimalPolicy::plan(&trace, &model, cfg.initial_tier), &cfg)
             .total_cost();
     let merged = apply_aggregation(&trace, &groups, &active);
-    let aggregated = simulate(
-        &merged,
-        &model,
-        &mut OptimalPolicy::plan(&merged, &model, cfg.initial_tier),
-        &cfg,
-    )
-    .total_cost();
+    let aggregated =
+        simulate(&merged, &model, &OptimalPolicy::plan(&merged, &model, cfg.initial_tier), &cfg)
+            .total_cost();
 
     if active.is_empty() {
         assert_eq!(aggregated, plain);
@@ -89,7 +85,7 @@ fn aggregating_everything_blindly_can_backfire() {
     let groups = CoRequestModel { groups: 10, seed: 2, ..Default::default() }.generate(&trace);
     let all: Vec<usize> = (0..groups.len()).collect();
     let merged = apply_aggregation(&trace, &groups, &all);
-    let result = simulate(&merged, &model, &mut HotPolicy, &SimConfig::default());
+    let result = simulate(&merged, &model, &HotPolicy, &SimConfig::default());
     let by_file: Money = result.per_file.iter().sum();
     assert_eq!(by_file, result.total_cost());
 }
@@ -120,8 +116,8 @@ fn aggregate_files_inherit_tiering_decisions() {
     let active: Vec<usize> = (0..groups.len()).collect();
     let merged = apply_aggregation(&trace, &groups, &active);
     let cfg = SimConfig::default();
-    let mut opt = OptimalPolicy::plan(&merged, &model, cfg.initial_tier);
-    let result = simulate(&merged, &model, &mut opt, &cfg);
+    let opt = OptimalPolicy::plan(&merged, &model, cfg.initial_tier);
+    let result = simulate(&merged, &model, &opt, &cfg);
     assert_eq!(result.per_file.len(), merged.files.len());
     // Replica ledger entries exist and are non-negative.
     for ix in trace.files.len()..merged.files.len() {

@@ -33,7 +33,7 @@ const D: usize = 20;
 const FILES: usize = 200;
 
 /// Files per tile of the engine's shard loop (`engine::TILE_FILES`, private
-/// to the engine): a shard forks its policy once per tile after the first.
+/// to the engine): a shard forks its policy once per tile.
 const TILE: usize = 1024;
 
 /// Files in the tiled traces: five tiles at one worker, and shards of more
@@ -49,9 +49,8 @@ const WORKERS: usize = 4;
 /// Predictive's refit cadence in days (the paper's weekly period).
 const REFIT_EVERY: usize = 7;
 
-/// A fork of Optimal (per shard, and per tile after a shard's first) boxes
-/// one handle to the plans every fork shares; a Greedy fork is zero-sized
-/// and boxes nothing.
+/// A fork of Optimal (one per tile of every shard) boxes one handle to the
+/// plans every fork shares; a Greedy fork is zero-sized and boxes nothing.
 const OPTIMAL_ALLOCS_PER_FORK: u64 = 1;
 
 /// Per file and refit, Predictive builds the file's observed history, its
@@ -148,24 +147,19 @@ fn horizon_free_policies(
     ]
 }
 
-/// Allocations of one `simulate` call, on a fresh fork of `policy` so no
-/// earlier run's scratch buffers are reused.
+/// Allocations of one `simulate` call. `simulate` decides only on forks, so
+/// no earlier run's scratch buffers are reused.
 fn simulate_allocs(trace: &Trace, model: &CostModel, policy: &dyn Policy, workers: usize) -> u64 {
     let cfg =
         SimConfig::builder().seed(SHARD_SEED).workers(workers).build().expect("valid sim config");
-    let mut fresh = policy.fork();
-    counted(|| simulate(trace, model, fresh.as_mut(), &cfg)).1
+    counted(|| simulate(trace, model, policy, &cfg)).1
 }
 
-/// Forks one `simulate` call makes at `workers`: one per tile after the
-/// first at one worker; one per shard, and one per tile after a shard's
-/// first, at more.
+/// Forks one `simulate` call makes at `workers`: one per tile of every
+/// shard (`partition` returns one shard at one worker).
 fn forks(trace: &Trace, workers: usize) -> u64 {
-    let tiles = |files: usize| files.div_ceil(TILE).max(1) as u64;
-    if workers == 1 {
-        return tiles(trace.len()) - 1;
-    }
-    partition(trace, SHARD_SEED, workers).iter().map(|shard| tiles(shard.len())).sum()
+    let tiles = |files: usize| files.div_ceil(TILE) as u64;
+    partition(trace, SHARD_SEED, workers).iter().map(|s| tiles(s.len())).sum()
 }
 
 /// Checks that `simulate` allocates as much over `short` as over `long`
@@ -268,7 +262,7 @@ fn run_dir(case: &str, days: usize) -> PathBuf {
 fn serve_allocs(
     trace: &Trace,
     model: &CostModel,
-    policy: &mut dyn Policy,
+    policy: &dyn Policy,
     case: &ServeCase,
     days: usize,
 ) -> (u64, u64) {
@@ -312,8 +306,8 @@ fn allocations_stay_within_their_budgets() {
     }
 
     for case in &SERVE_CASES {
-        let (at_d, _) = serve_allocs(&long, &model, &mut GreedyPolicy, case, D);
-        let (at_2d, _) = serve_allocs(&long, &model, &mut GreedyPolicy, case, 2 * D);
+        let (at_d, _) = serve_allocs(&long, &model, &GreedyPolicy, case, D);
+        let (at_2d, _) = serve_allocs(&long, &model, &GreedyPolicy, case, 2 * D);
         let extra = at_2d.saturating_sub(at_d);
         if extra > case.budget * D as u64 {
             failures.push(format!(
@@ -329,8 +323,8 @@ fn allocations_stay_within_their_budgets() {
 
     // Cold moves every file out of Hot on day 0; Hot moves none.
     let store = &SERVE_CASES[3];
-    let (idle, none) = serve_allocs(&long, &model, &mut HotPolicy, store, D);
-    let (moving, migrations) = serve_allocs(&long, &model, &mut ColdPolicy, store, D);
+    let (idle, none) = serve_allocs(&long, &model, &HotPolicy, store, D);
+    let (moving, migrations) = serve_allocs(&long, &model, &ColdPolicy, store, D);
     assert_eq!((none, migrations), (0, FILES as u64), "migrations committed by hot, cold");
     let extra = moving.saturating_sub(idle);
     if extra > SERVE_DIR_STORE_ALLOCS_PER_MIGRATION * migrations {

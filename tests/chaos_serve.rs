@@ -165,7 +165,7 @@ fn corrupted_newest_checkpoint_restores_from_rotation() {
 
     // Seed base, `.1`, and `.2` rotation slots, then corrupt the newest.
     let cut = ServeConfig { max_days: Some(10), ..base.clone() };
-    serve(&trace, &model, &mut GreedyPolicy, &cut).expect("seeding run");
+    serve(&trace, &model, &GreedyPolicy, &cut).expect("seeding run");
     for slot in ["snapshot.json.1", "snapshot.json.2"] {
         assert!(dir.join(slot).exists(), "{slot} must exist after rotation");
     }
@@ -174,7 +174,7 @@ fn corrupted_newest_checkpoint_restores_from_rotation() {
     // Recovery needs no manual intervention: restore detects the checksum
     // failure, rolls back one slot, and replays the rest of the horizon to
     // the exact fault-free ledgers.
-    let recovered = serve(&trace, &model, &mut GreedyPolicy, &base).expect("rotated restore");
+    let recovered = serve(&trace, &model, &GreedyPolicy, &base).expect("rotated restore");
     assert!(recovered.resumed_from_day.is_some());
     assert!(
         recovered.incidents.count(IncidentKind::CheckpointCorrupt) >= 1,
@@ -182,7 +182,7 @@ fn corrupted_newest_checkpoint_restores_from_rotation() {
         recovered.incidents.summary()
     );
     assert_eq!(recovered.incidents.count(IncidentKind::RolledBack), 1);
-    let batch = simulate(&trace, &model, &mut GreedyPolicy, &batch_cfg(1));
+    let batch = simulate(&trace, &model, &GreedyPolicy, &batch_cfg(1));
     assert_bit_identical(&recovered.result, &batch, "restore after corruption");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -199,11 +199,11 @@ fn fully_corrupt_rotation_set_is_unrecoverable() {
         max_days: Some(5),
         ..ServeConfig::default()
     };
-    serve(&trace, &model, &mut GreedyPolicy, &base).expect("seeding run");
+    serve(&trace, &model, &GreedyPolicy, &base).expect("seeding run");
     corrupt_snapshot(&path);
     corrupt_snapshot(&dir.join("snapshot.json.1"));
 
-    let err = serve(&trace, &model, &mut GreedyPolicy, &base);
+    let err = serve(&trace, &model, &GreedyPolicy, &base);
     assert!(
         matches!(err, Err(ServeError::Unrecoverable(_))),
         "every slot corrupt must abort, got {err:?}"
@@ -226,11 +226,11 @@ fn degraded_mode_pins_epochs_to_the_fallback_policy() {
         ..SuperviseConfig::default()
     };
     let report = Supervisor::new(sup_cfg)
-        .run(&trace, &model, &mut GreedyPolicy, &ServeConfig::default())
+        .run(&trace, &model, &GreedyPolicy, &ServeConfig::default())
         .expect("degraded mode must keep serving");
     assert_eq!(report.degraded_epochs, report.epochs);
     assert_eq!(report.incidents.count(IncidentKind::Degraded) as u64, report.epochs);
-    let hot = simulate(&trace, &model, &mut HotPolicy, &batch_cfg(1));
+    let hot = simulate(&trace, &model, &HotPolicy, &batch_cfg(1));
     assert_eq!(report.result.daily, hot.daily, "degraded run must bill as always-hot");
     assert_eq!(report.result.per_file, hot.per_file);
     assert_eq!(report.result.occupancy, hot.occupancy);
@@ -238,11 +238,7 @@ fn degraded_mode_pins_epochs_to_the_fallback_policy() {
     // Without a fallback, the same plan exhausts the retry budget.
     let no_fallback =
         SuperviseConfig { fault_plan: Some(always_failing), ..SuperviseConfig::default() };
-    let err = Supervisor::new(no_fallback).run(
-        &trace,
-        &model,
-        &mut GreedyPolicy,
-        &ServeConfig::default(),
-    );
+    let err =
+        Supervisor::new(no_fallback).run(&trace, &model, &GreedyPolicy, &ServeConfig::default());
     assert!(matches!(err, Err(ServeError::RetriesExhausted { .. })), "{err:?}");
 }

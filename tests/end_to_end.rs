@@ -32,13 +32,13 @@ fn full_pipeline_train_and_evaluate() {
 
     // Evaluate everything on the held-out split.
     let sim_cfg = SimConfig::default();
-    let mut rl_policy = agent.policy();
-    let rl = simulate(&split.test, &model, &mut rl_policy, &sim_cfg);
-    let hot = simulate(&split.test, &model, &mut HotPolicy, &sim_cfg);
-    let cold = simulate(&split.test, &model, &mut ColdPolicy, &sim_cfg);
-    let greedy = simulate(&split.test, &model, &mut GreedyPolicy, &sim_cfg);
-    let mut optimal = OptimalPolicy::plan(&split.test, &model, sim_cfg.initial_tier);
-    let opt = simulate(&split.test, &model, &mut optimal, &sim_cfg);
+    let rl_policy = agent.policy();
+    let rl = simulate(&split.test, &model, &rl_policy, &sim_cfg);
+    let hot = simulate(&split.test, &model, &HotPolicy, &sim_cfg);
+    let cold = simulate(&split.test, &model, &ColdPolicy, &sim_cfg);
+    let greedy = simulate(&split.test, &model, &GreedyPolicy, &sim_cfg);
+    let optimal = OptimalPolicy::plan(&split.test, &model, sim_cfg.initial_tier);
+    let opt = simulate(&split.test, &model, &optimal, &sim_cfg);
 
     // Hard invariants: Optimal is the lower bound for everyone.
     for result in [&rl, &hot, &cold, &greedy] {
@@ -116,7 +116,7 @@ fn money_ledgers_are_exact_across_the_stack() {
     // the micro-dollar, across splits and policies.
     let (trace, model) = setup();
     let cfg = SimConfig::default();
-    for policy in [&mut HotPolicy as &mut dyn Policy, &mut GreedyPolicy] {
+    for policy in [&HotPolicy as &dyn Policy, &GreedyPolicy] {
         let result = simulate(&trace, &model, policy, &cfg);
         let by_file: Money = result.per_file.iter().sum();
         assert_eq!(by_file, result.total_cost());
@@ -133,9 +133,9 @@ fn multi_csp_pricing_is_plug_compatible() {
     for policy in [PricingPolicy::azure_blob_2020(), PricingPolicy::aws_s3_like()] {
         let model = CostModel::new(policy);
         let cfg = SimConfig::default();
-        let mut opt = OptimalPolicy::plan(&trace, &model, cfg.initial_tier);
-        let opt_run = simulate(&trace, &model, &mut opt, &cfg);
-        let hot_run = simulate(&trace, &model, &mut HotPolicy, &cfg);
+        let opt = OptimalPolicy::plan(&trace, &model, cfg.initial_tier);
+        let opt_run = simulate(&trace, &model, &opt, &cfg);
+        let hot_run = simulate(&trace, &model, &HotPolicy, &cfg);
         assert!(opt_run.total_cost() <= hot_run.total_cost());
     }
 }

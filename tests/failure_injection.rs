@@ -22,14 +22,14 @@ fn zero_size_files_cost_only_operations() {
     let trace = Trace { days: 3, files: vec![file] };
     let m = model();
     let cfg = sim_cfg();
-    for policy in [&mut HotPolicy as &mut dyn Policy, &mut GreedyPolicy] {
+    for policy in [&HotPolicy as &dyn Policy, &GreedyPolicy] {
         let run = simulate(&trace, &m, policy, &cfg);
         assert!(run.total_cost() >= Money::ZERO);
     }
     // The optimal planner handles zero sizes (change costs become the flat
     // op fee only).
-    let mut opt = OptimalPolicy::plan(&trace, &m, Tier::Hot);
-    let run = simulate(&trace, &m, &mut opt, &cfg);
+    let opt = OptimalPolicy::plan(&trace, &m, Tier::Hot);
+    let run = simulate(&trace, &m, &opt, &cfg);
     assert_eq!(run.total_cost(), opt.planned_cost);
 }
 
@@ -38,9 +38,9 @@ fn single_day_horizon() {
     let trace = Trace::generate(&TraceConfig::small(20, 1, 1));
     let m = model();
     let cfg = sim_cfg();
-    let hot = simulate(&trace, &m, &mut HotPolicy, &cfg);
-    let mut opt = OptimalPolicy::plan(&trace, &m, cfg.initial_tier);
-    let opt_run = simulate(&trace, &m, &mut opt, &cfg);
+    let hot = simulate(&trace, &m, &HotPolicy, &cfg);
+    let opt = OptimalPolicy::plan(&trace, &m, cfg.initial_tier);
+    let opt_run = simulate(&trace, &m, &opt, &cfg);
     assert_eq!(hot.days(), 1);
     assert!(opt_run.total_cost() <= hot.total_cost());
 }
@@ -55,7 +55,7 @@ fn single_file_trace_trains_and_evaluates() {
     cfg.a3c.workers = 1;
     cfg.a3c.total_updates = 30;
     let agent = MiniCost::train(&trace, &m, &cfg);
-    let run = simulate(&trace, &m, &mut agent.policy(), &sim_cfg());
+    let run = simulate(&trace, &m, &agent.policy(), &sim_cfg());
     assert_eq!(run.per_file.len(), 1);
 }
 
@@ -68,8 +68,8 @@ fn all_zero_traffic_trace() {
     let m = model();
     let cfg = sim_cfg();
     // Optimal sends everything to archive (pure storage minimization).
-    let mut opt = OptimalPolicy::plan(&trace, &m, cfg.initial_tier);
-    let run = simulate(&trace, &m, &mut opt, &cfg);
+    let opt = OptimalPolicy::plan(&trace, &m, cfg.initial_tier);
+    let run = simulate(&trace, &m, &opt, &cfg);
     let archive_only: Money = trace
         .files
         .iter()
@@ -88,7 +88,7 @@ fn degenerate_flat_pricing_trains_without_panic() {
     cfg.a3c.workers = 1;
     cfg.a3c.total_updates = 30;
     let agent = MiniCost::train(&trace, &m, &cfg);
-    let run = simulate(&trace, &m, &mut agent.policy(), &sim_cfg());
+    let run = simulate(&trace, &m, &agent.policy(), &sim_cfg());
     assert!(run.total_cost() > Money::ZERO);
 }
 
@@ -151,7 +151,7 @@ fn predictive_policy_on_idle_trace() {
         .collect();
     let trace = Trace { days: 14, files };
     let m = model();
-    let mut policy = PredictivePolicy::new(forecast::Naive, 7);
-    let run = simulate(&trace, &m, &mut policy, &sim_cfg());
+    let policy = PredictivePolicy::new(forecast::Naive, 7);
+    let run = simulate(&trace, &m, &policy, &sim_cfg());
     assert_eq!(run.days(), 14);
 }

@@ -3,7 +3,9 @@
 //! engine relies on (DESIGN.md §9) — `decide_batch_into` writes one tier
 //! per batch entry whatever the buffer held, forks decide identically to
 //! their originals, and the decision for a file never depends on which
-//! other files share the batch.
+//! other files share the batch. A run is its own episode: `simulate`
+//! leaves the instance it is given as it found it, and an instance stepped
+//! back in time decides as a fresh fork.
 
 use minicost::prelude::*;
 
@@ -162,5 +164,44 @@ fn empty_batch_is_legal() {
         let mut out = vec![Tier::Archive; 3];
         policy.decide_batch_into(&ctx, &mut out);
         assert!(out.is_empty(), "{}", policy.name());
+    }
+}
+
+#[test]
+fn out_of_order_days_decide_as_a_fresh_fork() {
+    // `decide_batch_into` is a public `&mut self` call, so a caller can step
+    // one instance back in time; the earlier day must decide as if fresh.
+    let (trace, model) = setup();
+    let fleet = FleetState::from_trace(&trace);
+    let all: Vec<usize> = (0..trace.len()).collect();
+    let current = varied_tiers(trace.len());
+    for policy in &mut all_policies(&trace, &model) {
+        let _ = decide(policy.as_mut(), &fleet, &model, 10, &all, &current);
+        let reused = decide(policy.as_mut(), &fleet, &model, 3, &all, &current);
+        let fresh = decide(policy.fork().as_mut(), &fleet, &model, 3, &all, &current);
+        assert_eq!(reused, fresh, "{}: day 3 after day 10", policy.name());
+    }
+}
+
+#[test]
+fn a_run_never_changes_the_policy_it_is_given() {
+    // Two tiles and 37 files more, so every worker count decides on
+    // several forks (the engine sweeps 1024 files per tile).
+    let trace = Trace::generate(&TraceConfig::small(2 * 1024 + 37, 21, 5));
+    let model = CostModel::new(PricingPolicy::paper_2020());
+    for policy in &all_policies(&trace, &model) {
+        for workers in [1, 4] {
+            let cfg = SimConfig::builder().seed(5).workers(workers).build().expect("valid config");
+            let once = simulate(&trace, &model, policy.as_ref(), &cfg);
+            let twice = simulate(&trace, &model, policy.as_ref(), &cfg);
+            let fresh = simulate(&trace, &model, policy.fork().as_ref(), &cfg);
+            for (run, what) in [(&twice, "second run"), (&fresh, "fresh fork")] {
+                let at = format!("{} at {workers} worker(s), {what}", policy.name());
+                assert_eq!(run.daily, once.daily, "{at}");
+                assert_eq!(run.per_file, once.per_file, "{at}");
+                assert_eq!(run.tier_changes, once.tier_changes, "{at}");
+                assert_eq!(run.occupancy, once.occupancy, "{at}");
+            }
+        }
     }
 }

@@ -41,12 +41,12 @@ proptest! {
         let trace = trace_from(reads, size);
         let m = model();
         let cfg = sim_cfg();
-        let opt = simulate(&trace, &m, &mut OptimalPolicy::plan(&trace, &m, cfg.initial_tier), &cfg).total_cost();
+        let opt = simulate(&trace, &m, &OptimalPolicy::plan(&trace, &m, cfg.initial_tier), &cfg).total_cost();
         for policy in [
-            &mut HotPolicy as &mut dyn Policy,
-            &mut ColdPolicy,
-            &mut GreedyPolicy,
-            &mut SingleTierPolicy::new(Tier::Archive),
+            &HotPolicy as &dyn Policy,
+            &ColdPolicy,
+            &GreedyPolicy,
+            &SingleTierPolicy::new(Tier::Archive),
         ] {
             let cost = simulate(&trace, &m, policy, &cfg).total_cost();
             prop_assert!(opt <= cost, "optimal {opt} vs {} {cost}", policy.name());
@@ -83,9 +83,9 @@ proptest! {
         let trace = trace_from(reads, size);
         let m = model();
         let cfg = sim_cfg();
-        let greedy = simulate(&trace, &m, &mut GreedyPolicy, &cfg).total_cost();
-        let hot = simulate(&trace, &m, &mut HotPolicy, &cfg).total_cost();
-        let cold = simulate(&trace, &m, &mut ColdPolicy, &cfg).total_cost();
+        let greedy = simulate(&trace, &m, &GreedyPolicy, &cfg).total_cost();
+        let hot = simulate(&trace, &m, &HotPolicy, &cfg).total_cost();
+        let cold = simulate(&trace, &m, &ColdPolicy, &cfg).total_cost();
         prop_assert!(greedy <= hot.max(cold));
     }
 
@@ -99,9 +99,9 @@ proptest! {
         let trace = trace_from(reads, 0.5);
         let m = CostModel::new(PricingPolicy::flat());
         let cfg = sim_cfg();
-        let hot = simulate(&trace, &m, &mut HotPolicy, &cfg).total_cost();
-        let cold = simulate(&trace, &m, &mut ColdPolicy, &cfg).total_cost();
-        let opt = simulate(&trace, &m, &mut OptimalPolicy::plan(&trace, &m, cfg.initial_tier), &cfg).total_cost();
+        let hot = simulate(&trace, &m, &HotPolicy, &cfg).total_cost();
+        let cold = simulate(&trace, &m, &ColdPolicy, &cfg).total_cost();
+        let opt = simulate(&trace, &m, &OptimalPolicy::plan(&trace, &m, cfg.initial_tier), &cfg).total_cost();
         prop_assert_eq!(hot, cold);
         prop_assert_eq!(opt, hot);
     }
@@ -122,12 +122,12 @@ proptest! {
         let cfg = sim_cfg();
         for (a, b) in [
             (
-                simulate(&trace, &m, &mut HotPolicy, &cfg).total_cost(),
-                simulate(&scaled, &m, &mut HotPolicy, &cfg).total_cost(),
+                simulate(&trace, &m, &HotPolicy, &cfg).total_cost(),
+                simulate(&scaled, &m, &HotPolicy, &cfg).total_cost(),
             ),
             (
-                simulate(&trace, &m, &mut OptimalPolicy::plan(&trace, &m, Tier::Hot), &cfg).total_cost(),
-                simulate(&scaled, &m, &mut OptimalPolicy::plan(&scaled, &m, Tier::Hot), &cfg).total_cost(),
+                simulate(&trace, &m, &OptimalPolicy::plan(&trace, &m, Tier::Hot), &cfg).total_cost(),
+                simulate(&scaled, &m, &OptimalPolicy::plan(&scaled, &m, Tier::Hot), &cfg).total_cost(),
             ),
         ] {
             prop_assert!(b >= a, "scaled {b} must cost at least {a}");
@@ -145,11 +145,11 @@ fn ordering_holds_on_a_calibrated_trace() {
         Trace::generate(&TraceConfig { files: 400, days: 35, seed: 99, ..TraceConfig::default() });
     let m = CostModel::new(PricingPolicy::paper_2020());
     let cfg = sim_cfg();
-    let hot = simulate(&trace, &m, &mut HotPolicy, &cfg).total_cost();
-    let cold = simulate(&trace, &m, &mut ColdPolicy, &cfg).total_cost();
-    let greedy = simulate(&trace, &m, &mut GreedyPolicy, &cfg).total_cost();
-    let opt = simulate(&trace, &m, &mut OptimalPolicy::plan(&trace, &m, cfg.initial_tier), &cfg)
-        .total_cost();
+    let hot = simulate(&trace, &m, &HotPolicy, &cfg).total_cost();
+    let cold = simulate(&trace, &m, &ColdPolicy, &cfg).total_cost();
+    let greedy = simulate(&trace, &m, &GreedyPolicy, &cfg).total_cost();
+    let opt =
+        simulate(&trace, &m, &OptimalPolicy::plan(&trace, &m, cfg.initial_tier), &cfg).total_cost();
 
     assert!(opt <= greedy);
     assert!(greedy <= hot.max(cold));

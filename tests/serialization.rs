@@ -42,7 +42,7 @@ fn pricing_policies_round_trip() {
 fn sim_result_round_trips_with_exact_money() {
     let trace = Trace::generate(&TraceConfig::small(30, 10, 12));
     let model = CostModel::new(PricingPolicy::azure_blob_2020());
-    let result = simulate(&trace, &model, &mut GreedyPolicy, &sim_cfg());
+    let result = simulate(&trace, &model, &GreedyPolicy, &sim_cfg());
     let json = serde_json::to_string(&result).unwrap();
     let back: SimResult = serde_json::from_str(&json).unwrap();
     assert_eq!(result.total_cost(), back.total_cost());
@@ -73,8 +73,8 @@ fn trained_agent_round_trips_and_decides_identically() {
     let back: MiniCost = serde_json::from_str(&json).unwrap();
 
     let sim_cfg = sim_cfg();
-    let a = simulate(&trace, &model, &mut agent.policy(), &sim_cfg);
-    let b = simulate(&trace, &model, &mut back.policy(), &sim_cfg);
+    let a = simulate(&trace, &model, &agent.policy(), &sim_cfg);
+    let b = simulate(&trace, &model, &back.policy(), &sim_cfg);
     assert_eq!(a.total_cost(), b.total_cost());
     assert_eq!(a.tier_changes, b.tier_changes);
 }

@@ -133,21 +133,21 @@ fn kill_mid_epoch_replays_from_an_older_checkpoint() {
 
     // Serve 5 days and keep a copy of that snapshot.
     let cut = ServeConfig { max_days: Some(5), ..base.clone() };
-    serve(&trace, &model, &mut GreedyPolicy, &cut).expect("first segment");
+    serve(&trace, &model, &GreedyPolicy, &cut).expect("first segment");
     std::fs::copy(&path, &stale).expect("preserve old snapshot");
 
     // Serve further (days 5..10), then simulate a crash that lost every
     // checkpoint since day 5 by restoring the stale snapshot file.
     let cut2 = ServeConfig { max_days: Some(10), ..base.clone() };
-    serve(&trace, &model, &mut GreedyPolicy, &cut2).expect("second segment");
+    serve(&trace, &model, &GreedyPolicy, &cut2).expect("second segment");
     std::fs::copy(&stale, &path).expect("roll snapshot back");
 
     // The recovery run replays days 5.. from the old state; stateless
     // per-(file, day) event seeding makes the replayed suffix — and thus
     // the final ledgers — bit-identical to the never-killed run.
-    let recovered = serve(&trace, &model, &mut GreedyPolicy, &base).expect("recovery run");
+    let recovered = serve(&trace, &model, &GreedyPolicy, &base).expect("recovery run");
     assert_eq!(recovered.resumed_from_day, Some(5));
-    let batch = simulate(&trace, &model, &mut GreedyPolicy, &batch_cfg(1));
+    let batch = simulate(&trace, &model, &GreedyPolicy, &batch_cfg(1));
     assert_bit_identical(&recovered.result, &batch, "replay after rollback");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -163,17 +163,17 @@ fn incompatible_snapshots_are_rejected() {
         max_days: Some(4),
         ..ServeConfig::default()
     };
-    serve(&trace, &model, &mut GreedyPolicy, &base).expect("seed snapshot");
+    serve(&trace, &model, &GreedyPolicy, &base).expect("seed snapshot");
 
     // Wrong policy.
-    let err = serve(&trace, &model, &mut HotPolicy, &base);
+    let err = serve(&trace, &model, &HotPolicy, &base);
     assert!(matches!(err, Err(ServeError::SnapshotMismatch(_))), "{err:?}");
     // Wrong stream seed.
-    let err = serve(&trace, &model, &mut GreedyPolicy, &ServeConfig { seed: 99, ..base.clone() });
+    let err = serve(&trace, &model, &GreedyPolicy, &ServeConfig { seed: 99, ..base.clone() });
     assert!(matches!(err, Err(ServeError::SnapshotMismatch(_))), "{err:?}");
     // Wrong cadence.
     let err =
-        serve(&trace, &model, &mut GreedyPolicy, &ServeConfig { decide_every: 2, ..base.clone() });
+        serve(&trace, &model, &GreedyPolicy, &ServeConfig { decide_every: 2, ..base.clone() });
     assert!(matches!(err, Err(ServeError::SnapshotMismatch(_))), "{err:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -86,10 +86,10 @@ fn reused_decision_buffers_never_leak_stale_tiers() {
 #[test]
 fn shard_seed_changes_partition_but_never_the_ledgers() {
     let (trace, model) = setup();
-    let base = simulate(&trace, &model, &mut GreedyPolicy, &config(1));
+    let base = simulate(&trace, &model, &GreedyPolicy, &config(1));
     for seed in [0u64, 1, 99, u64::MAX] {
         let cfg = SimConfig::builder().seed(seed).workers(4).build().expect("valid sim config");
-        let run = simulate(&trace, &model, &mut GreedyPolicy, &cfg);
+        let run = simulate(&trace, &model, &GreedyPolicy, &cfg);
         assert_bit_identical(&base, &run, &format!("seed={seed}"));
     }
 }
@@ -108,13 +108,13 @@ fn merge_is_independent_of_shard_execution_order() {
     let mut runs: Vec<Option<ShardRun>> = (0..shards.len()).map(|_| None).collect();
     // A fixed permutation of {0,1,2,3} with no fixed points.
     for &s in &[2usize, 0, 3, 1] {
-        let mut policy = GreedyPolicy;
-        runs[s] = Some(run_shard(&fleet, &model, &mut policy, &cfg, &shards[s]));
+        let policy = GreedyPolicy;
+        runs[s] = Some(run_shard(&fleet, &model, &policy, &cfg, &shards[s]));
     }
     let ordered: Vec<ShardRun> = runs.into_iter().map(|r| r.expect("all shards ran")).collect();
     let merged = merge_shards("greedy", trace.days, trace.len(), &ordered);
 
-    let base = simulate(&trace, &model, &mut GreedyPolicy, &config(1));
+    let base = simulate(&trace, &model, &GreedyPolicy, &config(1));
     assert_bit_identical(&base, &merged, "permuted shard execution");
 }
 
@@ -128,7 +128,7 @@ fn money_ledgers_survive_permuted_merge_order() {
     let fleet = FleetState::from_trace(&trace);
     let shards = partition(&trace, cfg.seed, cfg.workers);
     let runs: Vec<ShardRun> =
-        shards.iter().map(|s| run_shard(&fleet, &model, &mut GreedyPolicy, &cfg, s)).collect();
+        shards.iter().map(|s| run_shard(&fleet, &model, &GreedyPolicy, &cfg, s)).collect();
 
     let forward = merge_shards("greedy", trace.days, trace.len(), &runs);
     let reversed: Vec<ShardRun> = runs.iter().rev().cloned().collect();
@@ -148,9 +148,9 @@ fn columnar_fleet_state_preserves_ledgers_across_worker_counts() {
         let cfg = config(workers);
         let shards = partition(&trace, cfg.seed, workers);
         let runs: Vec<ShardRun> =
-            shards.iter().map(|s| run_shard(&fleet, &model, &mut GreedyPolicy, &cfg, s)).collect();
+            shards.iter().map(|s| run_shard(&fleet, &model, &GreedyPolicy, &cfg, s)).collect();
         let merged = merge_shards("greedy", trace.days, trace.len(), &runs);
-        let direct = simulate(&trace, &model, &mut GreedyPolicy, &cfg);
+        let direct = simulate(&trace, &model, &GreedyPolicy, &cfg);
         assert_bit_identical(&merged, &direct, &format!("columnar workers={workers}"));
     }
 }
@@ -166,8 +166,8 @@ fn rl_policy_sharding_survives_serde_round_trip() {
     let agent = MiniCost::train(&trace, &model, &cfg);
     let back: MiniCost = serde_json::from_str(&serde_json::to_string(&agent).unwrap()).unwrap();
 
-    let a = simulate(&trace, &model, &mut agent.policy(), &config(4));
-    let b = simulate(&trace, &model, &mut back.policy(), &config(4));
+    let a = simulate(&trace, &model, &agent.policy(), &config(4));
+    let b = simulate(&trace, &model, &back.policy(), &config(4));
     assert_bit_identical(&a, &b, "serde round-trip under sharding");
 }
 
@@ -186,9 +186,9 @@ fn predictive_policy_is_bit_identical_across_worker_counts() {
                 .build()
                 .expect("valid sim config")
         };
-        let mut policy = PredictivePolicy::new(forecast::Naive, 7);
-        let base = simulate(&trace, &model, &mut policy, &cfg(1));
-        let sharded = simulate(&trace, &model, &mut policy, &cfg(4));
+        let policy = PredictivePolicy::new(forecast::Naive, 7);
+        let base = simulate(&trace, &model, &policy, &cfg(1));
+        let sharded = simulate(&trace, &model, &policy, &cfg(4));
         let what = format!("predictive decide_every={decide_every} workers=4");
         assert_bit_identical(&base, &sharded, &what);
         assert!(base.tier_changes > 0, "{what}: the planner never moved a file");

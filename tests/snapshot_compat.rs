@@ -63,12 +63,12 @@ fn exact_v2_checkpoint_resumes_bit_identically_to_simulate() {
     let (trace, model) = setup();
     let path = staged("snapshot-v2-exact.ckpt");
     let cfg = config(None, 7, Some(path.clone()));
-    let resumed = serve(&trace, &model, &mut GreedyPolicy, &cfg).expect("v2 resume");
+    let resumed = serve(&trace, &model, &GreedyPolicy, &cfg).expect("v2 resume");
     assert_eq!(resumed.resumed_from_day, Some(5));
     assert_eq!(resumed.days_served_through, trace.days);
     let batch_cfg =
         SimConfig::builder().seed(31).workers(default_workers()).build().expect("valid sim config");
-    let batch = simulate(&trace, &model, &mut GreedyPolicy, &batch_cfg);
+    let batch = simulate(&trace, &model, &GreedyPolicy, &batch_cfg);
     assert_same_ledgers(&resumed.result, &batch, "exact v2 resume");
     assert_rewritten_as_v3(&path);
     let _ = std::fs::remove_dir_all(path.parent().expect("scratch dir"));
@@ -79,9 +79,9 @@ fn bounded_v2_checkpoint_resumes_bit_identically_to_an_uninterrupted_run() {
     let (trace, model) = setup();
     let path = staged("snapshot-v2-bounded.ckpt");
     let cfg = config(Some(3), 2, Some(path.clone()));
-    let resumed = serve(&trace, &model, &mut GreedyPolicy, &cfg).expect("v2 resume");
+    let resumed = serve(&trace, &model, &GreedyPolicy, &cfg).expect("v2 resume");
     assert_eq!(resumed.resumed_from_day, Some(4));
-    let whole = serve(&trace, &model, &mut GreedyPolicy, &config(Some(3), 2, None))
+    let whole = serve(&trace, &model, &GreedyPolicy, &config(Some(3), 2, None))
         .expect("uninterrupted bounded run");
     assert_same_ledgers(&resumed.result, &whole.result, "bounded v2 resume");
     assert_rewritten_as_v3(&path);

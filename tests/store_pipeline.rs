@@ -154,7 +154,7 @@ fn exhausted_retries_pin_files_to_their_source_tier() {
     let cfg = ServeConfig { store: mem_store(), ..ServeConfig::default() };
     let sup = SuperviseConfig { fault_plan: Some(plan), ..SuperviseConfig::default() };
     let report = Supervisor::new(sup)
-        .run(&trace, &model, &mut GreedyPolicy, &cfg)
+        .run(&trace, &model, &GreedyPolicy, &cfg)
         .expect("pinning must degrade gracefully, not abort");
     let s = report.store.as_ref().expect("store report");
     assert!(s.jobs_pinned > 0, "greedy must have attempted at least one migration");
@@ -167,7 +167,7 @@ fn exhausted_retries_pin_files_to_their_source_tier() {
         report.incidents.summary()
     );
     assert!(report.incidents.count(IncidentKind::MigrationRetried) > 0);
-    let hot = simulate(&trace, &model, &mut HotPolicy, &batch_cfg());
+    let hot = simulate(&trace, &model, &HotPolicy, &batch_cfg());
     assert_eq!(report.result.daily, hot.daily, "a fully pinned run must bill as always-hot");
     assert_eq!(report.result.per_file, hot.per_file);
     assert_eq!(report.result.occupancy, hot.occupancy);
@@ -183,7 +183,7 @@ fn injected_crash_mid_migration_restores_and_replays_identically() {
     // dedup against the journal, and the final ledgers are bit-identical
     // to the fault-free batch with billed == committed intact.
     let (trace, model) = setup();
-    let batch = simulate(&trace, &model, &mut GreedyPolicy, &batch_cfg());
+    let batch = simulate(&trace, &model, &GreedyPolicy, &batch_cfg());
     for crash_seed in [4u64, 5, 6] {
         let dir = scratch_dir(&format!("crash-{crash_seed}"));
         let cfg = ServeConfig {
@@ -196,7 +196,7 @@ fn injected_crash_mid_migration_restores_and_replays_identically() {
             fault_plan: Some(FaultPlan::store_crash(crash_seed)),
             ..SuperviseConfig::default()
         };
-        let err = Supervisor::new(sup).run(&trace, &model, &mut GreedyPolicy, &cfg);
+        let err = Supervisor::new(sup).run(&trace, &model, &GreedyPolicy, &cfg);
         match &err {
             Err(ServeError::InjectedCrash(msg)) => {
                 assert!(msg.contains("restart"), "crash must point at recovery: {msg}")
@@ -206,7 +206,7 @@ fn injected_crash_mid_migration_restores_and_replays_identically() {
 
         // The restart: fresh supervisor, quiet plan, same directory.
         let report = Supervisor::new(SuperviseConfig::default())
-            .run(&trace, &model, &mut GreedyPolicy, &cfg)
+            .run(&trace, &model, &GreedyPolicy, &cfg)
             .expect("restart must recover the torn migration and finish");
         let s = report.store.as_ref().expect("store report");
         assert_eq!(s.jobs_rolled_back, 1, "exactly the crashed job must roll back");
@@ -229,7 +229,7 @@ fn crash_restore_dedups_already_committed_jobs() {
     // re-copied) so their bytes count exactly once on both sides of the
     // invariant.
     let (trace, model) = setup();
-    let batch = simulate(&trace, &model, &mut GreedyPolicy, &batch_cfg());
+    let batch = simulate(&trace, &model, &GreedyPolicy, &batch_cfg());
     let mut exercised = false;
     for seed in 0u64..40 {
         let plan = FaultPlan { crash_copy_permille: 300, max_faults: 1, ..FaultPlan::quiet(seed) };
@@ -241,7 +241,7 @@ fn crash_restore_dedups_already_committed_jobs() {
             ..ServeConfig::default()
         };
         let sup = SuperviseConfig { fault_plan: Some(plan), ..SuperviseConfig::default() };
-        let first = Supervisor::new(sup).run(&trace, &model, &mut GreedyPolicy, &cfg);
+        let first = Supervisor::new(sup).run(&trace, &model, &GreedyPolicy, &cfg);
         let crashed = matches!(first, Err(ServeError::InjectedCrash(_)));
         if !crashed {
             // This seed's schedule never fired within the run; clean
@@ -250,7 +250,7 @@ fn crash_restore_dedups_already_committed_jobs() {
             continue;
         }
         let report = Supervisor::new(SuperviseConfig::default())
-            .run(&trace, &model, &mut GreedyPolicy, &cfg)
+            .run(&trace, &model, &GreedyPolicy, &cfg)
             .expect("restart after mid-batch crash");
         let s = report.store.as_ref().expect("store report");
         assert_bit_identical(&report.result, &batch, &format!("dedup seed {seed}"));
@@ -281,11 +281,11 @@ fn memory_store_cannot_resume_from_a_checkpoint() {
     };
     // A fresh memory-store run with checkpoints is fine...
     let cut = ServeConfig { max_days: Some(6), ..cfg.clone() };
-    serve(&trace, &model, &mut GreedyPolicy, &cut).expect("fresh memory-store run");
+    serve(&trace, &model, &GreedyPolicy, &cut).expect("fresh memory-store run");
     // ...but resuming one is a config error: the pool died with the
     // process, so the checkpoint would describe objects that no longer
     // exist anywhere.
-    let err = serve(&trace, &model, &mut GreedyPolicy, &cfg);
+    let err = serve(&trace, &model, &GreedyPolicy, &cfg);
     assert!(
         matches!(err, Err(ServeError::Config(_))),
         "memory store + resume must be rejected, got {err:?}"
