@@ -7,13 +7,13 @@
 //! resolves them identically and the JSON sidecars carry the same `config`
 //! block (DESIGN.md §14).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Parsed command-line arguments (`--key value` pairs).
 #[derive(Clone, Debug, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
+    values: BTreeMap<String, String>,
 }
 
 impl Args {
@@ -28,7 +28,7 @@ impl Args {
     /// Parses from an explicit iterator (testable).
     #[must_use]
     pub fn from_list<I: IntoIterator<Item = String>>(iter: I) -> Args {
-        let mut values = HashMap::new();
+        let mut values = BTreeMap::new();
         let mut iter = iter.into_iter();
         while let Some(key) = iter.next() {
             let name =

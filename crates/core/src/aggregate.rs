@@ -378,9 +378,9 @@ mod tests {
     fn aggregation_output_identical_under_permuted_insertion_order() {
         // Determinism regression (DESIGN.md §8): feeding the same logical
         // group set in a different order must produce a bit-identical cost.
-        // This is the property lint L5 (hashmap-iter-determinism) protects —
-        // had groups flowed through a HashMap, insertion order could leak
-        // into the float accumulation below.
+        // This is the property clippy's `disallowed_types` ban on `HashMap`
+        // protects — had groups flowed through a HashMap, insertion order
+        // could leak into the float accumulation below.
         let trace = Trace::generate(&TraceConfig::small(60, 14, 7));
         let groups = tracegen::CoRequestModel { groups: 6, ..Default::default() }.generate(&trace);
         let m = model();

@@ -14,7 +14,7 @@
 //! `evaluate` compares Hot/Cold/Greedy/MiniCost/Optimal on the 20% split.
 
 use minicost::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use store::{MigrateConfig, PoolBuild};
@@ -171,7 +171,7 @@ serve exit codes:
   1 other failure      3 unrecoverable snapshot   6 injected crash mid-migration
                        4 fault budget exhausted     (restart to recover)";
 
-type Flags = HashMap<String, String>;
+type Flags = BTreeMap<String, String>;
 
 /// Parses `--name value` pairs. A flag `command` does not read is a
 /// configuration error (exit 2) naming it.
@@ -179,7 +179,7 @@ fn parse_flags(
     mut args: impl Iterator<Item = String>,
     command: &Command,
 ) -> Result<Flags, CliError> {
-    let mut flags = HashMap::new();
+    let mut flags = BTreeMap::new();
     while let Some(key) = args.next() {
         let name = key
             .strip_prefix("--")
@@ -275,6 +275,16 @@ fn train(flags: &Flags) -> Result<(), String> {
     cfg.a3c.total_updates = flag(flags, "updates", 50_000u64)?;
     cfg.a3c.workers = flag(flags, "workers", 4usize)?;
     cfg.a3c.seed = flag(flags, "seed", 0u64)?;
+    // A clamped ledger is not a price to learn from; `serve` and `evaluate`
+    // refuse such a trace the same way. The check bills the whole trace, not
+    // the train split, because the split renumbers files and the error must
+    // name the file as the trace does.
+    let sim_cfg = SimConfig::builder()
+        .seed(cfg.a3c.seed)
+        .workers(cfg.a3c.workers)
+        .build()
+        .map_err(|e| e.to_string())?;
+    check_unsaturated(&trace, &simulate(&trace, &model, &GreedyPolicy, &sim_cfg))?;
     let split = trace.split(0.8, cfg.a3c.seed);
     eprintln!(
         "training on {} files for {} updates (width {}) ...",
@@ -553,6 +563,27 @@ mod tests {
         assert!(err.contains(" on day 1; file 0's total reads it"), "{err}");
         let batch = simulate(&trace, &model, &GreedyPolicy, &cfg);
         assert_eq!(check_unsaturated(&trace, &batch), Err(err));
+    }
+
+    #[test]
+    fn train_refuses_a_trace_whose_ledger_saturates() {
+        let dir = std::env::temp_dir().join(format!("minicost-cli-{}-train", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut trace = Trace::generate(&TraceConfig::small(30, 10, 4));
+        trace.files[0].reads = vec![u64::MAX; 10];
+        let (csv, agent) = (dir.join("trace.csv"), dir.join("agent.json"));
+        tracegen::io::write_csv(&trace, std::fs::File::create(&csv).unwrap()).unwrap();
+        let line = format!(
+            "train --trace {} --updates 20 --width 16 --workers 1 --out {}",
+            csv.display(),
+            agent.display()
+        );
+        let flags = parse(&line).unwrap_or_else(|e| panic!("{line}: {}", e.message));
+        let err = train(&flags).unwrap_err();
+        assert!(err.starts_with("the greedy cost ledger saturated"), "{err}");
+        assert!(err.contains("; file 0's total reads it"), "{err}");
+        assert!(!agent.exists(), "no agent is saved from a saturated trace");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn parse(line: &str) -> Result<Flags, CliError> {

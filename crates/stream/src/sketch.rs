@@ -20,7 +20,12 @@ use crate::mix64;
 use crate::wire::{invalid_state, put_column, put_len, put_u64_le, put_varint, Reader};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+#[expect(
+    clippy::disallowed_types,
+    reason = "probed by id, never iterated; hashes through the fixed IdHasher, not RandomState"
+)]
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -253,6 +258,10 @@ pub struct SpaceSaving {
     /// The tracked entries by slot. A restored summary holds them in the
     /// order they were read until its first admission.
     entries: Vec<SpaceSavingEntry>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "probed by id, never iterated; hashes through the fixed IdHasher, not RandomState"
+    )]
     slot_of: HashMap<u32, usize, BuildHasherDefault<IdHasher>>,
     by_count: BinaryHeap<Reverse<(u64, u32)>>,
 }

@@ -4,8 +4,8 @@
 //! graph as its second step (schema and rationale in DESIGN.md §12):
 //!
 //! - **F1 `determinism-taint`** ([`crate::taint`]): nondeterministic inputs
-//!   (wall clock, OS entropy, environment, thread identity, unordered-map
-//!   iteration) must not reach decision or billing sinks.
+//!   (wall clock, OS entropy, environment, thread identity) must not reach
+//!   decision or billing sinks.
 //! - **F2 `panic-reachability`** ([`crate::reach`]): functions reachable
 //!   from the serve/simulate entry points that can panic must be listed in
 //!   the committed `xtask-panic-allowlist.json`.
@@ -154,8 +154,6 @@ pub struct SourceFile {
     pub krate: String,
     /// Repo-relative display path.
     pub file: String,
-    /// Raw source text.
-    pub src: String,
     /// Lexed tokens and escape comments.
     pub lexed: Lexed,
     /// Item tree.
@@ -183,7 +181,7 @@ impl Workspace {
                 let display = file
                     .strip_prefix(root)
                     .map_or_else(|_| file.display().to_string(), |p| p.display().to_string());
-                ws.push(dir, &display, src);
+                ws.push(dir, &display, &src);
             }
         }
         Ok(ws)
@@ -195,19 +193,18 @@ impl Workspace {
     pub fn from_sources(sources: &[(&str, &str, &str)]) -> Workspace {
         let mut ws = Workspace::default();
         for (krate, file, src) in sources {
-            ws.push(krate, file, (*src).to_string());
+            ws.push(krate, file, src);
         }
         ws
     }
 
-    fn push(&mut self, krate: &str, file: &str, src: String) {
-        let lexed = lex(&src);
+    fn push(&mut self, krate: &str, file: &str, src: &str) {
+        let lexed = lex(src);
         let marks = mark_regions(&lexed.toks);
         let items = parse_items(&lexed, &marks);
         self.files.push(SourceFile {
             krate: krate.to_string(),
             file: file.to_string(),
-            src,
             lexed,
             items,
         });
@@ -407,7 +404,7 @@ fn call_forms(lexed: &Lexed, start: usize, end: usize) -> Vec<(String, CallForm)
 
 /// True when an `// xtask-allow(<kind>): <reason>` escape comment with a
 /// non-empty justification covers this line (same line or the line above).
-/// Flow kinds must be named explicitly — `all` covers only the syntax lints.
+/// Flow kinds must be named explicitly — `all` covers only the custom lints.
 pub fn flow_allowed(lexed: &Lexed, kind: FlowKind, line: usize) -> bool {
     lexed.allows.iter().any(|a| {
         (a.line == line || a.line + 1 == line)

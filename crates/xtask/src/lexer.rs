@@ -358,11 +358,11 @@ mod tests {
 
     #[test]
     fn allow_comments_are_collected() {
-        let src = "let x = 1; // xtask-allow: money-safety, float-reduction-order\nlet y = 2;\n";
+        let src = "let x = 1; // xtask-allow: money-safety, panic-reachability\nlet y = 2;\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1);
         assert_eq!(lexed.allows[0].line, 1);
-        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "float-reduction-order"]);
+        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "panic-reachability"]);
         assert!(lexed.allows[0].reason.is_empty(), "bare escape carries no reason");
     }
 
@@ -377,18 +377,18 @@ mod tests {
 
     #[test]
     fn justified_allow_grammar_takes_multiple_lints() {
-        let src = "y(); // xtask-allow(money-safety, float-reduction-order): report-only path\n";
+        let src = "y(); // xtask-allow(money-safety, panic-reachability): report-only path\n";
         let lexed = lex(src);
-        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "float-reduction-order"]);
+        assert_eq!(lexed.allows[0].lints, vec!["money-safety", "panic-reachability"]);
         assert_eq!(lexed.allows[0].reason, "report-only path");
     }
 
     #[test]
     fn legacy_allow_trailing_commentary_counts_as_reason() {
-        let src = "z(); // xtask-allow: hashmap-iter-determinism (an \"order-free\" count)\n";
+        let src = "z(); // xtask-allow: determinism-taint (a \"log-only\" timestamp)\n";
         let lexed = lex(src);
-        assert_eq!(lexed.allows[0].lints, vec!["hashmap-iter-determinism"]);
-        assert!(lexed.allows[0].reason.contains("order-free"), "{:?}", lexed.allows[0]);
+        assert_eq!(lexed.allows[0].lints, vec!["determinism-taint"]);
+        assert!(lexed.allows[0].reason.contains("log-only"), "{:?}", lexed.allows[0]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The MiniCost-specific lints: L1 is a token lint, L10 is escape
-//! hygiene, and L5–L6 live in [`crate::syntax_lints`]. Rules a compiler lint
+//! The MiniCost-specific lints: L1 `money-safety` is a token lint and L10
+//! `escape-hatch-justification` is escape hygiene. Rules a compiler lint
 //! can express (panics in libraries, narrowing casts, wildcard enum matches,
-//! undocumented public items) are rustc/clippy lints instead, denied in the
-//! workspace manifest and at each library root.
+//! undocumented public items, hash-collection types) are rustc/clippy lints
+//! instead, denied in the workspace manifest, in `clippy.toml` and at each
+//! library root.
 //!
 //! Each lint walks the token stream from [`crate::lexer::lex`] with brace-depth
 //! and `#[cfg(test)]`-region tracking. Violations carry `file:line` positions
@@ -18,10 +19,6 @@ use std::path::Path;
 pub enum Lint {
     /// L1: raw f64 arithmetic on dollar quantities outside `crates/pricing`.
     MoneySafety,
-    /// L5: iterating a `HashMap`/`HashSet` in library code.
-    HashmapIterDeterminism,
-    /// L6: float reductions over unordered iterators in `nn`/`rl`.
-    FloatReductionOrder,
     /// L10: escape-hatch comments without a justification reason.
     EscapeJustification,
 }
@@ -31,20 +28,13 @@ impl Lint {
     pub fn name(self) -> &'static str {
         match self {
             Lint::MoneySafety => "money-safety",
-            Lint::HashmapIterDeterminism => "hashmap-iter-determinism",
-            Lint::FloatReductionOrder => "float-reduction-order",
             Lint::EscapeJustification => "escape-hatch-justification",
         }
     }
 
     /// All lints, in diagnostic order.
-    pub fn all() -> [Lint; 4] {
-        [
-            Lint::MoneySafety,
-            Lint::HashmapIterDeterminism,
-            Lint::FloatReductionOrder,
-            Lint::EscapeJustification,
-        ]
+    pub fn all() -> [Lint; 2] {
+        [Lint::MoneySafety, Lint::EscapeJustification]
     }
 }
 
@@ -78,8 +68,6 @@ impl fmt::Display for Violation {
 pub struct FileContext {
     /// Crate directory name (`pricing`, `rl`, ...; `fixture` for fixtures).
     pub crate_name: String,
-    /// True for `src/bin/` targets (CLI code, exempt from L5).
-    pub is_bin: bool,
 }
 
 impl FileContext {
@@ -97,21 +85,13 @@ impl FileContext {
                 .and_then(|i| comps.get(i + 1))
                 .map_or_else(|| "fixture".to_string(), |s| (*s).to_string())
         };
-        let is_bin = comps.windows(2).any(|w| w == ["src", "bin"]);
-        FileContext { crate_name, is_bin }
+        FileContext { crate_name }
     }
 
     fn lint_applies(&self, lint: Lint) -> bool {
         match lint {
             // Pricing owns dollar<->micro conversion; bench code is exempt.
             Lint::MoneySafety => self.crate_name != "pricing" && self.crate_name != "bench",
-            // Bit-determinism of the A3C audit: any unordered iteration in
-            // library code can leak into reward accounting.
-            Lint::HashmapIterDeterminism => !self.is_bin,
-            // Gradient/reward reduction paths live in nn and rl.
-            Lint::FloatReductionOrder => {
-                matches!(self.crate_name.as_str(), "nn" | "rl" | "fixture")
-            }
             // Escapes are loans everywhere — bins, benches, and fixtures too.
             Lint::EscapeJustification => true,
         }
@@ -122,7 +102,6 @@ impl FileContext {
 pub fn scan_source(path: &Path, src: &str, ctx: &FileContext) -> Vec<Violation> {
     let lexed = lex(src);
     let marks = mark_regions(&lexed.toks);
-    let items = crate::parser::parse_items(&lexed, &marks);
     let mut out = Vec::new();
     for lint in Lint::all() {
         if !ctx.lint_applies(lint) {
@@ -130,12 +109,6 @@ pub fn scan_source(path: &Path, src: &str, ctx: &FileContext) -> Vec<Violation> 
         }
         let raw = match lint {
             Lint::MoneySafety => lint_money_safety(&lexed.toks, &marks),
-            Lint::HashmapIterDeterminism => {
-                crate::syntax_lints::lint_hashmap_iter(&lexed.toks, &marks, &items)
-            }
-            Lint::FloatReductionOrder => {
-                crate::syntax_lints::lint_float_reduction(&lexed.toks, &marks, &items)
-            }
             Lint::EscapeJustification => lint_escape_justification(&lexed),
         };
         for (line, message) in raw {
@@ -350,7 +323,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn scan(src: &str, crate_name: &str) -> Vec<Violation> {
-        let ctx = FileContext { crate_name: crate_name.to_string(), is_bin: false };
+        let ctx = FileContext { crate_name: crate_name.to_string() };
         scan_source(&PathBuf::from("mem.rs"), src, &ctx)
     }
 
@@ -392,7 +365,7 @@ mod tests {
     #[test]
     fn allow_for_other_lint_does_not_suppress() {
         let src = "fn f(total_dollars: f64) -> f64 { total_dollars * 2.0 } \
-                   // xtask-allow(float-reduction-order): n/a";
+                   // xtask-allow(determinism-taint): n/a";
         assert_eq!(scan(src, "core").iter().filter(|v| v.lint == Lint::MoneySafety).count(), 1);
     }
 

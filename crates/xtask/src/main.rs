@@ -3,13 +3,13 @@
 //! The gate checks what rustc and clippy cannot: project-specific rules
 //! over tokens, and properties of the whole call graph. Everything a
 //! compiler lint already expresses (panics in libraries, narrowing casts,
-//! wildcard tier matches, undocumented public items) is denied in the
+//! wildcard tier matches, undocumented public items, `HashMap`/`HashSet`
+//! via `disallowed_types` and the root `clippy.toml`) is denied in the
 //! workspace manifest and at each library root instead, and reaches the
 //! gate through its clippy step.
 //!
 //! `cargo xtask check` runs, in order:
-//! 1. the four custom MiniCost lints (L1 `money-safety`, L5
-//!    `hashmap-iter-determinism`, L6 `float-reduction-order`, L10
+//! 1. the two custom MiniCost lints (L1 `money-safety`, L10
 //!    `escape-hatch-justification`) over every `crates/*/src` tree,
 //! 2. the two interprocedural flow analyses (F1 `determinism-taint`, F2
 //!    `panic-reachability`; DESIGN.md §12) over the workspace call graph,
@@ -41,7 +41,6 @@ mod lexer;
 mod lints;
 mod parser;
 mod reach;
-mod syntax_lints;
 mod taint;
 mod walk;
 
@@ -125,7 +124,7 @@ fn print_usage() {
         "usage: cargo xtask <command>\n\n\
          commands:\n  \
          check [--json] [--strict]\n                     \
-         run the four custom lints + F1-F2 flow analyses +\n                     \
+         run the two custom lints + F1-F2 flow analyses +\n                     \
          `cargo fmt --check` + clippy gate; --json emits\n                     \
          the diagnostics\n                     \
          document (DESIGN.md \u{a7}8) on stdout; --strict\n                     \
@@ -199,7 +198,7 @@ macro_rules! progress {
 struct CheckReport {
     /// Number of files the custom lints scanned.
     files: usize,
-    /// Custom-lint violations (L1, L5, L6, L10).
+    /// Custom-lint violations (L1, L10).
     violations: Vec<Violation>,
     /// F1-F2 flow diagnostics.
     flow_diags: Vec<FlowDiag>,
@@ -270,7 +269,7 @@ fn cmd_check(json_mode: bool, strict: bool) -> ExitCode {
     let mut r = CheckReport { strict, ..CheckReport::default() };
 
     // 1. Custom lints.
-    progress!(json_mode, "==> custom lints (L1, L5, L6, L10)");
+    progress!(json_mode, "==> custom lints (L1, L10)");
     let start = Instant::now();
     let scanned = walk::workspace_lint_files(&root)
         .map_err(|e| format!("cannot enumerate workspace sources: {e}"))
@@ -438,7 +437,7 @@ fn check_doc(root: &Path, r: &CheckReport) -> CheckDoc {
         })
         .collect();
     CheckDoc {
-        version: 3,
+        version: 4,
         lints: Lint::all().iter().map(|l| l.name()).collect(),
         violations: r
             .violations

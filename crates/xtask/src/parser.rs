@@ -7,9 +7,8 @@
 //! body so later passes can analyse call sites without re-lexing.
 //!
 //! This is deliberately not a full Rust grammar: it recognises just enough
-//! item structure for the call graph of the flow analyses and the
-//! syntax-aware lints (L5–L6), and it degrades gracefully — tokens it does
-//! not understand are skipped, never fatal.
+//! item structure for the call graph of the flow analyses, and it degrades
+//! gracefully — tokens it does not understand are skipped, never fatal.
 
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::lints::Marks;
@@ -52,9 +51,6 @@ pub struct Item {
     pub name: String,
     /// 1-based line of the defining keyword.
     pub line: usize,
-    /// Token index of the defining keyword (start of the signature for
-    /// functions), so lints can scope scans to one item.
-    pub start_tok: usize,
     /// True when the item sits inside `#[cfg(test)]` / `#[test]` code.
     pub in_test: bool,
     /// Token index range `[start, end)` of the body block including braces,
@@ -167,10 +163,8 @@ impl Cursor<'_> {
     /// Parses one item whose keyword is at `*i`; advances past it.
     fn parse_item(&mut self, kw: &str, i: &mut usize, end: usize, in_test: bool) -> Option<Item> {
         let line = self.toks[*i].line;
-        let start_tok = *i;
-        let item = |kind, name, body, children| {
-            Some(Item { kind, name, line, start_tok, in_test, body, children })
-        };
+        let item =
+            |kind, name, body, children| Some(Item { kind, name, line, in_test, body, children });
         match kw {
             "fn" => {
                 let name = self.ident(*i + 1)?.to_string();
@@ -383,7 +377,6 @@ impl Cursor<'_> {
                         kind: ItemKind::Variant,
                         name: name.clone(),
                         line: self.toks[j].line,
-                        start_tok: j,
                         in_test: false,
                         body: None,
                         children: Vec::new(),

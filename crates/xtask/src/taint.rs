@@ -4,10 +4,10 @@
 //! A function is a **source** when its body reads the wall clock
 //! (`SystemTime::now`, `Instant::now`), OS entropy (`thread_rng`,
 //! `from_entropy`, `from_os_rng`, `OsRng`, `rand::rng`), the environment
-//! (`env::var`/`var_os`/`vars`), thread identity (`thread::current`,
-//! `ThreadId`), or iterates an unordered map (the L5 lint's findings,
-//! mapped to their containing function). A function is **tainted** when it
-//! is a source or (transitively) calls one. The diagnostic fires on every
+//! (`env::var`/`var_os`/`vars`), or thread identity (`thread::current`,
+//! `ThreadId`). Unordered-map iteration needs no source here: clippy's
+//! `disallowed_types` keeps `HashMap`/`HashSet` out of member crates. A
+//! function is **tainted** when it is a source or (transitively) calls one. The diagnostic fires on every
 //! tainted **sink**: every `Policy::decide_batch_into` impl and the billing,
 //! checkpoint, and fault-decision containers, whose outputs the paper's
 //! reproducibility claims depend on.
@@ -17,8 +17,6 @@
 //! definition line it waives the sink. Both require a justification (L10).
 
 use crate::flow::{flow_allowed, FlowDiag, FlowKind, FnGraph, FnNode, SourceFile, Workspace};
-use crate::lints::{scan_source, FileContext, Lint};
-use std::path::Path;
 
 /// Sink function names: every impl of the `Policy` decision method.
 const SINK_FNS: &[&str] = &["decide_batch_into"];
@@ -101,20 +99,6 @@ pub fn compute(ws: &Workspace, g: &FnGraph) -> Taint {
             scan_sources(&ws.files[node.file_ix], start, end, &mut sources[ix]);
         }
     }
-    // Unordered-map iteration: rerun L5 per file and map each finding to
-    // the function whose body line range contains it.
-    for (file_ix, sf) in ws.files.iter().enumerate() {
-        let path = Path::new(&sf.file);
-        let ctx = FileContext::from_path(path);
-        for v in scan_source(path, &sf.src, &ctx) {
-            if v.lint != Lint::HashmapIterDeterminism {
-                continue;
-            }
-            if let Some(ix) = containing_fn(ws, g, file_ix, v.line) {
-                sources[ix].push(Source { line: v.line, what: "unordered-map iteration".into() });
-            }
-        }
-    }
     // Fixpoint: taint flows callee -> caller.
     let mut tainted = vec![false; g.nodes.len()];
     let mut work: Vec<usize> = Vec::new();
@@ -133,25 +117,6 @@ pub fn compute(ws: &Workspace, g: &FnGraph) -> Taint {
         }
     }
     Taint { sources, tainted }
-}
-
-/// The node in `file_ix` whose body's line span contains `line`, preferring
-/// the innermost (latest-starting) match.
-fn containing_fn(ws: &Workspace, g: &FnGraph, file_ix: usize, line: usize) -> Option<usize> {
-    let toks = &ws.files[file_ix].lexed.toks;
-    g.nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.file_ix == file_ix)
-        .filter(|(_, n)| {
-            n.body.is_some_and(|(s, e)| {
-                let first = toks.get(s).map_or(0, |t| t.line);
-                let last = toks.get(e.saturating_sub(1)).map_or(0, |t| t.line);
-                first <= line && line <= last
-            })
-        })
-        .max_by_key(|(_, n)| n.line)
-        .map(|(ix, _)| ix)
 }
 
 /// Shortest sink-to-source call path, as trace lines for the diagnostic.
