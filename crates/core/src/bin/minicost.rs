@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use store::{MigrateConfig, PoolBuild};
+use tracegen::FileId;
 
 /// A CLI failure carrying the process exit code. `serve` maps its error
 /// taxonomy onto distinct codes (see [`USAGE`]); a flag the command does
@@ -284,7 +285,10 @@ fn train(flags: &Flags) -> Result<(), String> {
         .workers(cfg.a3c.workers)
         .build()
         .map_err(|e| e.to_string())?;
-    check_unsaturated(&trace, &simulate(&trace, &model, &GreedyPolicy, &sim_cfg))?;
+    check_unsaturated(
+        trace.files.iter().map(|f| f.id),
+        &simulate(&trace, &model, &GreedyPolicy, &sim_cfg),
+    )?;
     let split = trace.split(0.8, cfg.a3c.seed);
     eprintln!(
         "training on {} files for {} updates (width {}) ...",
@@ -415,7 +419,8 @@ fn serve_cmd(flags: &Flags) -> Result<(), CliError> {
     let report = Supervisor::new(sup_cfg)
         .run(&trace, &model, policy.as_ref(), &cfg)
         .map_err(|e| CliError { code: serve_exit_code(&e), message: e.to_string() })?;
-    check_unsaturated(&trace, &report.result).map_err(CliError::general)?;
+    check_unsaturated(trace.files.iter().map(|f| f.id), &report.result)
+        .map_err(CliError::general)?;
     if let Some(day) = report.resumed_from_day {
         println!("resumed from checkpoint at day {day}");
     }
@@ -505,7 +510,7 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
     let runs: Vec<SimResult> =
         policies.iter().map(|policy| simulate(test, &model, policy.as_ref(), &sim_cfg)).collect();
     for run in &runs {
-        check_unsaturated(test, run)?;
+        check_unsaturated(split.test_ids.iter().copied(), run)?;
     }
     let reference = runs.last().expect("non-empty").total_cost();
     println!("{} held-out files x {} days under {}:", test.len(), test.days, model.policy().name);
@@ -522,11 +527,15 @@ fn evaluate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Fails when the ledgers of `result` (a run over `trace`) saturated at
-/// [`Money::MAX`], which is a clamp, not a price. Bills are never negative,
-/// so any saturated `per_file` or `daily` entry saturates the running
-/// total; the error names the day it did and the first saturated file.
-fn check_unsaturated(trace: &Trace, result: &SimResult) -> Result<(), String> {
+/// Fails when the ledgers of `result` saturated at [`Money::MAX`], which is
+/// a clamp, not a price. Bills are never negative, so any saturated
+/// `per_file` or `daily` entry saturates the running total; the error names
+/// the day it did and the first saturated file, by its entry in `ids`: the
+/// id each file of the run has in the trace the user loaded.
+fn check_unsaturated(
+    ids: impl IntoIterator<Item = FileId>,
+    result: &SimResult,
+) -> Result<(), String> {
     let mut running = Money::ZERO;
     let Some(day) = result.daily.iter().position(|bill| {
         running += bill.total();
@@ -536,7 +545,7 @@ fn check_unsaturated(trace: &Trace, result: &SimResult) -> Result<(), String> {
     };
     let file =
         result.per_file.iter().position(|&paid| paid == Money::MAX).map_or(String::new(), |ix| {
-            format!("; file {}'s total reads it", trace.files.get(ix).map_or(ix, |f| f.id.index()))
+            format!("; file {}'s total reads it", ids.into_iter().nth(ix).map_or(ix, FileId::index))
         });
     Err(format!(
         "the {} cost ledger saturated at {} on day {day}{file}: the trace's request counts are \
@@ -556,13 +565,43 @@ mod tests {
         let model = CostModel::new(PricingPolicy::azure_blob_2020());
         let cfg = SimConfig::builder().seed(0).workers(1).build().unwrap();
         let batch = simulate(&trace, &model, &GreedyPolicy, &cfg);
-        assert_eq!(check_unsaturated(&trace, &batch), Ok(()));
+        assert_eq!(check_unsaturated(trace.files.iter().map(|f| f.id), &batch), Ok(()));
         trace.files[0].reads = vec![u64::MAX; 10];
         let served = serve(&trace, &model, &GreedyPolicy, &ServeConfig::default()).unwrap();
-        let err = check_unsaturated(&trace, &served.result).unwrap_err();
+        let err = check_unsaturated(trace.files.iter().map(|f| f.id), &served.result).unwrap_err();
         assert!(err.contains(" on day 1; file 0's total reads it"), "{err}");
         let batch = simulate(&trace, &model, &GreedyPolicy, &cfg);
-        assert_eq!(check_unsaturated(&trace, &batch), Err(err));
+        assert_eq!(check_unsaturated(trace.files.iter().map(|f| f.id), &batch), Err(err));
+    }
+
+    #[test]
+    fn evaluate_names_a_saturating_held_out_file_by_its_trace_id() {
+        let dir =
+            std::env::temp_dir().join(format!("minicost-cli-{}-evaluate", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (csv, agent) = (dir.join("trace.csv"), dir.join("agent.json"));
+        let mut trace = Trace::generate(&TraceConfig::small(30, 10, 4));
+        let write = |trace: &Trace| {
+            tracegen::io::write_csv(trace, std::fs::File::create(&csv).unwrap()).unwrap();
+        };
+        write(&trace);
+        let line = format!(
+            "train --trace {} --updates 20 --width 16 --workers 1 --out {}",
+            csv.display(),
+            agent.display()
+        );
+        train(&parse(&line).unwrap_or_else(|e| panic!("{line}: {}", e.message))).unwrap();
+        // File 18 is the first held-out file at seed 0, renumbered 0 there.
+        let held_out = trace.split(0.8, 0).test_ids;
+        assert_eq!(held_out.first(), Some(&FileId(18)));
+        trace.files[18].reads = vec![u64::MAX; 10];
+        write(&trace);
+        let line =
+            format!("evaluate --trace {} --agent {} --workers 1", csv.display(), agent.display());
+        let err = evaluate(&parse(&line).unwrap_or_else(|e| panic!("{line}: {}", e.message)))
+            .unwrap_err();
+        assert!(err.contains("; file 18's total reads it"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -55,7 +55,7 @@ use store::{
 use stream::{
     rotate, rotation_candidates, BoundedConfig, BoundedStats, DayBatch, Event, EventSource,
     ExactStats, FaultyBackend, FaultySource, FileStats, FsBackend, Snapshot, SnapshotError,
-    StorageBackend, TraceSource, SNAPSHOT_VERSION,
+    SnapshotRef, StorageBackend, TraceSource,
 };
 use tracegen::{DiurnalProfile, Trace};
 
@@ -304,29 +304,31 @@ impl ServeState {
         }
     }
 
-    fn to_snapshot(&self, cfg: &ServeConfig, policy_name: &str) -> Snapshot {
+    /// The checkpoint bytes of this state under `cfg`, encoded from a
+    /// borrowed view of it: nothing is cloned.
+    fn checkpoint_bytes(&self, cfg: &ServeConfig, policy_name: &str) -> Vec<u8> {
         let (exact, bounded) = match &self.stats {
-            Stats::Exact(exact) => (Some(exact.clone()), None),
-            Stats::Bounded(bounded) => (None, Some(bounded.clone())),
+            Stats::Exact(exact) => (Some(exact), None),
+            Stats::Bounded(bounded) => (None, Some(bounded)),
         };
-        Snapshot {
-            version: SNAPSHOT_VERSION,
-            policy_name: policy_name.to_owned(),
+        SnapshotRef {
+            policy_name,
             seed: cfg.seed,
             next_day: self.next_day,
             epoch: self.epoch,
             decide_every: cfg.decide_every,
             window: cfg.window,
             initial_tier: cfg.initial_tier,
-            tiers: self.tiers.clone(),
-            ledger: self.ledger.clone(),
-            per_file: self.per_file.clone(),
-            occupancy: self.occupancy.clone(),
+            tiers: &self.tiers,
+            ledger: &self.ledger,
+            per_file: &self.per_file,
+            occupancy: &self.occupancy,
             tier_changes: self.tier_changes,
             billed_change_bytes: self.billed_change_bytes,
             exact,
             bounded,
         }
+        .to_checked_bytes()
     }
 
     /// Opens `day` on the decision fleet and drains its events into the
@@ -473,12 +475,13 @@ fn restore(
     }
 }
 
-/// Rotates predecessors down one slot, then writes the snapshot — both
-/// under the supervisor's transient-retry policy.
+/// Rotates predecessors down one slot, then writes the encoded snapshot
+/// `bytes` — both under the supervisor's transient-retry policy, so a
+/// retried write rewrites the same bytes.
 fn write_checkpoint(
     sup: &mut Supervisor,
     backend: &mut dyn StorageBackend,
-    snap: &Snapshot,
+    bytes: &[u8],
     keep: usize,
     path: &Path,
     day: usize,
@@ -487,7 +490,7 @@ fn write_checkpoint(
         rotate(backend, path, keep)
     })?;
     sup.retry_snapshot(day, IncidentKind::SaveRetried, "checkpoint write", || {
-        snap.save_with(backend, path)
+        backend.write_atomic(path, bytes)
     })
 }
 
@@ -879,8 +882,15 @@ pub(crate) fn run_supervised(
             state.epoch += 1;
             if cfg.checkpoint_every > 0 && state.epoch % cfg.checkpoint_every == 0 {
                 if let Some(path) = &cfg.checkpoint_path {
-                    let snap = state.to_snapshot(cfg, policy.name());
-                    write_checkpoint(sup, backend.as_mut(), &snap, cfg.checkpoint_keep, path, day)?;
+                    let bytes = state.checkpoint_bytes(cfg, policy.name());
+                    write_checkpoint(
+                        sup,
+                        backend.as_mut(),
+                        &bytes,
+                        cfg.checkpoint_keep,
+                        path,
+                        day,
+                    )?;
                     checkpoints_written += 1;
                     checkpointed_day = Some(state.next_day);
                 }
@@ -924,11 +934,11 @@ pub(crate) fn run_supervised(
     // would only push a distinct predecessor out of the rotation.
     if let Some(path) = &cfg.checkpoint_path {
         if cfg.checkpoint_every > 0 && checkpointed_day != Some(state.next_day) {
-            let snap = state.to_snapshot(cfg, policy.name());
+            let bytes = state.checkpoint_bytes(cfg, policy.name());
             write_checkpoint(
                 sup,
                 backend.as_mut(),
-                &snap,
+                &bytes,
                 cfg.checkpoint_keep,
                 path,
                 state.next_day,
@@ -1045,6 +1055,32 @@ mod tests {
             })
             .collect();
         assert!(runs[0] == runs[1], "two identical runs wrote different checkpoints");
+    }
+
+    /// The fnv1a64 and length of the checkpoint file a full checkpointed
+    /// run writes, in exact and in bounded mode, recorded before the
+    /// encoder wrote from borrowed state with its digest folded in.
+    const PINNED_CHECKPOINTS: [(Option<usize>, u64, usize); 2] =
+        [(None, 0xce15_2088_e381_0fa3, 794), (Some(4), 0x4048_c83a_eeeb_97c9, 148_221)];
+
+    #[test]
+    fn checkpoint_files_are_pinned() {
+        let (trace, model) = setup();
+        for (max_tracked, digest, len) in PINNED_CHECKPOINTS {
+            let dir = scratch_dir(&format!("pinned-{max_tracked:?}"));
+            let path = dir.join("snapshot.ckpt");
+            let cfg = ServeConfig {
+                max_tracked,
+                checkpoint_every: 1,
+                checkpoint_path: Some(path.clone()),
+                ..ServeConfig::default()
+            };
+            serve(&trace, &model, &GreedyPolicy, &cfg).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            let got = (stream::fnv1a64(&bytes), bytes.len());
+            assert_eq!(got, (digest, len), "max_tracked {max_tracked:?}: {:#018x}", got.0);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::checkpoint::SnapshotError;
 use crate::event::Event;
 use crate::sketch::{CountMinSketch, SpaceSaving};
 use crate::stats::FileStats;
-use crate::wire::{invalid_state, put_len, put_u64_le, put_varint, Reader};
+use crate::wire::{invalid_state, put_len, put_u64_le, put_varint, Reader, Sink};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -261,7 +261,7 @@ impl BoundedStats {
     /// Appends the v3 encoding: the configuration, the heavy-hitter
     /// summary, the tracked files, the day ring, the open day, the two
     /// lifetime sketches and the closed-day count.
-    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_wire(&self, out: &mut impl Sink) {
         let c = &self.config;
         for n in [c.max_tracked, c.cms_width, c.cms_depth, c.window] {
             put_len(out, n);

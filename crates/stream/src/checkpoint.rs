@@ -70,6 +70,23 @@
 //! mis-sized sketch, a ring longer than its window, day counts that
 //! disagree with `next_day` — is [`SnapshotError::Invalid`].
 //!
+//! ## One pass each way
+//!
+//! Each side touches the payload bytes once. The encoder writes from a
+//! borrowed [`SnapshotRef`], so serving encodes its live state without
+//! cloning it: it reserves the 46-byte header, appends the payload through
+//! a sink that digests each byte as it lands, and then writes the header
+//! in place, so there is one buffer and no copy. The loader decodes a v3
+//! payload first, with a reader that digests each byte it consumes, then
+//! finishes the digest over any bytes the decode did not reach and
+//! compares it with the header. A mismatch is [`SnapshotError::Corrupt`]
+//! whatever the decode returned; [`SnapshotError::Parse`] and
+//! [`SnapshotError::Invalid`] surface only when the digest matches, and
+//! the state checks run only then. Decoding bytes before they are
+//! verified is safe because the decoder is total, and FNV-1a is a check
+//! against accidents, not a MAC: a payload under a recomputed digest
+//! reaches the decoder either way. Legacy JSON is digested, then parsed.
+//!
 //! ## Legacy formats (read-only)
 //!
 //! Every write is v3. Two older formats still load, so checkpoints from
@@ -91,7 +108,10 @@
 
 use crate::bounded::BoundedStats;
 use crate::stats::ExactStats;
-use crate::wire::{invalid_state, put_len, put_money, put_tier, put_u64_le, put_varint, Reader};
+use crate::wire::{
+    fnv_fold, invalid_state, put_len, put_money, put_tier, put_u64_le, put_varint, DigestSink,
+    Reader, Sink,
+};
 use pricing::{CostBreakdown, CostLedger, Money, Tier, TIER_COUNT};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -110,6 +130,13 @@ const JSON_VERSION: u32 = 2;
 /// First token of the file header.
 const HEADER_MAGIC: &str = "minicost-snapshot";
 
+/// The v3 header line up to its digest: [`HEADER_MAGIC`], the version and
+/// the digest's name.
+const V3_PREFIX: &str = "minicost-snapshot v3 fnv1a64:";
+
+/// Bytes in a v3 header line: the prefix, 16 hex digits and the newline.
+const V3_HEADER_LEN: usize = V3_PREFIX.len() + 17;
+
 /// FNV-1a offset basis (64-bit).
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -119,11 +146,7 @@ pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// 64-bit FNV-1a over a byte slice — the snapshot payload digest.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
+    fnv_fold(FNV_OFFSET, bytes)
 }
 
 /// The complete serialized serving state at a decision-epoch boundary.
@@ -169,6 +192,112 @@ pub struct Snapshot {
     /// Bounded online statistics (present in bounded mode).
     #[serde(default)]
     pub bounded: Option<BoundedStats>,
+}
+
+/// A borrowed view of a [`Snapshot`]: every field the v3 encoder reads,
+/// owned by someone else. Serving encodes its live state through one, so a
+/// checkpoint clones nothing; [`Snapshot::to_checked_bytes`] encodes
+/// through a view of the owned snapshot, so both write the same bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct SnapshotRef<'a> {
+    /// See [`Snapshot::policy_name`].
+    pub policy_name: &'a str,
+    /// See [`Snapshot::seed`].
+    pub seed: u64,
+    /// See [`Snapshot::next_day`].
+    pub next_day: usize,
+    /// See [`Snapshot::epoch`].
+    pub epoch: u64,
+    /// See [`Snapshot::decide_every`].
+    pub decide_every: usize,
+    /// See [`Snapshot::window`].
+    pub window: usize,
+    /// See [`Snapshot::initial_tier`].
+    pub initial_tier: Tier,
+    /// See [`Snapshot::tiers`].
+    pub tiers: &'a [Tier],
+    /// See [`Snapshot::ledger`].
+    pub ledger: &'a CostLedger,
+    /// See [`Snapshot::per_file`].
+    pub per_file: &'a [Money],
+    /// See [`Snapshot::occupancy`].
+    pub occupancy: &'a [[usize; TIER_COUNT]],
+    /// See [`Snapshot::tier_changes`].
+    pub tier_changes: u64,
+    /// See [`Snapshot::billed_change_bytes`].
+    pub billed_change_bytes: u64,
+    /// See [`Snapshot::exact`].
+    pub exact: Option<&'a ExactStats>,
+    /// See [`Snapshot::bounded`].
+    pub bounded: Option<&'a BoundedStats>,
+}
+
+impl SnapshotRef<'_> {
+    /// The v3 framed bytes: the checksum header line, then the binary
+    /// payload.
+    ///
+    /// One buffer, one pass: the header's 46 bytes are reserved up front,
+    /// the payload is digested as it is appended behind them, and the
+    /// header is written in place once the digest is known.
+    #[must_use]
+    pub fn to_checked_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(1 << 12);
+        out.resize(V3_HEADER_LEN, 0);
+        let mut sink = DigestSink::new(&mut out);
+        self.encode_payload(&mut sink);
+        let digest = sink.digest();
+        let hex = (0..16).rev().map(|i| match (digest >> (4 * i)) as u8 & 0xf {
+            n @ 0..=9 => b'0' + n,
+            n => b'a' + (n - 10),
+        });
+        let header = V3_PREFIX.bytes().chain(hex).chain([b'\n']);
+        for (slot, b) in out.iter_mut().zip(header) {
+            *slot = b;
+        }
+        out
+    }
+
+    /// Appends the v3 payload (field order in the module docs).
+    fn encode_payload(&self, out: &mut impl Sink) {
+        put_len(out, self.policy_name.len());
+        out.put_bytes(self.policy_name.as_bytes());
+        put_u64_le(out, self.seed);
+        put_len(out, self.next_day);
+        put_varint(out, self.epoch);
+        put_len(out, self.decide_every);
+        put_len(out, self.window);
+        put_tier(out, self.initial_tier);
+        put_len(out, self.tiers.len());
+        for &tier in self.tiers {
+            put_tier(out, tier);
+        }
+        put_len(out, self.ledger.days());
+        for day in self.ledger.daily() {
+            for money in [day.storage, day.change, day.read, day.write] {
+                put_money(out, money);
+            }
+        }
+        put_len(out, self.per_file.len());
+        for &money in self.per_file {
+            put_money(out, money);
+        }
+        put_len(out, self.occupancy.len());
+        for day in self.occupancy {
+            for &count in day {
+                put_len(out, count);
+            }
+        }
+        put_varint(out, self.tier_changes);
+        put_varint(out, self.billed_change_bytes);
+        out.put_byte(u8::from(self.exact.is_some()));
+        if let Some(exact) = self.exact {
+            exact.write_wire(out);
+        }
+        out.put_byte(u8::from(self.bounded.is_some()));
+        if let Some(bounded) = self.bounded {
+            bounded.write_wire(out);
+        }
+    }
 }
 
 /// Why a snapshot failed to save or load.
@@ -330,17 +459,41 @@ pub fn rotate(
     Ok(())
 }
 
+/// The error for a payload whose digest is not the one its header states.
+fn check_digest(stated: u64, actual: u64) -> Result<(), SnapshotError> {
+    if stated == actual {
+        Ok(())
+    } else {
+        Err(SnapshotError::Corrupt(format!("payload digest {actual:016x} != header {stated:016x}")))
+    }
+}
+
 impl Snapshot {
+    /// The borrowed view the encoder reads.
+    fn view(&self) -> SnapshotRef<'_> {
+        SnapshotRef {
+            policy_name: &self.policy_name,
+            seed: self.seed,
+            next_day: self.next_day,
+            epoch: self.epoch,
+            decide_every: self.decide_every,
+            window: self.window,
+            initial_tier: self.initial_tier,
+            tiers: &self.tiers,
+            ledger: &self.ledger,
+            per_file: &self.per_file,
+            occupancy: &self.occupancy,
+            tier_changes: self.tier_changes,
+            billed_change_bytes: self.billed_change_bytes,
+            exact: self.exact.as_ref(),
+            bounded: self.bounded.as_ref(),
+        }
+    }
+
     /// Serializes this snapshot into the v3 framed byte format: checksum
-    /// header line + binary payload.
+    /// header line + binary payload ([`SnapshotRef::to_checked_bytes`]).
     pub fn to_checked_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut payload = Vec::with_capacity(1 << 12);
-        self.encode_v3(&mut payload);
-        let digest = fnv1a64(&payload);
-        let mut out =
-            format!("{HEADER_MAGIC} v{SNAPSHOT_VERSION} fnv1a64:{digest:016x}\n").into_bytes();
-        out.extend_from_slice(&payload);
-        Ok(out)
+        Ok(self.view().to_checked_bytes())
     }
 
     /// Parses and validates snapshot bytes written by
@@ -351,6 +504,12 @@ impl Snapshot {
     /// undecodable payload ⇒ [`SnapshotError::Parse`], a state serving
     /// cannot resume from ⇒ [`SnapshotError::Invalid`], unknown format ⇒
     /// [`SnapshotError::VersionMismatch`].
+    ///
+    /// A v3 payload is decoded and digested in one pass: the decoder's
+    /// reader digests what it consumes, and the digest is finished over
+    /// any bytes the decode did not reach. A digest mismatch is `Corrupt`
+    /// whatever the decode returned; `Parse` and `Invalid` surface only
+    /// under a matching digest. v1 and v2 JSON are digested, then parsed.
     pub fn from_checked_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let snap = if bytes.starts_with(HEADER_MAGIC.as_bytes()) {
             let mut lines = bytes.splitn(2, |&b| b == b'\n');
@@ -384,15 +543,13 @@ impl Snapshot {
             if header != format!("{HEADER_MAGIC} v{version} fnv1a64:{stated:016x}") {
                 return Err(SnapshotError::Corrupt(format!("non-canonical header {header:?}")));
             }
-            let actual = fnv1a64(payload);
-            if stated != actual {
-                return Err(SnapshotError::Corrupt(format!(
-                    "payload digest {actual:016x} != header {stated:016x}"
-                )));
-            }
             if version == SNAPSHOT_VERSION {
-                Snapshot::decode_v3(payload)?
+                let mut reader = Reader::new(payload);
+                let decoded = Snapshot::decode_v3(&mut reader);
+                check_digest(stated, reader.digest())?;
+                decoded?
             } else {
+                check_digest(stated, fnv1a64(payload))?;
                 Snapshot::from_legacy_json(payload, JSON_VERSION)?
             }
         } else {
@@ -422,51 +579,9 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Appends the v3 payload (field order in the module docs).
-    fn encode_v3(&self, out: &mut Vec<u8>) {
-        put_len(out, self.policy_name.len());
-        out.extend_from_slice(self.policy_name.as_bytes());
-        put_u64_le(out, self.seed);
-        put_len(out, self.next_day);
-        put_varint(out, self.epoch);
-        put_len(out, self.decide_every);
-        put_len(out, self.window);
-        put_tier(out, self.initial_tier);
-        put_len(out, self.tiers.len());
-        for &tier in &self.tiers {
-            put_tier(out, tier);
-        }
-        put_len(out, self.ledger.days());
-        for day in self.ledger.daily() {
-            for money in [day.storage, day.change, day.read, day.write] {
-                put_money(out, money);
-            }
-        }
-        put_len(out, self.per_file.len());
-        for &money in &self.per_file {
-            put_money(out, money);
-        }
-        put_len(out, self.occupancy.len());
-        for day in &self.occupancy {
-            for &count in day {
-                put_len(out, count);
-            }
-        }
-        put_varint(out, self.tier_changes);
-        put_varint(out, self.billed_change_bytes);
-        out.push(u8::from(self.exact.is_some()));
-        if let Some(exact) = &self.exact {
-            exact.write_wire(out);
-        }
-        out.push(u8::from(self.bounded.is_some()));
-        if let Some(bounded) = &self.bounded {
-            bounded.write_wire(out);
-        }
-    }
-
-    /// Reads what [`Snapshot::encode_v3`] wrote, to the last byte.
-    fn decode_v3(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let mut r = Reader::new(payload);
+    /// Reads what [`SnapshotRef::to_checked_bytes`] wrote behind the
+    /// header, to the last byte.
+    fn decode_v3(r: &mut Reader<'_>) -> Result<Snapshot, SnapshotError> {
         let name_len = r.seq_len("policy name", 1)?;
         let policy_name = std::str::from_utf8(r.take_bytes(name_len, "policy name")?)
             .map_err(|e| SnapshotError::Parse(format!("v3 payload: policy name: {e}")))?
@@ -508,13 +623,10 @@ impl Snapshot {
         }
         let tier_changes = r.varint("tier changes")?;
         let billed_change_bytes = r.varint("billed change bytes")?;
-        let exact = if r.presence("exact statistics")? {
-            Some(ExactStats::read_wire(&mut r)?)
-        } else {
-            None
-        };
+        let exact =
+            if r.presence("exact statistics")? { Some(ExactStats::read_wire(r)?) } else { None };
         let bounded = if r.presence("bounded statistics")? {
-            Some(BoundedStats::read_wire(&mut r)?)
+            Some(BoundedStats::read_wire(r)?)
         } else {
             None
         };
@@ -821,6 +933,19 @@ mod tests {
         let mut s = sample_at(6, true);
         s.exact = Some(ExactStats::new(7, 2));
         reject(s, "exact statistics with no closed days");
+    }
+
+    #[test]
+    fn v3_headers_written_in_place_are_46_bytes_in_the_loaders_spelling() {
+        assert_eq!(V3_PREFIX, format!("{HEADER_MAGIC} v{SNAPSHOT_VERSION} fnv1a64:"));
+        assert_eq!(V3_HEADER_LEN, 46);
+        for days in 0..12 {
+            let bytes = sample_at(days, days % 2 == 1).to_checked_bytes().unwrap();
+            let (header, payload) = bytes.split_at(V3_HEADER_LEN);
+            let want =
+                format!("{HEADER_MAGIC} v{SNAPSHOT_VERSION} fnv1a64:{:016x}\n", fnv1a64(payload));
+            assert_eq!(header, want.as_bytes(), "{days} days");
+        }
     }
 
     #[test]

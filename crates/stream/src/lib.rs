@@ -56,7 +56,7 @@ mod wire;
 pub use bounded::{BoundedConfig, BoundedStats};
 pub use checkpoint::{
     fnv1a64, rotate, rotated_path, rotation_candidates, FsBackend, Snapshot, SnapshotError,
-    StorageBackend, SNAPSHOT_VERSION,
+    SnapshotRef, StorageBackend, SNAPSHOT_VERSION,
 };
 pub use event::{digest_events, DayBatch, Event, EventSource, TraceSource};
 pub use fault::{

@@ -17,7 +17,7 @@
 
 use crate::checkpoint::SnapshotError;
 use crate::mix64;
-use crate::wire::{invalid_state, put_column, put_len, put_u64_le, put_varint, Reader};
+use crate::wire::{invalid_state, put_column, put_len, put_u64_le, put_varint, Reader, Sink};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -165,7 +165,7 @@ impl CountMinSketch {
 
     /// Appends the v3 encoding: width, depth, seed, then the counters as
     /// one row-major varint column.
-    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_wire(&self, out: &mut impl Sink) {
         put_len(out, self.width);
         put_len(out, self.depth);
         put_u64_le(out, self.seed);
@@ -386,7 +386,7 @@ impl SpaceSaving {
 
     /// Appends the v3 encoding: capacity, then each entry's id, count and
     /// overestimate in id order.
-    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_wire(&self, out: &mut impl Sink) {
         put_len(out, self.capacity);
         put_len(out, self.entries.len());
         for e in self.entries() {

@@ -18,7 +18,7 @@
 
 use crate::checkpoint::SnapshotError;
 use crate::event::Event;
-use crate::wire::{invalid_state, put_column, put_len, put_varint, Reader};
+use crate::wire::{invalid_state, put_column, put_len, put_varint, Reader, Sink};
 use serde::{Deserialize, Serialize};
 
 /// Sliding-window statistics for one file. See the module docs for the
@@ -148,7 +148,7 @@ impl FileStats {
     pub(crate) const MIN_WIRE_BYTES: usize = 7;
 
     /// Appends the v3 encoding: the five counters, then both rings.
-    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_wire(&self, out: &mut impl Sink) {
         for v in [
             self.closed_days,
             self.sum_reads,
@@ -260,7 +260,7 @@ impl ExactStats {
     }
 
     /// Appends the v3 encoding: window, closed days, then every file.
-    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_wire(&self, out: &mut impl Sink) {
         put_len(out, self.window);
         put_varint(out, self.closed_days);
         put_len(out, self.files.len());

@@ -100,7 +100,11 @@ impl Trace {
         )]
         let n_train = (self.files.len() as f64 * frac).round() as usize;
         let (train_ix, test_ix) = indices.split_at(n_train.min(indices.len()));
-        TraceSplit { train: self.subset(train_ix), test: self.subset(test_ix) }
+        TraceSplit {
+            train: self.subset(train_ix),
+            test: self.subset(test_ix),
+            test_ids: test_ix.iter().filter_map(|&ix| self.files.get(ix)).map(|f| f.id).collect(),
+        }
     }
 }
 
@@ -111,6 +115,10 @@ pub struct TraceSplit {
     pub train: Trace,
     /// Held-out test files (re-identified densely).
     pub test: Trace,
+    /// The id each held-out file has in the trace that was split, in
+    /// `test` order: a message about a held-out file names it by this id,
+    /// not by its renumbered one.
+    pub test_ids: Vec<FileId>,
 }
 
 #[cfg(test)]
@@ -174,6 +182,11 @@ mod tests {
         all.sort();
         orig.sort();
         assert_eq!(all, orig);
+        // Each held-out id names the file its series was split from.
+        for (file, id) in split.test.files.iter().zip(&split.test_ids) {
+            assert_eq!(file.reads, t.file(*id).reads);
+        }
+        assert_eq!(split.test_ids.len(), split.test.len());
     }
 
     #[test]

@@ -68,9 +68,11 @@ const SERVE_EXACT_ALLOCS_PER_DAY: u64 = 12;
 /// recycles the day sketch that leaves the ring, so it allocates none.
 const SERVE_BOUNDED_ALLOCS_PER_DAY: u64 = 14;
 
-/// A checkpoint every day encodes a snapshot, builds the rotation paths,
-/// and writes, syncs and renames the files.
-const SERVE_CHECKPOINT_ALLOCS_PER_DAY: u64 = 438;
+/// A checkpoint every day adds to exact serve's event batch growth: one
+/// buffer the snapshot is encoded into from borrowed serving state, with
+/// nothing cloned, the rotation paths, and writing, syncing and renaming
+/// the files.
+const SERVE_CHECKPOINT_ALLOCS_PER_DAY: u64 = 28;
 
 /// An attached directory store adds nothing per day to exact serving.
 /// Greedy makes all its tier changes on this trace in the first `D` days,
