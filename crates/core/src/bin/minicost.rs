@@ -414,7 +414,7 @@ fn serve_cmd(flags: &Flags) -> Result<(), CliError> {
         None => None,
         Some(name) => Some(DegradedPolicy::parse(name).map_err(CliError::config)?),
     };
-    let sup_cfg = SuperviseConfig { fault_plan, degraded, ..SuperviseConfig::default() };
+    let sup_cfg = SuperviseConfig { fault_plan, degraded };
 
     let report = Supervisor::new(sup_cfg)
         .run(&trace, &model, policy.as_ref(), &cfg)

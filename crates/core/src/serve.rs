@@ -38,6 +38,18 @@
 //! Full-series readers ([`crate::predictive::PredictivePolicy`]) are
 //! simulate-only. `tests/serve_equivalence.rs` proves the contract for
 //! hot/cold/greedy/RL at cadence 1 and greedy/RL at cadences 3 and 7.
+//!
+//! # State
+//!
+//! The checkpoint is the serving state: a run keeps everything it mutates
+//! in one [`stream::Snapshot`]. A restore decodes straight into it, and a
+//! checkpoint encodes it in place ([`Snapshot::to_checked_bytes`]), so
+//! nothing is cloned either way. The state carries the statistics of
+//! exactly one mode: a fresh run builds only the ones
+//! [`ServeConfig::max_tracked`] selects, and a restore drops the other
+//! mode's, so every checkpoint a run writes carries one. Ingest, window
+//! refill and day close read exact statistics when present, else the
+//! bounded ones.
 
 use crate::engine::bill_day;
 use crate::fleet::FleetState;
@@ -55,7 +67,7 @@ use store::{
 use stream::{
     rotate, rotation_candidates, BoundedConfig, BoundedStats, DayBatch, Event, EventSource,
     ExactStats, FaultyBackend, FaultySource, FileStats, FsBackend, Snapshot, SnapshotError,
-    SnapshotRef, StorageBackend, TraceSource,
+    StorageBackend, TraceSource, SNAPSHOT_VERSION,
 };
 use tracegen::{DiurnalProfile, Trace};
 
@@ -241,147 +253,91 @@ pub struct StoreReport {
     pub io: [TierIo; TIER_COUNT],
 }
 
-/// The online statistics of a serving run, in exactly one mode.
-#[expect(clippy::large_enum_variant, reason = "one per serving run, never moved in the day loop")]
-enum Stats {
-    /// Exact per-file rings ([`ServeConfig::max_tracked`] = `None`).
-    Exact(ExactStats),
-    /// Exact rings for the heaviest files, sketches for the rest.
-    Bounded(BoundedStats),
-}
-
-/// Mutable serving state; mirrors [`Snapshot`] field-for-field.
-struct ServeState {
-    next_day: usize,
-    epoch: u64,
-    tiers: Vec<Tier>,
-    ledger: CostLedger,
-    per_file: Vec<Money>,
-    occupancy: Vec<[usize; TIER_COUNT]>,
-    tier_changes: u64,
-    billed_change_bytes: u64,
-    stats: Stats,
-}
-
-impl ServeState {
-    fn fresh(cfg: &ServeConfig, fleet: usize) -> ServeState {
-        let stats = match cfg.max_tracked {
-            None => Stats::Exact(ExactStats::new(cfg.window, fleet)),
-            Some(k) => Stats::Bounded(BoundedStats::new(BoundedConfig {
+/// The state a run serves from before its first day: day 0, every file on
+/// `cfg.initial_tier`, empty ledgers, and only the statistics
+/// `cfg.max_tracked` selects.
+fn fresh(cfg: &ServeConfig, policy_name: &str, fleet: usize) -> Snapshot {
+    Snapshot {
+        version: SNAPSHOT_VERSION,
+        policy_name: policy_name.to_owned(),
+        seed: cfg.seed,
+        next_day: 0,
+        epoch: 0,
+        decide_every: cfg.decide_every,
+        window: cfg.window,
+        initial_tier: cfg.initial_tier,
+        tiers: vec![cfg.initial_tier; fleet],
+        ledger: CostLedger::new(),
+        per_file: vec![Money::ZERO; fleet],
+        occupancy: Vec::new(),
+        tier_changes: 0,
+        billed_change_bytes: 0,
+        exact: cfg.max_tracked.is_none().then(|| ExactStats::new(cfg.window, fleet)),
+        bounded: cfg.max_tracked.map(|k| {
+            BoundedStats::new(BoundedConfig {
                 max_tracked: k,
                 cms_width: 2048,
                 cms_depth: 4,
                 window: cfg.window,
                 seed: cfg.seed,
-            })),
-        };
-        ServeState {
-            next_day: 0,
-            epoch: 0,
-            tiers: vec![cfg.initial_tier; fleet],
-            ledger: CostLedger::new(),
-            per_file: vec![Money::ZERO; fleet],
-            occupancy: Vec::new(),
-            tier_changes: 0,
-            billed_change_bytes: 0,
-            stats,
-        }
+            })
+        }),
     }
+}
 
-    /// The state of `snap`, serving in the statistics mode `stats` that
-    /// [`check_snapshot`] took from it.
-    fn from_snapshot(snap: Snapshot, stats: Stats) -> ServeState {
-        ServeState {
-            next_day: snap.next_day,
-            epoch: snap.epoch,
-            tiers: snap.tiers,
-            ledger: snap.ledger,
-            per_file: snap.per_file,
-            occupancy: snap.occupancy,
-            tier_changes: snap.tier_changes,
-            billed_change_bytes: snap.billed_change_bytes,
-            stats,
+/// Opens `day` on the decision fleet and drains its events into the
+/// state's online statistics and the fleet's column for today.
+fn ingest(state: &mut Snapshot, fleet: &mut FleetState, day: usize, events: &[Event]) {
+    fleet.open_day(day);
+    for event in events {
+        match (&mut state.exact, &mut state.bounded) {
+            (Some(exact), _) => exact.ingest(event),
+            (None, Some(bounded)) => bounded.ingest(event),
+            (None, None) => {}
         }
+        fleet.record(event.file.index(), event.reads, event.writes);
     }
+}
 
-    /// The checkpoint bytes of this state under `cfg`, encoded from a
-    /// borrowed view of it: nothing is cloned.
-    fn checkpoint_bytes(&self, cfg: &ServeConfig, policy_name: &str) -> Vec<u8> {
-        let (exact, bounded) = match &self.stats {
-            Stats::Exact(exact) => (Some(exact), None),
-            Stats::Bounded(bounded) => (None, Some(bounded)),
-        };
-        SnapshotRef {
-            policy_name,
-            seed: cfg.seed,
-            next_day: self.next_day,
-            epoch: self.epoch,
-            decide_every: cfg.decide_every,
-            window: cfg.window,
-            initial_tier: cfg.initial_tier,
-            tiers: &self.tiers,
-            ledger: &self.ledger,
-            per_file: &self.per_file,
-            occupancy: &self.occupancy,
-            tier_changes: self.tier_changes,
-            billed_change_bytes: self.billed_change_bytes,
-            exact,
-            bounded,
-        }
-        .to_checked_bytes()
-    }
-
-    /// Opens `day` on the decision fleet and drains its events into the
-    /// online statistics and the fleet's column for today.
-    fn ingest(&mut self, fleet: &mut FleetState, day: usize, events: &[Event]) {
-        fleet.open_day(day);
-        for event in events {
-            match &mut self.stats {
-                Stats::Exact(exact) => exact.ingest(event),
-                Stats::Bounded(bounded) => bounded.ingest(event),
+/// Refills the decision fleet's closed-day columns and prior sums from
+/// the state's online statistics, ahead of a decision.
+fn refill_history(state: &Snapshot, fleet: &mut FleetState, catalog: &Trace) {
+    // Exact statistics cover the whole fleet (checked on restore); a file
+    // outside them would read as never observed.
+    let unobserved = FileStats::new();
+    for (ix, file) in catalog.files.iter().enumerate() {
+        fleet.refill(ix, |reads, writes| match (&state.exact, &state.bounded) {
+            (None, Some(bounded)) => {
+                bounded.window_into(file.id.0, reads, writes);
+                bounded.lifetime(file.id.0)
             }
-            fleet.record(event.file.index(), event.reads, event.writes);
-        }
+            (exact, _) => {
+                let s = exact.as_ref().and_then(|exact| exact.file(ix)).unwrap_or(&unobserved);
+                s.window_into(reads, writes);
+                (s.sum_reads(), s.sum_writes())
+            }
+        });
     }
+}
 
-    /// Refills the decision fleet's closed-day columns and prior sums from
-    /// the online statistics, ahead of a decision.
-    fn refill_history(&self, fleet: &mut FleetState, catalog: &Trace) {
-        // Exact statistics cover the whole fleet (checked on restore); a
-        // file outside them would read as never observed.
-        let unobserved = FileStats::new();
-        for (ix, file) in catalog.files.iter().enumerate() {
-            fleet.refill(ix, |reads, writes| match &self.stats {
-                Stats::Exact(exact) => {
-                    let s = exact.file(ix).unwrap_or(&unobserved);
-                    s.window_into(reads, writes);
-                    (s.sum_reads(), s.sum_writes())
-                }
-                Stats::Bounded(bounded) => {
-                    bounded.window_into(file.id.0, reads, writes);
-                    bounded.lifetime(file.id.0)
-                }
-            });
-        }
-    }
-
-    /// Closes the served day in the active statistics mode.
-    fn close_day(&mut self) {
-        match &mut self.stats {
-            Stats::Exact(exact) => exact.close_day(),
-            Stats::Bounded(bounded) => bounded.close_day(),
-        }
+/// Closes the served day in the state's statistics.
+fn close_day(state: &mut Snapshot) {
+    match (&mut state.exact, &mut state.bounded) {
+        (Some(exact), _) => exact.close_day(),
+        (None, Some(bounded)) => bounded.close_day(),
+        (None, None) => {}
     }
 }
 
 /// Validates a restored snapshot against this run's configuration and
-/// resumes its state in the statistics mode the run serves in.
+/// keeps only the statistics of the mode the run serves in, so every
+/// later checkpoint carries one mode.
 fn check_snapshot(
     mut snap: Snapshot,
     cfg: &ServeConfig,
     policy_name: &str,
     fleet: usize,
-) -> Result<ServeState, ServeError> {
+) -> Result<Snapshot, ServeError> {
     let mismatch = |what: &str| Err(ServeError::SnapshotMismatch(what.to_owned()));
     if snap.policy_name != policy_name {
         return mismatch(&format!("policy {} vs {}", snap.policy_name, policy_name));
@@ -401,13 +357,18 @@ fn check_snapshot(
     if snap.tiers.len() != fleet {
         return mismatch(&format!("fleet size {} vs {}", snap.tiers.len(), fleet));
     }
-    let stats = match (cfg.max_tracked, snap.exact.take(), snap.bounded.take()) {
-        (None, Some(exact), _) => Stats::Exact(exact),
-        (None, None, _) => return mismatch("snapshot lacks exact statistics"),
-        (Some(_), _, Some(bounded)) => Stats::Bounded(bounded),
-        (Some(_), _, None) => return mismatch("snapshot lacks bounded statistics"),
-    };
-    Ok(ServeState::from_snapshot(snap, stats))
+    if cfg.max_tracked.is_none() {
+        snap.bounded = None;
+        if snap.exact.is_none() {
+            return mismatch("snapshot lacks exact statistics");
+        }
+    } else {
+        snap.exact = None;
+        if snap.bounded.is_none() {
+            return mismatch("snapshot lacks bounded statistics");
+        }
+    }
+    Ok(snap)
 }
 
 /// Restores serving state from the newest usable rotation candidate.
@@ -430,7 +391,7 @@ fn restore(
     cfg: &ServeConfig,
     policy_name: &str,
     fleet: usize,
-) -> Result<Option<ServeState>, ServeError> {
+) -> Result<Option<Snapshot>, ServeError> {
     let candidates = rotation_candidates(path, cfg.checkpoint_keep);
     let mut newest_failure: Option<ServeError> = None;
     let mut tried = 0usize;
@@ -619,7 +580,7 @@ fn setup_store(
     sup: &mut Supervisor,
     trace: &Trace,
     sc: &StoreConfig,
-    state: &ServeState,
+    state: &Snapshot,
     resumed: bool,
 ) -> Result<StoreRuntime, ServeError> {
     if resumed && sc.build == PoolBuild::Memory {
@@ -780,7 +741,7 @@ pub(crate) fn run_supervised(
         None => None,
     };
     let resumed_from_day = restored.as_ref().map(|state| state.next_day);
-    let mut state = restored.unwrap_or_else(|| ServeState::fresh(cfg, fleet));
+    let mut state = restored.unwrap_or_else(|| fresh(cfg, policy.name(), fleet));
 
     // The object store, when attached: recover torn migrations, reconcile
     // with the restored state, place any missing objects.
@@ -817,14 +778,14 @@ pub(crate) fn run_supervised(
         // any delivery anomaly) and drain them into the online statistics
         // and today's column, which decisions and billing read.
         let events = acquire_day(sup, source.as_mut(), &mut lookahead, day)?;
-        state.ingest(&mut decision_fleet, day, &events);
+        ingest(&mut state, &mut decision_fleet, day, &events);
 
         // Decision phase, at the batch engine's cadence, on a window
         // refilled purely from online statistics. The supervisor retries
         // injected policy-step failures and degrades past the budget.
         let decided = day % cfg.decide_every == 0;
         if decided {
-            state.refill_history(&mut decision_fleet, trace);
+            refill_history(&state, &mut decision_fleet, trace);
             let ctx = DecisionContext {
                 day,
                 fleet: &decision_fleet,
@@ -875,14 +836,14 @@ pub(crate) fn run_supervised(
         state.occupancy.push(bill.occupancy);
 
         // Close the day everywhere; the next event belongs to `day + 1`.
-        state.close_day();
+        close_day(&mut state);
         state.next_day = day + 1;
 
         if decided {
             state.epoch += 1;
             if cfg.checkpoint_every > 0 && state.epoch % cfg.checkpoint_every == 0 {
                 if let Some(path) = &cfg.checkpoint_path {
-                    let bytes = state.checkpoint_bytes(cfg, policy.name());
+                    let bytes = state.to_checked_bytes()?;
                     write_checkpoint(
                         sup,
                         backend.as_mut(),
@@ -934,7 +895,7 @@ pub(crate) fn run_supervised(
     // would only push a distinct predecessor out of the rotation.
     if let Some(path) = &cfg.checkpoint_path {
         if cfg.checkpoint_every > 0 && checkpointed_day != Some(state.next_day) {
-            let bytes = state.checkpoint_bytes(cfg, policy.name());
+            let bytes = state.to_checked_bytes()?;
             write_checkpoint(
                 sup,
                 backend.as_mut(),
@@ -1173,6 +1134,49 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_with_both_modes_resumes_in_the_configured_one() {
+        // Serve to day 5 and graft in the other mode's statistics from a
+        // run to the same day. The resumed run must serve in its own mode
+        // alone: the uninterrupted run's ledgers, and a next checkpoint
+        // that carries only that mode's statistics.
+        let (trace, model) = setup();
+        let exact = ServeConfig::default();
+        let bounded = ServeConfig { max_tracked: Some(4), ..ServeConfig::default() };
+        for (mode, other) in [(&exact, &bounded), (&bounded, &exact)] {
+            let dir = scratch_dir(&format!("graft-{:?}", mode.max_tracked));
+            let (path, donor) = (dir.join("state.ckpt"), dir.join("donor.ckpt"));
+            let checkpointed = |cfg: &ServeConfig, path: &Path, max_days| ServeConfig {
+                checkpoint_every: 1,
+                checkpoint_path: Some(path.to_path_buf()),
+                max_days,
+                ..cfg.clone()
+            };
+            serve(&trace, &model, &GreedyPolicy, &checkpointed(mode, &path, Some(5))).unwrap();
+            serve(&trace, &model, &GreedyPolicy, &checkpointed(other, &donor, Some(5))).unwrap();
+            let mut snap = Snapshot::load(&path).unwrap();
+            let graft = Snapshot::load(&donor).unwrap();
+            snap.exact = snap.exact.or(graft.exact);
+            snap.bounded = snap.bounded.or(graft.bounded);
+            assert!(snap.exact.is_some() && snap.bounded.is_some());
+            snap.save_atomic(&path).unwrap();
+
+            let resumed =
+                serve(&trace, &model, &GreedyPolicy, &checkpointed(mode, &path, None)).unwrap();
+            assert_eq!(resumed.resumed_from_day, Some(5));
+            let whole = serve(&trace, &model, &GreedyPolicy, mode).unwrap();
+            assert_eq!(resumed.result.daily, whole.result.daily);
+            assert_eq!(resumed.result.per_file, whole.result.per_file);
+            assert_eq!(resumed.result.tier_changes, whole.result.tier_changes);
+            assert_eq!(resumed.result.occupancy, whole.result.occupancy);
+            let next = Snapshot::load(&path).unwrap();
+            assert_eq!(next.next_day, trace.days);
+            assert_eq!(next.exact.is_some(), mode.max_tracked.is_none());
+            assert_eq!(next.bounded.is_some(), mode.max_tracked.is_some());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn zero_cadence_is_rejected() {
         let (trace, model) = setup();
         let cfg = ServeConfig { decide_every: 0, ..ServeConfig::default() };
@@ -1235,7 +1239,7 @@ mod tests {
         let features = crate::features::FeatureConfig { window };
         let n = trace.len();
         let full = FleetState::from_trace(&trace);
-        let mut state = ServeState::fresh(&cfg, n);
+        let mut state = fresh(&cfg, "greedy", n);
         let mut fleet = FleetState::default();
         fleet.reset_window(&trace, window);
         let mut source = TraceSource::new(&trace, DiurnalProfile::web_default(), cfg.seed, 0);
@@ -1246,9 +1250,9 @@ mod tests {
             (crate::fleet::FeatureBlock::new(), crate::fleet::FeatureBlock::new());
         for day in 0..trace.days {
             let events = source.next_batch().expect("in-horizon day").events;
-            state.ingest(&mut fleet, day, &events);
+            ingest(&mut state, &mut fleet, day, &events);
             if checked.contains(&day) {
-                state.refill_history(&mut fleet, &trace);
+                refill_history(&state, &mut fleet, &trace);
                 features.encode_block(&full.view(&batch, day), &current, &mut want);
                 features.encode_block(&fleet.view(&batch, day), &current, &mut got);
                 let bits = |b: &crate::fleet::FeatureBlock| -> Vec<u64> {
@@ -1259,7 +1263,7 @@ mod tests {
                     assert_eq!(fleet.day_counts(ix, day), full.day_counts(ix, day), "day {day}");
                 }
             }
-            state.close_day();
+            close_day(&mut state);
         }
     }
 }

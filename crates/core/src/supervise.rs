@@ -15,16 +15,16 @@
 //! `tests/chaos_serve.rs` pins (DESIGN.md §11).
 //!
 //! Recoverability is an arithmetic fact, not a hope: a [`FaultPlan`] with
-//! `max_faults` below [`SuperviseConfig::max_retries`] can never exhaust a
-//! retry loop, because every retry consults the injector again and each
-//! injected failure spends budget. The default allowance (8) exceeds the
-//! standard chaos plan's budget (6) for exactly this reason.
+//! `max_faults` below [`stream::MAX_RETRIES`] can never exhaust a retry
+//! loop, because every retry consults the injector again and each injected
+//! failure spends budget. The allowance (8) exceeds the standard chaos
+//! plan's budget (6) for exactly this reason.
 
 use crate::policy::{ColdPolicy, DecisionContext, GreedyPolicy, HotPolicy, Policy};
 use crate::serve::{ServeConfig, ServeError, ServeReport};
 use pricing::{CostModel, Tier};
 use std::fmt;
-use stream::{FaultPlan, FaultSite, SharedInjector, SnapshotError};
+use stream::{FaultPlan, FaultSite, SharedInjector, SnapshotError, MAX_RETRIES};
 use tracegen::Trace;
 
 /// The fallback policy the supervisor pins decisions to when the primary
@@ -78,33 +78,15 @@ impl DegradedPolicy {
 }
 
 /// Configuration of the supervision shell.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SuperviseConfig {
     /// The chaos schedule to replay; `None` (the default) serves cleanly.
+    /// Keep its `max_faults` below [`stream::MAX_RETRIES`] to make the plan
+    /// provably recoverable.
     pub fault_plan: Option<FaultPlan>,
-    /// Retries allowed per failing operation before it is declared
-    /// exhausted. Keep this above the armed plan's `max_faults` to make
-    /// the plan provably recoverable.
-    pub max_retries: u32,
-    /// First backoff delay, in virtual milliseconds.
-    pub backoff_base_ms: u64,
-    /// Ceiling on one backoff delay, in virtual milliseconds.
-    pub backoff_cap_ms: u64,
     /// Fallback policy for degraded mode; `None` means a policy step that
     /// fails past the retry budget aborts the run instead.
     pub degraded: Option<DegradedPolicy>,
-}
-
-impl Default for SuperviseConfig {
-    fn default() -> SuperviseConfig {
-        SuperviseConfig {
-            fault_plan: None,
-            max_retries: 8,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 5_000,
-            degraded: None,
-        }
-    }
 }
 
 /// What kind of recovery action an [`Incident`] records.
@@ -274,9 +256,9 @@ impl fmt::Display for IncidentLog {
 }
 
 /// The self-healing shell around the serve loop: owns the injector, the
-/// retry/backoff budget, the degraded-mode fallback, and the incident log.
+/// virtual clock its retries back off on, the degraded-mode fallback, and
+/// the incident log.
 pub struct Supervisor {
-    cfg: SuperviseConfig,
     injector: Option<SharedInjector>,
     fallback: Option<Box<dyn Policy>>,
     now_ms: u64,
@@ -292,7 +274,6 @@ impl Supervisor {
         let injector = cfg.fault_plan.as_ref().map(FaultPlan::injector);
         let fallback = cfg.degraded.map(DegradedPolicy::build);
         Supervisor {
-            cfg,
             injector,
             fallback,
             now_ms: 0,
@@ -334,16 +315,9 @@ impl Supervisor {
         self.injector.clone()
     }
 
-    /// The backoff delay before retry number `attempt` (0-based):
-    /// [`stream::backoff_ms`] with this supervisor's base and cap.
-    #[must_use]
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        stream::backoff_ms(self.cfg.backoff_base_ms, self.cfg.backoff_cap_ms, attempt)
-    }
-
     /// Advances the virtual clock by the backoff delay for `attempt`.
     fn sleep(&mut self, attempt: u32) {
-        self.now_ms = self.now_ms.saturating_add(self.backoff_ms(attempt));
+        self.now_ms = self.now_ms.saturating_add(stream::backoff_ms(attempt));
     }
 
     /// Advances the virtual clock by one tick (called once per served day
@@ -382,8 +356,8 @@ impl Supervisor {
 
     /// Runs a snapshot operation under the transient-retry policy: each
     /// transient failure ([`SnapshotError::is_transient`]) is recorded and
-    /// retried after a deterministic backoff, up to `max_retries` times;
-    /// non-transient failures surface immediately as
+    /// retried after a deterministic backoff, up to [`stream::MAX_RETRIES`]
+    /// times; non-transient failures surface immediately as
     /// [`ServeError::Snapshot`].
     pub(crate) fn retry_snapshot<T>(
         &mut self,
@@ -396,8 +370,8 @@ impl Supervisor {
         loop {
             match op() {
                 Ok(value) => return Ok(value),
-                Err(e) if e.is_transient() && attempt < self.cfg.max_retries => {
-                    let delay = self.backoff_ms(attempt);
+                Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
+                    let delay = stream::backoff_ms(attempt);
                     self.record(day, kind, format!("{what}: {e}; retry {attempt} after {delay}ms"));
                     self.sleep(attempt);
                     attempt += 1;
@@ -435,8 +409,8 @@ impl Supervisor {
                 policy.decide_batch_into(ctx, out);
                 return Ok(());
             }
-            if attempt < self.cfg.max_retries {
-                let delay = self.backoff_ms(attempt);
+            if attempt < MAX_RETRIES {
+                let delay = stream::backoff_ms(attempt);
                 self.record(
                     ctx.day,
                     IncidentKind::PolicyRetried,
@@ -487,13 +461,12 @@ mod tests {
 
     #[test]
     fn backoff_schedule_doubles_and_caps() {
-        let sup = Supervisor::new(SuperviseConfig::default());
-        assert_eq!(sup.backoff_ms(0), 10);
-        assert_eq!(sup.backoff_ms(1), 20);
-        assert_eq!(sup.backoff_ms(2), 40);
-        assert_eq!(sup.backoff_ms(8), 2_560);
-        assert_eq!(sup.backoff_ms(9), 5_000, "delay must cap");
-        assert_eq!(sup.backoff_ms(200), 5_000, "huge attempts must not overflow");
+        assert_eq!(stream::backoff_ms(0), 10);
+        assert_eq!(stream::backoff_ms(1), 20);
+        assert_eq!(stream::backoff_ms(2), 40);
+        assert_eq!(stream::backoff_ms(8), 2_560);
+        assert_eq!(stream::backoff_ms(9), 5_000, "delay must cap");
+        assert_eq!(stream::backoff_ms(200), 5_000, "huge attempts must not overflow");
     }
 
     #[test]
@@ -535,25 +508,24 @@ mod tests {
 
     #[test]
     fn transient_retries_are_bounded_and_logged() {
-        let mut sup =
-            Supervisor::new(SuperviseConfig { max_retries: 3, ..SuperviseConfig::default() });
+        let mut sup = Supervisor::new(SuperviseConfig::default());
         let mut calls = 0u32;
         let out: Result<(), ServeError> =
             sup.retry_snapshot(5, IncidentKind::SaveRetried, "unit save", || {
                 calls += 1;
                 Err(SnapshotError::Io("flaky".to_owned()))
             });
-        assert_eq!(calls, 4, "initial attempt plus max_retries");
+        assert_eq!(calls, MAX_RETRIES + 1, "initial attempt plus MAX_RETRIES");
         match out {
             Err(ServeError::RetriesExhausted { what, attempts, .. }) => {
                 assert_eq!(what, "unit save");
-                assert_eq!(attempts, 3);
+                assert_eq!(attempts, MAX_RETRIES);
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
-        assert_eq!(sup.incidents.count(IncidentKind::SaveRetried), 3);
-        // Virtual clock advanced by 10 + 20 + 40, never by wall time.
-        assert_eq!(sup.now_ms, 70);
+        assert_eq!(sup.incidents.count(IncidentKind::SaveRetried), MAX_RETRIES as usize);
+        // Virtual clock advanced by 10 + 20 + ... + 1280, never by wall time.
+        assert_eq!(sup.now_ms, 2_550);
     }
 
     #[test]

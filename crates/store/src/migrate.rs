@@ -24,37 +24,26 @@
 use crate::journal::{JobId, JobPhase, Journal};
 use crate::pool::StoragePool;
 use crate::StoreError;
-use stream::FaultSite;
+use stream::{FaultSite, MAX_RETRIES};
 
 /// Tuning for the migration pipeline (CLI: `--migrate-bw`,
-/// `--migrate-inflight`; the retry/backoff family has the supervisor's
-/// defaults, and both price a delay with [`stream::backoff_ms`]).
+/// `--migrate-inflight`). Retries follow the supervisor's policy: a job is
+/// pinned once [`stream::MAX_RETRIES`] retries have failed, and each retry
+/// waits [`stream::backoff_ms`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MigrateConfig {
     /// Bandwidth cap in MiB/s of virtual time; 0 = device speed.
     pub bw_cap_mib_s: u64,
-    /// Virtual lanes draining the queue (min 1).
+    /// Virtual lanes draining the queue (min 1; lanes past a batch's job
+    /// count would never be picked, so a batch uses at most that many).
     pub inflight: usize,
-    /// Failed attempts tolerated per job before pinning.
-    pub retry_budget: u32,
     /// Virtual ms an attempt may take before it counts as failed.
     pub timeout_ms: u64,
-    /// Backoff base: attempt `n` waits `base * 2^n` virtual ms...
-    pub backoff_base_ms: u64,
-    /// ...capped here.
-    pub backoff_cap_ms: u64,
 }
 
 impl Default for MigrateConfig {
     fn default() -> MigrateConfig {
-        MigrateConfig {
-            bw_cap_mib_s: 0,
-            inflight: 4,
-            retry_budget: 8,
-            timeout_ms: 120_000,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 5_000,
-        }
+        MigrateConfig { bw_cap_mib_s: 0, inflight: 4, timeout_ms: 120_000 }
     }
 }
 
@@ -150,14 +139,6 @@ impl Migrator {
         &self.cfg
     }
 
-    /// Deterministic exponential backoff before retry `attempt` (0-based):
-    /// [`stream::backoff_ms`], the supervisor's curve, with this
-    /// migrator's base and cap.
-    #[must_use]
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        stream::backoff_ms(self.cfg.backoff_base_ms, self.cfg.backoff_cap_ms, attempt)
-    }
-
     /// Drains one decision batch. Jobs run in the given order; lanes are
     /// filled greedily (least-loaded lane, ties to the lowest index), so
     /// the whole schedule is a pure function of the job list, the pool
@@ -174,7 +155,9 @@ impl Migrator {
         jobs: &[MigrationJob],
     ) -> Result<BatchOutcome, StoreError> {
         let mut out = BatchOutcome::default();
-        let mut lanes = vec![0u64; self.cfg.inflight.max(1)];
+        // Ties go to the lowest index, so a lane at an index past the job
+        // count is never picked: clamping changes no schedule.
+        let mut lanes = vec![0u64; self.cfg.inflight.clamp(1, jobs.len().max(1))];
         for job in jobs {
             let id = job.id;
             match journal.phase_of(&id) {
@@ -215,10 +198,10 @@ impl Migrator {
                     }
                     Err((ms, why)) => {
                         clock = clock.saturating_add(ms);
-                        if attempt >= self.cfg.retry_budget {
+                        if attempt >= MAX_RETRIES {
                             break false;
                         }
-                        let pause = self.backoff_ms(attempt);
+                        let pause = stream::backoff_ms(attempt);
                         clock = clock.saturating_add(pause);
                         out.events.push(MigrationEvent {
                             at_ms: clock,
@@ -269,8 +252,7 @@ impl Migrator {
                     kind: MigrationEventKind::Pinned,
                     job: id,
                     detail: format!(
-                        "retry budget ({}) exhausted; pinned to {}",
-                        self.cfg.retry_budget,
+                        "retry budget ({MAX_RETRIES}) exhausted; pinned to {}",
                         id.from.name()
                     ),
                 });
@@ -459,6 +441,25 @@ mod tests {
     }
 
     #[test]
+    fn inflight_past_the_job_count_changes_no_schedule() {
+        // Six jobs under the store chaos plan, so the batch retries; each
+        // side gets its own pool and injector from the same plan.
+        let run = |inflight: usize| {
+            let mut pool = seeded_pool(6);
+            pool.attach_injector(FaultPlan::store_chaos(3).injector());
+            let mut journal = Journal::in_memory();
+            let jobs: Vec<MigrationJob> =
+                (0..6).map(|f| job(0, f, Tier::Hot, Tier::Archive, (f + 1) << 22)).collect();
+            let cfg = MigrateConfig { inflight, ..MigrateConfig::default() };
+            Migrator::new(cfg).run_batch(&mut pool, &mut journal, &jobs).unwrap()
+        };
+        let want = run(6);
+        assert!(!want.events.is_empty() && want.committed_jobs + want.pinned.len() as u64 == 6);
+        assert_eq!(run(usize::MAX), want, "usize::MAX lanes");
+        assert_eq!(run(7), want, "one lane past the job count");
+    }
+
+    #[test]
     fn bandwidth_cap_stretches_elapsed_time() {
         let elapsed = |cap: u64| {
             let mut pool = seeded_pool(2);
@@ -498,14 +499,15 @@ mod tests {
         let plan = FaultPlan { vdev_write_permille: 1000, ..FaultPlan::quiet(13) };
         pool.attach_injector(plan.injector());
         let mut journal = Journal::in_memory();
-        let cfg = MigrateConfig { retry_budget: 3, ..MigrateConfig::default() };
-        let out = Migrator::new(cfg)
+        let out = Migrator::new(MigrateConfig::default())
             .run_batch(&mut pool, &mut journal, &[job(0, 0, Tier::Hot, Tier::Cool, 1000)])
             .unwrap();
         assert_eq!(out.committed_jobs, 0);
         assert_eq!(out.pinned, vec![JobId { day: 0, file: 0, from: Tier::Hot, to: Tier::Cool }]);
         let pins = out.events.iter().filter(|e| e.kind == MigrationEventKind::Pinned).count();
         assert_eq!(pins, 1);
+        let retries = out.events.iter().filter(|e| e.kind == MigrationEventKind::Retried).count();
+        assert_eq!(retries, MAX_RETRIES as usize, "every retry is spent before the pin");
         assert_eq!(pool.location(0), Some(Tier::Hot), "file stays on its source tier");
         assert!(!pool.contains_at(Tier::Cool, 0), "partial copies must be cleaned");
         assert_eq!(journal.committed_bytes(), 0);
@@ -519,7 +521,7 @@ mod tests {
         pool.attach_injector(plan.injector());
         let mut journal = Journal::in_memory();
         // Archive write latency 100ms × 25 inflation > 1s timeout.
-        let cfg = MigrateConfig { timeout_ms: 1000, retry_budget: 2, ..MigrateConfig::default() };
+        let cfg = MigrateConfig { timeout_ms: 1000, ..MigrateConfig::default() };
         let out = Migrator::new(cfg)
             .run_batch(&mut pool, &mut journal, &[job(0, 0, Tier::Hot, Tier::Archive, 1 << 20)])
             .unwrap();

@@ -72,20 +72,22 @@
 //!
 //! ## One pass each way
 //!
-//! Each side touches the payload bytes once. The encoder writes from a
-//! borrowed [`SnapshotRef`], so serving encodes its live state without
-//! cloning it: it reserves the 46-byte header, appends the payload through
-//! a sink that digests each byte as it lands, and then writes the header
-//! in place, so there is one buffer and no copy. The loader decodes a v3
-//! payload first, with a reader that digests each byte it consumes, then
-//! finishes the digest over any bytes the decode did not reach and
-//! compares it with the header. A mismatch is [`SnapshotError::Corrupt`]
-//! whatever the decode returned; [`SnapshotError::Parse`] and
-//! [`SnapshotError::Invalid`] surface only when the digest matches, and
-//! the state checks run only then. Decoding bytes before they are
-//! verified is safe because the decoder is total, and FNV-1a is a check
-//! against accidents, not a MAC: a payload under a recomputed digest
-//! reaches the decoder either way. Legacy JSON is digested, then parsed.
+//! Each side touches the payload bytes once. Serving keeps its live state
+//! in a [`Snapshot`], so a checkpoint encodes that state in place and
+//! clones nothing, and a restore decodes straight into the state serving
+//! resumes on. The encoder reserves the 46-byte header, appends the
+//! payload through a sink that digests each byte as it lands, and then
+//! writes the header in place, so there is one buffer and no copy. The
+//! loader decodes a v3 payload first, with a reader that digests each byte
+//! it consumes, then finishes the digest over any bytes the decode did not
+//! reach and compares it with the header. A mismatch is
+//! [`SnapshotError::Corrupt`] whatever the decode returned;
+//! [`SnapshotError::Parse`] and [`SnapshotError::Invalid`] surface only
+//! when the digest matches, and the state checks run only then. Decoding
+//! bytes before they are verified is safe because the decoder is total,
+//! and FNV-1a is a check against accidents, not a MAC: a payload under a
+//! recomputed digest reaches the decoder either way. Legacy JSON is
+//! digested, then parsed.
 //!
 //! ## Legacy formats (read-only)
 //!
@@ -192,112 +194,6 @@ pub struct Snapshot {
     /// Bounded online statistics (present in bounded mode).
     #[serde(default)]
     pub bounded: Option<BoundedStats>,
-}
-
-/// A borrowed view of a [`Snapshot`]: every field the v3 encoder reads,
-/// owned by someone else. Serving encodes its live state through one, so a
-/// checkpoint clones nothing; [`Snapshot::to_checked_bytes`] encodes
-/// through a view of the owned snapshot, so both write the same bytes.
-#[derive(Clone, Copy, Debug)]
-pub struct SnapshotRef<'a> {
-    /// See [`Snapshot::policy_name`].
-    pub policy_name: &'a str,
-    /// See [`Snapshot::seed`].
-    pub seed: u64,
-    /// See [`Snapshot::next_day`].
-    pub next_day: usize,
-    /// See [`Snapshot::epoch`].
-    pub epoch: u64,
-    /// See [`Snapshot::decide_every`].
-    pub decide_every: usize,
-    /// See [`Snapshot::window`].
-    pub window: usize,
-    /// See [`Snapshot::initial_tier`].
-    pub initial_tier: Tier,
-    /// See [`Snapshot::tiers`].
-    pub tiers: &'a [Tier],
-    /// See [`Snapshot::ledger`].
-    pub ledger: &'a CostLedger,
-    /// See [`Snapshot::per_file`].
-    pub per_file: &'a [Money],
-    /// See [`Snapshot::occupancy`].
-    pub occupancy: &'a [[usize; TIER_COUNT]],
-    /// See [`Snapshot::tier_changes`].
-    pub tier_changes: u64,
-    /// See [`Snapshot::billed_change_bytes`].
-    pub billed_change_bytes: u64,
-    /// See [`Snapshot::exact`].
-    pub exact: Option<&'a ExactStats>,
-    /// See [`Snapshot::bounded`].
-    pub bounded: Option<&'a BoundedStats>,
-}
-
-impl SnapshotRef<'_> {
-    /// The v3 framed bytes: the checksum header line, then the binary
-    /// payload.
-    ///
-    /// One buffer, one pass: the header's 46 bytes are reserved up front,
-    /// the payload is digested as it is appended behind them, and the
-    /// header is written in place once the digest is known.
-    #[must_use]
-    pub fn to_checked_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 << 12);
-        out.resize(V3_HEADER_LEN, 0);
-        let mut sink = DigestSink::new(&mut out);
-        self.encode_payload(&mut sink);
-        let digest = sink.digest();
-        let hex = (0..16).rev().map(|i| match (digest >> (4 * i)) as u8 & 0xf {
-            n @ 0..=9 => b'0' + n,
-            n => b'a' + (n - 10),
-        });
-        let header = V3_PREFIX.bytes().chain(hex).chain([b'\n']);
-        for (slot, b) in out.iter_mut().zip(header) {
-            *slot = b;
-        }
-        out
-    }
-
-    /// Appends the v3 payload (field order in the module docs).
-    fn encode_payload(&self, out: &mut impl Sink) {
-        put_len(out, self.policy_name.len());
-        out.put_bytes(self.policy_name.as_bytes());
-        put_u64_le(out, self.seed);
-        put_len(out, self.next_day);
-        put_varint(out, self.epoch);
-        put_len(out, self.decide_every);
-        put_len(out, self.window);
-        put_tier(out, self.initial_tier);
-        put_len(out, self.tiers.len());
-        for &tier in self.tiers {
-            put_tier(out, tier);
-        }
-        put_len(out, self.ledger.days());
-        for day in self.ledger.daily() {
-            for money in [day.storage, day.change, day.read, day.write] {
-                put_money(out, money);
-            }
-        }
-        put_len(out, self.per_file.len());
-        for &money in self.per_file {
-            put_money(out, money);
-        }
-        put_len(out, self.occupancy.len());
-        for day in self.occupancy {
-            for &count in day {
-                put_len(out, count);
-            }
-        }
-        put_varint(out, self.tier_changes);
-        put_varint(out, self.billed_change_bytes);
-        out.put_byte(u8::from(self.exact.is_some()));
-        if let Some(exact) = self.exact {
-            exact.write_wire(out);
-        }
-        out.put_byte(u8::from(self.bounded.is_some()));
-        if let Some(bounded) = self.bounded {
-            bounded.write_wire(out);
-        }
-    }
 }
 
 /// Why a snapshot failed to save or load.
@@ -469,31 +365,71 @@ fn check_digest(stated: u64, actual: u64) -> Result<(), SnapshotError> {
 }
 
 impl Snapshot {
-    /// The borrowed view the encoder reads.
-    fn view(&self) -> SnapshotRef<'_> {
-        SnapshotRef {
-            policy_name: &self.policy_name,
-            seed: self.seed,
-            next_day: self.next_day,
-            epoch: self.epoch,
-            decide_every: self.decide_every,
-            window: self.window,
-            initial_tier: self.initial_tier,
-            tiers: &self.tiers,
-            ledger: &self.ledger,
-            per_file: &self.per_file,
-            occupancy: &self.occupancy,
-            tier_changes: self.tier_changes,
-            billed_change_bytes: self.billed_change_bytes,
-            exact: self.exact.as_ref(),
-            bounded: self.bounded.as_ref(),
+    /// Serializes this snapshot into the v3 framed byte format: the
+    /// checksum header line, then the binary payload. Encoding reads
+    /// `self` in place, so serving checkpoints its live state without
+    /// cloning it; the version field is ignored.
+    ///
+    /// One buffer, one pass: the header's 46 bytes are reserved up front,
+    /// the payload is digested as it is appended behind them, and the
+    /// header is written in place once the digest is known.
+    pub fn to_checked_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
+        let mut out = Vec::with_capacity(1 << 12);
+        out.resize(V3_HEADER_LEN, 0);
+        let mut sink = DigestSink::new(&mut out);
+        self.encode_payload(&mut sink);
+        let digest = sink.digest();
+        let hex = (0..16).rev().map(|i| match (digest >> (4 * i)) as u8 & 0xf {
+            n @ 0..=9 => b'0' + n,
+            n => b'a' + (n - 10),
+        });
+        let header = V3_PREFIX.bytes().chain(hex).chain([b'\n']);
+        for (slot, b) in out.iter_mut().zip(header) {
+            *slot = b;
         }
+        Ok(out)
     }
 
-    /// Serializes this snapshot into the v3 framed byte format: checksum
-    /// header line + binary payload ([`SnapshotRef::to_checked_bytes`]).
-    pub fn to_checked_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        Ok(self.view().to_checked_bytes())
+    /// Appends the v3 payload (field order in the module docs).
+    fn encode_payload(&self, out: &mut impl Sink) {
+        put_len(out, self.policy_name.len());
+        out.put_bytes(self.policy_name.as_bytes());
+        put_u64_le(out, self.seed);
+        put_len(out, self.next_day);
+        put_varint(out, self.epoch);
+        put_len(out, self.decide_every);
+        put_len(out, self.window);
+        put_tier(out, self.initial_tier);
+        put_len(out, self.tiers.len());
+        for &tier in &self.tiers {
+            put_tier(out, tier);
+        }
+        put_len(out, self.ledger.days());
+        for day in self.ledger.daily() {
+            for money in [day.storage, day.change, day.read, day.write] {
+                put_money(out, money);
+            }
+        }
+        put_len(out, self.per_file.len());
+        for &money in &self.per_file {
+            put_money(out, money);
+        }
+        put_len(out, self.occupancy.len());
+        for day in &self.occupancy {
+            for &count in day {
+                put_len(out, count);
+            }
+        }
+        put_varint(out, self.tier_changes);
+        put_varint(out, self.billed_change_bytes);
+        out.put_byte(u8::from(self.exact.is_some()));
+        if let Some(exact) = &self.exact {
+            exact.write_wire(out);
+        }
+        out.put_byte(u8::from(self.bounded.is_some()));
+        if let Some(bounded) = &self.bounded {
+            bounded.write_wire(out);
+        }
     }
 
     /// Parses and validates snapshot bytes written by
@@ -579,7 +515,7 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Reads what [`SnapshotRef::to_checked_bytes`] wrote behind the
+    /// Reads what [`Snapshot::to_checked_bytes`] wrote behind the
     /// header, to the last byte.
     fn decode_v3(r: &mut Reader<'_>) -> Result<Snapshot, SnapshotError> {
         let name_len = r.seq_len("policy name", 1)?;

@@ -56,7 +56,7 @@ mod wire;
 pub use bounded::{BoundedConfig, BoundedStats};
 pub use checkpoint::{
     fnv1a64, rotate, rotated_path, rotation_candidates, FsBackend, Snapshot, SnapshotError,
-    SnapshotRef, StorageBackend, SNAPSHOT_VERSION,
+    StorageBackend, SNAPSHOT_VERSION,
 };
 pub use event::{digest_events, DayBatch, Event, EventSource, TraceSource};
 pub use fault::{
@@ -65,14 +65,26 @@ pub use fault::{
 pub use sketch::{CountMinSketch, SpaceSaving, SpaceSavingEntry};
 pub use stats::{ExactStats, FileStats};
 
+/// Retries allowed per failing operation before it is declared exhausted:
+/// a checkpoint read or write and a policy step under the serve supervisor,
+/// a migration job in the store's pipeline. A fault plan whose `max_faults`
+/// is below it can never exhaust a retry loop.
+pub const MAX_RETRIES: u32 = 8;
+
+/// The first retry's backoff delay, in virtual milliseconds.
+const BACKOFF_BASE_MS: u64 = 10;
+
+/// The ceiling on one backoff delay, in virtual milliseconds.
+const BACKOFF_CAP_MS: u64 = 5_000;
+
 /// The deterministic retry backoff shared by the serve supervisor and the
 /// store's migration pipeline: the delay before retry number `attempt`
-/// (0-based) is `base_ms · 2^attempt` virtual milliseconds, saturating,
-/// capped at `cap_ms`.
+/// (0-based) is `10 · 2^attempt` virtual milliseconds, saturating, capped
+/// at 5,000.
 #[must_use]
-pub fn backoff_ms(base_ms: u64, cap_ms: u64, attempt: u32) -> u64 {
+pub fn backoff_ms(attempt: u32) -> u64 {
     let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-    base_ms.saturating_mul(factor).min(cap_ms)
+    BACKOFF_BASE_MS.saturating_mul(factor).min(BACKOFF_CAP_MS)
 }
 
 /// A splitmix64-style finalizer: the stable 64-bit mixer every seeded hash

@@ -223,7 +223,6 @@ fn degraded_mode_pins_epochs_to_the_fallback_policy() {
     let sup_cfg = SuperviseConfig {
         fault_plan: Some(always_failing.clone()),
         degraded: Some(DegradedPolicy::Hot),
-        ..SuperviseConfig::default()
     };
     let report = Supervisor::new(sup_cfg)
         .run(&trace, &model, &GreedyPolicy, &ServeConfig::default())
